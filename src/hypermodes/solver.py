@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .congruence import (ModeDecomposition, SymmetricPair, TypeIIMode,
-                         TypeIMode, simultaneous_diagonalize)
+from .congruence import (ModeDecomposition, SymmetricPair, TypeIMode,
+                         simultaneous_diagonalize)
 from .errors import (BlockMatchingFailure, CFLViolation, UnstableCoefficients)
 from .modes import BCAssignment, ScalarModeBC, Side, assemble_system_bcs
 from .operators import RectGrid, StateField
@@ -86,6 +86,15 @@ def _split_signed(mats: np.ndarray):
     return pos, neg
 
 
+def _faces(a: np.ndarray, axis: int) -> np.ndarray:
+    """Frozen coefficients on the faces along `axis` of a node stack: the
+    arithmetic mean of adjacent nodes inside, the boundary node's own value
+    on the two boundary faces. Face k lies before node k."""
+    a = np.moveaxis(a, axis, 0)
+    faces = np.concatenate([a[:1], 0.5 * (a[1:] + a[:-1]), a[-1:]])
+    return np.moveaxis(faces, 0, axis)
+
+
 def _mode_projector(decomp: ModeDecomposition, bcs, side: Side) -> np.ndarray:
     """Projector in mode variables keeping only traces admissible on `side`."""
     n = decomp.order
@@ -101,132 +110,134 @@ def _mode_projector(decomp: ModeDecomposition, bcs, side: Side) -> np.ndarray:
     return Pi
 
 
+def _mul(mats: np.ndarray, v: np.ndarray, out: np.ndarray):
+    """out = M v at every node of v (n, ...): one (n, n) matrix for all
+    nodes, or a per-node stack (..., n, n). `out` is C-contiguous."""
+    if mats.ndim == 2:
+        np.matmul(mats, v.reshape(len(mats), -1), out=out.reshape(len(mats), -1))
+    else:
+        np.einsum("...ab,b...->a...", mats, v, out=out)
+
+
+_ALL = slice(None)
+# boundary row of each side in an (n, nx, ny) field
+_EDGE = {Side.W: (_ALL, 0), Side.E: (_ALL, -1),
+         Side.S: (_ALL, _ALL, 0), Side.N: (_ALL, _ALL, -1)}
+_OPPOSITE = {Side.W: Side.E, Side.E: Side.W, Side.S: Side.N, Side.N: Side.S}
+
+
 class SpatialOperator:
-    """Semidiscrete upwind operator with mode-variable boundary closure."""
+    """Semidiscrete upwind operator with mode-variable boundary closure.
+
+    Stencil form: du/dt at a node is a centre matrix (upwind diagonal and
+    -B) times u there plus a neighbour matrix times u at each of its W, E, S
+    and N neighbours; on a boundary row the missing neighbour is the ghost
+    value S u of the side map S, folded into an edge correction. Each term
+    is one (n, n) matrix for constant coefficients, a per-node stack for
+    variable ones (neighbour terms aligned to the source node). `apply`
+    and `project` reuse private buffers: one caller at a time.
+    """
 
     def __init__(self, config: IVPConfig):
         grid = config.grid
         self.grid = grid
         self.forcing = config.forcing
-        nx, ny = grid.nx, grid.ny
+        hx, hy = grid.hx, grid.hy
 
         if config.is_variable:
             setup = config.var_setup or variable_coeff_setup(config.sampler, grid)
-            self.n = setup.order
-            a1, a2 = setup.a1, setup.a2
-            self._check_speeds(a1, a2)
-            # frozen interface coefficients: arithmetic mean of adjacent nodes
-            a1_xi = 0.5 * (a1[1:] + a1[:-1])
-            a2_yi = 0.5 * (a2[:, 1:] + a2[:, :-1])
-            self.ax_pos, self.ax_neg = _split_signed(a1_xi)
-            self.ay_pos, self.ay_neg = _split_signed(a2_yi)
-            self.ax_pos_w, self.ax_neg_w = _split_signed(a1[0])
-            self.ax_pos_e, self.ax_neg_e = _split_signed(a1[-1])
-            self.ay_pos_s, self.ay_neg_s = _split_signed(a2[:, 0])
-            self.ay_pos_n, self.ay_neg_n = _split_signed(a2[:, -1])
-            self.b = None
-            self.constant = False
-            self.max_speed = float(max(
-                np.abs(np.linalg.eigvalsh(a1)).max(),
-                np.abs(np.linalg.eigvalsh(a2)).max()))
-            self.side_map = _variable_side_maps(setup, config.bcs)
+            a1, a2, b = setup.a1, setup.a2, setup.b
+            # an edge index without its component axis picks boundary nodes
+            self.side_map = _side_maps(setup.decomp_ref, config.bcs,
+                                       lambda side: setup.p[_EDGE[side][1:]])
         else:
             pair = config.pair
-            self.n = pair.order
-            self._check_speeds(pair.a1[None, None], pair.a2[None, None])
-            self.ax_pos, self.ax_neg = _split_signed(pair.a1)
-            self.ay_pos, self.ay_neg = _split_signed(pair.a2)
-            self.b = pair.b
-            self.constant = True
-            self.max_speed = float(max(
-                np.abs(np.linalg.eigvalsh(pair.a1)).max(),
-                np.abs(np.linalg.eigvalsh(pair.a2)).max()))
+            a1, a2 = pair.a1[None, None], pair.a2[None, None]
+            b = 0.0 if pair.b is None else pair.b
             decomp = config.decomp or simultaneous_diagonalize(pair)
-            bcs = config.bcs or assemble_system_bcs(decomp)
-            p_inv = np.linalg.inv(decomp.p)
-            self.side_map = {}
-            for side in Side:
-                Pi = _mode_projector(decomp, bcs, side)
-                self.side_map[side] = decomp.p @ Pi @ p_inv
+            self.side_map = _side_maps(decomp, config.bcs, lambda side: decomp.p)
+        self.n = a1.shape[-1]
+        self.max_speed = self._max_speed(a1, a2)
+
+        xp, xn = _split_signed(_faces(a1, 0))
+        yp, yn = _split_signed(_faces(a2, 1))
+        self.centre = ((xn[1:] - xp[:-1]) / hx + (yn[:, 1:] - yp[:, :-1]) / hy
+                       - b)
+        self.neighbour = {Side.W: xp[1:] / hx, Side.E: -xn[:-1] / hx,
+                          Side.S: yp[:, 1:] / hy, Side.N: -yn[:, :-1] / hy}
+        ghost = {Side.W: xp[0] / hx, Side.E: -xn[-1] / hx,
+                 Side.S: yp[:, 0] / hy, Side.N: -yn[:, -1] / hy}
+        self.edge = {side: ghost[side] @ self.side_map[side] for side in Side}
+        if not config.is_variable:  # one node stood for all: back to (n, n)
+            self.centre = self.centre[0, 0]
+            self.neighbour = {k: m[0, 0] for k, m in self.neighbour.items()}
+            self.edge = {k: m[0] for k, m in self.edge.items()}
 
         if config.u0.components != self.n:
             raise ValueError("initial data component count does not match system")
-        self.dt_max = config.cfl * min(grid.hx, grid.hy) / self.max_speed
+        self.dt_max = config.cfl * min(hx, hy) / self.max_speed
+        shape = (self.n, grid.nx, grid.ny)
+        # flat (destination, source) slices that carry a product at a node
+        # to the node across `side` from it
+        self._shift = {side: (slice(d, None), slice(None, -d)) if d > 0 else
+                       (slice(None, d), slice(-d, None)) for side, d in
+                       ((Side.W, grid.ny), (Side.E, -grid.ny), (Side.S, 1),
+                        (Side.N, -1))}
+        self._shifted = np.empty(shape)
+        self._trace = {side: np.empty((self.n, grid.ny if side.axis == "x"
+                                       else grid.nx)) for side in Side}
+        # RK4 stage slope and stage state, used by `step`
+        self._k = np.empty(shape)
+        self._v = np.empty(shape)
 
-    def _check_speeds(self, a1, a2, tol: float = 1e-8):
+    @staticmethod
+    def _max_speed(a1, a2, tol: float = 1e-8) -> float:
         # looser than the pair's non-singularity threshold: speeds this
         # small drive the stable step size to zero
+        top = 0.0
         for name, mats in (("x", a1), ("y", a2)):
-            w = np.linalg.eigvalsh(mats)
-            scale = max(np.abs(w).max(), 1e-300)
-            if np.abs(w).min() <= tol * scale:
+            w = np.abs(np.linalg.eigvalsh(mats))
+            scale = max(w.max(), 1e-300)
+            if w.min() <= tol * scale:
                 raise UnstableCoefficients(
                     f"a wave speed along the {name} direction vanishes "
-                    f"(|speed|min/|speed|max = {np.abs(w).min() / scale:.3e})")
-
-    # -- boundary maps -------------------------------------------------------
-
-    def _apply_side(self, side: Side, trace: np.ndarray) -> np.ndarray:
-        """Apply the side's trace projector to an (n, m) boundary slice."""
-        M = self.side_map[side]
-        if M.ndim == 2:
-            return np.einsum("ab,bk->ak", M, trace)
-        return np.einsum("kab,bk->ak", M, trace)
+                    f"(|speed|min/|speed|max = {w.min() / scale:.3e})")
+            top = max(top, float(w.max()))
+        return top
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        out = u.copy()
-        out[:, 0, :] = self._apply_side(Side.W, out[:, 0, :])
-        out[:, -1, :] = self._apply_side(Side.E, out[:, -1, :])
-        out[:, :, 0] = self._apply_side(Side.S, out[:, :, 0])
-        out[:, :, -1] = self._apply_side(Side.N, out[:, :, -1])
-        return out
+        """Map the boundary traces of `u` through the side maps in place,
+        W, E, S, N in turn (a corner takes both of its sides' maps).
+        Returns `u`."""
+        for side in Side:
+            trace = u[_EDGE[side]]
+            _mul(self.side_map[side], trace, self._trace[side])
+            trace[...] = self._trace[side]
+        return u
 
-    # -- semidiscrete right-hand side -----------------------------------------
-
-    def _mul(self, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if mats.ndim == 2:
-            return np.einsum("ab,b...->a...", mats, v)
-        if mats.ndim == 4:  # per-interface (m1, m2, n, n) acting on (n, m1, m2)
-            return np.einsum("ijab,bij->aij", mats, v)
-        return np.einsum("iab,bi...->ai...", mats, v)  # per-row/edge (m, n, n)
-
-    def apply(self, t: float, u: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        hx, hy = grid.hx, grid.hy
-        out = np.zeros_like(u)
-
-        diff_x = (u[:, 1:, :] - u[:, :-1, :]) / hx
-        ghost_w = (u[:, 0, :] - self._apply_side(Side.W, u[:, 0, :])) / hx
-        ghost_e = (self._apply_side(Side.E, u[:, -1, :]) - u[:, -1, :]) / hx
-        if self.constant:
-            out[:, 1:, :] -= self._mul(self.ax_pos, diff_x)
-            out[:, :-1, :] -= self._mul(self.ax_neg, diff_x)
-            out[:, 0, :] -= np.einsum("ab,bk->ak", self.ax_pos, ghost_w)
-            out[:, -1, :] -= np.einsum("ab,bk->ak", self.ax_neg, ghost_e)
-        else:
-            out[:, 1:, :] -= self._mul(self.ax_pos, diff_x)
-            out[:, :-1, :] -= self._mul(self.ax_neg, diff_x)
-            out[:, 0, :] -= np.einsum("kab,bk->ak", self.ax_pos_w, ghost_w)
-            out[:, -1, :] -= np.einsum("kab,bk->ak", self.ax_neg_e, ghost_e)
-
-        diff_y = (u[:, :, 1:] - u[:, :, :-1]) / hy
-        ghost_s = (u[:, :, 0] - self._apply_side(Side.S, u[:, :, 0])) / hy
-        ghost_n = (self._apply_side(Side.N, u[:, :, -1]) - u[:, :, -1]) / hy
-        if self.constant:
-            out[:, :, 1:] -= self._mul(self.ay_pos, diff_y)
-            out[:, :, :-1] -= self._mul(self.ay_neg, diff_y)
-            out[:, :, 0] -= np.einsum("ab,bk->ak", self.ay_pos, ghost_s)
-            out[:, :, -1] -= np.einsum("ab,bk->ak", self.ay_neg, ghost_n)
-        else:
-            out[:, :, 1:] -= self._mul(self.ay_pos, diff_y)
-            out[:, :, :-1] -= self._mul(self.ay_neg, diff_y)
-            out[:, :, 0] -= np.einsum("kab,bk->ak", self.ay_pos_s, ghost_s)
-            out[:, :, -1] -= np.einsum("kab,bk->ak", self.ay_neg_n, ghost_n)
-
-        if self.b is not None:
-            out -= np.einsum("ab,bij->aij", self.b, u)
+    def apply(self, t: float, u: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """du/dt at time t, written into `out` (C-contiguous, shaped like
+        `u`, not `u` itself) when given, else into a new array."""
+        if out is None:
+            out = np.empty(u.shape)
+        elif (out.shape != u.shape or not out.flags.c_contiguous
+              or np.may_share_memory(out, u)):
+            raise ValueError("out must be C-contiguous, shaped like u, apart from u")
+        _mul(self.centre, u, out)
+        flat, tmp = out.reshape(-1), self._shifted
+        for side in Side:
+            # a flat shift moves each product a fixed distance; the boundary
+            # row with no node across it is zeroed, so adds that wrap add 0
+            _mul(self.neighbour[side], u, tmp)
+            tmp[_EDGE[_OPPOSITE[side]]] = 0.0
+            dst, src = self._shift[side]
+            flat[dst] += tmp.reshape(-1)[src]
+        for side in Side:
+            _mul(self.edge[side], u[_EDGE[side]], self._trace[side])
+            out[_EDGE[side]] += self._trace[side]
         if self.forcing is not None:
-            out = out + self.forcing(t)
+            out += self.forcing(t)
         return out
 
 
@@ -236,15 +247,22 @@ def build_semidiscrete(config: IVPConfig) -> SpatialOperator:
 
 
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical four-stage explicit step with after-stage projection."""
+    """One classical four-stage explicit step with after-stage projection.
+    Leaves `u` untouched and returns a new array."""
     if dt > op.dt_max * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt = {dt:.6g} exceeds the stability bound {op.dt_max:.6g}")
-    k1 = op.apply(t, u)
-    k2 = op.apply(t + dt / 2, op.project(u + dt / 2 * k1))
-    k3 = op.apply(t + dt / 2, op.project(u + dt / 2 * k2))
-    k4 = op.apply(t + dt, op.project(u + dt * k3))
-    return op.project(u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    k, v = op._k, op._v
+    op.apply(t, u, out=k)
+    result = dt / 6 * k + u
+    for c, w, s in ((dt / 2, dt / 3, t + dt / 2), (dt / 2, dt / 3, t + dt / 2),
+                    (dt, dt / 6, t + dt)):
+        np.multiply(k, c, out=v)
+        v += u
+        op.apply(s, op.project(v), out=k)
+        np.multiply(k, w, out=v)
+        result += v
+    return op.project(result)
 
 
 def fit_growth_rate(times: np.ndarray, norms: np.ndarray) -> float:
@@ -272,14 +290,13 @@ def run(config: IVPConfig):
     grid = config.grid
     w = grid.quad_weights()
 
-    u = config.u0.values.copy()
-    projected = op.project(u)
-    drift = np.abs(projected - u).max()
-    if drift > 1e-12 * max(np.abs(u).max(), 1e-300):
+    u0 = config.u0.values
+    u = op.project(u0.copy())
+    drift = np.abs(u - u0).max()
+    if drift > 1e-12 * max(np.abs(u0).max(), 1e-300):
         log.warning(
             "initial data violates the synthesized boundary conditions "
             "(max adjustment %.3e); projected onto the admissible set", drift)
-    u = projected
 
     nsteps = max(1, int(np.ceil(config.t_end / op.dt_max)))
     dt = config.t_end / nsteps
@@ -333,6 +350,7 @@ class VariableCoefficientSetup:
     grid: RectGrid
     a1: np.ndarray            # (nx, ny, n, n)
     a2: np.ndarray
+    b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
     p: np.ndarray             # (nx, ny, n, n), continuity-matched
     modes: list               # modes of the reference (0, 0) node
     decomp_ref: ModeDecomposition
@@ -393,15 +411,6 @@ def _rotation_align(block_cur: np.ndarray, block_ref: np.ndarray) -> float:
     return float(np.arctan2(M[1, 0] - M[0, 1], M[0, 0] + M[1, 1]))
 
 
-def _rotate_mode(mode: TypeIIMode, theta: float) -> TypeIIMode:
-    R = np.array([[np.cos(theta), -np.sin(theta)],
-                  [np.sin(theta), np.cos(theta)]])
-    C = R.T @ mode.first() @ R
-    D = R.T @ mode.second() @ R
-    return TypeIIMode(C[0, 0], 0.5 * (C[0, 1] + C[1, 0]),
-                      D[0, 0], 0.5 * (D[0, 1] + D[1, 0]))
-
-
 def variable_coeff_setup(sampler, grid: RectGrid,
                          tol: float = 1e-9) -> VariableCoefficientSetup:
     """Pointwise decomposition at every node with continuity-enforced block
@@ -410,7 +419,7 @@ def variable_coeff_setup(sampler, grid: RectGrid,
     nx, ny = grid.nx, grid.ny
     xs, ys = grid.x(), grid.y()
 
-    a1 = a2 = p = None
+    a1 = a2 = b = p = None
     decomp_ref = None
     ref_separation = {}
     prev_p = [[None] * ny for _ in range(nx)]
@@ -424,6 +433,7 @@ def variable_coeff_setup(sampler, grid: RectGrid,
                 n = pair.order
                 a1 = np.zeros((nx, ny, n, n))
                 a2 = np.zeros((nx, ny, n, n))
+                b = np.zeros((nx, ny, n, n))
                 p = np.zeros((nx, ny, n, n))
                 decomp_ref = d
                 for k1 in range(len(keys)):
@@ -437,6 +447,7 @@ def variable_coeff_setup(sampler, grid: RectGrid,
             prev_keys[i][j] = keys
             a1[i, j] = pair.a1
             a2[i, j] = pair.a2
+            b[i, j] = 0.0 if pair.b is None else pair.b
 
             P = d.p.copy()
             neighbor = prev_p[i - 1][j] if i > 0 else (prev_p[i][j - 1] if j > 0 else None)
@@ -460,27 +471,16 @@ def variable_coeff_setup(sampler, grid: RectGrid,
           + np.einsum("ijab,ijbc,ijcd->ijad", a2, py, p_inv))
     b1_norm = float(np.linalg.svd(b1, compute_uv=False)[..., 0].max())
 
-    return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, p=p,
+    return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b, p=p,
                                     modes=list(decomp_ref.modes),
                                     decomp_ref=decomp_ref,
                                     b1_norm_estimate=b1_norm)
 
 
-def _variable_side_maps(setup: VariableCoefficientSetup, bcs):
-    """Per-node trace maps P Pi P^-1 along each side."""
-    bcs = bcs or assemble_system_bcs(setup.decomp_ref)
-    grid = setup.grid
-    out = {}
-    for side in Side:
-        if side is Side.W:
-            ps = setup.p[0, :]
-        elif side is Side.E:
-            ps = setup.p[-1, :]
-        elif side is Side.S:
-            ps = setup.p[:, 0]
-        else:
-            ps = setup.p[:, -1]
-        Pi = _mode_projector(setup.decomp_ref, bcs, side)
-        maps = np.einsum("kab,bc,kcd->kad", ps, Pi, np.linalg.inv(ps))
-        out[side] = maps
-    return out
+def _side_maps(decomp: ModeDecomposition, bcs, p_of) -> dict:
+    """Trace maps P Pi P^-1 of each side, where `p_of(side)` gives P there:
+    one (n, n) matrix, or one per boundary node."""
+    bcs = bcs or assemble_system_bcs(decomp)
+    return {side: np.einsum("...ab,bc,...cd->...ad", p_of(side),
+                            _mode_projector(decomp, bcs, side),
+                            np.linalg.inv(p_of(side))) for side in Side}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-
+from conftest import plant_pair, random_mixed_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypermodes.apps import SWEParams, preset_swe
 from hypermodes.congruence import SymmetricPair
 from hypermodes.errors import (BlockMatchingFailure, CFLViolation,
@@ -20,6 +22,71 @@ def scalar_pair(c=1.0, d=1.0):
 def bump_field(grid, cx=0.5, cy=0.5, width=60.0):
     X, Y = grid.meshgrid()
     return np.exp(-width * ((X - cx) ** 2 + (Y - cy) ** 2))
+
+
+def _signed_parts(mats):
+    w, V = np.linalg.eigh(mats)
+    pos = np.einsum("...ab,...b,...cb->...ac", V, np.maximum(w, 0.0), V)
+    neg = np.einsum("...ab,...b,...cb->...ac", V, np.minimum(w, 0.0), V)
+    return pos, neg
+
+
+def reference_apply(grid, a1, a2, b, side_map, u):
+    """The upwind operator in difference form with explicit ghost values.
+
+    a1, a2, b are per-node (nx, ny, n, n) stacks and side_map[side] the
+    trace maps along each side; interfaces carry the mean of their two
+    nodes, and the ghost node beyond a side holds the side map applied to
+    the boundary trace."""
+    hx, hy = grid.hx, grid.hy
+
+    def mul(m, v):
+        return np.einsum("...ab,b...->a...", m, v)
+
+    out = -mul(b, u)
+    xp, xn = _signed_parts(0.5 * (a1[1:] + a1[:-1]))
+    diff_x = (u[:, 1:] - u[:, :-1]) / hx
+    out[:, 1:] -= mul(xp, diff_x)
+    out[:, :-1] -= mul(xn, diff_x)
+    yp, yn = _signed_parts(0.5 * (a2[:, 1:] + a2[:, :-1]))
+    diff_y = (u[:, :, 1:] - u[:, :, :-1]) / hy
+    out[:, :, 1:] -= mul(yp, diff_y)
+    out[:, :, :-1] -= mul(yn, diff_y)
+
+    def ghost(side, trace):
+        return mul(side_map[side], trace)
+
+    w, e, s, n = u[:, 0], u[:, -1], u[:, :, 0], u[:, :, -1]
+    out[:, 0] -= mul(_signed_parts(a1[0])[0], w - ghost(Side.W, w)) / hx
+    out[:, -1] -= mul(_signed_parts(a1[-1])[1], ghost(Side.E, e) - e) / hx
+    out[:, :, 0] -= mul(_signed_parts(a2[:, 0])[0], s - ghost(Side.S, s)) / hy
+    out[:, :, -1] -= mul(_signed_parts(a2[:, -1])[1], ghost(Side.N, n) - n) / hy
+    return out
+
+
+def planted_system(rng):
+    """Random mixed planted pair with a lower-order term whose symmetric
+    part is positive semidefinite."""
+    pair, _ = plant_pair(random_mixed_spec(rng), rng)
+    n = pair.order
+    skew = rng.standard_normal((n, n))
+    return SymmetricPair(a1=pair.a1, a2=pair.a2,
+                         b=rng.uniform(0.0, 1.0) * np.eye(n) + skew - skew.T)
+
+
+def varying_sampler(pair, rng):
+    """Smoothly varying congruence of `pair` (same modes at every node) with
+    a smoothly scaled lower-order term."""
+    n = pair.order
+    H = rng.standard_normal((n, n))
+
+    def sampler(x, y):
+        R = np.eye(n) + 0.05 * np.sin(x + 2.0 * y) * H
+        a1, a2 = R.T @ pair.a1 @ R, R.T @ pair.a2 @ R
+        return SymmetricPair(a1=0.5 * (a1 + a1.T), a2=0.5 * (a2 + a2.T),
+                             b=(1.0 + 0.5 * np.sin(3.0 * x - y)) * pair.b)
+
+    return sampler
 
 
 class TestSemidiscrete:
@@ -192,6 +259,18 @@ class TestVariableCoefficients:
         with pytest.raises(BlockMatchingFailure):
             variable_coeff_setup(sampler, g)
 
+    def test_lower_order_term_on_sampler_path(self):
+        # a constant sampler must reproduce the pair= path, B included
+        base = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.0))
+        pair = SymmetricPair(a1=base.a1, a2=base.a2, b=5.0 * np.eye(3))
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u0 = StateField(g, np.stack([bump_field(g), 0.3 * bump_field(g),
+                                     -0.2 * bump_field(g)]))
+        _, const = run(IVPConfig(grid=g, u0=u0, t_end=0.5, pair=pair))
+        _, var = run(IVPConfig(grid=g, u0=u0, t_end=0.5,
+                               sampler=lambda x, y: pair))
+        np.testing.assert_allclose(var.norms, const.norms, rtol=1e-10)
+
     def test_quasi_contraction_budget(self):
         g = RectGrid(np.pi, 1.0, 49, 25)
         rng = np.random.default_rng(12)
@@ -204,3 +283,115 @@ class TestVariableCoefficients:
         assert not report.contraction_expected
         assert report.omega_hat <= 0.5 + 5.0 * g.h
         assert report.verdict
+
+
+class TestStencilForm:
+    """The stencil-form operator against the difference-form reference."""
+
+    @staticmethod
+    def rel_err(op, ref, u):
+        return np.linalg.norm(op.apply(0.0, u) - ref) / np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_constant_matches_reference(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        pair = planted_system(rng)
+        n = pair.order
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u = rng.standard_normal((n, 17, 17))
+        op = build_semidiscrete(IVPConfig(grid=g, u0=StateField(g, u),
+                                          t_end=1.0, pair=pair))
+        stack = lambda m: np.broadcast_to(m, (17, 17, n, n))
+        ref = reference_apply(g, stack(pair.a1), stack(pair.a2),
+                              stack(pair.b), op.side_map, u)
+        assert self.rel_err(op, ref, u) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_variable_matches_reference(self, seed):
+        rng = np.random.default_rng([seed, 8])
+        sampler = varying_sampler(planted_system(rng), rng)
+        g = RectGrid(1.0, 1.0, 17, 17)
+        setup = variable_coeff_setup(sampler, g)
+        assert np.abs(setup.a1 - setup.a1[0, 0]).max() > 1e-3  # varies
+        u = rng.standard_normal((setup.order, 17, 17))
+        op = build_semidiscrete(IVPConfig(grid=g, u0=StateField(g, u),
+                                          t_end=1.0, sampler=sampler,
+                                          var_setup=setup))
+        ref = reference_apply(g, setup.a1, setup.a2, setup.b, op.side_map, u)
+        assert self.rel_err(op, ref, u) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_energy_never_rises_random_mixed(self, seed):
+        rng = np.random.default_rng(seed)
+        pair = planted_system(rng)
+        g = RectGrid(1.0, 1.0, 25, 25)
+        u0 = StateField(g, np.stack([smooth_random_field(g, rng)
+                                     for _ in range(pair.order)]))
+        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair))
+        _, report = run(IVPConfig(grid=g, u0=u0, t_end=12 * op.dt_max,
+                                  pair=pair))
+        assert np.all(np.diff(report.norms) <= 1e-10 * report.norms[0])
+        assert report.verdict
+
+
+class TestBuffers:
+    """The operator reuses private buffers; its callers must not see them."""
+
+    @staticmethod
+    def swe(f_cor=0.5, seed=0):
+        pair = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0,
+                                    f_cor=f_cor))
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u = np.random.default_rng(seed).standard_normal((3, 17, 17))
+        op = build_semidiscrete(IVPConfig(grid=g, u0=StateField(g, u),
+                                          t_end=1.0, pair=pair))
+        return op, u
+
+    def test_step_leaves_input_unchanged(self):
+        op, u = self.swe()
+        before = u.copy()
+        step(op, u, 0.0, op.dt_max)
+        assert np.array_equal(u, before)
+
+    def test_repeated_steps_identical(self):
+        op, u = self.swe()
+        first = step(op, u, 0.0, op.dt_max)
+        second = step(op, u, 0.0, op.dt_max)
+        assert first is not second
+        assert np.array_equal(first, second)
+
+    def test_apply_returns_fresh_array(self):
+        op, u = self.swe()
+        owned = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        owned += [m for v in vars(op).values() if isinstance(v, dict)
+                  for m in v.values() if isinstance(m, np.ndarray)]
+        first = op.apply(0.0, u)
+        kept = first.copy()
+        assert not any(np.shares_memory(first, b) for b in owned)
+        step(op, 2.0 * u, 0.0, op.dt_max)
+        assert np.array_equal(first, kept)
+
+    def test_apply_into_out(self):
+        op, u = self.swe()
+        out = np.empty_like(u)
+        assert op.apply(0.0, u, out=out) is out
+        assert np.array_equal(out, op.apply(0.0, u))
+        with pytest.raises(ValueError):
+            op.apply(0.0, u, out=u)
+
+    def test_interleaved_operators_match_solo(self):
+        def steps(pairs, count=5):
+            states = [u for _, u in pairs]
+            out = [[] for _ in pairs]
+            for _ in range(count):
+                for k, (op, _) in enumerate(pairs):
+                    states[k] = step(op, states[k], 0.0, op.dt_max)
+                    out[k].append(states[k])
+            return out
+
+        a, b = self.swe(0.5, seed=1), self.swe(1.5, seed=2)
+        solo = steps([a])[0], steps([b])[0]
+        together = steps([a, b])
+        for alone, mixed in zip(solo, together):
+            assert all(np.array_equal(x, y) for x, y in zip(alone, mixed))
