@@ -16,8 +16,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode, TypeIMode
-from .errors import (AssumptionViolated, RankDeficientOverride,
+from .errors import (AssumptionViolated, BlockMatchingFailure,
+                     IllConditionedBasis, RankDeficientOverride,
                      ZeroCoefficient, ZeroKappa)
+from .linalg import DEFAULT_CONDITION_CAP
 
 SIGN_TOL = 1e-12
 
@@ -184,22 +186,62 @@ class VariableCoeffReport:
 
     Margins are minima over the sample nodes. The C1 norm is a
     finite-difference proxy; Holder regularity itself is taken on trust.
+    omega0 is the pointwise growth rate of the energy identity.
     """
 
     c1_norm_estimate: float
     coeff_eig_margin: float
     real_eig_margin: float
     imag_eig_margin: float
-    multiplicity_constant: bool
     omega0: float
 
 
-def _eig_signature(M, tol):
-    """(sorted real eigenvalues, sorted (re, im>0) pairs) of a real matrix."""
-    ev = np.linalg.eigvals(M)
-    real = sorted(float(e.real) for e in ev if abs(e.imag) <= tol)
-    cplx = sorted((float(e.real), float(e.imag)) for e in ev if e.imag > tol)
-    return real, cplx
+def sample_coefficients(sampler: Callable[[float, float], SymmetricPair], grid):
+    """Call `sampler` once per node, x outer, and stack the pairs into
+    (a1, a2, b), each (nx, ny, n, n); b is zero where the sampler has none."""
+    pairs = [sampler(float(x), float(y)) for x in grid.x() for y in grid.y()]
+    shape = (grid.nx, grid.ny) + pairs[0].a1.shape
+    a1 = np.array([p.a1 for p in pairs]).reshape(shape)
+    a2 = np.array([p.a2 for p in pairs]).reshape(shape)
+    b = np.array([np.zeros_like(p.a1) if p.b is None else p.b
+                  for p in pairs]).reshape(shape)
+    return a1, a2, b
+
+
+def _mode_keys(ev: np.ndarray, scale: np.ndarray, tol: float = 1e-8):
+    """Sorted mode keys of eigenvalue stacks ev (..., n) of a1^-1 a2.
+
+    Eigenvalues within tol*scale of the real axis are TypeI keys (the
+    ratio d/c), sorted ascending; the im > 0 member of each complex pair is
+    a TypeII key (mu1 + i mu2), sorted by (mu1, mu2) after them; the slots
+    the conjugates leave are padding at the end. Returns (keys, kind) with
+    kind 0 for TypeI, 1 for TypeII and 2 for padding.
+    """
+    thresh = tol * scale[..., None]
+    kind = np.where(np.abs(ev.imag) <= thresh, 0, np.where(ev.imag > 0, 1, 2))
+    keys = np.where(kind == 0, ev.real + 0j, ev)
+    order = np.lexsort((keys.imag, keys.real, kind), axis=-1)
+    return (np.take_along_axis(keys, order, -1),
+            np.take_along_axis(kind, order, -1))
+
+
+def _ratio_stack(a1, a2):
+    """a1^-1 a2 at every node and its 2-norm (floored away from zero)."""
+    M = np.linalg.solve(a1, a2)
+    return M, np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
+
+
+def _raise_first(checks):
+    """Raise for the first failing node in raster order, and there for the
+    first failing check: `checks` is an ordered list of (fail mask over the
+    nodes, error factory taking the node)."""
+    fails = np.stack([mask for mask, _ in checks])
+    flat = fails.reshape(len(checks), -1)
+    hit = flat.any(axis=0)
+    if hit.any():
+        node = int(np.argmax(hit))
+        where = tuple(int(v) for v in np.unravel_index(node, fails.shape[1:]))
+        raise checks[int(np.argmax(flat[:, node]))][1](where)
 
 
 def check_variable_coeff_assumptions(sampler: Callable[[float, float], SymmetricPair],
@@ -208,89 +250,108 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
     eigenvalues, real eigenvalues and imaginary parts of a1^-1 a2 stay
     one-signed away from zero, and that multiplicity patterns are constant.
 
-    Raises AssumptionViolated naming the assumption and the node; returns
-    the margin report otherwise.
+    Raises AssumptionViolated naming the assumption and the first failing
+    node in raster order; returns the margin report otherwise.
     """
-    xs, ys = grid.x(), grid.y()
-    a1_samples = None
-    a2_samples = None
+    a1, a2, b = sample_coefficients(sampler, grid)
+    checks = []
     coeff_margin = np.inf
-    real_margin = np.inf
-    imag_margin = np.inf
-    coeff_signs = {"a1": None, "a2": None}
-    real_signs = None
-    multiplicity_pattern = None
-    multiplicity_ok = True
+    for name, A in (("a1", a1), ("a2", a2)):
+        ev = np.linalg.eigvalsh(A)
+        signs = np.sign(ev)
+        checks += [(np.any(ev == 0, axis=-1), lambda node, name=name:
+                     AssumptionViolated("b", node, f"{name} eigenvalue hits zero")),
+                   (np.any(signs != signs[0, 0], axis=-1), lambda node, name=name:
+                    AssumptionViolated("b", node, f"{name} eigenvalue changed sign"))]
+        coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
 
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            pair = sampler(float(x), float(y))
-            n = pair.order
-            if a1_samples is None:
-                a1_samples = np.zeros((grid.nx, grid.ny, n, n))
-                a2_samples = np.zeros((grid.nx, grid.ny, n, n))
-            a1_samples[i, j] = pair.a1
-            a2_samples[i, j] = pair.a2
+    M, scale = _ratio_stack(a1, a2)
+    keys, kind = _mode_keys(np.linalg.eigvals(M), scale, tol)
+    real, cplx = kind == 0, kind == 1
+    nreal, ncplx = real.sum(axis=-1), cplx.sum(axis=-1)
+    # real keys lead, so a padded sign row compares like the sign tuple
+    signs = np.where(real, np.sign(keys.real), 2.0)
+    has_real = nreal > 0
+    ref_signs = signs[np.unravel_index(np.argmax(has_real), has_real.shape)]
+    # a pair collapsing to real shows up as a multiplicity-pattern change
+    pattern = (nreal != nreal[0, 0]) | (ncplx != ncplx[0, 0])
+    checks += [
+        (np.any(real & (keys.real == 0), axis=-1), lambda node: AssumptionViolated(
+            "c", node, "real eigenvalue of a1^-1 a2 hits zero")),
+        (has_real & np.any(signs != ref_signs, axis=-1), lambda node:
+         AssumptionViolated("c", node, "real eigenvalue of a1^-1 a2 changed sign")),
+        (pattern, lambda node: AssumptionViolated(
+            "d", node, f"eigenvalue multiplicity pattern changed from "
+            f"{(int(nreal[0, 0]), int(ncplx[0, 0]))} to "
+            f"{(int(nreal[node]), int(ncplx[node]))}"))]
+    _raise_first(checks)
 
-            for name, M in (("a1", pair.a1), ("a2", pair.a2)):
-                ev = np.sort(np.linalg.eigvalsh(M))
-                if np.any(ev == 0):
-                    raise AssumptionViolated("b", (i, j),
-                                             f"{name} eigenvalue hits zero")
-                signs = tuple(np.sign(ev))
-                if coeff_signs[name] is None:
-                    coeff_signs[name] = signs
-                elif signs != coeff_signs[name]:
-                    raise AssumptionViolated("b", (i, j),
-                                             f"{name} eigenvalue changed sign")
-                coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
-
-            M = np.linalg.solve(pair.a1, pair.a2)
-            scale = max(np.linalg.norm(M, 2), 1e-300)
-            real, cplx = _eig_signature(M, tol * scale)
-            if real:
-                r = np.array(real)
-                if np.any(r == 0):
-                    raise AssumptionViolated("c", (i, j),
-                                             "real eigenvalue of a1^-1 a2 hits zero")
-                signs = tuple(np.sign(r))
-                if real_signs is None:
-                    real_signs = signs
-                elif signs != real_signs:
-                    raise AssumptionViolated("c", (i, j),
-                                             "real eigenvalue of a1^-1 a2 changed sign")
-                real_margin = min(real_margin, float(np.abs(r).min()))
-            if cplx:
-                # only the im > 0 representative is kept, so a pair collapsing
-                # to real shows up as a multiplicity-pattern change below
-                im = np.array([p[1] for p in cplx])
-                imag_margin = min(imag_margin, float(im.min()))
-            pattern = (len(real), len(cplx))
-            if multiplicity_pattern is None:
-                multiplicity_pattern = pattern
-            elif pattern != multiplicity_pattern:
-                raise AssumptionViolated(
-                    "d", (i, j),
-                    f"eigenvalue multiplicity pattern changed from "
-                    f"{multiplicity_pattern} to {pattern}")
-
-    # C1 proxy and the quasi-positivity budget from d/dx a1 + d/dy a2
-    d_a1_dx = np.gradient(a1_samples, grid.hx, axis=0, edge_order=2)
-    d_a2_dy = np.gradient(a2_samples, grid.hy, axis=1, edge_order=2)
-    d_a1_dy = np.gradient(a1_samples, grid.hy, axis=1, edge_order=2)
-    d_a2_dx = np.gradient(a2_samples, grid.hx, axis=0, edge_order=2)
+    # C1 proxy, and the growth rate of the energy identity:
+    # d/dt |u|^2 <= <u, (d/dx a1 + d/dy a2 - 2 sym b) u> inside
+    d_a1_dx = np.gradient(a1, grid.hx, axis=0, edge_order=2)
+    d_a2_dy = np.gradient(a2, grid.hy, axis=1, edge_order=2)
+    d_a1_dy = np.gradient(a1, grid.hy, axis=1, edge_order=2)
+    d_a2_dx = np.gradient(a2, grid.hx, axis=0, edge_order=2)
     c1_norm = float(max(np.abs(d_a1_dx).max(), np.abs(d_a1_dy).max(),
                         np.abs(d_a2_dx).max(), np.abs(d_a2_dy).max(),
-                        np.abs(a1_samples).max(), np.abs(a2_samples).max()))
-    div = d_a1_dx + d_a2_dy
-    lam_max = np.linalg.eigvalsh(0.5 * (div + np.swapaxes(div, -1, -2))).max()
-    omega0 = 0.5 * max(0.0, float(lam_max))
+                        np.abs(a1).max(), np.abs(a2).max()))
+    rate = d_a1_dx + d_a2_dy - 2.0 * b
+    lam_max = np.linalg.eigvalsh(0.5 * (rate + np.swapaxes(rate, -1, -2))).max()
 
     return VariableCoeffReport(
         c1_norm_estimate=c1_norm,
-        coeff_eig_margin=float(coeff_margin),
-        real_eig_margin=float(real_margin) if np.isfinite(real_margin) else np.inf,
-        imag_eig_margin=float(imag_margin) if np.isfinite(imag_margin) else np.inf,
-        multiplicity_constant=multiplicity_ok,
-        omega0=omega0,
+        coeff_eig_margin=coeff_margin,
+        real_eig_margin=float(np.abs(keys.real[real]).min(initial=np.inf)),
+        imag_eig_margin=float(keys.imag[cplx].min(initial=np.inf)),
+        omega0=0.5 * max(0.0, float(lam_max)),
     )
+
+
+def check_branch_continuity(a1, a2) -> None:
+    """One batched eigen pass: at every node a1^-1 a2 needs a
+    well-conditioned eigenbasis, and its mode branches must continue those
+    of the neighbour (i-1, j), or (0, j-1) on the first column: the same
+    census, nearest matching the identity, and no merge of branches apart
+    at (0, 0). Raises IllConditionedBasis or BlockMatchingFailure at the
+    first failing node in raster order."""
+    M, scale = _ratio_stack(a1, a2)
+    ev, vecs = np.linalg.eig(M)
+    cond = np.linalg.cond(vecs)
+    keys, kind = _mode_keys(ev, scale)
+    # (0, 0) is its own neighbour, which passes every check below
+    prev_keys, prev_kind = keys.copy(), kind.copy()
+    prev_keys[1:], prev_kind[1:] = keys[:-1], kind[:-1]
+    prev_keys[0, 1:], prev_kind[0, 1:] = keys[0, :-1], kind[0, :-1]
+    census = np.any(kind != prev_kind, axis=-1)
+    live = kind < 2
+    dist = np.where((kind[..., :, None] == prev_kind[..., None, :])
+                    & live[..., :, None],
+                    np.abs(keys[..., :, None] - prev_keys[..., None, :]), np.inf)
+    own = np.diagonal(dist, axis1=-2, axis2=-1)
+    # exact ties (repeated eigenvalues of constant multiplicity) are fine; a
+    # strictly closer foreign branch signals a swap mid-cell
+    swapped = np.any(live & (own > dist.min(axis=-1)
+                             + 1e-12 * (1.0 + np.abs(keys.real))), axis=-1)
+    # branch pairs separated at the reference node must stay apart
+    k0, t0 = keys[0, 0], kind[0, 0]
+    merged = {(i, j): np.where(kind[..., i] == kind[..., j],
+                               np.abs(keys[..., i] - keys[..., j]), np.inf)
+              < max(1e-8, 1e-3 * abs(k0[i] - k0[j]))
+              for i in range(len(k0)) for j in range(i + 1, len(k0))
+              if t0[i] == t0[j] < 2 and abs(k0[i] - k0[j]) > 1e-7}
+    merge = np.zeros_like(census)
+    for m in merged.values():
+        merge |= m
+    _raise_first([
+        (~(cond <= DEFAULT_CONDITION_CAP), lambda node: IllConditionedBasis(
+            f"eigenvector basis condition number {cond[node]:.3e} exceeds "
+            f"{DEFAULT_CONDITION_CAP:.1e} at node {node}: a1^-1 a2 is "
+            "(nearly) defective there")),
+        (census, lambda node: BlockMatchingFailure(
+            f"mode census changed at node {node}")),
+        (~census & swapped, lambda node: BlockMatchingFailure(
+            f"eigenvalue branch ordering could not be continued at node "
+            f"{node}; branches likely cross nearby")),
+        (~census & merge, lambda node: BlockMatchingFailure(
+            "eigenvalue branches {} and {} merge at node {}".format(
+                *next(ij for ij, m in merged.items() if m[node]), node)))])

@@ -17,8 +17,10 @@ import numpy as np
 
 from .congruence import (ModeDecomposition, SymmetricPair, TypeIMode,
                          simultaneous_diagonalize)
-from .errors import (BlockMatchingFailure, CFLViolation, UnstableCoefficients)
-from .modes import BCAssignment, ScalarModeBC, Side, assemble_system_bcs
+from .errors import CFLViolation, UnstableCoefficients
+from .linalg import rotation_block
+from .modes import (BCAssignment, ScalarModeBC, Side, assemble_system_bcs,
+                    check_branch_continuity, sample_coefficients)
 from .operators import RectGrid, StateField
 
 log = logging.getLogger(__name__)
@@ -147,9 +149,8 @@ class SpatialOperator:
         if config.is_variable:
             setup = config.var_setup or variable_coeff_setup(config.sampler, grid)
             a1, a2, b = setup.a1, setup.a2, setup.b
-            # an edge index without its component axis picks boundary nodes
             self.side_map = _side_maps(setup.decomp_ref, config.bcs,
-                                       lambda side: setup.p[_EDGE[side][1:]])
+                                       lambda side: setup.p[side])
         else:
             pair = config.pair
             a1, a2 = pair.a1[None, None], pair.a2[None, None]
@@ -345,136 +346,73 @@ def run(config: IVPConfig):
 
 @dataclass
 class VariableCoefficientSetup:
-    """Per-node coefficient samples and block-matched decompositions."""
+    """Per-node coefficient samples and the congruence along each side."""
 
     grid: RectGrid
     a1: np.ndarray            # (nx, ny, n, n)
     a2: np.ndarray
     b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
-    p: np.ndarray             # (nx, ny, n, n), continuity-matched
+    p: dict                   # Side -> (nodes along it, n, n), gauge-matched
     modes: list               # modes of the reference (0, 0) node
     decomp_ref: ModeDecomposition
-    b1_norm_estimate: float = 0.0
 
     @property
     def order(self) -> int:
         return self.a1.shape[-1]
 
 
-def _mode_keys(decomp: ModeDecomposition):
-    keys = []
-    for m in decomp.modes:
-        if isinstance(m, TypeIMode):
-            keys.append(("I", m.advection_ratio))
+def _align(d: ModeDecomposition, neighbour: np.ndarray) -> np.ndarray:
+    """d.p with each mode's columns turned to match `neighbour`: a sign
+    flip for a scalar mode; for an elliptic one the rotation R maximizing
+    the alignment of P R with the neighbour (Procrustes over rotations)."""
+    P = d.p.copy()
+    for sl, mode in zip(d.mode_slices(), d.modes):
+        if isinstance(mode, TypeIMode):
+            if np.dot(P[:, sl.start], neighbour[:, sl.start]) < 0:
+                P[:, sl.start] *= -1.0
         else:
-            keys.append(("II", m.mu1, m.mu2))
-    return keys
-
-
-def _key_dist(a, b):
-    if a[0] != b[0]:
-        return np.inf
-    if a[0] == "I":
-        return abs(a[1] - b[1])
-    return float(np.hypot(a[1] - b[1], a[2] - b[2]))
-
-
-def _match_against(prev_keys, cur_keys, ref_separation, node):
-    """Verify the deterministic mode ordering continues the neighboring
-    node's branches: nearest matching must be the identity, and branches
-    separated at the reference node must not collapse onto each other."""
-    if [k[0] for k in prev_keys] != [k[0] for k in cur_keys]:
-        raise BlockMatchingFailure(
-            f"mode census changed at node {node}: "
-            f"{[k[0] for k in prev_keys]} -> {[k[0] for k in cur_keys]}")
-    for i, ck in enumerate(cur_keys):
-        dists = [_key_dist(ck, pk) for pk in prev_keys]
-        # exact ties (repeated eigenvalues of constant multiplicity) are
-        # fine; a strictly closer foreign branch signals a swap mid-cell
-        dmin = min(dists)
-        if dists[i] > dmin + 1e-12 * (1.0 + abs(ck[1])):
-            raise BlockMatchingFailure(
-                f"eigenvalue branch ordering could not be continued at node "
-                f"{node}; branches likely cross nearby")
-    for (i, j), ref_sep in ref_separation.items():
-        cur_sep = _key_dist(cur_keys[i], cur_keys[j])
-        if cur_sep < max(1e-8, 1e-3 * ref_sep):
-            raise BlockMatchingFailure(
-                f"eigenvalue branches {i} and {j} merge at node {node} "
-                f"(separation {cur_sep:.3e}, reference {ref_sep:.3e})")
-
-
-def _rotation_align(block_cur: np.ndarray, block_ref: np.ndarray) -> float:
-    """Angle of the rotation R maximizing alignment of block_cur @ R with
-    block_ref (orthogonal Procrustes restricted to rotations)."""
-    M = block_cur.T @ block_ref
-    return float(np.arctan2(M[1, 0] - M[0, 1], M[0, 0] + M[1, 1]))
+            M = P[:, sl].T @ neighbour[:, sl]
+            theta = np.arctan2(M[1, 0] - M[0, 1], M[0, 0] + M[1, 1])
+            P[:, sl] = P[:, sl] @ rotation_block(np.cos(theta), np.sin(theta))
+    return P
 
 
 def variable_coeff_setup(sampler, grid: RectGrid,
                          tol: float = 1e-9) -> VariableCoefficientSetup:
-    """Pointwise decomposition at every node with continuity-enforced block
-    matching, plus a finite-difference estimate of the commutator norm
-    ||A1 Px P^-1 + A2 Py P^-1|| entering the quasi-contraction budget."""
+    """Sample each node once, check branch continuity over the whole grid
+    in one batched pass, and decompose only the boundary nodes, whose
+    congruences the side maps need. The gauge is carried along the
+    boundary: the W column and the S row from the (0, 0) reference, the N
+    row from the NW corner, the E column from the SE corner."""
     nx, ny = grid.nx, grid.ny
-    xs, ys = grid.x(), grid.y()
+    a1, a2, b = sample_coefficients(sampler, grid)
+    check_branch_continuity(a1, a2)
 
-    a1 = a2 = b = p = None
-    decomp_ref = None
-    ref_separation = {}
-    prev_p = [[None] * ny for _ in range(nx)]
-    prev_keys = [[None] * ny for _ in range(nx)]
-    for i in range(nx):
-        for j in range(ny):
-            pair = sampler(float(xs[i]), float(ys[j]))
-            d = simultaneous_diagonalize(pair, tol=max(tol, 1e-9))
-            keys = _mode_keys(d)
-            if a1 is None:
-                n = pair.order
-                a1 = np.zeros((nx, ny, n, n))
-                a2 = np.zeros((nx, ny, n, n))
-                b = np.zeros((nx, ny, n, n))
-                p = np.zeros((nx, ny, n, n))
-                decomp_ref = d
-                for k1 in range(len(keys)):
-                    for k2 in range(k1 + 1, len(keys)):
-                        sep = _key_dist(keys[k1], keys[k2])
-                        if np.isfinite(sep) and sep > 1e-7:
-                            ref_separation[(k1, k2)] = sep
-            else:
-                nb_keys = prev_keys[i - 1][j] if i > 0 else prev_keys[i][j - 1]
-                _match_against(nb_keys, keys, ref_separation, (i, j))
-            prev_keys[i][j] = keys
-            a1[i, j] = pair.a1
-            a2[i, j] = pair.a2
-            b[i, j] = 0.0 if pair.b is None else pair.b
+    decomps = {}   # the NE corner ends both the N row and the E column
 
-            P = d.p.copy()
-            neighbor = prev_p[i - 1][j] if i > 0 else (prev_p[i][j - 1] if j > 0 else None)
-            if neighbor is not None:
-                for sl, mode in zip(d.mode_slices(), d.modes):
-                    if isinstance(mode, TypeIMode):
-                        if np.dot(P[:, sl.start], neighbor[:, sl.start]) < 0:
-                            P[:, sl.start] *= -1.0
-                    else:
-                        theta = _rotation_align(P[:, sl], neighbor[:, sl])
-                        R = np.array([[np.cos(theta), -np.sin(theta)],
-                                      [np.sin(theta), np.cos(theta)]])
-                        P[:, sl] = P[:, sl] @ R
-            p[i, j] = P
-            prev_p[i][j] = P
+    def decomposition(node):
+        if node not in decomps:
+            pair = SymmetricPair(a1=a1[node], a2=a2[node])
+            decomps[node] = simultaneous_diagonalize(pair, tol=max(tol, 1e-9))
+        return decomps[node]
 
-    px = np.gradient(p, grid.hx, axis=0)
-    py = np.gradient(p, grid.hy, axis=1)
-    p_inv = np.linalg.inv(p)
-    b1 = (np.einsum("ijab,ijbc,ijcd->ijad", a1, px, p_inv)
-          + np.einsum("ijab,ijbc,ijcd->ijad", a2, py, p_inv))
-    b1_norm = float(np.linalg.svd(b1, compute_uv=False)[..., 0].max())
+    def chain(first, rest):
+        """`first`, then the congruence at each node of `rest` aligned to
+        the one before it."""
+        out = [first]
+        for node in rest:
+            out.append(_align(decomposition(node), out[-1]))
+        return np.array(out)
+
+    decomp_ref = decomposition((0, 0))
+    p = {Side.W: chain(decomp_ref.p, [(0, j) for j in range(1, ny)]),
+         Side.S: chain(decomp_ref.p, [(i, 0) for i in range(1, nx)])}
+    p[Side.N] = chain(p[Side.W][-1], [(i, ny - 1) for i in range(1, nx)])
+    p[Side.E] = chain(p[Side.S][-1], [(nx - 1, j) for j in range(1, ny)])
 
     return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b, p=p,
                                     modes=list(decomp_ref.modes),
-                                    decomp_ref=decomp_ref,
-                                    b1_norm_estimate=b1_norm)
+                                    decomp_ref=decomp_ref)
 
 
 def _side_maps(decomp: ModeDecomposition, bcs, p_of) -> dict:

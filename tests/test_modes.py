@@ -184,7 +184,6 @@ class TestVariableCoeffAssumptions:
         assert rep.omega0 == 0.0
         assert rep.coeff_eig_margin == pytest.approx(2.0)
         assert rep.real_eig_margin == pytest.approx(1.5)
-        assert rep.multiplicity_constant
 
     def test_sine_coefficient_budget(self):
         # d/dx (2 + sin x) peaks at 1, so the budget is 1/2, found at x = 0

@@ -236,19 +236,8 @@ class TestVariableCoefficients:
         setup = variable_coeff_setup(
             lambda x, y: SymmetricPair(a1=np.array([[2.0]]),
                                        a2=np.array([[3.0]])), g)
-        assert np.allclose(setup.p, setup.p[0, 0], atol=1e-14)
-        assert setup.b1_norm_estimate < 1e-12
-
-    def test_commutator_estimate_stable(self):
-        g1 = RectGrid(np.pi, 1.0, 17, 9)
-        g2 = RectGrid(np.pi, 1.0, 33, 9)
-        def sampler(x, y):
-            a1 = np.array([[2.0 + 0.3 * np.sin(x), 0.1 * x],
-                           [0.1 * x, 3.0 + 0.2 * np.cos(y)]])
-            return SymmetricPair(a1=a1, a2=np.diag([1.0, 2.0]) + 0.05 * a1)
-        e1 = variable_coeff_setup(sampler, g1).b1_norm_estimate
-        e2 = variable_coeff_setup(sampler, g2).b1_norm_estimate
-        assert abs(e1 - e2) <= 0.1 * max(e1, e2)
+        for side in Side:
+            assert np.allclose(setup.p[side], setup.decomp_ref.p, atol=1e-14)
 
     def test_branch_merge_detected(self):
         # two advection ratios cross mid-domain
