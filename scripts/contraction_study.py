@@ -10,15 +10,12 @@ energy increase. Norm trajectories land in results/ as CSV.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from hypermodes.apps import (SWEParams, SWMHDParams, WaveParams, preset_swe,
                              preset_swmhd, preset_wave)
+from hypermodes.certify import admissible_field, default_t_end
 from hypermodes.congruence import simultaneous_diagonalize
-from hypermodes.modes import assemble_system_bcs, EllipticModeBC
-from hypermodes.operators import (RectGrid, StateField,
-                                  random_elliptic_bc_field,
-                                  random_scalar_bc_field)
+from hypermodes.modes import assemble_system_bcs
+from hypermodes.operators import RectGrid
 from hypermodes.solver import IVPConfig, run
 
 PRESETS = {
@@ -27,17 +24,6 @@ PRESETS = {
                                       phi0=1.0, g=1.0)),
     "wave": preset_wave(WaveParams(alpha=0.6, beta=0.8)),
 }
-
-
-def admissible_initial_data(grid, decomp, bcs, seed):
-    rng = np.random.default_rng(seed)
-    ubar = np.zeros((decomp.order, grid.nx, grid.ny))
-    for bc, sl in zip(bcs, decomp.mode_slices()):
-        if isinstance(bc, EllipticModeBC):
-            ubar[sl] = random_elliptic_bc_field(grid, bc.conditions, rng).values
-        else:
-            ubar[sl.start] = random_scalar_bc_field(grid, bc.sides, rng).values[0]
-    return StateField(grid, np.einsum("ab,bij->aij", decomp.p, ubar))
 
 
 def main():
@@ -51,12 +37,11 @@ def main():
     for name, pair in PRESETS.items():
         decomp = simultaneous_diagonalize(pair)
         bcs = assemble_system_bcs(decomp)
-        speed = max(np.abs(np.linalg.eigvalsh(pair.a1)).max(),
-                    np.abs(np.linalg.eigvalsh(pair.a2)).max())
         for n in args.sizes:
             grid = RectGrid(1.0, 1.0, n, n)
-            u0 = admissible_initial_data(grid, decomp, bcs, args.seed)
-            cfg = IVPConfig(grid=grid, u0=u0, t_end=2.0 / speed, pair=pair,
+            u0 = admissible_field(grid, decomp, bcs, args.seed)
+            cfg = IVPConfig(grid=grid, u0=u0,
+                            t_end=default_t_end(pair, grid.L1), pair=pair,
                             decomp=decomp, bcs=bcs)
             _, report = run(cfg)
             csv = args.outdir / f"norms_{name}_{n}.csv"

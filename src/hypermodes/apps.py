@@ -275,18 +275,6 @@ def preset_wave(p: WaveParams) -> SymmetricPair:
     return SymmetricPair(a1=t1, a2=t2)
 
 
-def wave_forcing(p: WaveParams, h, grid):
-    """Map the scalar wave forcing h(t, X, Y) to the first-order system,
-    as a solver-ready callable of time."""
-    X, Y = grid.meshgrid()
-
-    def f(t):
-        hv = h(t, X, Y)
-        return np.stack([-p.alpha * hv, -p.beta * hv])
-
-    return f
-
-
 PRESETS = {
     "swe": (SWEParams, preset_swe),
     "swmhd": (SWMHDParams, preset_swmhd),

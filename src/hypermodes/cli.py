@@ -14,22 +14,15 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-import numpy as np
-
 from . import apps
-from .congruence import (ModeDecomposition, SymmetricPair, TypeIIMode,
-                         TypeIMode, simultaneous_diagonalize)
+from .certify import admissible_field, certification_suite, default_t_end
+from .congruence import (ModeDecomposition, SymmetricPair, TypeIMode,
+                         simultaneous_diagonalize)
 from .errors import (ConflictingSources, ConfigError, HypermodesError,
                      MissingInput, UnknownKey)
 from .linalg import format_matrix, load_matrix
-from .modes import (EllipticModeBC, ScalarModeBC, Side, assemble_system_bcs,
-                    check_rank2, format_assignments)
-from .operators import (CertReport, RectGrid, StateField,
-                        cross_term_residual, elliptic_steady_solve,
-                        integration_by_parts_residual,
-                        positivity_residual_type1, positivity_residual_type2,
-                        random_elliptic_bc_field, random_scalar_bc_field,
-                        side_vanishing_factor, smooth_random_field)
+from .modes import assemble_system_bcs, format_assignments
+from .operators import RectGrid
 from .solver import IVPConfig, run
 
 COMMANDS = ("diagonalize", "classify", "bc", "simulate", "verify", "preset-list")
@@ -179,36 +172,10 @@ def build_pair(cfg: RunConfig) -> SymmetricPair:
     return SymmetricPair(a1=a1, a2=a2, b=b)
 
 
-def _decompose(cfg: RunConfig, pair: SymmetricPair) -> ModeDecomposition:
-    return simultaneous_diagonalize(pair, cluster_tol=cfg.cluster_tol,
-                                    condition_cap=cfg.cond_cap)
-
-
 def _mode_census(decomp: ModeDecomposition) -> str:
     n1 = sum(isinstance(m, TypeIMode) for m in decomp.modes)
     n2 = len(decomp.modes) - n1
     return f"hyperbolic modes: {n1}\nelliptic modes: {n2}"
-
-
-def _initial_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
-                   seed: int) -> StateField:
-    """Seeded random field compatible with the synthesized conditions,
-    built mode by mode in the mode variables."""
-    rng = np.random.default_rng(seed)
-    ubar = np.zeros((decomp.order, grid.nx, grid.ny))
-    for bc, sl in zip(bcs, decomp.mode_slices()):
-        if isinstance(bc, ScalarModeBC):
-            ubar[sl.start] = random_scalar_bc_field(grid, bc.sides, rng).values[0]
-        else:
-            ubar[sl] = random_elliptic_bc_field(grid, bc.conditions, rng).values
-    u = np.einsum("ab,bij->aij", decomp.p, ubar)
-    return StateField(grid, u)
-
-
-def _default_t_end(cfg: RunConfig, pair: SymmetricPair) -> float:
-    speed = max(np.abs(np.linalg.eigvalsh(pair.a1)).max(),
-                np.abs(np.linalg.eigvalsh(pair.a2)).max())
-    return 2.0 * cfg.L1 / speed
 
 
 def _write(path: Path, text: str):
@@ -236,7 +203,8 @@ def execute(cfg: RunConfig) -> int:
 
     pair = build_pair(cfg)
     grid = RectGrid(L1=cfg.L1, L2=cfg.L2, nx=cfg.nx, ny=cfg.ny)
-    decomp = _decompose(cfg, pair)
+    decomp = simultaneous_diagonalize(pair, cluster_tol=cfg.cluster_tol,
+                                      condition_cap=cfg.cond_cap)
 
     if cfg.command == "diagonalize":
         _write(outdir / "decomposition.txt", decomp.report())
@@ -268,8 +236,8 @@ def execute(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "simulate":
-        u0 = _initial_field(grid, decomp, bcs, cfg.seed)
-        t_end = cfg.t_end or _default_t_end(cfg, pair)
+        u0 = admissible_field(grid, decomp, bcs, cfg.seed)
+        t_end = cfg.t_end or default_t_end(pair, grid.L1)
         ivp = IVPConfig(grid=grid, u0=u0, t_end=t_end, pair=pair,
                         decomp=decomp, bcs=bcs, cfl=cfg.cfl,
                         output_interval=cfg.output_interval)
@@ -286,7 +254,9 @@ def execute(cfg: RunConfig) -> int:
         return 0 if report.verdict else 2
 
     if cfg.command == "verify":
-        rows = certification_suite(cfg, pair, grid, decomp, bcs)
+        rows = certification_suite(pair, grid, decomp, bcs, seed=cfg.seed,
+                                   trials=cfg.trials, t_end=cfg.t_end,
+                                   cfl=cfg.cfl)
         text = "name,grid,residual,tol,verdict,rate\n" + \
             "\n".join(r.csv_row() for r in rows) + "\n"
         _write(outdir / "cert.csv", text)
@@ -296,101 +266,6 @@ def execute(cfg: RunConfig) -> int:
         return 2 if failed else 0
 
     raise ConfigError(f"unhandled command {cfg.command!r}")
-
-
-def certification_suite(cfg: RunConfig, pair: SymmetricPair, grid: RectGrid,
-                        decomp: ModeDecomposition, bcs) -> list[CertReport]:
-    """The full battery of discrete certificates for one system."""
-    rows: list[CertReport] = []
-    label = grid.label()
-    h = grid.h
-
-    rows.append(CertReport("decomposition_reconstruction", label,
-                           decomp.residuals.reconstruction, 1e-9))
-
-    elliptic = [(k, m) for k, m in enumerate(decomp.modes)
-                if isinstance(m, TypeIIMode)]
-    if elliptic:
-        worst = max(abs(m.determinant_condition - 1.0) for _, m in elliptic)
-        rows.append(CertReport("determinant_condition", label, worst, 1e-10))
-
-    rank_ok = all(check_rank2(bc.conditions) for bc in bcs
-                  if isinstance(bc, EllipticModeBC))
-    rows.append(CertReport("bc_rank", label, 0.0 if rank_ok else 1.0, 0.5))
-
-    # positivity sweeps, one row per mode
-    for (k, mode), bc in zip(enumerate(decomp.modes), bcs):
-        rng = np.random.default_rng(cfg.seed + 1000 + k)
-        worst = np.inf
-        for _ in range(cfg.trials):
-            if isinstance(mode, TypeIMode):
-                u = random_scalar_bc_field(grid, bc.sides, rng)
-                val = positivity_residual_type1(mode.c, mode.d, u,
-                                                sides=bc.sides)
-            else:
-                u = random_elliptic_bc_field(grid, bc.conditions, rng)
-                val = positivity_residual_type2(mode, u, bc.conditions)
-            worst = min(worst, val / max(u.norm() ** 2, 1e-300))
-        name = ("positivity_type1" if isinstance(mode, TypeIMode)
-                else "positivity_type2") + f"_mode{k}"
-        rows.append(CertReport(name, label, max(0.0, -worst), 5.0 * h))
-
-    # duality residual refinement rates; the cross-term identity is tested
-    # with u1 - u2 = 0 traces so boundary stencils contribute a genuine
-    # O(h^2) defect (fields vanishing on all sides make it exactly zero)
-    rate_grids = [RectGrid(grid.L1, grid.L2, n, n) for n in (17, 33, 65)]
-    conds = {s: (1.0, -1.0) for s in Side}
-    cross_res = []
-    for g in rate_grids:
-        rng = np.random.default_rng(cfg.seed + 2000)
-        shared = smooth_random_field(g, rng)
-        bump = side_vanishing_factor(g, list(Side))
-        vals = np.stack([shared, shared + bump * smooth_random_field(g, rng)])
-        cross_res.append(cross_term_residual(StateField(g, vals), conds))
-    rate = _fit_rate(cross_res, rate_grids)
-    rows.append(CertReport("crossterm_rate", rate_grids[-1].label(),
-                           max(0.0, 1.0 - rate), 0.0, rate=rate))
-
-    ibp_res = []
-    for g in rate_grids:
-        rng = np.random.default_rng(cfg.seed + 3000)
-        n = pair.order
-        theta = StateField(g, np.stack([smooth_random_field(g, rng)
-                                        for _ in range(n)]))
-        gf = StateField(g, np.stack([smooth_random_field(g, rng)
-                                     for _ in range(n)]))
-        ibp_res.append(integration_by_parts_residual(theta, gf,
-                                                     pair.a1, pair.a2))
-    rate = _fit_rate(ibp_res, rate_grids)
-    rows.append(CertReport("ibp_rate", rate_grids[-1].label(),
-                           max(0.0, 1.0 - rate), 0.0, rate=rate))
-
-    if elliptic:
-        _, mode = elliptic[0]
-        bc_e = next(bc for bc in bcs if isinstance(bc, EllipticModeBC))
-        zero = StateField(grid, np.zeros((2, grid.nx, grid.ny)))
-        _, rep = elliptic_steady_solve(mode, zero, grid, bc_e.conditions)
-        rows.append(CertReport("elliptic_uniqueness", label,
-                               rep.residual, 1e-8))
-
-    u0 = _initial_field(grid, decomp, bcs, cfg.seed)
-    t_end = cfg.t_end or _default_t_end(cfg, pair)
-    ivp = IVPConfig(grid=grid, u0=u0, t_end=t_end, pair=pair, decomp=decomp,
-                    bcs=bcs, cfl=cfg.cfl)
-    _, report = run(ivp)
-    rows.append(CertReport("energy_monotonic", label,
-                           report.max_step_increase
-                           / max(report.norms[0], 1e-300), 1e-10))
-    rows.append(CertReport("growth_rate", label, report.omega_hat, 0.0))
-    return rows
-
-
-def _fit_rate(residuals, grids) -> float:
-    res = np.asarray(residuals, dtype=float)
-    hs = np.array([g.h for g in grids])
-    if np.any(res <= 0):
-        return np.inf  # residual hit exact zero; treat as converged
-    return float(np.polyfit(np.log(hs), np.log(res), 1)[0])
 
 
 def main(argv=None) -> int:

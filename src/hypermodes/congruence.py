@@ -9,24 +9,16 @@ that alpha2*beta1 - alpha1*beta2 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import (AllPivotsFail, NotDiagonalizable, NotTypeII,
-                     OffDiagonalResidual, SingularInput, SingularPivot)
-from .linalg import EigenBlock, rotation_block
+from .errors import (AllPivotsFail, NotTypeII, OffDiagonalResidual,
+                     SingularInput, SingularPivot)
+from .linalg import check_symmetric, rotation_block
 
-SYMMETRY_RTOL = 1e-12
 SINGULARITY_RTOL = 1e-10
-DET_CONDITION_TOL = 1e-10
-
-
-def _check_symmetric(M, name):
-    err = np.linalg.norm(M - M.T) / max(np.linalg.norm(M), 1e-300)
-    if err > SYMMETRY_RTOL:
-        raise ValueError(f"{name} is not symmetric (relative asymmetry {err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -48,8 +40,8 @@ class SymmetricPair:
         if a1.shape != a2.shape or a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
             raise ValueError(f"a1, a2 must be square of equal order, "
                              f"got {a1.shape} and {a2.shape}")
-        _check_symmetric(a1, "a1")
-        _check_symmetric(a2, "a2")
+        check_symmetric(a1, "a1")
+        check_symmetric(a2, "a2")
         for name, M in (("a1", a1), ("a2", a2)):
             s = np.linalg.svd(M, compute_uv=False)
             if s[-1] <= SINGULARITY_RTOL * s[0]:
@@ -64,7 +56,7 @@ class SymmetricPair:
         if self.s0 is not None:
             s0 = np.asarray(self.s0, dtype=float)
             object.__setattr__(self, "s0", s0)
-            _check_symmetric(s0, "s0")
+            check_symmetric(s0, "s0")
             if np.linalg.eigvalsh(s0).min() <= 0:
                 raise ValueError("s0 must be positive-definite")
 
@@ -131,32 +123,38 @@ class DecompositionResiduals:
     reconstruction: float
 
 
+def _mode_slices(modes) -> list[slice]:
+    out, i = [], 0
+    for m in modes:
+        w = 1 if isinstance(m, TypeIMode) else 2
+        out.append(slice(i, i + w))
+        i += w
+    return out
+
+
+def _block_diagonals(modes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    B1, B2 = np.zeros((n, n)), np.zeros((n, n))
+    for sl, m in zip(_mode_slices(modes), modes):
+        B1[sl, sl] = m.first()
+        B2[sl, sl] = m.second()
+    return B1, B2
+
+
 @dataclass(frozen=True)
 class ModeDecomposition:
     p: np.ndarray
     modes: tuple[ModePair, ...]
     residuals: DecompositionResiduals
-    eigenvalues: tuple[complex, ...] = field(default=())
 
     @property
     def order(self) -> int:
         return self.p.shape[0]
 
     def mode_slices(self) -> list[slice]:
-        out, i = [], 0
-        for m in self.modes:
-            w = 1 if isinstance(m, TypeIMode) else 2
-            out.append(slice(i, i + w))
-            i += w
-        return out
+        return _mode_slices(self.modes)
 
     def block_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.order
-        B1, B2 = np.zeros((n, n)), np.zeros((n, n))
-        for sl, m in zip(self.mode_slices(), self.modes):
-            B1[sl, sl] = m.first()
-            B2[sl, sl] = m.second()
-        return B1, B2
+        return _block_diagonals(self.modes, self.order)
 
     def report(self) -> str:
         lines = ["congruence matrix P:",
@@ -263,39 +261,33 @@ def pivot_leading_block(blocks, tol: float = 1e-12):
         "singular, which contradicts the input hypotheses")
 
 
-def schur_eliminate(A_ii, block: EigenBlock, tol: float = 1e-12):
+def schur_eliminate(A_ii, tol: float = 1e-12):
     """Decouple the leading 2x2 block from the rest by a unit upper
     block-triangular congruence.
 
     Requires the leading block C11 non-singular (run pivot_leading_block
-    first). Returns (V, (C11, D11), trailing) where D11 = C11 @ E0 and
-    `trailing` is the (2k-2) x (2k-2) Schur complement, whose 2x2
-    sub-blocks keep the trace-free form.
+    first). Returns (V, trailing) where `trailing` is the (2k-2) x (2k-2)
+    Schur complement, whose 2x2 sub-blocks keep the trace-free form.
     """
     A = np.asarray(A_ii, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
         raise ValueError(f"expected a 2k x 2k matrix, got {A.shape}")
-    if not block.is_complex:
-        raise ValueError("schur_eliminate applies to complex eigenvalue blocks")
     k = A.shape[0] // 2
     scale = max(np.linalg.norm(A), 1e-300)
     det11 = _block_det(A, 0, 0)
     if abs(det11) <= tol * scale ** 2:
         raise SingularPivot(
             f"leading 2x2 block is singular (|det| = {abs(det11):.3e})")
-    C11 = _block(A, 0, 0)
-    C11_inv = np.linalg.inv(C11)
+    C11_inv = np.linalg.inv(_block(A, 0, 0))
     V = np.eye(2 * k)
     for j in range(1, k):
         V[0:2, 2 * j:2 * j + 2] = -C11_inv @ _block(A, 0, j)
     transformed = V.T @ A @ V
     transformed = 0.5 * (transformed + transformed.T)
-    trailing = transformed[2:, 2:].copy()
-    D11 = C11 @ rotation_block(block.re, block.im)
-    return V, (C11.copy(), D11), trailing
+    return V, transformed[2:, 2:].copy()
 
 
-def _decouple_complex_block(A_ii, block: EigenBlock, tol):
+def _decouple_complex_block(A_ii, tol):
     """Pivot + Schur recursion: full congruence V with V^t A_ii V
     block-diagonal of trace-free 2x2 blocks."""
     size = A_ii.shape[0]
@@ -304,9 +296,8 @@ def _decouple_complex_block(A_ii, block: EigenBlock, tol):
     start = 0
     while size - start > 2:
         sub = C[start:, start:]
-        kk = (size - start) // 2
         W, sub = pivot_leading_block(sub, tol=tol)
-        Vs, _, _ = schur_eliminate(sub, EigenBlock(block.re, block.im, kk), tol=tol)
+        Vs, _ = schur_eliminate(sub, tol=tol)
         sub = Vs.T @ sub @ Vs
         sub = 0.5 * (sub + sub.T)
         step = np.eye(size)
@@ -331,9 +322,6 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
     """
     A1, A2 = pair.a1, pair.a2
     M = np.linalg.solve(A1, A2)
-    ok, diagnostic = linalg.is_diagonalizable(M)
-    if not ok:
-        raise NotDiagonalizable(diagnostic)
     form = linalg.real_block_eigen(M, cluster_tol=cluster_tol,
                                    condition_cap=condition_cap)
     P = form.basis.copy()
@@ -352,7 +340,7 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
             f"off-diagonal block residual {offdiag:.3e} exceeds "
             f"{tol * scale1:.3e}; eigenvalue clustering likely failed")
 
-    modes: list[tuple] = []  # (sort_key, width, ModePair, columns)
+    modes: list[tuple] = []  # (sort_key, ModePair, columns)
     for blk, sl in zip(form.blocks, slices):
         A_ii = B1[sl, sl]
         cols = P[:, sl]
@@ -363,26 +351,22 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
             for idx in range(blk.multiplicity):
                 mode = TypeIMode(c=float(d[idx]), d=float(lam * d[idx]))
                 key = (0, mode.advection_ratio, mode.c)
-                modes.append((key, 1, mode, cols[:, idx:idx + 1]))
+                modes.append((key, mode, cols[:, idx:idx + 1]))
         else:
-            V, C = _decouple_complex_block(A_ii, blk, tol=tol)
+            V, C = _decouple_complex_block(A_ii, tol=tol)
             cols = cols @ V
             for j in range(blk.multiplicity):
                 Cj = C[2 * j:2 * j + 2, 2 * j:2 * j + 2]
                 Dj = Cj @ rotation_block(blk.re, blk.im)
                 Vs, mode = standardize_type2(Cj, Dj, tol=tol)
                 key = (1, mode.mu1, mode.mu2)
-                modes.append((key, 2, mode, cols[:, 2 * j:2 * j + 2] @ Vs))
+                modes.append((key, mode, cols[:, 2 * j:2 * j + 2] @ Vs))
     modes.sort(key=lambda t: t[0])
 
-    P_final = np.hstack([t[3] for t in modes])
-    mode_list = tuple(t[2] for t in modes)
+    P_final = np.hstack([t[2] for t in modes])
+    mode_list = tuple(t[1] for t in modes)
 
-    decomp = ModeDecomposition(p=P_final, modes=mode_list,
-                               residuals=DecompositionResiduals(0, 0, 0),
-                               eigenvalues=tuple(
-                                   complex(b.re, b.im) for b in form.blocks))
-    Bd1, Bd2 = decomp.block_diagonals()
+    Bd1, Bd2 = _block_diagonals(mode_list, P_final.shape[0])
     T1 = P_final.T @ A1 @ P_final
     T2 = P_final.T @ A2 @ P_final
     scale2 = max(np.linalg.norm(A2), 1e-300)
@@ -398,5 +382,4 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
         raise OffDiagonalResidual(
             f"transformed pair deviates from mode blocks by "
             f"{max(off1, off2):.3e} (tolerance {tol:.1e})")
-    return ModeDecomposition(p=P_final, modes=mode_list, residuals=residuals,
-                             eigenvalues=decomp.eigenvalues)
+    return ModeDecomposition(p=P_final, modes=mode_list, residuals=residuals)

@@ -15,6 +15,10 @@ from .errors import DimensionMismatch, IllConditionedBasis, NotDiagonalizable
 
 DEFAULT_CONDITION_CAP = 1e8
 RECONSTRUCTION_RTOL = 1e-9
+SYMMETRY_RTOL = 1e-12
+# a cluster is defective when its shift keeps a singular value above this
+# fraction of ||M||_2 among the trailing `multiplicity` ones
+DEFECT_RTOL = 1e-8
 
 
 def rotation_block(mu1: float, mu2: float) -> np.ndarray:
@@ -60,6 +64,15 @@ class EigenBlock:
         return (self.is_complex, self.re, self.im)
 
 
+def _block_diag(blocks, n: int) -> np.ndarray:
+    J = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        J[i:i + b.size, i:i + b.size] = b.canonical_form()
+        i += b.size
+    return J
+
+
 @dataclass(frozen=True)
 class RealBlockForm:
     """Real similarity basis and the eigenvalue blocks it exposes.
@@ -73,13 +86,7 @@ class RealBlockForm:
     residual: float
 
     def block_matrix(self) -> np.ndarray:
-        n = self.basis.shape[0]
-        J = np.zeros((n, n))
-        i = 0
-        for b in self.blocks:
-            J[i:i + b.size, i:i + b.size] = b.canonical_form()
-            i += b.size
-        return J
+        return _block_diag(self.blocks, self.basis.shape[0])
 
     def block_slices(self) -> list[slice]:
         out, i = [], 0
@@ -130,16 +137,6 @@ def _cluster_eigenvalues(evals: np.ndarray, cluster_tol: float):
     return out
 
 
-def _nullspace(A: np.ndarray, dim: int):
-    """Orthonormal basis of the trailing `dim` right-singular directions."""
-    _, s, Vh = np.linalg.svd(A)
-    n = A.shape[0]
-    basis = Vh[n - dim:].conj().T
-    gap = s[n - dim - 1] if n > dim else np.inf
-    worst = s[n - 1] if dim >= 1 else 0.0
-    return basis, worst, gap
-
-
 def _fix_column_phase(col: np.ndarray) -> np.ndarray:
     """Deterministic sign/phase: pivot entry made real and positive.
 
@@ -158,26 +155,40 @@ def _fix_column_phase(col: np.ndarray) -> np.ndarray:
     return col * np.sign(pivot)
 
 
-def is_diagonalizable(M, tol: float = 1e-8):
+def _eigenspaces(M: np.ndarray, cluster_tol: float, null_tol: float):
+    """The one eigen pass: eigvals, clusters, one SVD of M - lambda*I each.
+
+    A cluster of algebraic multiplicity k is defective when the k-th
+    smallest singular value of the shift exceeds null_tol. Returns
+    (spaces, None) with spaces a list of (EigenBlock, eigenspace basis),
+    or (None, diagnostic) naming the first defective cluster.
+    """
+    n = M.shape[0]
+    spaces = []
+    for re, im, mult in _cluster_eigenvalues(np.linalg.eigvals(M), cluster_tol):
+        shifted = (M.astype(complex) - complex(re, im) * np.eye(n) if im > 0
+                   else M - re * np.eye(n))
+        _, s, Vh = np.linalg.svd(shifted)
+        if s[n - mult] > null_tol:
+            geometric = int(np.sum(s <= null_tol))
+            which = f"{re:.6g}" if im == 0 else f"{re:.6g}+{im:.6g}i"
+            return None, (f"eigenvalue {which} is defective: geometric "
+                          f"multiplicity {geometric} < algebraic {mult}")
+        spaces.append((EigenBlock(re, im, mult), Vh[n - mult:].conj().T))
+    return spaces, None
+
+
+def is_diagonalizable(M, tol: float = DEFECT_RTOL):
     """Check geometric multiplicity == algebraic multiplicity per cluster.
 
     Returns (flag, diagnostic). The diagnostic names the offending
     eigenvalue when the flag is False.
     """
     M = _as_square(M)
-    scale = max(np.linalg.norm(M, 2), 1e-300)
-    cluster_tol = tol * scale
-    evals = np.linalg.eigvals(M)
-    for re, im, mult in _cluster_eigenvalues(evals, cluster_tol):
-        lam = complex(re, im)
-        shifted = (M.astype(complex) if im > 0 else M) - lam * np.eye(M.shape[0])
-        s = np.linalg.svd(shifted, compute_uv=False)
-        rank = int(np.sum(s > tol * max(s[0], 1e-300)))
-        geometric = M.shape[0] - rank
-        if geometric < mult:
-            which = f"{re:.6g}" if im == 0 else f"{re:.6g}+{im:.6g}i"
-            return False, (f"eigenvalue {which} is defective: geometric "
-                           f"multiplicity {geometric} < algebraic {mult}")
+    tol_abs = tol * max(np.linalg.norm(M, 2), 1e-300)
+    _, diagnostic = _eigenspaces(M, tol_abs, tol_abs)
+    if diagnostic is not None:
+        return False, diagnostic
     return True, "all eigenvalue clusters have full eigenspaces"
 
 
@@ -194,59 +205,44 @@ def real_block_eigen(M, cluster_tol: float | None = None,
     n = M.shape[0]
     scale = max(np.linalg.norm(M, 2), 1e-300)
     if cluster_tol is None:
-        cluster_tol = 1e-8 * scale
-    evals = np.linalg.eigvals(M)
-    clusters = _cluster_eigenvalues(evals, cluster_tol)
-
-    cols = []
-    blocks = []
-    rank_tol = max(cluster_tol, n * np.finfo(float).eps * scale)
-    for re, im, mult in clusters:
-        if im == 0:
-            basis, worst, _ = _nullspace(M - re * np.eye(n), mult)
-            if worst > rank_tol:
-                raise NotDiagonalizable(
-                    f"eigenvalue {re:.6g} has geometric multiplicity below its "
-                    f"algebraic multiplicity {mult}")
-            basis = np.real(basis)
-            for j in range(mult):
-                cols.append(_fix_column_phase(basis[:, j])[:, None])
-            blocks.append(EigenBlock(re, 0.0, mult))
-        else:
-            lam = complex(re, im)
-            basis, worst, _ = _nullspace(M.astype(complex) - lam * np.eye(n), mult)
-            if worst > rank_tol:
-                raise NotDiagonalizable(
-                    f"eigenvalue {re:.6g}+{im:.6g}i has geometric multiplicity "
-                    f"below its algebraic multiplicity {mult}")
-            for j in range(mult):
-                w = _fix_column_phase(basis[:, j])
-                # columns (Re w, -Im w) realize the rotation-scaling block
-                cols.append(np.column_stack([w.real, -w.imag]))
-            blocks.append(EigenBlock(re, im, mult))
-
+        cluster_tol = DEFECT_RTOL * scale
+    spaces, diagnostic = _eigenspaces(M, cluster_tol, DEFECT_RTOL * scale)
+    if diagnostic is not None:
+        raise NotDiagonalizable(diagnostic)
+    blocks = tuple(blk for blk, _ in spaces)
     if sum(b.size for b in blocks) != n:
         raise NotDiagonalizable(
             "eigenvalue clusters do not partition the dimension; "
             "try a larger cluster tolerance")
 
+    cols = []
+    for blk, basis in spaces:
+        for j in range(blk.multiplicity):
+            w = _fix_column_phase(basis[:, j])
+            # columns (Re w, -Im w) realize the rotation-scaling block
+            cols.append(np.column_stack([w.real, -w.imag]) if blk.is_complex
+                        else w[:, None])
     P = np.hstack(cols)
     cond = float(np.linalg.cond(P))
     if not np.isfinite(cond) or cond > condition_cap:
         raise IllConditionedBasis(
             f"eigenvector basis condition number {cond:.3e} exceeds cap "
             f"{condition_cap:.1e}")
-    form = RealBlockForm(basis=P, blocks=tuple(blocks),
-                         condition_number=cond, residual=0.0)
-    J = form.block_matrix()
+    J = _block_diag(blocks, n)
     residual = np.linalg.norm(M @ P - P @ J) / max(np.linalg.norm(M), 1e-300)
     if residual > RECONSTRUCTION_RTOL:
         raise NotDiagonalizable(
             f"real block reconstruction residual {residual:.3e} exceeds "
             f"{RECONSTRUCTION_RTOL:.1e}; input is defective or clustered "
             "beyond tolerance")
-    return RealBlockForm(basis=P, blocks=tuple(blocks),
+    return RealBlockForm(basis=P, blocks=blocks,
                          condition_number=cond, residual=float(residual))
+
+
+def check_symmetric(M, name: str):
+    err = np.linalg.norm(M - M.T) / max(np.linalg.norm(M), 1e-300)
+    if err > SYMMETRY_RTOL:
+        raise ValueError(f"{name} is not symmetric (relative asymmetry {err:.3e})")
 
 
 def congruence_transform(A, P) -> np.ndarray:
@@ -258,9 +254,7 @@ def congruence_transform(A, P) -> np.ndarray:
     if P.ndim != 2 or P.shape[0] != A.shape[0]:
         raise DimensionMismatch(
             f"P rows ({P.shape[0]}) must match A order ({A.shape[0]})")
-    sym_err = np.linalg.norm(A - A.T) / max(np.linalg.norm(A), 1e-300)
-    if sym_err > 1e-12:
-        raise ValueError(f"A is not symmetric (relative asymmetry {sym_err:.3e})")
+    check_symmetric(A, "A")
     out = P.T @ A @ P
     return 0.5 * (out + out.T)
 

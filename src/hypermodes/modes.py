@@ -36,10 +36,6 @@ class Side(enum.Enum):
     def axis(self) -> str:
         return "x" if self in (Side.W, Side.E) else "y"
 
-    @property
-    def is_lower(self) -> bool:
-        return self in (Side.W, Side.S)
-
     def __str__(self):
         return self.value
 

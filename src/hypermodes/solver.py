@@ -242,11 +242,6 @@ class SpatialOperator:
         return out
 
 
-def build_semidiscrete(config: IVPConfig) -> SpatialOperator:
-    """Assemble the upwind spatial operator with boundary closure."""
-    return SpatialOperator(config)
-
-
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One classical four-stage explicit step with after-stage projection.
     Leaves `u` untouched and returns a new array."""
@@ -287,7 +282,7 @@ def run(config: IVPConfig):
     omega0 + C*h budget otherwise. Forced runs reuse the latter bound and
     should be read as informational.
     """
-    op = build_semidiscrete(config)
+    op = SpatialOperator(config)
     grid = config.grid
     w = grid.quad_weights()
 

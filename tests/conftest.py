@@ -6,10 +6,21 @@ congruence. Recovering the blocks from the conjugated pair is the
 round-trip oracle used throughout the congruence tests.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from hypermodes.congruence import SymmetricPair
 from hypermodes.linalg import rotation_block
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """Environment for a subprocess that imports the package from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def tracefree(a, b):

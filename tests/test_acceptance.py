@@ -9,16 +9,19 @@ energy increase 1e-10 relative; quasi-contraction budget omega0 + 5h;
 byte-identical repeated artifacts.
 """
 
+import subprocess
+import sys
 import time
 
 import numpy as np
-from conftest import manufactured_elliptic, plant_pair, random_mixed_spec
+from conftest import (manufactured_elliptic, plant_pair, random_mixed_spec,
+                      src_env)
 
-from hypermodes import cli
 from hypermodes.apps import (SWEParams, SWMHDParams, WaveParams, preset_swe,
                              preset_swmhd, preset_wave, swe_eigenvalues,
                              swe_raw_matrices, swmhd_eigenvalues,
                              swmhd_raw_matrices)
+from hypermodes.certify import admissible_field, default_t_end
 from hypermodes.congruence import (SymmetricPair, TypeIIMode,
                                    simultaneous_diagonalize)
 from hypermodes.modes import (Side, assemble_system_bcs,
@@ -265,11 +268,9 @@ def _contraction_run(pair, label, seed):
     grid = RectGrid(1.0, 1.0, 64, 64)
     decomp = simultaneous_diagonalize(pair)
     bcs = assemble_system_bcs(decomp)
-    u0 = cli._initial_field(grid, decomp, bcs, seed)
-    speed = max(np.abs(np.linalg.eigvalsh(pair.a1)).max(),
-                np.abs(np.linalg.eigvalsh(pair.a2)).max())
-    cfg = IVPConfig(grid=grid, u0=u0, t_end=2.0 * grid.L1 / speed, pair=pair,
-                    decomp=decomp, bcs=bcs)
+    u0 = admissible_field(grid, decomp, bcs, seed)
+    cfg = IVPConfig(grid=grid, u0=u0, t_end=default_t_end(pair, grid.L1),
+                    pair=pair, decomp=decomp, bcs=bcs)
     t0 = time.perf_counter()
     _, report = run(cfg)
     elapsed = time.perf_counter() - t0
@@ -309,9 +310,12 @@ def test_10_quasi_contraction_budget():
 
 
 def test_11_deterministic_artifacts(tmp_path):
-    args = ["verify", "preset=swe", "nx=17", "ny=17", "trials=4", "seed=42"]
-    assert cli.main(args + [f"outdir={tmp_path / 'r1'}"]) == 0
-    assert cli.main(args + [f"outdir={tmp_path / 'r2'}"]) == 0
+    args = [sys.executable, "-m", "hypermodes", "verify", "preset=swe",
+            "nx=17", "ny=17", "trials=4", "seed=42"]
+    for run_dir in ("r1", "r2"):
+        proc = subprocess.run(args + [f"outdir={tmp_path / run_dir}"],
+                              env=src_env(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
     b1 = (tmp_path / "r1" / "cert.csv").read_bytes()
     b2 = (tmp_path / "r2" / "cert.csv").read_bytes()
     ok = b1 == b2 and len(b1) > 0

@@ -125,6 +125,17 @@ class TestExecute:
         assert rc == 2
         assert "fail" in (tmp_path / "cert.csv").read_text()
 
+    def test_verify_defective_pair_is_input_error(self, tmp_path, capsys):
+        # a pair outside the hypotheses exits 1 before any certificate runs
+        save_matrix(tmp_path / "a1.txt", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        save_matrix(tmp_path / "a2.txt", np.array([[1.0, 1.0], [1.0, 0.0]]))
+        rc = cli.main(["verify", f"a1_file={tmp_path / 'a1.txt'}",
+                       f"a2_file={tmp_path / 'a2.txt'}", "nx=17", "ny=17",
+                       f"outdir={tmp_path / 'out'}"])
+        assert rc == 1
+        assert "NotDiagonalizable" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cert.csv").exists()
+
     def test_preset_list(self, capsys):
         assert cli.main(["preset-list"]) == 0
         out = capsys.readouterr().out

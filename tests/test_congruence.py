@@ -7,8 +7,9 @@ from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
                                    pivot_leading_block, schur_eliminate,
                                    simultaneous_diagonalize,
                                    standardize_type2)
-from hypermodes.errors import NotTypeII, SingularInput, SingularPivot
-from hypermodes.linalg import EigenBlock, rotation_block
+from hypermodes.errors import (NotDiagonalizable, NotTypeII, SingularInput,
+                               SingularPivot)
+from hypermodes.linalg import rotation_block
 
 
 def reconstruction_residual(pair, decomp):
@@ -122,6 +123,23 @@ class TestSimultaneousDiagonalize:
         d = simultaneous_diagonalize(pair)
         assert abs(d.modes[0].determinant_condition - 1.0) < 1e-10
 
+    def test_proportional_pair(self):
+        # a2 = 0.7 a1: one real eigenvalue of multiplicity 2, full eigenspace
+        a1 = np.array([[2.0, 0.3], [0.3, 1.0]])
+        pair = SymmetricPair(a1=a1, a2=0.7 * a1)
+        d = simultaneous_diagonalize(pair)
+        assert all(isinstance(m, TypeIMode) for m in d.modes)
+        assert [m.advection_ratio for m in d.modes] == \
+            [pytest.approx(0.7, abs=1e-12)] * 2
+        assert reconstruction_residual(pair, d) < 1e-9
+
+    def test_jordan_pair_rejected(self):
+        # a1^-1 a2 = [[1, 0], [1, 1]], a Jordan block
+        pair = SymmetricPair(a1=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                             a2=np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NotDiagonalizable, match="geometric multiplicity"):
+            simultaneous_diagonalize(pair)
+
     def test_singular_input_rejected(self):
         with pytest.raises(SingularInput):
             SymmetricPair(a1=np.diag([1.0, 0.0]), a2=np.eye(2))
@@ -223,17 +241,14 @@ class TestPivotLeadingBlock:
 
 class TestSchurEliminate:
     def test_single_block_trivial(self):
-        C11 = tracefree(0.3, 1.0)
-        blk = EigenBlock(1.0, 2.0, 1)
-        V, (c11, d11), trailing = schur_eliminate(C11, blk)
+        V, trailing = schur_eliminate(tracefree(0.3, 1.0))
         assert np.array_equal(V, np.eye(2))
         assert trailing.shape == (0, 0)
-        assert np.allclose(d11, c11 @ rotation_block(1.0, 2.0))
 
     def test_decoupled_blocks_identity(self):
         A = assemble_blocks([[tracefree(1.0, 0.0), np.zeros((2, 2))],
                              [np.zeros((2, 2)), tracefree(0.0, 3.0)]])
-        V, _, trailing = schur_eliminate(A, EigenBlock(0.0, 1.0, 2))
+        V, trailing = schur_eliminate(A)
         assert np.array_equal(V, np.eye(4))
         assert np.allclose(trailing, tracefree(0.0, 3.0))
 
@@ -242,8 +257,7 @@ class TestSchurEliminate:
         C12 = tracefree(1.0, 0.0)
         C22 = tracefree(0.0, 3.0)
         A = assemble_blocks([[C11, C12], [C12, C22]])
-        blk = EigenBlock(0.5, 1.5, 2)
-        V, _, trailing = schur_eliminate(A, blk)
+        V, trailing = schur_eliminate(A)
         # oracle: explicit 4x4 congruence product
         explicit = V.T @ A @ V
         assert np.allclose(explicit[0:2, 2:4], 0.0, atol=1e-14)
@@ -257,4 +271,4 @@ class TestSchurEliminate:
         A = assemble_blocks([[np.zeros((2, 2)), tracefree(1.0, 0.0)],
                              [tracefree(1.0, 0.0), np.zeros((2, 2))]])
         with pytest.raises(SingularPivot):
-            schur_eliminate(A, EigenBlock(0.0, 1.0, 2))
+            schur_eliminate(A)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import plant_pair, random_congruence, random_mixed_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermodes import linalg
 from hypermodes.errors import (DimensionMismatch, IllConditionedBasis,
@@ -80,6 +83,18 @@ class TestRealBlockEigen:
         with pytest.raises(NotDiagonalizable):
             real_block_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_defective_cluster_named(self):
+        # J2(2) beside -1: the 2-cluster has a one-dimensional eigenspace
+        M = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NotDiagonalizable, match="geometric multiplicity"):
+            real_block_eigen(M)
+
+    def test_defective_complex_cluster_named(self):
+        R = rotation_block(1.0, 2.0)
+        M = np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]])
+        with pytest.raises(NotDiagonalizable, match="geometric multiplicity"):
+            real_block_eigen(M)
+
     def test_ill_conditioned_basis_raises(self):
         V = np.array([[1.0, 1.0], [0.0, 1e-10]])
         M = V @ np.diag([1.0, 2.0]) @ np.linalg.inv(V)
@@ -113,6 +128,41 @@ class TestIsDiagonalizable:
         lams = np.sort(np.linalg.eigvals(M).real)
         expect = np.sort(swe_eigenvalues(p).real)
         assert np.allclose(lams, expect, atol=1e-12)
+
+    def test_scalar_multiple_of_identity(self):
+        # the shift is pure roundoff here; rank is judged against ||M||
+        M = np.linalg.solve(np.array([[2.0, 0.3], [0.3, 1.0]]),
+                            0.7 * np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert is_diagonalizable(M)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), jordan=st.booleans(),
+           log_eps=st.integers(-17, -2))
+    def test_flag_matches_cluster_check(self, seed, jordan, log_eps):
+        """False exactly when real_block_eigen fails its cluster check,
+        with the same diagnostic."""
+        rng = np.random.default_rng(seed)
+        if jordan:
+            n = int(rng.integers(2, 5))
+            J = rng.uniform(-2.0, 2.0) * np.eye(n) + np.eye(n, k=1)
+            G = random_congruence(n, rng)
+            E = rng.standard_normal((n, n))
+            M = G @ (J + 10.0 ** log_eps * E) @ np.linalg.inv(G)
+        else:
+            pair, _ = plant_pair(random_mixed_spec(rng), rng)
+            M = np.linalg.solve(pair.a1, pair.a2)
+        ok, diagnostic = is_diagonalizable(M)
+        try:
+            real_block_eigen(M)
+            raised = None
+        except NotDiagonalizable as exc:
+            raised = str(exc)
+        except IllConditionedBasis:
+            raised = None
+        if ok:
+            assert raised is None or "defective" not in raised
+        else:
+            assert raised == diagnostic
 
 
 class TestCongruenceTransform:

@@ -11,7 +11,7 @@ from hypermodes.modes import Side
 from hypermodes.operators import (RectGrid, StateField,
                                   random_scalar_bc_field,
                                   side_vanishing_factor, smooth_random_field)
-from hypermodes.solver import (IVPConfig, build_semidiscrete, run, step,
+from hypermodes.solver import (IVPConfig, SpatialOperator, run, step,
                                variable_coeff_setup)
 
 
@@ -93,8 +93,8 @@ class TestSemidiscrete:
     def test_zero_field_zero_rhs(self):
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, np.zeros((1, 17, 17)))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0,
-                                          pair=scalar_pair()))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       pair=scalar_pair()))
         assert np.all(op.apply(0.0, u0.values) == 0.0)
 
     def test_interior_upwind_stencil(self):
@@ -104,8 +104,8 @@ class TestSemidiscrete:
         vals = smooth_random_field(g, rng) * side_vanishing_factor(
             g, [Side.W, Side.S])
         u0 = StateField(g, vals[None])
-        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0,
-                                          pair=scalar_pair()))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       pair=scalar_pair()))
         out = op.apply(0.0, u0.values)
         i, j = 5, 7
         expect = -((vals[i, j] - vals[i - 1, j]) / g.hx
@@ -117,8 +117,8 @@ class TestSemidiscrete:
         # inflow-side closure
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, np.ones((1, 17, 17)))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0,
-                                          pair=scalar_pair()))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       pair=scalar_pair()))
         out = op.apply(0.0, u0.values)
         interior = out[0, 1:, 1:]
         assert np.all(interior == 0.0)
@@ -138,23 +138,23 @@ class TestSemidiscrete:
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, np.zeros((2, 17, 17)))
         with pytest.raises(UnstableCoefficients):
-            build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair))
+            SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair))
 
 
 class TestStep:
     def test_zero_stays_zero(self):
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, np.zeros((1, 17, 17)))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0,
-                                          pair=scalar_pair()))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       pair=scalar_pair()))
         u = step(op, u0.values, 0.0, op.dt_max)
         assert np.all(u == 0.0)
 
     def test_cfl_violation(self):
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, np.zeros((1, 17, 17)))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0,
-                                          pair=scalar_pair()))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       pair=scalar_pair()))
         with pytest.raises(CFLViolation):
             step(op, u0.values, 0.0, 2.0 * op.dt_max)
 
@@ -288,8 +288,8 @@ class TestStencilForm:
         n = pair.order
         g = RectGrid(1.0, 1.0, 17, 17)
         u = rng.standard_normal((n, 17, 17))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=StateField(g, u),
-                                          t_end=1.0, pair=pair))
+        op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u),
+                                       t_end=1.0, pair=pair))
         stack = lambda m: np.broadcast_to(m, (17, 17, n, n))
         ref = reference_apply(g, stack(pair.a1), stack(pair.a2),
                               stack(pair.b), op.side_map, u)
@@ -303,9 +303,9 @@ class TestStencilForm:
         setup = variable_coeff_setup(sampler, g)
         assert np.abs(setup.a1 - setup.a1[0, 0]).max() > 1e-3  # varies
         u = rng.standard_normal((setup.order, 17, 17))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=StateField(g, u),
-                                          t_end=1.0, sampler=sampler,
-                                          var_setup=setup))
+        op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u),
+                                       t_end=1.0, sampler=sampler,
+                                       var_setup=setup))
         ref = reference_apply(g, setup.a1, setup.a2, setup.b, op.side_map, u)
         assert self.rel_err(op, ref, u) <= 1e-12
 
@@ -317,7 +317,7 @@ class TestStencilForm:
         g = RectGrid(1.0, 1.0, 25, 25)
         u0 = StateField(g, np.stack([smooth_random_field(g, rng)
                                      for _ in range(pair.order)]))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair))
         _, report = run(IVPConfig(grid=g, u0=u0, t_end=12 * op.dt_max,
                                   pair=pair))
         assert np.all(np.diff(report.norms) <= 1e-10 * report.norms[0])
@@ -333,8 +333,8 @@ class TestBuffers:
                                     f_cor=f_cor))
         g = RectGrid(1.0, 1.0, 17, 17)
         u = np.random.default_rng(seed).standard_normal((3, 17, 17))
-        op = build_semidiscrete(IVPConfig(grid=g, u0=StateField(g, u),
-                                          t_end=1.0, pair=pair))
+        op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u),
+                                       t_end=1.0, pair=pair))
         return op, u
 
     def test_step_leaves_input_unchanged(self):
