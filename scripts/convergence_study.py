@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Refinement study for the discrete certificates.
 
-Measures the decay rate of the cross-term and duality residuals and the
-manufactured-solution recovery order of the elliptic solve over a sequence
-of grids, printing one table row per grid.
+Measures the decay rate of the cross-term and duality residuals, the
+manufactured-solution recovery order of the elliptic solve and its
+uniqueness estimate sigma-min over a sequence of grids, printing one table
+row per grid.
 """
 
 import argparse
@@ -13,40 +14,12 @@ import numpy as np
 from hypermodes.congruence import TypeIIMode
 from hypermodes.modes import Side
 from hypermodes.operators import (RectGrid, StateField, cross_term_residual,
-                                  elliptic_steady_solve,
-                                  integration_by_parts_residual)
+                                  elliptic_steady_solve, elliptic_uniqueness,
+                                  integration_by_parts_residual,
+                                  manufactured_elliptic)
 
 DEFAULT_CONDS = {Side.W: (1.0, 0.0), Side.S: (1.0, 0.0),
                  Side.E: (0.0, 1.0), Side.N: (0.0, 1.0)}
-
-
-def support_bump(t, a, b):
-    s = (t - a) * (b - t)
-    return np.where((t > a) & (t < b), s ** 3, 0.0)
-
-
-def support_bump_prime(t, a, b):
-    s = (t - a) * (b - t)
-    return np.where((t > a) & (t < b), 3.0 * s ** 2 * (a + b - 2.0 * t), 0.0)
-
-
-def manufactured(grid):
-    """Compactly supported exact solution of the Cauchy-Riemann-type mode."""
-    X, Y = grid.meshgrid()
-    a, b = 0.15, 0.85
-    scale = 1.0 / support_bump(0.5, a, b) ** 2
-    ex, exp_ = support_bump(X, a, b), support_bump_prime(X, a, b)
-    ey, eyp = support_bump(Y, a, b), support_bump_prime(Y, a, b)
-    s1, c1 = np.sin(3 * X + Y), np.cos(3 * X + Y)
-    s2, c2 = np.sin(X - 2 * Y), np.cos(X - 2 * Y)
-    u1 = scale * ex * ey * s1
-    u2 = scale * ex * ey * c2
-    u1x = scale * (exp_ * ey * s1 + ex * ey * 3 * c1)
-    u1y = scale * (ex * eyp * s1 + ex * ey * c1)
-    u2x = scale * (exp_ * ey * c2 - ex * ey * s2)
-    u2y = scale * (ex * eyp * c2 + ex * ey * 2 * s2)
-    psi = np.stack([u2x + u1y, u1x - u2y])
-    return np.stack([u1, u2]), psi
 
 
 def main():
@@ -76,21 +49,23 @@ def main():
         gf = StateField(g, np.stack([np.cos(3 * X), np.sin(X + 2 * Y)]))
         ibp = integration_by_parts_residual(theta, gf, T1, T2)
 
-        u_star, psi = manufactured(g)
+        u_star, psi = manufactured_elliptic(g, (0.0, 1.0, 1.0, 0.0))
         sol, _ = elliptic_steady_solve(mode, StateField(g, psi), g,
                                        DEFAULT_CONDS)
         mms = StateField(g, sol.values - u_star).norm()
-        rows.append((n, cross, ibp, mms))
+        sigma, _ = elliptic_uniqueness(mode, g, DEFAULT_CONDS)
+        rows.append((n, cross, ibp, mms, sigma))
 
     print(f"{'grid':>6} {'cross-term':>12} {'duality':>12} {'mms-error':>12}"
-          f" {'rates':>18}")
-    for k, (n, cross, ibp, mms) in enumerate(rows):
+          f" {'rates':>18} {'sigma-min':>10}")
+    for k, (n, cross, ibp, mms, sigma) in enumerate(rows):
         if k == 0:
             rates = ""
         else:
             rates = " ".join(f"{np.log2(prev / cur):5.2f}" for prev, cur in
                              zip(rows[k - 1][1:], (cross, ibp, mms)))
-        print(f"{n:>4}^2 {cross:12.3e} {ibp:12.3e} {mms:12.3e} {rates:>18}")
+        print(f"{n:>4}^2 {cross:12.3e} {ibp:12.3e} {mms:12.3e} {rates:>18}"
+              f" {sigma:10.4f}")
 
 
 if __name__ == "__main__":

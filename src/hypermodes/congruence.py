@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (AllPivotsFail, NotTypeII, OffDiagonalResidual,
-                     SingularInput, SingularPivot)
+from .errors import NotTypeII, OffDiagonalResidual, SingularInput
 from .linalg import check_symmetric, rotation_block
 
 SINGULARITY_RTOL = 1e-10
@@ -205,107 +204,25 @@ def standardize_type2(C, D, tol: float = 1e-9):
     return np.diag([kappa0, kappa0]), mode
 
 
-def _block(M, i, j):
-    return M[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+def _split_elliptic_cluster(A_ii):
+    """Orthogonal V, commuting with J = blockdiag(rotation_block(0, 1)),
+    and C = V^t A_ii V = blockdiag(diag(lam_j, -lam_j)).
 
-
-def _block_det(M, i, j):
-    B = _block(M, i, j)
-    return B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-
-
-def pivot_leading_block(blocks, tol: float = 1e-12):
-    """Congruence W making the leading 2x2 block of W^t A W non-singular.
-
-    `blocks` is the assembled 2k x 2k symmetric matrix whose 2x2 sub-blocks
-    are trace-free. W is either the identity, a block swap, or the
-    [[I, -I], [I, I]] combination; in every case W is orthogonal up to
-    scaling and exactly representable.
+    A_ii is the cluster's block of A1 in the real block eigenbasis; it
+    anticommutes with J, so its eigenvalues come in +/-lam pairs and J maps
+    each positive eigenvector v to one of -lam. The columns (v, J v) keep the
+    block's rotation-scaling form. A single pair (k = 1) is already a
+    trace-free 2x2 block and keeps V = I.
     """
-    A = np.asarray(blocks, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise ValueError(f"expected an assembled 2k x 2k matrix, got {A.shape}")
-    k = A.shape[0] // 2
-    scale = max(np.linalg.norm(A), 1e-300)
-    # trace-free 2x2 blocks are singular iff zero, so |det| has scale^2 units
-    def nonsingular(i, j):
-        return abs(_block_det(A, i, j)) > tol * scale ** 2
-
-    if nonsingular(0, 0):
-        return np.eye(2 * k), A.copy()
-    for j in range(1, k):
-        if nonsingular(j, j):
-            W = np.eye(2 * k)
-            W[0:2, 0:2] = 0.0
-            W[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 0.0
-            W[0:2, 2 * j:2 * j + 2] = np.eye(2)
-            W[2 * j:2 * j + 2, 0:2] = np.eye(2)
-            return W, W.T @ A @ W
-    for j in range(1, k):
-        if nonsingular(0, j):
-            Wswap = np.eye(2 * k)
-            if j != 1:
-                Wswap[2:4, 2:4] = 0.0
-                Wswap[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 0.0
-                Wswap[2:4, 2 * j:2 * j + 2] = np.eye(2)
-                Wswap[2 * j:2 * j + 2, 2:4] = np.eye(2)
-            Wmix = np.eye(2 * k)
-            Wmix[0:2, 0:2] = np.eye(2)
-            Wmix[0:2, 2:4] = -np.eye(2)
-            Wmix[2:4, 0:2] = np.eye(2)
-            Wmix[2:4, 2:4] = np.eye(2)
-            W = Wswap @ Wmix
-            return W, W.T @ A @ W
-    raise AllPivotsFail(
-        "no non-singular 2x2 pivot found; the assembled block must be "
-        "singular, which contradicts the input hypotheses")
-
-
-def schur_eliminate(A_ii, tol: float = 1e-12):
-    """Decouple the leading 2x2 block from the rest by a unit upper
-    block-triangular congruence.
-
-    Requires the leading block C11 non-singular (run pivot_leading_block
-    first). Returns (V, trailing) where `trailing` is the (2k-2) x (2k-2)
-    Schur complement, whose 2x2 sub-blocks keep the trace-free form.
-    """
-    A = np.asarray(A_ii, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise ValueError(f"expected a 2k x 2k matrix, got {A.shape}")
-    k = A.shape[0] // 2
-    scale = max(np.linalg.norm(A), 1e-300)
-    det11 = _block_det(A, 0, 0)
-    if abs(det11) <= tol * scale ** 2:
-        raise SingularPivot(
-            f"leading 2x2 block is singular (|det| = {abs(det11):.3e})")
-    C11_inv = np.linalg.inv(_block(A, 0, 0))
-    V = np.eye(2 * k)
-    for j in range(1, k):
-        V[0:2, 2 * j:2 * j + 2] = -C11_inv @ _block(A, 0, j)
-    transformed = V.T @ A @ V
-    transformed = 0.5 * (transformed + transformed.T)
-    return V, transformed[2:, 2:].copy()
-
-
-def _decouple_complex_block(A_ii, tol):
-    """Pivot + Schur recursion: full congruence V with V^t A_ii V
-    block-diagonal of trace-free 2x2 blocks."""
-    size = A_ii.shape[0]
-    V = np.eye(size)
-    C = A_ii.copy()
-    start = 0
-    while size - start > 2:
-        sub = C[start:, start:]
-        W, sub = pivot_leading_block(sub, tol=tol)
-        Vs, _ = schur_eliminate(sub, tol=tol)
-        sub = Vs.T @ sub @ Vs
-        sub = 0.5 * (sub + sub.T)
-        step = np.eye(size)
-        step[start:, start:] = W @ Vs
-        V = V @ step
-        C[start:, start:] = sub
-        start += 2
-    return V, C
+    k = A_ii.shape[0] // 2
+    if k == 1:
+        return np.eye(2), A_ii
+    _, vecs = np.linalg.eigh(A_ii)
+    pos = vecs[:, k:]
+    V = np.empty_like(vecs)
+    V[:, 0::2] = pos
+    V[:, 1::2] = np.kron(np.eye(k), rotation_block(0.0, 1.0)) @ pos
+    return V, V.T @ A_ii @ V
 
 
 def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
@@ -315,9 +232,10 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
     """Diagonalize (a1, a2) simultaneously by one real congruence.
 
     Pipeline: real block eigenstructure of a1^-1 a2, verification that the
-    congruence by that basis block-diagonalizes a1, then per-block handling
-    (orthogonal diagonalization for real eigenvalue blocks; scaling, or
-    pivot + Schur recursion followed by scaling, for complex blocks).
+    congruence by that basis block-diagonalizes a1, then one orthogonal
+    split per cluster: eigh of a real cluster's block gives its scalar
+    modes; a complex cluster's block is split into 2x2 elliptic blocks
+    (`_split_elliptic_cluster`), each then scaled by `standardize_type2`.
     Modes are ordered TypeI first (by d/c), then TypeII (by mu1, mu2).
     """
     A1, A2 = pair.a1, pair.a2
@@ -353,7 +271,7 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
                 key = (0, mode.advection_ratio, mode.c)
                 modes.append((key, mode, cols[:, idx:idx + 1]))
         else:
-            V, C = _decouple_complex_block(A_ii, tol=tol)
+            V, C = _split_elliptic_cluster(A_ii)
             cols = cols @ V
             for j in range(blk.multiplicity):
                 Cj = C[2 * j:2 * j + 2, 2 * j:2 * j + 2]

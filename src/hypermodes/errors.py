@@ -37,14 +37,6 @@ class NotTypeII(HypermodesError):
     """2x2 pair fails the positive-determinant condition."""
 
 
-class AllPivotsFail(HypermodesError):
-    """No usable pivot block; contradicts non-singularity of the input."""
-
-
-class SingularPivot(HypermodesError):
-    pass
-
-
 # --- boundary-condition synthesis -----------------------------------------
 
 class ZeroCoefficient(HypermodesError):

@@ -82,8 +82,6 @@ class RealBlockForm:
 
     basis: np.ndarray
     blocks: tuple[EigenBlock, ...]
-    condition_number: float
-    residual: float
 
     def block_matrix(self) -> np.ndarray:
         return _block_diag(self.blocks, self.basis.shape[0])
@@ -235,8 +233,7 @@ def real_block_eigen(M, cluster_tol: float | None = None,
             f"real block reconstruction residual {residual:.3e} exceeds "
             f"{RECONSTRUCTION_RTOL:.1e}; input is defective or clustered "
             "beyond tolerance")
-    return RealBlockForm(basis=P, blocks=blocks,
-                         condition_number=cond, residual=float(residual))
+    return RealBlockForm(basis=P, blocks=blocks)
 
 
 def check_symmetric(M, name: str):

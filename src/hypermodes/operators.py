@@ -20,6 +20,7 @@ from .errors import BCViolated, EllipticityLost, RankDeficientBC
 from .modes import SIDE_ORDER, Side, check_rank2, synthesize_bc_type1
 
 BC_TRACE_RTOL = 1e-10
+UNIQUENESS_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -304,32 +305,15 @@ def compact_support_mask(grid: RectGrid, layers: int = 2) -> np.ndarray:
     return mask
 
 
-def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
+def _least_squares_matrix(mode, grid: RectGrid,
                           conditions: Mapping[Side, tuple[float, float]],
-                          c0: float = 1e-10, tol: float = 1e-8):
-    """Least-squares solution of T1 u_x + T2 u_y = psi with the side
-    conditions imposed as weighted constraint rows.
-
-    psi is treated as compactly supported: it is zeroed on the two node
-    layers nearest each side. Returns (field, report) where the report
-    records the discrete equation residual; with psi = 0 the solution norm
-    certifies uniqueness of the discrete problem.
-    """
+                          ) -> sp.csr_matrix:
+    """F = [T1 Dx + T2 Dy; weighted side rows] on the unknowns (u1, u2),
+    each flattened node-major: 2 * nx * ny equation rows, then one row
+    a u1 + b u2 (normalized, weight 10 / min(hx, hy)) per side node."""
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
-    delta = a2 * b1 - a1 * b2
-    if delta.min() < c0:
-        ij = np.unravel_index(np.argmin(delta), delta.shape)
-        raise EllipticityLost(
-            f"determinant condition {delta.min():.3e} below c0 = {c0:.1e} "
-            f"at node {tuple(int(t) for t in ij)}")
-    if not check_rank2(conditions):
-        raise RankDeficientBC("side-condition matrix has rank < 2")
-
     nx, ny = grid.nx, grid.ny
     N = nx * ny
-    mask = compact_support_mask(grid)
-    rhs_field = psi.values * mask[None]
-
     Dx = sp.kron(_gradient_matrix(nx, grid.hx), sp.identity(ny), format="csr")
     Dy = sp.kron(sp.identity(nx), _gradient_matrix(ny, grid.hy), format="csr")
 
@@ -341,7 +325,6 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
         [dia(a1) @ Dx + dia(a2) @ Dy, dia(b1) @ Dx + dia(b2) @ Dy],
         [dia(b1) @ Dx + dia(b2) @ Dy, -(dia(a1) @ Dx + dia(a2) @ Dy)],
     ], format="csr")
-    b = np.concatenate([rhs_field[0].ravel(), rhs_field[1].ravel()])
 
     def node(i, j):
         return i * ny + j
@@ -364,9 +347,35 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
             data += [weight * a / nrm, weight * bb / nrm]
             r += 1
     C = sp.csr_matrix((data, (rows, cols)), shape=(r, 2 * N))
+    return sp.vstack([A, C], format="csr")
 
-    full = sp.vstack([A, C], format="csr")
-    rhs = np.concatenate([b, np.zeros(r)])
+
+def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
+                          conditions: Mapping[Side, tuple[float, float]],
+                          c0: float = 1e-10):
+    """Least-squares solution of T1 u_x + T2 u_y = psi with the side
+    conditions imposed as weighted constraint rows.
+
+    psi is treated as compactly supported: it is zeroed on the two node
+    layers nearest each side. Returns (field, report) where the report
+    records the discrete equation residual relative to psi.
+    """
+    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
+    delta = a2 * b1 - a1 * b2
+    if delta.min() < c0:
+        ij = np.unravel_index(np.argmin(delta), delta.shape)
+        raise EllipticityLost(
+            f"determinant condition {delta.min():.3e} below c0 = {c0:.1e} "
+            f"at node {tuple(int(t) for t in ij)}")
+    if not check_rank2(conditions):
+        raise RankDeficientBC("side-condition matrix has rank < 2")
+
+    nx, ny = grid.nx, grid.ny
+    N = nx * ny
+    rhs_field = psi.values * compact_support_mask(grid)[None]
+    full = _least_squares_matrix(mode, grid, conditions)
+    b = np.concatenate([rhs_field[0].ravel(), rhs_field[1].ravel()])
+    rhs = np.concatenate([b, np.zeros(full.shape[0] - 2 * N)])
     normal = (full.T @ full).tocsc()
     atb = full.T @ rhs
     lu = spla.splu(normal)
@@ -376,21 +385,40 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
         raise RankDeficientBC("normal equations are numerically singular")
 
     u = np.stack([sol[:N].reshape(nx, ny), sol[N:].reshape(nx, ny)])
-    field = StateField(grid, u)
-    eq_residual = (A @ sol - b)
+    eq_residual = (full @ sol)[:2 * N] - b
     w = grid.quad_weights().ravel()
     res_norm = float(np.sqrt(np.sum(w * eq_residual[:N] ** 2)
                              + np.sum(w * eq_residual[N:] ** 2)))
     psi_norm = float(np.sqrt(np.sum(w * b[:N] ** 2) + np.sum(w * b[N:] ** 2)))
-    if psi_norm == 0.0:
-        report = CertReport(name="elliptic_uniqueness", grid_label=grid.label(),
-                            residual=field.norm(), tolerance=tol)
-    else:
-        # a healthy least-squares solve leaves only truncation residue,
-        # far below this coarse degeneracy guard
-        report = CertReport(name="elliptic_residual", grid_label=grid.label(),
-                            residual=res_norm / psi_norm, tolerance=0.5)
-    return field, report
+    # a healthy least-squares solve leaves only truncation residue, far
+    # below this coarse degeneracy guard
+    report = CertReport(name="elliptic_residual", grid_label=grid.label(),
+                        residual=res_norm / max(psi_norm, 1e-300),
+                        tolerance=0.5)
+    return StateField(grid, u), report
+
+
+def elliptic_uniqueness(mode, grid: RectGrid,
+                        conditions: Mapping[Side, tuple[float, float]],
+                        ) -> tuple[float, CertReport]:
+    """Estimate sigma of the smallest singular value of the least-squares
+    matrix F of `elliptic_steady_solve`, by UNIQUENESS_STEPS inverse
+    iterations on one LU factorization of F^t F.
+
+    Returns (sigma, report). The report's residual 1/sigma is the discrete
+    stability constant C in ||u|| <= C ||F u||; it fails above 1e6, as when
+    rank-deficient side conditions leave a discrete kernel. The conditions
+    are not pre-checked: the estimate measures their rank.
+    """
+    F = _least_squares_matrix(mode, grid, conditions)
+    lu = spla.splu((F.T @ F).tocsc())
+    x = np.random.default_rng(0).standard_normal(F.shape[1])
+    for _ in range(UNIQUENESS_STEPS):
+        x = lu.solve(x)
+        x /= np.linalg.norm(x)
+    sigma = float(np.linalg.norm(F @ x))
+    return sigma, CertReport("elliptic_uniqueness", grid.label(),
+                             1.0 / max(sigma, 1e-300), 1e6)
 
 
 # --- reproducible test fields ---------------------------------------------------
@@ -408,6 +436,47 @@ def smooth_random_field(grid: RectGrid, rng: np.random.Generator,
         out += amp * np.sin(ax * np.pi * X / grid.L1 + px) * \
             np.sin(ay * np.pi * Y / grid.L2 + py)
     return out / nmodes
+
+
+def _bump(t, a, b):
+    """C^2 bump supported on (a, b): ((t-a)(b-t))^3, else 0."""
+    s = (t - a) * (b - t)
+    return np.where((t > a) & (t < b), s ** 3, 0.0)
+
+
+def _bump_prime(t, a, b):
+    s = (t - a) * (b - t)
+    return np.where((t > a) & (t < b), 3.0 * s ** 2 * (a + b - 2.0 * t), 0.0)
+
+
+def manufactured_elliptic(grid: RectGrid, mode_coeffs):
+    """Compactly supported exact solution and its forcing for the
+    first-order mode system T1 u_x + T2 u_y = psi.
+
+    mode_coeffs = (alpha1, beta1, alpha2, beta2), scalars or (nx, ny) arrays.
+    Returns (u_star values, psi values), both (2, nx, ny).
+    """
+    X, Y = grid.meshgrid()
+    ax, bx = 0.15 * grid.L1, 0.85 * grid.L1
+    ay, by = 0.15 * grid.L2, 0.85 * grid.L2
+    scale = 1.0 / (_bump(0.5 * (ax + bx), ax, bx)
+                   * _bump(0.5 * (ay + by), ay, by))
+    ex, exp_ = _bump(X, ax, bx), _bump_prime(X, ax, bx)
+    ey, eyp = _bump(Y, ay, by), _bump_prime(Y, ay, by)
+
+    s1, c1 = np.sin(3 * X + Y), np.cos(3 * X + Y)
+    s2, c2 = np.sin(X - 2 * Y), np.cos(X - 2 * Y)
+    u1 = scale * ex * ey * s1
+    u2 = scale * ex * ey * c2
+    u1x = scale * (exp_ * ey * s1 + ex * ey * 3 * c1)
+    u1y = scale * (ex * eyp * s1 + ex * ey * c1)
+    u2x = scale * (exp_ * ey * c2 - ex * ey * s2)
+    u2y = scale * (ex * eyp * c2 + ex * ey * 2 * s2)
+
+    a1, b1, a2, b2 = (np.asarray(v, dtype=float) for v in mode_coeffs)
+    psi1 = a1 * u1x + b1 * u2x + a2 * u1y + b2 * u2y
+    psi2 = b1 * u1x - a1 * u2x + b2 * u1y - a2 * u2y
+    return np.stack([u1, u2]), np.stack([psi1, psi2])
 
 
 def side_vanishing_factor(grid: RectGrid, sides) -> np.ndarray:

@@ -111,45 +111,3 @@ def planted_signature(entry):
         return ("I", np.sign(c), d / c)
     return entry
 
-
-# --- compactly supported manufactured solutions --------------------------------
-
-
-def bump(t, a, b):
-    """C^2 bump supported on (a, b): ((t-a)(b-t))^3, else 0."""
-    s = (t - a) * (b - t)
-    return np.where((t > a) & (t < b), s ** 3, 0.0)
-
-
-def bump_prime(t, a, b):
-    s = (t - a) * (b - t)
-    return np.where((t > a) & (t < b), 3.0 * s ** 2 * (a + b - 2.0 * t), 0.0)
-
-
-def manufactured_elliptic(grid, mode_coeffs):
-    """Compactly supported exact solution and its forcing for the
-    first-order mode system T1 u_x + T2 u_y = psi.
-
-    mode_coeffs = (alpha1, beta1, alpha2, beta2), scalars or (nx, ny) arrays.
-    Returns (u_star values, psi values), both (2, nx, ny).
-    """
-    X, Y = grid.meshgrid()
-    ax, bx = 0.15 * grid.L1, 0.85 * grid.L1
-    ay, by = 0.15 * grid.L2, 0.85 * grid.L2
-    scale = 1.0 / (bump(0.5 * (ax + bx), ax, bx) * bump(0.5 * (ay + by), ay, by))
-    ex, exp_ = bump(X, ax, bx), bump_prime(X, ax, bx)
-    ey, eyp = bump(Y, ay, by), bump_prime(Y, ay, by)
-
-    s1, c1 = np.sin(3 * X + Y), np.cos(3 * X + Y)
-    s2, c2 = np.sin(X - 2 * Y), np.cos(X - 2 * Y)
-    u1 = scale * ex * ey * s1
-    u2 = scale * ex * ey * c2
-    u1x = scale * (exp_ * ey * s1 + ex * ey * 3 * c1)
-    u1y = scale * (ex * eyp * s1 + ex * ey * c1)
-    u2x = scale * (exp_ * ey * c2 - ex * ey * s2)
-    u2y = scale * (ex * eyp * c2 + ex * ey * 2 * s2)
-
-    a1, b1, a2, b2 = (np.asarray(v, dtype=float) for v in mode_coeffs)
-    psi1 = a1 * u1x + b1 * u2x + a2 * u1y + b2 * u2y
-    psi2 = b1 * u1x - a1 * u2x + b2 * u1y - a2 * u2y
-    return np.stack([u1, u2]), np.stack([psi1, psi2])

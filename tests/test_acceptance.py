@@ -4,9 +4,9 @@ Tolerances are fixed here, not tuned: planted-pair reconstruction 1e-9 and
 determinant condition 1e-10; wave determinant 1e-12; closed-form spectra
 1e-10 (shallow water) and 1e-8 (magnetohydrodynamic variant); positivity
 -5h (constant) and -(omega0+5h) (variable); duality-residual rates >= 1;
-manufactured elliptic recovery order >= 1.5 and uniqueness 1e-8; per-step
-energy increase 1e-10 relative; quasi-contraction budget omega0 + 5h;
-byte-identical repeated artifacts.
+manufactured elliptic recovery order >= 1.5, zero-data norm 1e-8 and
+discrete stability constant 1e6; per-step energy increase 1e-10 relative;
+quasi-contraction budget omega0 + 5h; byte-identical repeated artifacts.
 """
 
 import subprocess
@@ -14,8 +14,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import (manufactured_elliptic, plant_pair, random_mixed_spec,
-                      src_env)
+from conftest import plant_pair, random_mixed_spec, src_env
 
 from hypermodes.apps import (SWEParams, SWMHDParams, WaveParams, preset_swe,
                              preset_swmhd, preset_wave, swe_eigenvalues,
@@ -28,8 +27,9 @@ from hypermodes.modes import (Side, assemble_system_bcs,
                               check_variable_coeff_assumptions,
                               synthesize_bc_type1, synthesize_bc_type2)
 from hypermodes.operators import (RectGrid, StateField, cross_term_residual,
-                                  elliptic_steady_solve,
+                                  elliptic_steady_solve, elliptic_uniqueness,
                                   integration_by_parts_residual,
+                                  manufactured_elliptic,
                                   positivity_residual_type1,
                                   positivity_residual_type2,
                                   random_elliptic_bc_field,
@@ -257,11 +257,13 @@ def test_08_elliptic_manufactured_solutions():
     rates = np.diff(np.log(errs)) / np.log(0.5)
     g = RectGrid(1.0, 1.0, 33, 33)
     zero = StateField(g, np.zeros((2, g.nx, g.ny)))
-    u0, report = elliptic_steady_solve(mode, zero, g, DEFAULT_CONDS)
-    ok = min(rates) >= 1.5 and u0.norm() < 1e-8
+    u0, _ = elliptic_steady_solve(mode, zero, g, DEFAULT_CONDS)
+    _, unique = elliptic_uniqueness(mode, g, DEFAULT_CONDS)
+    ok = min(rates) >= 1.5 and u0.norm() < 1e-8 and unique.verdict
     verdict(8, "elliptic-manufactured-recovery", ok,
             f"orders {rates.round(2)} >= 1.5, zero-data norm "
-            f"{u0.norm():.2e} < 1e-8")
+            f"{u0.norm():.2e} < 1e-8, stability constant "
+            f"{unique.residual:.2f} <= {unique.tolerance:g}")
 
 
 def _contraction_run(pair, label, seed):

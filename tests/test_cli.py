@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from conftest import random_congruence
+from scipy.linalg import block_diag
 
 from hypermodes import cli
 from hypermodes.errors import ConflictingSources, MissingInput, UnknownKey
@@ -106,6 +108,24 @@ class TestExecute:
         rows = (tmp_path / "cert.csv").read_text().splitlines()
         assert rows[0] == "name,grid,residual,tol,verdict,rate"
         assert all(",pass," in r for r in rows[1:])
+
+    def test_verify_repeated_elliptic_cluster(self, tmp_path):
+        # the wave pair doubled: one conjugate pair of multiplicity 2
+        t1 = np.array([[-0.8, 0.6], [0.6, 0.8]])
+        t2 = np.array([[0.6, 0.8], [0.8, -0.6]])
+        G = random_congruence(4, np.random.default_rng(5))
+        for name, t in (("a1", t1), ("a2", t2)):
+            save_matrix(tmp_path / f"{name}.txt",
+                        G.T @ block_diag(t, 1.7 * t) @ G)
+        rc = cli.main(["verify", f"a1_file={tmp_path / 'a1.txt'}",
+                       f"a2_file={tmp_path / 'a2.txt'}", "nx=17", "ny=17",
+                       "trials=3", f"outdir={tmp_path / 'out'}"])
+        assert rc == 0
+        rows = (tmp_path / "out" / "cert.csv").read_text().splitlines()
+        assert all(",pass," in r for r in rows[1:])
+        unique = [r for r in rows if r.startswith("elliptic_uniqueness")]
+        assert [r.split(",")[0] for r in unique] == [
+            "elliptic_uniqueness_mode0", "elliptic_uniqueness_mode1"]
 
     def test_verify_deterministic(self, tmp_path):
         args = ["verify", "preset=wave", "nx=17", "ny=17", "trials=3",

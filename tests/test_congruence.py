@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from conftest import (mode_signature, plant_pair, planted_signature,
                       random_mixed_spec, tracefree)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
-                                   pivot_leading_block, schur_eliminate,
+                                   _split_elliptic_cluster,
                                    simultaneous_diagonalize,
                                    standardize_type2)
-from hypermodes.errors import (NotDiagonalizable, NotTypeII, SingularInput,
-                               SingularPivot)
-from hypermodes.linalg import rotation_block
+from hypermodes.errors import NotDiagonalizable, NotTypeII, SingularInput
+from hypermodes.linalg import real_block_eigen, rotation_block
 
 
 def reconstruction_residual(pair, decomp):
@@ -60,7 +61,7 @@ class TestSimultaneousDiagonalize:
 
     def test_complex_multiplicity_two(self):
         # one eigenvalue pair shared by two elliptic blocks exercises the
-        # pivot + Schur recursion
+        # eigh split of a repeated complex cluster
         rng = np.random.default_rng(33)
         for _ in range(10):
             spec = [("I", 1.3, 2.0),
@@ -75,6 +76,49 @@ class TestSimultaneousDiagonalize:
                 assert m.mu1 == pytest.approx(1.0, abs=1e-8)
                 assert m.mu2 == pytest.approx(2.0, abs=1e-8)
                 assert m.determinant_condition == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([2, 3]),
+           variant=st.sampled_from(["random", "rotation", "scale"]))
+    def test_repeated_elliptic_cluster(self, seed, k, variant):
+        # k elliptic blocks sharing one eigenvalue pair; "rotation" and
+        # "scale" copies differ from the first block only by a rotation of
+        # (alpha1, beta1) or by a positive factor
+        rng = np.random.default_rng(seed)
+        mu1, mu2 = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.5)
+
+        def draw():
+            return rng.uniform(0.4, 1.5, 2) * [rng.choice([-1.0, 1.0]), 1.0]
+
+        base = draw()
+        spec = [("I", 1.3, 2.0), ("II", *base, mu1, mu2)]
+        for _ in range(k - 1):
+            if variant == "rotation":
+                th = rng.uniform(0.0, 2.0 * np.pi)
+                a1, b1 = rotation_block(np.cos(th), np.sin(th)) @ base
+            elif variant == "scale":
+                a1, b1 = rng.uniform(0.3, 3.0) * base
+            else:
+                a1, b1 = draw()
+            spec.append(("II", a1, b1, mu1, mu2))
+        pair, _ = plant_pair(spec, rng)
+        d = simultaneous_diagonalize(pair)
+        assert reconstruction_residual(pair, d) < 1e-9
+        t2 = [m for m in d.modes if isinstance(m, TypeIIMode)]
+        assert len(t2) == k
+        for m in t2:
+            assert m.mu1 == pytest.approx(mu1, abs=1e-8)
+            assert m.mu2 == pytest.approx(mu2, abs=1e-8)
+            assert m.determinant_condition == pytest.approx(1.0, abs=1e-10)
+
+        form = real_block_eigen(np.linalg.solve(pair.a1, pair.a2))
+        (sl,) = [sl for blk, sl in zip(form.blocks, form.block_slices())
+                 if blk.is_complex]
+        B1 = form.basis.T @ pair.a1 @ form.basis
+        V, _ = _split_elliptic_cluster(0.5 * (B1 + B1.T)[sl, sl])
+        J = np.kron(np.eye(k), rotation_block(0.0, 1.0))
+        assert np.allclose(V.T @ V, np.eye(2 * k), atol=1e-12)
+        assert np.allclose(J @ V, V @ J, atol=1e-12)
 
     def test_mode_census_matches_eigenvalues(self):
         rng = np.random.default_rng(8)
@@ -195,80 +239,3 @@ class TestStandardizeType2:
         with pytest.raises(NotTypeII):
             standardize_type2(C, D)
 
-
-def assemble_blocks(blocks):
-    k = len(blocks)
-    A = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        for j in range(k):
-            A[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blocks[i][j]
-    return A
-
-
-class TestPivotLeadingBlock:
-    def test_identity_when_nonsingular(self):
-        A = assemble_blocks([[tracefree(1.0, 0.0), tracefree(0.2, 0.1)],
-                             [tracefree(0.2, 0.1), tracefree(0.0, 1.0)]])
-        W, out = pivot_leading_block(A)
-        assert np.array_equal(W, np.eye(4))
-        assert np.array_equal(out, A)
-
-    def test_diagonal_swap(self):
-        Z = np.zeros((2, 2))
-        C22 = tracefree(0.0, 2.0)
-        C12 = tracefree(1.0, 0.5)
-        A = assemble_blocks([[Z, C12], [C12, C22]])
-        W, out = pivot_leading_block(A)
-        assert np.allclose(out[0:2, 0:2], C22)
-        assert np.allclose(W @ W.T, np.eye(4))
-
-    def test_all_diagonal_zero_combination(self):
-        Z = np.zeros((2, 2))
-        C12 = tracefree(0.7, -0.3)
-        A = assemble_blocks([[Z, C12], [C12, Z]])
-        W, out = pivot_leading_block(A)
-        assert np.allclose(out[0:2, 0:2], 2.0 * C12)
-
-    def test_three_blocks_far_offdiagonal(self):
-        Z = np.zeros((2, 2))
-        C13 = tracefree(0.9, 0.2)
-        # middle diagonal block non-singular: the swap path must trigger
-        blocks = [[Z, Z, C13], [Z, tracefree(0.5, 0.0), Z], [C13, Z, Z]]
-        A = assemble_blocks(blocks)
-        W, out = pivot_leading_block(A)
-        assert abs(np.linalg.det(out[0:2, 0:2])) > 1e-8
-
-
-class TestSchurEliminate:
-    def test_single_block_trivial(self):
-        V, trailing = schur_eliminate(tracefree(0.3, 1.0))
-        assert np.array_equal(V, np.eye(2))
-        assert trailing.shape == (0, 0)
-
-    def test_decoupled_blocks_identity(self):
-        A = assemble_blocks([[tracefree(1.0, 0.0), np.zeros((2, 2))],
-                             [np.zeros((2, 2)), tracefree(0.0, 3.0)]])
-        V, trailing = schur_eliminate(A)
-        assert np.array_equal(V, np.eye(4))
-        assert np.allclose(trailing, tracefree(0.0, 3.0))
-
-    def test_explicit_product_oracle(self):
-        C11 = tracefree(0.0, 1.0)
-        C12 = tracefree(1.0, 0.0)
-        C22 = tracefree(0.0, 3.0)
-        A = assemble_blocks([[C11, C12], [C12, C22]])
-        V, trailing = schur_eliminate(A)
-        # oracle: explicit 4x4 congruence product
-        explicit = V.T @ A @ V
-        assert np.allclose(explicit[0:2, 2:4], 0.0, atol=1e-14)
-        expected = C22 - C12 @ np.linalg.inv(C11) @ C12
-        assert np.allclose(trailing, expected, atol=1e-14)
-        assert np.allclose(trailing, tracefree(0.0, 4.0), atol=1e-14)
-        # trace-free form preserved
-        assert trailing[0, 0] == pytest.approx(-trailing[1, 1], abs=1e-14)
-
-    def test_singular_pivot_rejected(self):
-        A = assemble_blocks([[np.zeros((2, 2)), tracefree(1.0, 0.0)],
-                             [tracefree(1.0, 0.0), np.zeros((2, 2))]])
-        with pytest.raises(SingularPivot):
-            schur_eliminate(A)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from conftest import manufactured_elliptic
 
 from hypermodes.congruence import TypeIIMode
 from hypermodes.errors import BCViolated, EllipticityLost, RankDeficientBC
 from hypermodes.modes import Side
 from hypermodes.operators import (RectGrid, StateField, cross_term_residual,
-                                  elliptic_steady_solve,
+                                  elliptic_steady_solve, elliptic_uniqueness,
                                   integration_by_parts_residual,
+                                  manufactured_elliptic,
                                   positivity_residual_type1,
                                   positivity_residual_type2,
                                   random_elliptic_bc_field,
@@ -212,11 +212,15 @@ class TestEllipticSolve:
 
     def test_uniqueness_certificate(self):
         g = RectGrid(1.0, 1.0, 33, 33)
-        zero = StateField(g, np.zeros((2, g.nx, g.ny)))
-        u, report = elliptic_steady_solve(self.CR_MODE, zero, g, DEFAULT_CONDS)
+        sigma, report = elliptic_uniqueness(self.CR_MODE, g, DEFAULT_CONDS)
         assert report.name == "elliptic_uniqueness"
-        assert u.norm() < 1e-8
+        assert sigma > 1.0
         assert report.verdict
+        # rank-1 conditions leave the constant (0, c) in the kernel
+        rank1 = {s: (1.0, 0.0) for s in Side}
+        sigma, report = elliptic_uniqueness(self.CR_MODE, g, rank1)
+        assert sigma < 1e-10
+        assert not report.verdict
 
     def test_manufactured_recovery_constant(self):
         errs = []
