@@ -285,18 +285,24 @@ class CertReport:
 
 def _gradient_matrix(npts: int, h: float) -> sp.csr_matrix:
     """Matrix form of np.gradient: centered interior, one-sided 2nd order ends."""
-    rows, cols, data = [], [], []
-    for i in range(1, npts - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        data += [-0.5 / h, 0.5 / h]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    data += [-1.5 / h, 2.0 / h, -0.5 / h]
-    rows += [npts - 1, npts - 1, npts - 1]
-    cols += [npts - 1, npts - 2, npts - 3]
-    data += [1.5 / h, -2.0 / h, 0.5 / h]
+    inner = np.arange(1, npts - 1)
+    rows = np.concatenate([np.repeat(inner, 2), [0, 0, 0], [npts - 1] * 3])
+    cols = np.concatenate([np.stack([inner - 1, inner + 1], 1).ravel(),
+                           [0, 1, 2], [npts - 1, npts - 2, npts - 3]])
+    data = np.concatenate([np.tile([-0.5 / h, 0.5 / h], npts - 2),
+                           [-1.5 / h, 2.0 / h, -0.5 / h],
+                           [1.5 / h, -2.0 / h, 0.5 / h]])
     return sp.csr_matrix((data, (rows, cols)), shape=(npts, npts))
+
+
+def _difference_matrices(grid: RectGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(Dx, Dy) acting on node-major flattened (nx, ny) fields: the matrix
+    forms of `ddx` and `ddy`."""
+    Dx = sp.kron(_gradient_matrix(grid.nx, grid.hx), sp.identity(grid.ny),
+                 format="csr")
+    Dy = sp.kron(sp.identity(grid.nx), _gradient_matrix(grid.ny, grid.hy),
+                 format="csr")
+    return Dx, Dy
 
 
 def compact_support_mask(grid: RectGrid, layers: int = 2) -> np.ndarray:
@@ -314,8 +320,7 @@ def _least_squares_matrix(mode, grid: RectGrid,
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     nx, ny = grid.nx, grid.ny
     N = nx * ny
-    Dx = sp.kron(_gradient_matrix(nx, grid.hx), sp.identity(ny), format="csr")
-    Dy = sp.kron(sp.identity(nx), _gradient_matrix(ny, grid.hy), format="csr")
+    Dx, Dy = _difference_matrices(grid)
 
     def dia(v):
         return sp.diags(v.ravel())
@@ -326,28 +331,44 @@ def _least_squares_matrix(mode, grid: RectGrid,
         [dia(b1) @ Dx + dia(b2) @ Dy, -(dia(a1) @ Dx + dia(a2) @ Dy)],
     ], format="csr")
 
-    def node(i, j):
-        return i * ny + j
-
-    side_nodes = {
-        Side.W: [node(0, j) for j in range(ny)],
-        Side.E: [node(nx - 1, j) for j in range(ny)],
-        Side.S: [node(i, 0) for i in range(nx)],
-        Side.N: [node(i, ny - 1) for i in range(nx)],
-    }
+    node = np.arange(N).reshape(nx, ny)
+    side_nodes = {Side.W: node[0, :], Side.E: node[-1, :],
+                  Side.S: node[:, 0], Side.N: node[:, -1]}
     weight = 10.0 / min(grid.hx, grid.hy)
-    rows, cols, data = [], [], []
-    r = 0
+    nodes = np.concatenate([side_nodes[side] for side in SIDE_ORDER])
+    coeffs = []
     for side in SIDE_ORDER:
         a, bb = conditions[side]
         nrm = float(np.hypot(a, bb))
-        for nd in side_nodes[side]:
-            rows += [r, r]
-            cols += [nd, N + nd]
-            data += [weight * a / nrm, weight * bb / nrm]
-            r += 1
+        coeffs.append(np.tile([weight * a / nrm, weight * bb / nrm],
+                              (len(side_nodes[side]), 1)))
+    r = len(nodes)
+    rows = np.repeat(np.arange(r), 2)
+    cols = np.stack([nodes, N + nodes], 1).ravel()
+    data = np.concatenate(coeffs).ravel()
     C = sp.csr_matrix((data, (rows, cols)), shape=(r, 2 * N))
     return sp.vstack([A, C], format="csr")
+
+
+def _normal_factor(mode, grid: RectGrid,
+                   conditions: Mapping[Side, tuple[float, float]]):
+    """(F, F^t F, LU of F^t F) for the least-squares matrix F.
+
+    F^t F is symmetric positive definite whenever the discrete problem is
+    uniquely solvable, so it is factored in SuperLU's symmetric mode:
+    minimum-degree ordering on the graph of F^t F + (F^t F)^t, kept by
+    taking diagonal pivots only, which is stable for an SPD matrix. This
+    leaves less than half the fill of splu's unsymmetric defaults (COLAMD
+    with partial pivoting). All three settings are needed: the ordering alone,
+    with partial pivoting left on, factors slower than the defaults. A
+    singular F^t F still factors; its kernel shows up as a
+    roundoff-sized pivot, which `elliptic_uniqueness` measures.
+    """
+    F = _least_squares_matrix(mode, grid, conditions)
+    normal = (F.T @ F).tocsc()
+    lu = spla.splu(normal, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    return F, normal, lu
 
 
 def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
@@ -357,8 +378,11 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     conditions imposed as weighted constraint rows.
 
     psi is treated as compactly supported: it is zeroed on the two node
-    layers nearest each side. Returns (field, report) where the report
-    records the discrete equation residual relative to psi.
+    layers nearest each side. The normal equations F^t F u = F^t psi are
+    solved with the one symmetric-mode factor of F^t F that
+    `_normal_factor` also gives `elliptic_uniqueness`, plus one round of
+    iterative refinement. Returns (field, report) where the report records
+    the discrete equation residual relative to psi.
     """
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     delta = a2 * b1 - a1 * b2
@@ -373,12 +397,10 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     nx, ny = grid.nx, grid.ny
     N = nx * ny
     rhs_field = psi.values * compact_support_mask(grid)[None]
-    full = _least_squares_matrix(mode, grid, conditions)
+    full, normal, lu = _normal_factor(mode, grid, conditions)
     b = np.concatenate([rhs_field[0].ravel(), rhs_field[1].ravel()])
     rhs = np.concatenate([b, np.zeros(full.shape[0] - 2 * N)])
-    normal = (full.T @ full).tocsc()
     atb = full.T @ rhs
-    lu = spla.splu(normal)
     sol = lu.solve(atb)
     sol += lu.solve(atb - normal @ sol)  # one round of iterative refinement
     if not np.all(np.isfinite(sol)):
@@ -403,15 +425,15 @@ def elliptic_uniqueness(mode, grid: RectGrid,
                         ) -> tuple[float, CertReport]:
     """Estimate sigma of the smallest singular value of the least-squares
     matrix F of `elliptic_steady_solve`, by UNIQUENESS_STEPS inverse
-    iterations on one LU factorization of F^t F.
+    iterations with the symmetric-mode factor of F^t F from
+    `_normal_factor`, the same factorization the solve uses.
 
     Returns (sigma, report). The report's residual 1/sigma is the discrete
     stability constant C in ||u|| <= C ||F u||; it fails above 1e6, as when
     rank-deficient side conditions leave a discrete kernel. The conditions
     are not pre-checked: the estimate measures their rank.
     """
-    F = _least_squares_matrix(mode, grid, conditions)
-    lu = spla.splu((F.T @ F).tocsc())
+    F, _, lu = _normal_factor(mode, grid, conditions)
     x = np.random.default_rng(0).standard_normal(F.shape[1])
     for _ in range(UNIQUENESS_STEPS):
         x = lu.solve(x)

@@ -3,9 +3,13 @@ import pytest
 
 from hypermodes.congruence import TypeIIMode
 from hypermodes.errors import BCViolated, EllipticityLost, RankDeficientBC
-from hypermodes.modes import Side
-from hypermodes.operators import (RectGrid, StateField, cross_term_residual,
-                                  elliptic_steady_solve, elliptic_uniqueness,
+from hypermodes.modes import SIDE_ORDER, Side
+from hypermodes.operators import (UNIQUENESS_STEPS, RectGrid, StateField,
+                                  _difference_matrices,
+                                  _least_squares_matrix, _normal_factor,
+                                  compact_support_mask, cross_term_residual,
+                                  ddx, ddy, elliptic_steady_solve,
+                                  elliptic_uniqueness,
                                   integration_by_parts_residual,
                                   manufactured_elliptic,
                                   positivity_residual_type1,
@@ -207,6 +211,39 @@ class TestIntegrationByParts:
         assert min(rates) >= 1.0
 
 
+def test_difference_matrices_match_gradient():
+    # the solve's derivative is the one the duality residuals use
+    g = RectGrid(2.0, 0.7, 19, 23)
+    X, Y = g.meshgrid()
+    f = np.sin(3 * X + Y) * np.exp(Y) + X ** 3
+    Dx, Dy = _difference_matrices(g)
+    for D, d in ((Dx, ddx), (Dy, ddy)):
+        want = d(f, g).ravel()
+        assert np.abs(D @ f.ravel() - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_side_rows_match_loop_assembly():
+    g = RectGrid(1.0, 2.0, 9, 12)
+    conds = {Side.W: (0.3, 0.7), Side.S: (-2.0, 0.1), Side.E: (0.0, 1.0),
+             Side.N: (1.5, -0.2)}
+    N = g.nx * g.ny
+    C = _least_squares_matrix((0.0, 1.0, 1.0, 0.0), g, conds).toarray()[2 * N:]
+    nodes = {Side.W: [j for j in range(g.ny)],
+             Side.E: [(g.nx - 1) * g.ny + j for j in range(g.ny)],
+             Side.S: [i * g.ny for i in range(g.nx)],
+             Side.N: [i * g.ny + g.ny - 1 for i in range(g.nx)]}
+    weight = 10.0 / min(g.hx, g.hy)
+    want = []
+    for side in SIDE_ORDER:
+        a, b = conds[side]
+        for nd in nodes[side]:
+            row = np.zeros(2 * N)
+            row[nd] = weight * a / np.hypot(a, b)
+            row[N + nd] = weight * b / np.hypot(a, b)
+            want.append(row)
+    assert np.array_equal(C, np.array(want))
+
+
 class TestEllipticSolve:
     CR_MODE = TypeIIMode(0.0, 1.0, 1.0, 0.0)
 
@@ -221,6 +258,55 @@ class TestEllipticSolve:
         sigma, report = elliptic_uniqueness(self.CR_MODE, g, rank1)
         assert sigma < 1e-10
         assert not report.verdict
+
+    @pytest.mark.parametrize("n", [17, 65])
+    @pytest.mark.parametrize("ab", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                                    (1.0, -1.0)])
+    def test_rank_deficient_conditions_measured(self, n, ab):
+        # the same (a, b) on every side leaves a constant field in the
+        # kernel: the diagonal-pivot factor of the singular F^t F must
+        # still yield a failing row, not an exception
+        g = RectGrid(1.0, 1.0, n, n)
+        sigma, report = elliptic_uniqueness(self.CR_MODE, g,
+                                            {s: ab for s in Side})
+        assert sigma < 1e-10
+        assert not report.verdict
+
+    def test_factor_fill(self):
+        # symmetric mode leaves 755,254 entries here; splu's unsymmetric
+        # defaults leave 1,675,077 and the minimum-degree ordering with
+        # partial pivoting 1,285,922
+        _, _, lu = _normal_factor(self.CR_MODE, grid65(), DEFAULT_CONDS)
+        assert lu.L.nnz + lu.U.nnz <= 1.0e6
+
+    @pytest.mark.parametrize("variable", [False, True])
+    def test_dense_oracle(self, variable):
+        g = RectGrid(1.0, 1.0, 17, 17)
+        X, Y = g.meshgrid()
+        mode = ((np.zeros_like(X), np.ones_like(X), 1.0 + Y / 4.0, X / 4.0)
+                if variable else (0.0, 1.0, 1.0, 0.0))
+        _, psi = manufactured_elliptic(g, mode)
+        u, _ = elliptic_steady_solve(mode, StateField(g, psi), g,
+                                     DEFAULT_CONDS)
+        F = _least_squares_matrix(mode, g, DEFAULT_CONDS).toarray()
+        rhs = np.zeros(F.shape[0])
+        rhs[:F.shape[1]] = (psi * compact_support_mask(g)[None]).ravel()
+        x = np.linalg.lstsq(F, rhs, rcond=None)[0]
+        assert (np.linalg.norm(u.values.ravel() - x)
+                <= 1e-10 * np.linalg.norm(x))
+
+        sigma, _ = elliptic_uniqueness(mode, g, DEFAULT_CONDS)
+        _, s, vt = np.linalg.svd(F, full_matrices=False)
+        assert sigma >= s[-1] * (1.0 - 1e-12)  # ||F x|| for a unit x
+        # what UNIQUENESS_STEPS exact inverse iterations from the seeded
+        # start give: x_k ~ V diag(s^-2k) V^t x_0
+        c = vt @ np.random.default_rng(0).standard_normal(F.shape[1])
+        w = c * (s[-1] / s) ** (2 * UNIQUENESS_STEPS)
+        assert sigma == pytest.approx(np.linalg.norm(s * w)
+                                      / np.linalg.norm(w), rel=1e-10)
+        if not variable:
+            # sigma_min is double here, so the iteration has converged
+            assert sigma == pytest.approx(s[-1], rel=1e-6)
 
     def test_manufactured_recovery_constant(self):
         errs = []
