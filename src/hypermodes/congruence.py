@@ -122,21 +122,9 @@ class DecompositionResiduals:
     reconstruction: float
 
 
-def _mode_slices(modes) -> list[slice]:
-    out, i = [], 0
-    for m in modes:
-        w = 1 if isinstance(m, TypeIMode) else 2
-        out.append(slice(i, i + w))
-        i += w
-    return out
-
-
-def _block_diagonals(modes, n: int) -> tuple[np.ndarray, np.ndarray]:
-    B1, B2 = np.zeros((n, n)), np.zeros((n, n))
-    for sl, m in zip(_mode_slices(modes), modes):
-        B1[sl, sl] = m.first()
-        B2[sl, sl] = m.second()
-    return B1, B2
+def _block_diagonals(modes) -> tuple[np.ndarray, np.ndarray]:
+    return (linalg.block_diag([m.first() for m in modes]),
+            linalg.block_diag([m.second() for m in modes]))
 
 
 @dataclass(frozen=True)
@@ -150,10 +138,10 @@ class ModeDecomposition:
         return self.p.shape[0]
 
     def mode_slices(self) -> list[slice]:
-        return _mode_slices(self.modes)
+        return linalg.block_slices([len(m.first()) for m in self.modes])
 
     def block_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        return _block_diagonals(self.modes, self.order)
+        return _block_diagonals(self.modes)
 
     def report(self) -> str:
         lines = ["congruence matrix P:",
@@ -284,7 +272,7 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
     P_final = np.hstack([t[2] for t in modes])
     mode_list = tuple(t[1] for t in modes)
 
-    Bd1, Bd2 = _block_diagonals(mode_list, P_final.shape[0])
+    Bd1, Bd2 = _block_diagonals(mode_list)
     T1 = P_final.T @ A1 @ P_final
     T2 = P_final.T @ A2 @ P_final
     scale2 = max(np.linalg.norm(A2), 1e-300)

@@ -26,6 +26,24 @@ def rotation_block(mu1: float, mu2: float) -> np.ndarray:
     return np.array([[mu1, -mu2], [mu2, mu1]])
 
 
+def block_slices(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, from 0."""
+    out, i = [], 0
+    for size in sizes:
+        out.append(slice(i, i + size))
+        i += size
+    return out
+
+
+def block_diag(blocks) -> np.ndarray:
+    """The square matrix with the given square blocks down its diagonal."""
+    sizes = [len(b) for b in blocks]
+    out = np.zeros((sum(sizes), sum(sizes)))
+    for b, sl in zip(blocks, block_slices(sizes)):
+        out[sl, sl] = b
+    return out
+
+
 @dataclass(frozen=True)
 class EigenBlock:
     """One eigenvalue cluster: real when im == 0, a conjugate pair when im > 0.
@@ -55,22 +73,10 @@ class EigenBlock:
         """lambda*I_k, or diag(E0, ..., E0) with E0 the rotation-scaling block."""
         if not self.is_complex:
             return self.re * np.eye(self.multiplicity)
-        out = np.zeros((self.size, self.size))
-        for j in range(self.multiplicity):
-            out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rotation_block(self.re, self.im)
-        return out
+        return block_diag([rotation_block(self.re, self.im)] * self.multiplicity)
 
     def sort_key(self):
         return (self.is_complex, self.re, self.im)
-
-
-def _block_diag(blocks, n: int) -> np.ndarray:
-    J = np.zeros((n, n))
-    i = 0
-    for b in blocks:
-        J[i:i + b.size, i:i + b.size] = b.canonical_form()
-        i += b.size
-    return J
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,10 @@ class RealBlockForm:
     blocks: tuple[EigenBlock, ...]
 
     def block_matrix(self) -> np.ndarray:
-        return _block_diag(self.blocks, self.basis.shape[0])
+        return block_diag([b.canonical_form() for b in self.blocks])
 
     def block_slices(self) -> list[slice]:
-        out, i = [], 0
-        for b in self.blocks:
-            out.append(slice(i, i + b.size))
-            i += b.size
-        return out
+        return block_slices([b.size for b in self.blocks])
 
 
 def _as_square(M) -> np.ndarray:
@@ -226,7 +228,7 @@ def real_block_eigen(M, cluster_tol: float | None = None,
         raise IllConditionedBasis(
             f"eigenvector basis condition number {cond:.3e} exceeds cap "
             f"{condition_cap:.1e}")
-    J = _block_diag(blocks, n)
+    J = block_diag([b.canonical_form() for b in blocks])
     residual = np.linalg.norm(M @ P - P @ J) / max(np.linalg.norm(M), 1e-300)
     if residual > RECONSTRUCTION_RTOL:
         raise NotDiagonalizable(

@@ -25,20 +25,29 @@ SIGN_TOL = 1e-12
 
 
 class Side(enum.Enum):
-    """The four sides of the rectangle (0, L1) x (0, L2)."""
+    """The four sides of the rectangle (0, L1) x (0, L2).
+
+    Each side carries its layout, set once below: `axis` (0 for x, 1 for
+    y), `sign` of the outward normal along it, `edge`, the index of the
+    side's nodes in any (..., nx, ny) array, and the `opposite` side.
+    """
 
     W = "W"  # x = 0
     E = "E"  # x = L1
     S = "S"  # y = 0
     N = "N"  # y = L2
 
-    @property
-    def axis(self) -> str:
-        return "x" if self in (Side.W, Side.E) else "y"
-
     def __str__(self):
         return self.value
 
+
+for _side, _axis, _sign, _opposite in ((Side.W, 0, -1, Side.E),
+                                       (Side.E, 0, 1, Side.W),
+                                       (Side.S, 1, -1, Side.N),
+                                       (Side.N, 1, 1, Side.S)):
+    _row = 0 if _sign < 0 else -1
+    _side.axis, _side.sign, _side.opposite = _axis, _sign, _opposite
+    _side.edge = (..., _row, slice(None)) if _axis == 0 else (..., _row)
 
 SIDE_ORDER = (Side.W, Side.E, Side.S, Side.N)
 

@@ -17,10 +17,12 @@ import scipy.sparse.linalg as spla
 
 from .congruence import TypeIIMode
 from .errors import BCViolated, EllipticityLost, RankDeficientBC
-from .modes import SIDE_ORDER, Side, check_rank2, synthesize_bc_type1
+from .modes import SIDE_ORDER, Side, check_rank2
 
 BC_TRACE_RTOL = 1e-10
-UNIQUENESS_STEPS = 8
+ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
+# LOBPCG stopping rule of the sigma_min estimate
+UNIQUENESS_TOL, UNIQUENESS_MAXITER = 1e-10, 60
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,7 @@ class StateField:
         return float(np.sqrt(np.sum(w * np.sum(self.values ** 2, axis=0))))
 
     def side_trace(self, side: Side) -> np.ndarray:
-        if side is Side.W:
-            return self.values[:, 0, :]
-        if side is Side.E:
-            return self.values[:, -1, :]
-        if side is Side.S:
-            return self.values[:, :, 0]
-        return self.values[:, :, -1]
+        return self.values[side.edge]
 
 
 def ddx(values: np.ndarray, grid: RectGrid) -> np.ndarray:
@@ -141,7 +137,7 @@ def _coeff_grid(value, grid: RectGrid) -> np.ndarray:
 
 
 def positivity_residual_type1(c, d, u: StateField,
-                              sides: frozenset[Side] | None = None) -> float:
+                              sides: frozenset[Side]) -> float:
     """Quadrature estimate of <c u_x + d u_y, u> for a scalar mode field
     vanishing on its two inflow sides.
 
@@ -152,8 +148,6 @@ def positivity_residual_type1(c, d, u: StateField,
     grid = u.grid
     cg = _coeff_grid(c, grid)
     dg = _coeff_grid(d, grid)
-    if sides is None:
-        sides = synthesize_bc_type1(float(np.mean(cg)), float(np.mean(dg)))
     for side in sides:
         _check_trace_zero(u, side, u.side_trace(side), "scalar mode trace")
     v = u.values[0]
@@ -235,8 +229,9 @@ def integration_by_parts_residual(theta: StateField, g: StateField,
 
         <(T1 th)_x + (T2 th)_y, g> + <T1 g_x + T2 g_y, th> = <gamma_nu th, g>
 
-    with the co-normal trace gamma_nu th equal to -T1 th, +T1 th, -T2 th,
-    +T2 th on the W, E, S, N sides. Decays at least at O(h) for smooth data.
+    with the co-normal trace gamma_nu th equal to the outward normal's sign
+    times T1 th on the W and E sides, T2 th on the S and N sides. Decays at
+    least at O(h) for smooth data.
     """
     if theta.components != g.components:
         raise ValueError("theta and g must have the same component count")
@@ -249,13 +244,11 @@ def integration_by_parts_residual(theta: StateField, g: StateField,
     vol1 = inner(grid, ddx(T1th, grid) + ddy(T2th, grid), gv)
     vol2 = inner(grid, _coeff_field_apply(T1, ddx(gv, grid))
                  + _coeff_field_apply(T2, ddy(gv, grid)), th)
-    dot = lambda A, B: np.sum(A * B, axis=0)
-    boundary = (
-        _line_integral(dot(T1th[:, -1, :], gv[:, -1, :]), grid.hy)
-        - _line_integral(dot(T1th[:, 0, :], gv[:, 0, :]), grid.hy)
-        + _line_integral(dot(T2th[:, :, -1], gv[:, :, -1]), grid.hx)
-        - _line_integral(dot(T2th[:, :, 0], gv[:, :, 0]), grid.hx)
-    )
+    Tth, h_along = (T1th, T2th), (grid.hy, grid.hx)
+    boundary = 0.0
+    for side in (Side.E, Side.W, Side.N, Side.S):
+        flux = np.sum(Tth[side.axis][side.edge] * gv[side.edge], axis=0)
+        boundary += side.sign * _line_integral(flux, h_along[side.axis])
     return abs(vol1 + vol2 - boundary)
 
 
@@ -305,9 +298,10 @@ def _difference_matrices(grid: RectGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return Dx, Dy
 
 
-def compact_support_mask(grid: RectGrid, layers: int = 2) -> np.ndarray:
+def compact_support_mask(grid: RectGrid) -> np.ndarray:
+    """1 except on the two node layers nearest each side."""
     mask = np.zeros((grid.nx, grid.ny))
-    mask[layers:-layers, layers:-layers] = 1.0
+    mask[2:-2, 2:-2] = 1.0
     return mask
 
 
@@ -332,16 +326,14 @@ def _least_squares_matrix(mode, grid: RectGrid,
     ], format="csr")
 
     node = np.arange(N).reshape(nx, ny)
-    side_nodes = {Side.W: node[0, :], Side.E: node[-1, :],
-                  Side.S: node[:, 0], Side.N: node[:, -1]}
     weight = 10.0 / min(grid.hx, grid.hy)
-    nodes = np.concatenate([side_nodes[side] for side in SIDE_ORDER])
+    nodes = np.concatenate([node[side.edge] for side in SIDE_ORDER])
     coeffs = []
     for side in SIDE_ORDER:
         a, bb = conditions[side]
         nrm = float(np.hypot(a, bb))
         coeffs.append(np.tile([weight * a / nrm, weight * bb / nrm],
-                              (len(side_nodes[side]), 1)))
+                              (len(node[side.edge]), 1)))
     r = len(nodes)
     rows = np.repeat(np.arange(r), 2)
     cols = np.stack([nodes, N + nodes], 1).ravel()
@@ -372,8 +364,7 @@ def _normal_factor(mode, grid: RectGrid,
 
 
 def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
-                          conditions: Mapping[Side, tuple[float, float]],
-                          c0: float = 1e-10):
+                          conditions: Mapping[Side, tuple[float, float]]):
     """Least-squares solution of T1 u_x + T2 u_y = psi with the side
     conditions imposed as weighted constraint rows.
 
@@ -386,10 +377,11 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     """
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     delta = a2 * b1 - a1 * b2
-    if delta.min() < c0:
+    if delta.min() < ELLIPTICITY_MIN:
         ij = np.unravel_index(np.argmin(delta), delta.shape)
         raise EllipticityLost(
-            f"determinant condition {delta.min():.3e} below c0 = {c0:.1e} "
+            f"determinant condition {delta.min():.3e} below c0 = "
+            f"{ELLIPTICITY_MIN:.1e} "
             f"at node {tuple(int(t) for t in ij)}")
     if not check_rank2(conditions):
         raise RankDeficientBC("side-condition matrix has rank < 2")
@@ -424,21 +416,23 @@ def elliptic_uniqueness(mode, grid: RectGrid,
                         conditions: Mapping[Side, tuple[float, float]],
                         ) -> tuple[float, CertReport]:
     """Estimate sigma of the smallest singular value of the least-squares
-    matrix F of `elliptic_steady_solve`, by UNIQUENESS_STEPS inverse
-    iterations with the symmetric-mode factor of F^t F from
-    `_normal_factor`, the same factorization the solve uses.
+    matrix F of `elliptic_steady_solve`: LOBPCG for the smallest eigenpair
+    of F^t F from a seeded start, preconditioned by the symmetric-mode
+    factor of F^t F from `_normal_factor`, the one the solve uses. Then
+    sigma = ||F x|| / ||x|| for the eigenvector estimate x.
 
     Returns (sigma, report). The report's residual 1/sigma is the discrete
     stability constant C in ||u|| <= C ||F u||; it fails above 1e6, as when
     rank-deficient side conditions leave a discrete kernel. The conditions
     are not pre-checked: the estimate measures their rank.
     """
-    F, _, lu = _normal_factor(mode, grid, conditions)
-    x = np.random.default_rng(0).standard_normal(F.shape[1])
-    for _ in range(UNIQUENESS_STEPS):
-        x = lu.solve(x)
-        x /= np.linalg.norm(x)
-    sigma = float(np.linalg.norm(F @ x))
+    F, normal, lu = _normal_factor(mode, grid, conditions)
+    x = np.random.default_rng(0).standard_normal((F.shape[1], 1))
+    inverse = spla.LinearOperator(normal.shape, matvec=lu.solve,
+                                  matmat=lu.solve, dtype=float)
+    _, x = spla.lobpcg(normal, x, M=inverse, largest=False,
+                       tol=UNIQUENESS_TOL, maxiter=UNIQUENESS_MAXITER)
+    sigma = float(np.linalg.norm(F @ x) / np.linalg.norm(x))
     return sigma, CertReport("elliptic_uniqueness", grid.label(),
                              1.0 / max(sigma, 1e-300), 1e6)
 
@@ -446,18 +440,18 @@ def elliptic_uniqueness(mode, grid: RectGrid,
 # --- reproducible test fields ---------------------------------------------------
 
 
-def smooth_random_field(grid: RectGrid, rng: np.random.Generator,
-                        nmodes: int = 3) -> np.ndarray:
-    """Low-frequency random trigonometric field with O(1) amplitude."""
+def smooth_random_field(grid: RectGrid, rng: np.random.Generator) -> np.ndarray:
+    """Low-frequency random trigonometric field with O(1) amplitude: the
+    mean of three random products of sines."""
     X, Y = grid.meshgrid()
     out = np.zeros((grid.nx, grid.ny))
-    for _ in range(nmodes):
+    for _ in range(3):
         ax, ay = rng.uniform(0.5, 2.5, 2)
         px, py = rng.uniform(0, 2 * np.pi, 2)
         amp = rng.uniform(0.3, 1.0)
         out += amp * np.sin(ax * np.pi * X / grid.L1 + px) * \
             np.sin(ay * np.pi * Y / grid.L2 + py)
-    return out / nmodes
+    return out / 3
 
 
 def _bump(t, a, b):
@@ -502,24 +496,18 @@ def manufactured_elliptic(grid: RectGrid, mode_coeffs):
 
 
 def side_vanishing_factor(grid: RectGrid, sides) -> np.ndarray:
-    """Smooth factor equal to 0 on the given sides and ~1 well inside."""
-    X, Y = grid.meshgrid()
+    """Smooth factor equal to 0 on the given sides and ~1 well inside;
+    exactly 0.0 there, since `linspace` hits both ends exactly."""
+    coords, lengths = grid.meshgrid(), (grid.L1, grid.L2)
     out = np.ones((grid.nx, grid.ny))
     for side in sides:
-        if side is Side.W:
-            out = out * np.sin(0.5 * np.pi * X / grid.L1)
-        elif side is Side.E:
-            out = out * np.sin(0.5 * np.pi * (grid.L1 - X) / grid.L1)
-        elif side is Side.S:
-            out = out * np.sin(0.5 * np.pi * Y / grid.L2)
-        else:
-            out = out * np.sin(0.5 * np.pi * (grid.L2 - Y) / grid.L2)
+        t, L = coords[side.axis], lengths[side.axis]
+        out = out * np.sin(0.5 * np.pi * (t if side.sign < 0 else L - t) / L)
     return out
 
 
 def random_scalar_bc_field(grid: RectGrid, sides, rng) -> StateField:
     vals = smooth_random_field(grid, rng) * side_vanishing_factor(grid, sides)
-    vals = _exact_zero_on(vals, sides, grid)
     return StateField(grid, vals[None])
 
 
@@ -542,20 +530,5 @@ def random_elliptic_bc_field(grid: RectGrid,
                 "rotate the field for mixed conditions")
     u1 = smooth_random_field(grid, rng) * side_vanishing_factor(grid, u1_sides)
     u2 = smooth_random_field(grid, rng) * side_vanishing_factor(grid, u2_sides)
-    u1 = _exact_zero_on(u1, u1_sides, grid)
-    u2 = _exact_zero_on(u2, u2_sides, grid)
     return StateField(grid, np.stack([u1, u2]))
 
-
-def _exact_zero_on(vals: np.ndarray, sides, grid: RectGrid) -> np.ndarray:
-    vals = vals.copy()
-    for side in sides:
-        if side is Side.W:
-            vals[0, :] = 0.0
-        elif side is Side.E:
-            vals[-1, :] = 0.0
-        elif side is Side.S:
-            vals[:, 0] = 0.0
-        else:
-            vals[:, -1] = 0.0
-    return vals

@@ -113,19 +113,14 @@ def _mode_projector(decomp: ModeDecomposition, bcs, side: Side) -> np.ndarray:
 
 
 def _mul(mats: np.ndarray, v: np.ndarray, out: np.ndarray):
-    """out = M v at every node of v (n, ...): one (n, n) matrix for all
-    nodes, or a per-node stack (..., n, n). `out` is C-contiguous."""
-    if mats.ndim == 2:
-        np.matmul(mats, v.reshape(len(mats), -1), out=out.reshape(len(mats), -1))
+    """out = M v at every node of v (n, ...) for a per-node stack
+    (..., n, n); a stack of one node stands for all nodes. `out` is
+    C-contiguous."""
+    n = mats.shape[-1]
+    if mats.size == n * n:
+        np.matmul(mats.reshape(n, n), v.reshape(n, -1), out=out.reshape(n, -1))
     else:
         np.einsum("...ab,b...->a...", mats, v, out=out)
-
-
-_ALL = slice(None)
-# boundary row of each side in an (n, nx, ny) field
-_EDGE = {Side.W: (_ALL, 0), Side.E: (_ALL, -1),
-         Side.S: (_ALL, _ALL, 0), Side.N: (_ALL, _ALL, -1)}
-_OPPOSITE = {Side.W: Side.E, Side.E: Side.W, Side.S: Side.N, Side.N: Side.S}
 
 
 class SpatialOperator:
@@ -135,9 +130,10 @@ class SpatialOperator:
     -B) times u there plus a neighbour matrix times u at each of its W, E, S
     and N neighbours; on a boundary row the missing neighbour is the ghost
     value S u of the side map S, folded into an edge correction. Each term
-    is one (n, n) matrix for constant coefficients, a per-node stack for
-    variable ones (neighbour terms aligned to the source node). `apply`
-    and `project` reuse private buffers: one caller at a time.
+    is a per-node stack (neighbour terms aligned to the source node);
+    constant coefficients build the same stacks from one node that stands
+    for all. `apply` and `project` reuse private buffers: one caller at a
+    time.
     """
 
     def __init__(self, config: IVPConfig):
@@ -148,15 +144,15 @@ class SpatialOperator:
 
         if config.is_variable:
             setup = config.var_setup or variable_coeff_setup(config.sampler, grid)
-            a1, a2, b = setup.a1, setup.a2, setup.b
-            self.side_map = _side_maps(setup.decomp_ref, config.bcs,
-                                       lambda side: setup.p[side])
+            a1, a2, b, decomp, p = (setup.a1, setup.a2, setup.b,
+                                    setup.decomp_ref, setup.p)
         else:
             pair = config.pair
             a1, a2 = pair.a1[None, None], pair.a2[None, None]
             b = 0.0 if pair.b is None else pair.b
             decomp = config.decomp or simultaneous_diagonalize(pair)
-            self.side_map = _side_maps(decomp, config.bcs, lambda side: decomp.p)
+            p = {side: decomp.p[None] for side in Side}
+        self.side_map = _side_maps(decomp, config.bcs, p)
         self.n = a1.shape[-1]
         self.max_speed = self._max_speed(a1, a2)
 
@@ -169,24 +165,21 @@ class SpatialOperator:
         ghost = {Side.W: xp[0] / hx, Side.E: -xn[-1] / hx,
                  Side.S: yp[:, 0] / hy, Side.N: -yn[:, -1] / hy}
         self.edge = {side: ghost[side] @ self.side_map[side] for side in Side}
-        if not config.is_variable:  # one node stood for all: back to (n, n)
-            self.centre = self.centre[0, 0]
-            self.neighbour = {k: m[0, 0] for k, m in self.neighbour.items()}
-            self.edge = {k: m[0] for k, m in self.edge.items()}
 
         if config.u0.components != self.n:
             raise ValueError("initial data component count does not match system")
         self.dt_max = config.cfl * min(hx, hy) / self.max_speed
         shape = (self.n, grid.nx, grid.ny)
         # flat (destination, source) slices that carry a product at a node
-        # to the node across `side` from it
-        self._shift = {side: (slice(d, None), slice(None, -d)) if d > 0 else
-                       (slice(None, d), slice(-d, None)) for side, d in
-                       ((Side.W, grid.ny), (Side.E, -grid.ny), (Side.S, 1),
-                        (Side.N, -1))}
+        # to the node across `side` from it, d places on in the flat order
+        self._shift = {}
+        for side in Side:
+            d = -side.sign * (grid.ny, 1)[side.axis]
+            self._shift[side] = ((slice(d, None), slice(None, -d)) if d > 0
+                                 else (slice(None, d), slice(-d, None)))
         self._shifted = np.empty(shape)
-        self._trace = {side: np.empty((self.n, grid.ny if side.axis == "x"
-                                       else grid.nx)) for side in Side}
+        self._trace = {side: np.empty(self._shifted[side.edge].shape)
+                       for side in Side}
         # RK4 stage slope and stage state, used by `step`
         self._k = np.empty(shape)
         self._v = np.empty(shape)
@@ -211,7 +204,7 @@ class SpatialOperator:
         W, E, S, N in turn (a corner takes both of its sides' maps).
         Returns `u`."""
         for side in Side:
-            trace = u[_EDGE[side]]
+            trace = u[side.edge]
             _mul(self.side_map[side], trace, self._trace[side])
             trace[...] = self._trace[side]
         return u
@@ -231,12 +224,12 @@ class SpatialOperator:
             # a flat shift moves each product a fixed distance; the boundary
             # row with no node across it is zeroed, so adds that wrap add 0
             _mul(self.neighbour[side], u, tmp)
-            tmp[_EDGE[_OPPOSITE[side]]] = 0.0
+            tmp[side.opposite.edge] = 0.0
             dst, src = self._shift[side]
             flat[dst] += tmp.reshape(-1)[src]
         for side in Side:
-            _mul(self.edge[side], u[_EDGE[side]], self._trace[side])
-            out[_EDGE[side]] += self._trace[side]
+            _mul(self.edge[side], u[side.edge], self._trace[side])
+            out[side.edge] += self._trace[side]
         if self.forcing is not None:
             out += self.forcing(t)
         return out
@@ -372,8 +365,7 @@ def _align(d: ModeDecomposition, neighbour: np.ndarray) -> np.ndarray:
     return P
 
 
-def variable_coeff_setup(sampler, grid: RectGrid,
-                         tol: float = 1e-9) -> VariableCoefficientSetup:
+def variable_coeff_setup(sampler, grid: RectGrid) -> VariableCoefficientSetup:
     """Sample each node once, check branch continuity over the whole grid
     in one batched pass, and decompose only the boundary nodes, whose
     congruences the side maps need. The gauge is carried along the
@@ -388,7 +380,7 @@ def variable_coeff_setup(sampler, grid: RectGrid,
     def decomposition(node):
         if node not in decomps:
             pair = SymmetricPair(a1=a1[node], a2=a2[node])
-            decomps[node] = simultaneous_diagonalize(pair, tol=max(tol, 1e-9))
+            decomps[node] = simultaneous_diagonalize(pair)
         return decomps[node]
 
     def chain(first, rest):
@@ -410,10 +402,10 @@ def variable_coeff_setup(sampler, grid: RectGrid,
                                     decomp_ref=decomp_ref)
 
 
-def _side_maps(decomp: ModeDecomposition, bcs, p_of) -> dict:
-    """Trace maps P Pi P^-1 of each side, where `p_of(side)` gives P there:
-    one (n, n) matrix, or one per boundary node."""
+def _side_maps(decomp: ModeDecomposition, bcs, p: dict) -> dict:
+    """Trace maps P Pi P^-1 of each side, where `p[side]` stacks P at the
+    side's nodes (one node when it stands for all)."""
     bcs = bcs or assemble_system_bcs(decomp)
-    return {side: np.einsum("...ab,bc,...cd->...ad", p_of(side),
+    return {side: np.einsum("...ab,bc,...cd->...ad", p[side],
                             _mode_projector(decomp, bcs, side),
-                            np.linalg.inv(p_of(side))) for side in Side}
+                            np.linalg.inv(p[side])) for side in Side}

@@ -106,6 +106,21 @@ class TestRealBlockEigen:
             real_block_eigen(np.ones((2, 3)))
 
 
+class TestBlockLayout:
+    def test_block_diag_matches_scipy(self):
+        import scipy.linalg
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((k, k)) for k in (1, 2, 2, 1, 1, 2)]
+        assert np.array_equal(linalg.block_diag(blocks),
+                              scipy.linalg.block_diag(*blocks))
+        slices = linalg.block_slices([len(b) for b in blocks])
+        assert [(sl.start, sl.stop) for sl in slices] == \
+            [(0, 1), (1, 3), (3, 5), (5, 6), (6, 7), (7, 9)]
+        J = scipy.linalg.block_diag(*blocks)
+        for b, sl in zip(blocks, slices):
+            assert np.array_equal(J[sl, sl], b)
+
+
 class TestIsDiagonalizable:
     def test_identity(self):
         ok, _ = is_diagonalizable(np.eye(3))

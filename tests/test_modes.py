@@ -19,6 +19,28 @@ nonzero = st.floats(min_value=0.01, max_value=100.0).flatmap(
     lambda m: st.sampled_from([m, -m]))
 
 
+class TestSideLayout:
+    # the explicit slice of each side's nodes in an (nx, ny) array
+    SLICES = {Side.W: np.s_[0, :], Side.E: np.s_[-1, :],
+              Side.S: np.s_[:, 0], Side.N: np.s_[:, -1]}
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_edge_matches_slice(self, side):
+        grid = np.arange(9 * 23.0).reshape(9, 23)
+        stack = np.arange(3 * 9 * 23.0).reshape(3, 9, 23)
+        assert np.array_equal(grid[side.edge], grid[self.SLICES[side]])
+        assert np.array_equal(stack[side.edge],
+                              stack[(slice(None),) + self.SLICES[side]])
+
+    def test_opposite_axis_sign(self):
+        for side in Side:
+            assert side.opposite.opposite is side
+            assert side.opposite is not side
+            assert side.opposite.axis == side.axis
+            assert side.sign == (-1 if side in (Side.W, Side.S) else 1)
+        assert [s.axis for s in Side] == [0, 0, 1, 1]
+
+
 class TestScalarSignTable:
     # the four sign cases of the inflow-side table
     @pytest.mark.parametrize("c,d,expect", [

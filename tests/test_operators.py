@@ -4,7 +4,7 @@ import pytest
 from hypermodes.congruence import TypeIIMode
 from hypermodes.errors import BCViolated, EllipticityLost, RankDeficientBC
 from hypermodes.modes import SIDE_ORDER, Side
-from hypermodes.operators import (UNIQUENESS_STEPS, RectGrid, StateField,
+from hypermodes.operators import (RectGrid, StateField,
                                   _difference_matrices,
                                   _least_squares_matrix, _normal_factor,
                                   compact_support_mask, cross_term_residual,
@@ -15,7 +15,8 @@ from hypermodes.operators import (UNIQUENESS_STEPS, RectGrid, StateField,
                                   positivity_residual_type1,
                                   positivity_residual_type2,
                                   random_elliptic_bc_field,
-                                  random_scalar_bc_field)
+                                  random_scalar_bc_field,
+                                  side_vanishing_factor)
 
 WS = frozenset({Side.W, Side.S})
 DEFAULT_CONDS = {Side.W: (1.0, 0.0), Side.S: (1.0, 0.0),
@@ -296,17 +297,11 @@ class TestEllipticSolve:
                 <= 1e-10 * np.linalg.norm(x))
 
         sigma, _ = elliptic_uniqueness(mode, g, DEFAULT_CONDS)
-        _, s, vt = np.linalg.svd(F, full_matrices=False)
-        assert sigma >= s[-1] * (1.0 - 1e-12)  # ||F x|| for a unit x
-        # what UNIQUENESS_STEPS exact inverse iterations from the seeded
-        # start give: x_k ~ V diag(s^-2k) V^t x_0
-        c = vt @ np.random.default_rng(0).standard_normal(F.shape[1])
-        w = c * (s[-1] / s) ** (2 * UNIQUENESS_STEPS)
-        assert sigma == pytest.approx(np.linalg.norm(s * w)
-                                      / np.linalg.norm(w), rel=1e-10)
-        if not variable:
-            # sigma_min is double here, so the iteration has converged
-            assert sigma == pytest.approx(s[-1], rel=1e-6)
+        s = np.linalg.svd(F, compute_uv=False)
+        assert sigma >= s[-1] * (1.0 - 1e-12)  # ||F x|| / ||x|| for any x
+        # sigma_min is simple in the variable mode, with (s1/s2)^2 = 0.89:
+        # a fixed number of inverse iterations stops 3.4e-3 high there
+        assert sigma == pytest.approx(s[-1], rel=1e-8)
 
     def test_manufactured_recovery_constant(self):
         errs = []
@@ -356,6 +351,14 @@ class TestGenerators:
         a = random_scalar_bc_field(g, WS, np.random.default_rng(3))
         b = random_scalar_bc_field(g, WS, np.random.default_rng(3))
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_vanishing_factor_exactly_zero(self, side):
+        # linspace hits both ends exactly, so no trace needs zeroing after
+        g = RectGrid(0.7, 1.3, 9, 23)
+        factor = side_vanishing_factor(g, [side])
+        assert np.all(factor[side.edge] == 0.0)
+        assert np.all(factor[side.opposite.edge][1:-1] > 0.0)
 
     def test_exact_zero_traces(self):
         g = RectGrid(1.0, 1.0, 17, 17)

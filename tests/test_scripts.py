@@ -18,3 +18,26 @@ def test_script_runs(script, args, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_contraction_study_runs_the_cli(tmp_path):
+    # each line is the preset and size, then the stdout of `hypermodes
+    # simulate`; the script exits with the worst CLI status
+    def run(argv):
+        return subprocess.run([sys.executable] + argv, env=src_env(),
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+
+    study = run([str(ROOT / "scripts" / "contraction_study.py"),
+                 "--sizes", "17"])
+    cli = run(["-m", "hypermodes", "simulate", "preset=swe", "nx=17",
+               "ny=17", "outdir=cli"])
+    (swe,) = [ln for ln in study.stdout.splitlines() if ln.startswith("swe ")]
+    assert swe + "\n" == "swe      17x17   " + cli.stdout
+    assert study.returncode == cli.returncode
+    assert (tmp_path / "results" / "swe_17" / "norms.csv").read_text() == \
+        (tmp_path / "cli" / "norms.csv").read_text()
+    # a grid below 8 nodes is an input error: every run exits 1
+    bad = run([str(ROOT / "scripts" / "contraction_study.py"), "--sizes", "7"])
+    assert bad.returncode == 1
+    assert len(bad.stdout.splitlines()) == 3
