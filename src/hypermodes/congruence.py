@@ -41,12 +41,13 @@ class SymmetricPair:
                              f"got {a1.shape} and {a2.shape}")
         check_symmetric(a1, "a1")
         check_symmetric(a2, "a2")
-        for name, M in (("a1", a1), ("a2", a2)):
-            s = np.linalg.svd(M, compute_uv=False)
-            if s[-1] <= SINGULARITY_RTOL * s[0]:
+        # the singular values of a symmetric matrix are its |eigenvalues|
+        s = np.sort(np.abs(np.linalg.eigvalsh(np.stack([a1, a2]))))
+        for name, smin, smax in zip(("a1", "a2"), s[:, 0], s[:, -1]):
+            if smin <= SINGULARITY_RTOL * smax:
                 raise SingularInput(
                     f"{name} is numerically singular "
-                    f"(smin/smax = {s[-1] / s[0]:.3e})")
+                    f"(smin/smax = {smin / smax:.3e})")
         if self.b is not None:
             b = np.asarray(self.b, dtype=float)
             object.__setattr__(self, "b", b)

@@ -443,14 +443,14 @@ def elliptic_uniqueness(mode, grid: RectGrid,
 def smooth_random_field(grid: RectGrid, rng: np.random.Generator) -> np.ndarray:
     """Low-frequency random trigonometric field with O(1) amplitude: the
     mean of three random products of sines."""
-    X, Y = grid.meshgrid()
+    x, y = grid.x()[:, None], grid.y()[None, :]
     out = np.zeros((grid.nx, grid.ny))
     for _ in range(3):
         ax, ay = rng.uniform(0.5, 2.5, 2)
         px, py = rng.uniform(0, 2 * np.pi, 2)
         amp = rng.uniform(0.3, 1.0)
-        out += amp * np.sin(ax * np.pi * X / grid.L1 + px) * \
-            np.sin(ay * np.pi * Y / grid.L2 + py)
+        out += amp * np.sin(ax * np.pi * x / grid.L1 + px) * \
+            np.sin(ay * np.pi * y / grid.L2 + py)
     return out / 3
 
 
@@ -498,7 +498,8 @@ def manufactured_elliptic(grid: RectGrid, mode_coeffs):
 def side_vanishing_factor(grid: RectGrid, sides) -> np.ndarray:
     """Smooth factor equal to 0 on the given sides and ~1 well inside;
     exactly 0.0 there, since `linspace` hits both ends exactly."""
-    coords, lengths = grid.meshgrid(), (grid.L1, grid.L2)
+    coords = grid.x()[:, None], grid.y()[None, :]
+    lengths = grid.L1, grid.L2
     out = np.ones((grid.nx, grid.ny))
     for side in sides:
         t, L = coords[side.axis], lengths[side.axis]

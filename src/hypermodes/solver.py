@@ -3,8 +3,12 @@
 First-order characteristic upwinding per coordinate direction (the discrete
 counterpart of strictly dissipative boundary conditions), ghost closures and
 after-stage projection that impose the synthesized conditions on the mode
-variables, and a classical four-stage explicit integrator. The energy report
-certifies the contraction / quasi-contraction bound of the solution operator.
+variables, and the three-stage strong-stability-preserving Runge-Kutta
+scheme (SSP-RK3; Gottlieb, Shu & Tadmor, SIAM Review 43, 2001). Each of its
+steps is a convex combination of projected forward-Euler steps, so wherever
+forward Euler contracts in the energy norm, so does the step. The energy
+report certifies the contraction / quasi-contraction bound of the solution
+operator.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ class IVPConfig:
     var_setup: "VariableCoefficientSetup | None" = None
     bcs: list[BCAssignment] | None = None
     forcing: Callable[[float], np.ndarray] | None = None
+    # dt_max = cfl * h / max speed. Projected forward Euler, and with it
+    # SSP-RK3, contracts on the four presets for cfl <= 0.5 at 17x17;
+    # larger values are accepted and left to the per-step gate of `run`
     cfl: float = 0.4
     output_interval: float | None = None
     omega0: float = 0.0
@@ -180,7 +187,7 @@ class SpatialOperator:
         self._shifted = np.empty(shape)
         self._trace = {side: np.empty(self._shifted[side.edge].shape)
                        for side in Side}
-        # RK4 stage slope and stage state, used by `step`
+        # SSP-RK3 stage slope and stage state, used by `step`
         self._k = np.empty(shape)
         self._v = np.empty(shape)
 
@@ -236,21 +243,33 @@ class SpatialOperator:
 
 
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical four-stage explicit step with after-stage projection.
-    Leaves `u` untouched and returns a new array."""
+    """One projected SSP-RK3 step, three applies:
+
+        u1 = P(u + dt L(t) u)
+        u2 = P(3/4 u + 1/4 (u1 + dt L(t + dt) u1))
+        u+ = P(1/3 u + 2/3 (u2 + dt L(t + dt/2) u2))
+
+    with P the boundary projection. Leaves `u` untouched and returns a new
+    array."""
     if dt > op.dt_max * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt = {dt:.6g} exceeds the stability bound {op.dt_max:.6g}")
     k, v = op._k, op._v
     op.apply(t, u, out=k)
-    result = dt / 6 * k + u
-    for c, w, s in ((dt / 2, dt / 3, t + dt / 2), (dt / 2, dt / 3, t + dt / 2),
-                    (dt, dt / 6, t + dt)):
-        np.multiply(k, c, out=v)
-        v += u
-        op.apply(s, op.project(v), out=k)
-        np.multiply(k, w, out=v)
-        result += v
+    np.multiply(k, dt, out=v)
+    v += u
+    op.apply(t + dt, op.project(v), out=k)
+    k *= dt
+    v += k
+    v *= 0.25
+    np.multiply(u, 0.75, out=k)
+    v += k
+    op.apply(t + dt / 2, op.project(v), out=k)
+    k *= dt
+    k += v
+    k *= 2 / 3
+    result = u / 3
+    result += k
     return op.project(result)
 
 

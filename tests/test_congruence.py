@@ -188,6 +188,20 @@ class TestSimultaneousDiagonalize:
         with pytest.raises(SingularInput):
             SymmetricPair(a1=np.diag([1.0, 0.0]), a2=np.eye(2))
 
+    @pytest.mark.parametrize("smin,singular", [(3e-8, False), (3e-12, True)])
+    def test_singularity_reads_singular_values(self, smin, singular):
+        # indefinite a2 whose largest |eigenvalue| is negative: the
+        # threshold applies to |eigenvalues|, the singular values
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        a2 = q @ np.diag([-3.0, 1.0, -2.0, smin]) @ q.T
+        a2 = 0.5 * (a2 + a2.T)
+        if singular:
+            with pytest.raises(SingularInput,
+                               match=r"a2 .*smin/smax = 1\.00\de-12"):
+                SymmetricPair(a1=np.eye(4), a2=a2)
+        else:
+            SymmetricPair(a1=np.eye(4), a2=a2)
+
     def test_report_contains_modes_and_residuals(self):
         rng = np.random.default_rng(1)
         pair, _ = plant_pair([("I", 1.0, 2.0), ("II", 0.5, 0.5, 0.0, 1.0)], rng)

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import plant_pair, random_mixed_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypermodes.apps import SWEParams, preset_swe
-from hypermodes.congruence import SymmetricPair
+from hypermodes.certify import admissible_field
+from hypermodes.cli import RunConfig, build_pair
+from hypermodes.congruence import SymmetricPair, simultaneous_diagonalize
 from hypermodes.errors import (BlockMatchingFailure, CFLViolation,
                                UnstableCoefficients)
-from hypermodes.modes import Side
+from hypermodes.modes import Side, assemble_system_bcs
 from hypermodes.operators import (RectGrid, StateField,
                                   random_scalar_bc_field,
                                   side_vanishing_factor, smooth_random_field)
@@ -173,6 +177,83 @@ class TestStep:
             errs.append(err)
             assert err <= 5.0 * g.h
         assert errs[1] < errs[0] / 1.4
+
+
+def preset_operator(preset, n):
+    """The CLI default pair of `preset`, its admissible seed-0 data on an
+    n x n grid and the operator `simulate` would step."""
+    pair = build_pair(RunConfig(command="simulate", preset=preset))
+    decomp = simultaneous_diagonalize(pair)
+    g = RectGrid(1.0, 1.0, n, n)
+    u0 = admissible_field(g, decomp, assemble_system_bcs(decomp), seed=0)
+    cfg = IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair, decomp=decomp)
+    return SpatialOperator(cfg), cfg
+
+
+class TestContractionCertificate:
+    """Projected forward Euler contracts in the energy norm H on the
+    admissible fields, so SSP-RK3, a convex combination of such steps,
+    does too. Both are probed densely, column by column, at 9 x 9."""
+
+    @pytest.mark.parametrize("preset", ["swe", "swmhd", "euler", "wave"])
+    def test_forward_euler_and_step_contract(self, preset):
+        op, cfg = preset_operator(preset, 9)
+        shape = cfg.u0.values.shape
+        eye = np.eye(int(np.prod(shape)))
+
+        def probe(f):
+            return np.column_stack([f(e.reshape(shape)).ravel() for e in eye])
+
+        L = probe(lambda e: op.apply(0.0, e))
+        P = probe(lambda e: op.project(e.copy()))
+        assert np.abs(P @ P - P).max() <= 1e-14
+        # admissible fields: the fixed points of P, in an H-orthonormal basis
+        _, s, vt = np.linalg.svd(P - eye)
+        sw = np.sqrt(np.broadcast_to(cfg.grid.quad_weights(), shape).ravel())
+        q, _ = np.linalg.qr(sw[:, None] * vt[s <= 1e-10].T)
+        basis = q / sw[:, None]
+
+        def h_norm(m):
+            return np.linalg.norm(sw[:, None] * m, 2)
+
+        dt = op.dt_max
+        assert h_norm(P @ (eye + dt * L) @ basis) <= 1.0
+        ssp = np.column_stack([step(op, b.reshape(shape), 0.0, dt).ravel()
+                               for b in basis.T])
+        assert h_norm(ssp) <= 1.0
+        # the certificate can fail: forward Euler at twice the step grows
+        assert h_norm(P @ (eye + 2.0 * dt * L) @ basis) > 1.0
+
+
+class TestTemporalOrder:
+    """SSP-RK3 is third order in time: the error at t = 8 dt_max against
+    a 512-step solution falls by 2^3 per halving of the step."""
+
+    @pytest.mark.parametrize("preset,forced", [("swe", False),
+                                               ("wave", False),
+                                               ("swe", True)])
+    def test_third_order(self, preset, forced):
+        op, cfg = preset_operator(preset, 17)
+        t_end = 8 * op.dt_max
+        if forced:
+            # one period of forcing over the run: a stage evaluated at the
+            # wrong time costs the scheme its order
+            rng = np.random.default_rng(1)
+            f = np.stack([smooth_random_field(cfg.grid, rng)
+                          for _ in range(cfg.u0.components)])
+            op = SpatialOperator(replace(cfg, forcing=lambda t: np.cos(
+                2 * np.pi * t / t_end) * f / t_end))
+
+        def final(nsteps):
+            u, dt = op.project(cfg.u0.values.copy()), t_end / nsteps
+            for k in range(nsteps):
+                u = step(op, u, k * dt, dt)
+            return u
+
+        ref = final(512)
+        errs = np.array([StateField(cfg.grid, final(m) - ref).norm()
+                         for m in (8, 16, 32)])
+        assert np.all(np.log2(errs[:-1] / errs[1:]) >= 2.8)
 
 
 class TestRun:
