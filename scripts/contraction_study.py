@@ -3,8 +3,9 @@
 
 For each preset and size the script runs `hypermodes simulate`: it
 decomposes the system, synthesizes boundary conditions, integrates random
-admissible initial data to two domain crossings, and prints the fitted
-growth rate plus the worst per-step energy increase. Each run writes its
+admissible initial data to two domain crossings, and prints the growth
+rate omega from the data, the worst per-step energy increase over
+e^(omega dt) and the verdict. Each run writes its
 norms.csv and energy.txt to OUTDIR/<preset>_<n>/. The exit status is the
 worst one of the runs.
 """

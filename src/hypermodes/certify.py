@@ -57,6 +57,11 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     positivity sweep, and `t_end` (None: `default_t_end`) and `cfl` set
     the simulated run.
     """
+    # built first, so that a bad run setting (cfl, t_end) is an input
+    # error before any certificate runs
+    ivp = IVPConfig(grid=grid, u0=admissible_field(grid, decomp, bcs, seed),
+                    t_end=t_end or default_t_end(pair, grid.L1), pair=pair,
+                    decomp=decomp, bcs=bcs, cfl=cfl)
     rows: list[CertReport] = []
     label = grid.label()
     h = grid.h
@@ -119,13 +124,8 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
         rows.append(CertReport(f"elliptic_uniqueness_mode{k}", label,
                                rep.residual, rep.tolerance))
 
-    u0 = admissible_field(grid, decomp, bcs, seed)
-    ivp = IVPConfig(grid=grid, u0=u0,
-                    t_end=t_end or default_t_end(pair, grid.L1), pair=pair,
-                    decomp=decomp, bcs=bcs, cfl=cfl)
     _, report = run(ivp)
     rows.append(CertReport("energy_monotonic", label,
                            report.max_step_increase
                            / max(report.norms[0], 1e-300), 1e-10))
-    rows.append(CertReport("growth_rate", label, report.omega_hat, 0.0))
     return rows

@@ -37,7 +37,7 @@ PRESET_DEFAULTS = {
 
 _FLOAT_KEYS = {"u0", "v0", "phi0", "g", "fcor", "b10", "b20", "rho0", "e0",
                "p0", "dp_drho", "dp_de", "alpha", "beta", "L1", "L2", "t_end",
-               "cfl", "output_interval", "cluster_tol", "cond_cap"}
+               "cfl"}
 _INT_KEYS = {"nx", "ny", "seed", "snapshots", "trials"}
 _STR_KEYS = {"preset", "a1_file", "a2_file", "b_file", "s0_file", "outdir",
              "config"}
@@ -59,13 +59,10 @@ class RunConfig:
     L2: float = 1.0
     t_end: float | None = None
     cfl: float = 0.4
-    output_interval: float | None = None
     seed: int = 42
     outdir: str = "out"
     snapshots: int = 0
     trials: int = 25
-    cluster_tol: float | None = None
-    cond_cap: float = 1e8
 
 
 def _parse_value(key: str, raw: str):
@@ -203,8 +200,7 @@ def execute(cfg: RunConfig) -> int:
 
     pair = build_pair(cfg)
     grid = RectGrid(L1=cfg.L1, L2=cfg.L2, nx=cfg.nx, ny=cfg.ny)
-    decomp = simultaneous_diagonalize(pair, cluster_tol=cfg.cluster_tol,
-                                      condition_cap=cfg.cond_cap)
+    decomp = simultaneous_diagonalize(pair)
 
     if cfg.command == "diagonalize":
         _write(outdir / "decomposition.txt", decomp.report())
@@ -239,8 +235,7 @@ def execute(cfg: RunConfig) -> int:
         u0 = admissible_field(grid, decomp, bcs, cfg.seed)
         t_end = cfg.t_end or default_t_end(pair, grid.L1)
         ivp = IVPConfig(grid=grid, u0=u0, t_end=t_end, pair=pair,
-                        decomp=decomp, bcs=bcs, cfl=cfg.cfl,
-                        output_interval=cfg.output_interval)
+                        decomp=decomp, bcs=bcs, cfl=cfg.cfl)
         trajectory, report = run(ivp)
         _write(outdir / "norms.csv", _norms_csv(report))
         _write(outdir / "energy.txt", report.summary() + "\n")

@@ -214,10 +214,8 @@ def _split_elliptic_cluster(A_ii):
     return V, V.T @ A_ii @ V
 
 
-def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
-                             cluster_tol: float | None = None,
-                             condition_cap: float = linalg.DEFAULT_CONDITION_CAP,
-                             ) -> ModeDecomposition:
+def simultaneous_diagonalize(pair: SymmetricPair,
+                             tol: float = 1e-9) -> ModeDecomposition:
     """Diagonalize (a1, a2) simultaneously by one real congruence.
 
     Pipeline: real block eigenstructure of a1^-1 a2, verification that the
@@ -229,8 +227,7 @@ def simultaneous_diagonalize(pair: SymmetricPair, tol: float = 1e-9,
     """
     A1, A2 = pair.a1, pair.a2
     M = np.linalg.solve(A1, A2)
-    form = linalg.real_block_eigen(M, cluster_tol=cluster_tol,
-                                   condition_cap=condition_cap)
+    form = linalg.real_block_eigen(M)
     P = form.basis.copy()
     B1 = P.T @ A1 @ P
     B1 = 0.5 * (B1 + B1.T)

@@ -256,7 +256,8 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
     one-signed away from zero, and that multiplicity patterns are constant.
 
     Raises AssumptionViolated naming the assumption and the first failing
-    node in raster order; returns the margin report otherwise.
+    node in raster order; returns the margin report otherwise, with omega0
+    from `growth_rate`.
     """
     a1, a2, b = sample_coefficients(sampler, grid)
     checks = []
@@ -291,25 +292,32 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
             f"{(int(nreal[node]), int(ncplx[node]))}"))]
     _raise_first(checks)
 
-    # C1 proxy, and the growth rate of the energy identity:
-    # d/dt |u|^2 <= <u, (d/dx a1 + d/dy a2 - 2 sym b) u> inside
-    d_a1_dx = np.gradient(a1, grid.hx, axis=0, edge_order=2)
-    d_a2_dy = np.gradient(a2, grid.hy, axis=1, edge_order=2)
-    d_a1_dy = np.gradient(a1, grid.hy, axis=1, edge_order=2)
-    d_a2_dx = np.gradient(a2, grid.hx, axis=0, edge_order=2)
-    c1_norm = float(max(np.abs(d_a1_dx).max(), np.abs(d_a1_dy).max(),
-                        np.abs(d_a2_dx).max(), np.abs(d_a2_dy).max(),
-                        np.abs(a1).max(), np.abs(a2).max()))
-    rate = d_a1_dx + d_a2_dy - 2.0 * b
-    lam_max = np.linalg.eigvalsh(0.5 * (rate + np.swapaxes(rate, -1, -2))).max()
+    # C1 proxy
+    grads = [np.gradient(a, h, axis=axis, edge_order=2)
+             for a in (a1, a2) for axis, h in ((0, grid.hx), (1, grid.hy))]
+    c1_norm = float(max(np.abs(m).max() for m in (*grads, a1, a2)))
 
     return VariableCoeffReport(
         c1_norm_estimate=c1_norm,
         coeff_eig_margin=coeff_margin,
         real_eig_margin=float(np.abs(keys.real[real]).min(initial=np.inf)),
         imag_eig_margin=float(keys.imag[cplx].min(initial=np.inf)),
-        omega0=0.5 * max(0.0, float(lam_max)),
+        omega0=growth_rate(a1, a2, b, grid.hx, grid.hy),
     )
+
+
+def growth_rate(a1, a2, b, hx: float, hy: float) -> float:
+    """omega of the energy identity d/dt |u|^2 <= 2 omega |u|^2 inside,
+    for (nx, ny, n, n) coefficient stacks: half the largest eigenvalue of
+    sym(d/dx a1 + d/dy a2 - 2 b) over the nodes, floored at 0. A stack of
+    one node stands for constant coefficients and has no derivative term,
+    so there omega = max(0, -lambda_min(sym b))."""
+    rate = -2.0 * b
+    if a1.shape[:2] != (1, 1):
+        rate = (np.gradient(a1, hx, axis=0, edge_order=2)
+                + np.gradient(a2, hy, axis=1, edge_order=2) + rate)
+    lam_max = np.linalg.eigvalsh(0.5 * (rate + np.swapaxes(rate, -1, -2))).max()
+    return 0.5 * max(0.0, float(lam_max))
 
 
 def check_branch_continuity(a1, a2) -> None:

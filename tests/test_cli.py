@@ -95,6 +95,28 @@ class TestExecute:
         assert lines[0] == "t,norm"
         assert len(lines) > 2
 
+    def test_simulate_b_file_pair_passes(self, tmp_path):
+        # swe's A1, A2 with B = -5I: the verdict allows growth e^(5 dt)
+        pair = cli.build_pair(cli.RunConfig(command="simulate", preset="swe"))
+        for name, m in (("a1", pair.a1), ("a2", pair.a2),
+                        ("b", -5.0 * np.eye(3))):
+            save_matrix(tmp_path / f"{name}.txt", m)
+        rc = cli.main(["simulate", f"a1_file={tmp_path / 'a1.txt'}",
+                       f"a2_file={tmp_path / 'a2.txt'}",
+                       f"b_file={tmp_path / 'b.txt'}", "nx=33", "ny=33",
+                       "t_end=0.5", f"outdir={tmp_path / 'out'}"])
+        assert rc == 0
+        assert (tmp_path / "out" / "energy.txt").read_text().startswith(
+            "quasi-contraction: omega=5 ")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_cfl_out_of_range_is_input_error(self, command, tmp_path, capsys):
+        rc = cli.main([command, "preset=wave", "nx=17", "ny=17", "cfl=0.7",
+                       f"outdir={tmp_path}"])
+        assert rc == 1
+        assert "(0, 0.5]" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_snapshots_written(self, tmp_path):
         rc = cli.main(["simulate", "preset=wave", "nx=17", "ny=17",
                        "t_end=0.1", "snapshots=1", f"outdir={tmp_path}"])

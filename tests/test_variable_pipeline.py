@@ -407,6 +407,20 @@ class TestGrowthRate:
         shifted = check_variable_coeff_assumptions(with_b, g).omega0
         assert shifted == pytest.approx(plain - 0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_takes_the_checked_rate(self, seed):
+        # `run`'s omega and the assumption check's omega0 are one formula
+        # on the same samples, so they agree bit for bit
+        g = RectGrid(1.0, 1.0, 17, 17)
+        sampler = planted_varying_sampler(seed, wiggle=0.3)
+        omega0 = check_variable_coeff_assumptions(sampler, g).omega0
+        n = sampler(0.0, 0.0).order
+        u0 = StateField(g, np.zeros((n, g.nx, g.ny)))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       sampler=sampler))
+        assert omega0 > 0.0
+        assert op.omega == omega0
+
 
 class TestGauge:
     @pytest.mark.parametrize("seed", range(3))
@@ -415,14 +429,14 @@ class TestGauge:
         # interior: its maps may move, the verdict and W, S, N maps may not
         g = RectGrid(1.0, 1.0, 25, 25)
         sampler = nonflat_sampler(seed)
-        report = check_variable_coeff_assumptions(sampler, g)
+        check_variable_coeff_assumptions(sampler, g)
         setup = variable_coeff_setup(sampler, g)
         rng = np.random.default_rng([seed, 23])
         bump = side_vanishing_factor(g, list(Side))
         u0 = StateField(g, np.stack([bump * smooth_random_field(g, rng)
                                      for _ in range(setup.order)]))
         cfg = IVPConfig(grid=g, u0=u0, t_end=0.25, sampler=sampler,
-                        var_setup=setup, omega0=report.omega0)
+                        var_setup=setup)
         _, energy = run(cfg)
         assert energy.verdict
         assert energy.max_step_increase == 0.0
