@@ -39,10 +39,10 @@ class SymmetricPair:
         if a1.shape != a2.shape or a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
             raise ValueError(f"a1, a2 must be square of equal order, "
                              f"got {a1.shape} and {a2.shape}")
-        check_symmetric(a1, "a1")
-        check_symmetric(a2, "a2")
+        pair = np.array([a1, a2])
+        check_symmetric(pair, "a1", "a2")
         # the singular values of a symmetric matrix are its |eigenvalues|
-        s = np.sort(np.abs(np.linalg.eigvalsh(np.stack([a1, a2]))))
+        s = np.sort(np.abs(np.linalg.eigvalsh(pair)))
         for name, smin, smax in zip(("a1", "a2"), s[:, 0], s[:, -1]):
             if smin <= SINGULARITY_RTOL * smax:
                 raise SingularInput(

@@ -7,6 +7,7 @@ blocks), congruence transforms, and a plain-text matrix format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,10 +239,21 @@ def real_block_eigen(M, cluster_tol: float | None = None,
     return RealBlockForm(basis=P, blocks=blocks)
 
 
-def check_symmetric(M, name: str):
-    err = np.linalg.norm(M - M.T) / max(np.linalg.norm(M), 1e-300)
-    if err > SYMMETRY_RTOL:
-        raise ValueError(f"{name} is not symmetric (relative asymmetry {err:.3e})")
+def check_symmetric(M, *names: str):
+    """Raise ValueError naming the first matrix whose relative Frobenius
+    asymmetry exceeds SYMMETRY_RTOL. M is one matrix and `names` its name,
+    or a stack of matrices checked in one pass, with one name each."""
+    M = np.asarray(M)
+    n2 = M.shape[-1] ** 2
+    d = (M - M.swapaxes(-1, -2)).reshape(-1, n2)
+    flat = M.reshape(-1, n2)
+    asym = np.einsum("ki,ki->k", d, d).tolist()
+    size = np.einsum("ki,ki->k", flat, flat).tolist()
+    for name, asym2, size2 in zip(names, asym, size):
+        err = math.sqrt(asym2) / max(math.sqrt(size2), 1e-300)
+        if err > SYMMETRY_RTOL:
+            raise ValueError(
+                f"{name} is not symmetric (relative asymmetry {err:.3e})")
 
 
 def congruence_transform(A, P) -> np.ndarray:

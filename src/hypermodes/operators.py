@@ -9,15 +9,16 @@ least-squares discretization of the first-order mode system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .congruence import TypeIIMode
 from .errors import BCViolated, EllipticityLost, RankDeficientBC
 from .modes import SIDE_ORDER, Side, check_rank2
+
+if TYPE_CHECKING:  # scipy is imported by the elliptic solve's functions only
+    import scipy.sparse as sp
 
 BC_TRACE_RTOL = 1e-10
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
@@ -278,6 +279,8 @@ class CertReport:
 
 def _gradient_matrix(npts: int, h: float) -> sp.csr_matrix:
     """Matrix form of np.gradient: centered interior, one-sided 2nd order ends."""
+    import scipy.sparse as sp
+
     inner = np.arange(1, npts - 1)
     rows = np.concatenate([np.repeat(inner, 2), [0, 0, 0], [npts - 1] * 3])
     cols = np.concatenate([np.stack([inner - 1, inner + 1], 1).ravel(),
@@ -291,6 +294,8 @@ def _gradient_matrix(npts: int, h: float) -> sp.csr_matrix:
 def _difference_matrices(grid: RectGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(Dx, Dy) acting on node-major flattened (nx, ny) fields: the matrix
     forms of `ddx` and `ddy`."""
+    import scipy.sparse as sp
+
     Dx = sp.kron(_gradient_matrix(grid.nx, grid.hx), sp.identity(grid.ny),
                  format="csr")
     Dy = sp.kron(sp.identity(grid.nx), _gradient_matrix(grid.ny, grid.hy),
@@ -311,6 +316,8 @@ def _least_squares_matrix(mode, grid: RectGrid,
     """F = [T1 Dx + T2 Dy; weighted side rows] on the unknowns (u1, u2),
     each flattened node-major: 2 * nx * ny equation rows, then one row
     a u1 + b u2 (normalized, weight 10 / min(hx, hy)) per side node."""
+    import scipy.sparse as sp
+
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     nx, ny = grid.nx, grid.ny
     N = nx * ny
@@ -356,6 +363,8 @@ def _normal_factor(mode, grid: RectGrid,
     singular F^t F still factors; its kernel shows up as a
     roundoff-sized pivot, which `elliptic_uniqueness` measures.
     """
+    import scipy.sparse.linalg as spla
+
     F = _least_squares_matrix(mode, grid, conditions)
     normal = (F.T @ F).tocsc()
     lu = spla.splu(normal, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -426,6 +435,8 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     rank-deficient side conditions leave a discrete kernel. The conditions
     are not pre-checked: the estimate measures their rank.
     """
+    import scipy.sparse.linalg as spla
+
     F, normal, lu = _normal_factor(mode, grid, conditions)
     x = np.random.default_rng(0).standard_normal((F.shape[1], 1))
     inverse = spla.LinearOperator(normal.shape, matvec=lu.solve,

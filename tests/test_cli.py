@@ -1,6 +1,10 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from conftest import random_congruence
+from conftest import ROOT, random_congruence, src_env
 from scipy.linalg import block_diag
 
 from hypermodes import cli
@@ -186,3 +190,87 @@ class TestExecute:
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+
+
+def _exit_and_scipy(tmp_path, body):
+    """Run `body`, which sets `rc`, in a fresh interpreter; return rc and
+    whether any scipy module was loaded by then."""
+    code = (f"import sys\n{body}\n"
+            "print(rc, any(m == 'scipy' or m.startswith('scipy.')"
+            " for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = proc.stdout.split()[-2:]
+    return int(rc), loaded == "True"
+
+
+class TestScipyOnlyForEllipticSolve:
+    # scipy's sparse LU serves the elliptic least-squares solve alone, so
+    # a purely hyperbolic run must not pay for importing it
+    @pytest.mark.parametrize("argv", [
+        ["diagonalize", "preset=swe"],
+        ["classify", "preset=swe"],
+        ["bc", "preset=swe"],
+        ["simulate", "preset=swe", "nx=17", "ny=17"],
+        ["verify", "preset=swe", "nx=17", "ny=17"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_hyperbolic_command(self, tmp_path, argv):
+        body = f"from hypermodes import cli\nrc = cli.main({argv + ['outdir=out']!r})"
+        assert _exit_and_scipy(tmp_path, body) == (0, False)
+
+    def test_variable_coefficient_run(self, tmp_path):
+        body = f"""
+sys.path.insert(0, {str(ROOT / "tests")!r})
+import numpy as np
+from test_variable_pipeline import planted_varying_sampler
+from hypermodes.modes import SIDE_ORDER
+from hypermodes.operators import (RectGrid, StateField,
+                                  side_vanishing_factor, smooth_random_field)
+from hypermodes.solver import IVPConfig, run
+g = RectGrid(1.0, 1.0, 17, 17)
+sampler = planted_varying_sampler(0)
+rng = np.random.default_rng(0)
+u = np.stack([smooth_random_field(g, rng)
+              for _ in range(sampler(0.0, 0.0).order)])
+u0 = StateField(g, u * side_vanishing_factor(g, SIDE_ORDER))
+_, energy = run(IVPConfig(grid=g, u0=u0, t_end=0.05, sampler=sampler))
+rc = 0 if energy.verdict else 2
+"""
+        assert _exit_and_scipy(tmp_path, body) == (0, False)
+
+    def test_elliptic_verify_loads_scipy(self, tmp_path):
+        argv = ["verify", "preset=wave", "nx=17", "ny=17", "outdir=out"]
+        body = f"from hypermodes import cli\nrc = cli.main({argv!r})"
+        assert _exit_and_scipy(tmp_path, body) == (0, True)
+
+
+# sha256 (first 16 hex digits) of the artifacts of seeds 0-2 at 33x33, each
+# file's name followed by its bytes. A change that moves any of these bytes
+# must update the digest and say why in CHANGES.md.
+ARTIFACT_DIGESTS = {
+    ("simulate", "swe"): "ab0abbdcf2ffb21a",
+    ("simulate", "swmhd"): "2a11959ab8f5b19f",
+    ("simulate", "euler"): "189b43e598fc63f8",
+    ("simulate", "wave"): "d91338fdd99445e5",
+    ("verify", "swe"): "9a6ba60bbf711c06",
+    ("verify", "swmhd"): "7e5e70fc3d0b56ad",
+    ("verify", "euler"): "6b67f8289b447914",
+    ("verify", "wave"): "a1a6a18d61081f52",
+}
+
+
+@pytest.mark.parametrize("command, preset", ARTIFACT_DIGESTS,
+                         ids=lambda v: v)
+def test_artifacts_pinned(tmp_path, command, preset):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        out = tmp_path / str(seed)
+        assert cli.main([command, f"preset={preset}", "nx=33", "ny=33",
+                         f"seed={seed}", f"outdir={out}"]) == 0
+        for name in ("norms.csv", "energy.txt", "cert.csv"):
+            if (out / name).exists():
+                digest.update(name.encode())
+                digest.update((out / name).read_bytes())
+    assert digest.hexdigest()[:16] == ARTIFACT_DIGESTS[command, preset]

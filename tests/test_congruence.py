@@ -188,6 +188,22 @@ class TestSimultaneousDiagonalize:
         with pytest.raises(SingularInput):
             SymmetricPair(a1=np.diag([1.0, 0.0]), a2=np.eye(2))
 
+    @pytest.mark.parametrize("eps1,eps2,named", [
+        (1e-6, 1e-6, "a1"), (0.0, 1e-6, "a2"), (1e-6, 0.0, "a1"),
+        (5e-13, 5e-13, None)])
+    def test_asymmetry_names_first_offender(self, eps1, eps2, named):
+        # relative Frobenius asymmetry of [[1, eps], [0, 1]] is eps to 3
+        # digits; a1 is checked before a2
+        def skewed(eps):
+            return np.array([[1.0, eps], [0.0, 1.0]])
+
+        if named is None:
+            SymmetricPair(a1=skewed(eps1), a2=2.0 * skewed(eps2))
+            return
+        with pytest.raises(ValueError, match=rf"^{named} is not symmetric "
+                           r"\(relative asymmetry 1\.000e-06\)$"):
+            SymmetricPair(a1=skewed(eps1), a2=2.0 * skewed(eps2))
+
     @pytest.mark.parametrize("smin,singular", [(3e-8, False), (3e-12, True)])
     def test_singularity_reads_singular_values(self, smin, singular):
         # indefinite a2 whose largest |eigenvalue| is negative: the

@@ -212,6 +212,36 @@ class TestCongruenceTransform:
             congruence_transform(np.eye(3), np.eye(4))
 
 
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_matches_per_matrix_norms(self, seed):
+        # the batched check against one np.linalg.norm pair per matrix:
+        # the same verdict and message, with each matrix's asymmetry drawn
+        # on both sides of SYMMETRY_RTOL
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            k, n = rng.integers(1, 4), rng.integers(1, 6)
+            S = rng.standard_normal((k, n, n))
+            S = S + S.swapaxes(1, 2) + 10.0 ** rng.uniform(
+                -14.0, -10.0, (k, 1, 1)) * rng.standard_normal((k, n, n))
+            names = [f"m{i}" for i in range(k)]
+            expected = None
+            for name, M in zip(names, S):
+                err = np.linalg.norm(M - M.T) / max(np.linalg.norm(M), 1e-300)
+                if expected is None and err > linalg.SYMMETRY_RTOL:
+                    expected = (f"{name} is not symmetric "
+                                f"(relative asymmetry {err:.3e})")
+            if expected is None:
+                linalg.check_symmetric(S, *names)
+            else:
+                with pytest.raises(ValueError) as info:
+                    linalg.check_symmetric(S, *names)
+                assert str(info.value) == expected
+
+    def test_zero_matrix_is_symmetric(self):
+        linalg.check_symmetric(np.zeros((3, 3)), "Z")
+
+
 class TestMatrixText:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(9)
