@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Refinement study for the discrete certificates.
 
-Measures the decay rate of the cross-term and duality residuals, the
-manufactured-solution recovery order of the elliptic solve and its
-uniqueness estimate sigma-min over a sequence of grids, printing one table
-row per grid.
+Measures the decay rate of the cross-term and duality residuals of the
+second-order (edge_order=2) differences, the manufactured-solution recovery
+order of the elliptic solve and its uniqueness estimate sigma-min over a
+sequence of grids, printing one table row per grid. `hypermodes verify`
+fits no rate: it checks both identities exactly (summation by parts).
 """
 
 import argparse

@@ -1,19 +1,37 @@
 """The battery of discrete certificates for one decomposed system, and
-the seeded admissible initial data and run length it simulates with."""
+the seeded admissible initial data and run length it simulates with.
+
+The identity rows difference with the summation-by-parts (SBP) operator
+D = H^-1 Q of the trapezoid norm H (Kreiss & Scherer 1974; Strand, JCP
+110, 1994): <Df, g>_H + <f, Dg>_H = [fg] to roundoff, so the identities
+are exact, and <(A1 Dx + A2 Dy)u, u>_H is half the side rows' boundary forms.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode, TypeIMode
+from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode
 from .modes import EllipticModeBC, ScalarModeBC, Side, check_rank2
-from .operators import (CertReport, RectGrid, StateField,
-                        cross_term_residual, elliptic_uniqueness,
-                        integration_by_parts_residual,
-                        positivity_residual_type1, positivity_residual_type2,
-                        random_elliptic_bc_field, random_scalar_bc_field,
-                        side_vanishing_factor, smooth_random_field)
-from .solver import IVPConfig, run
+from .operators import (CertReport, RectGrid, StateField, _duality_terms,
+                        elliptic_uniqueness, inner, random_elliptic_bc_field,
+                        random_scalar_bc_field, side_vanishing_factor,
+                        smooth_random_field)
+from .solver import IVPConfig, _side_maps, run
+
+EXACT_RTOL = 1e-12  # tolerance of the identity and boundary-form rows
+
+
+def _sbp_dx(values: np.ndarray, grid: RectGrid) -> np.ndarray:
+    return np.gradient(values, grid.hx, axis=-2, edge_order=1)
+
+def _sbp_dy(values: np.ndarray, grid: RectGrid) -> np.ndarray:
+    return np.gradient(values, grid.hy, axis=-1, edge_order=1)
+
+
+def _defect(*terms: float) -> float:
+    """|sum of the terms| relative to the largest of them."""
+    return abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300)
 
 
 def admissible_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
@@ -31,31 +49,24 @@ def admissible_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
     return StateField(grid, u)
 
 
+def _max_speed(pair: SymmetricPair) -> float:
+    return np.abs(np.linalg.eigvalsh([pair.a1, pair.a2])).max()
+
+
 def default_t_end(pair: SymmetricPair, L1: float) -> float:
     """Time for the fastest wave to cross the domain twice in x."""
-    speed = max(np.abs(np.linalg.eigvalsh(pair.a1)).max(),
-                np.abs(np.linalg.eigvalsh(pair.a2)).max())
-    return 2.0 * L1 / speed
-
-
-def fit_rate(residuals, grids) -> float:
-    """Log-log slope of residuals against grid spacing."""
-    res = np.asarray(residuals, dtype=float)
-    hs = np.array([g.h for g in grids])
-    if np.any(res <= 0):
-        return np.inf  # residual hit exact zero; treat as converged
-    return float(np.polyfit(np.log(hs), np.log(res), 1)[0])
+    return 2.0 * L1 / _max_speed(pair)
 
 
 def certification_suite(pair: SymmetricPair, grid: RectGrid,
                         decomp: ModeDecomposition, bcs, *, seed: int,
-                        trials: int, t_end: float | None,
-                        cfl: float) -> list[CertReport]:
-    """The full battery of discrete certificates for one system.
+                        t_end: float | None, cfl: float) -> list[CertReport]:
+    """The full battery of discrete certificates for one system, every
+    row closed-form on `grid`: the decomposition, one boundary form per
+    side, the SBP identities, elliptic uniqueness and the energy verdict.
 
-    `seed` fixes every random field, `trials` is the number of fields per
-    positivity sweep, and `t_end` (None: `default_t_end`) and `cfl` set
-    the simulated run.
+    `seed` fixes every field; `t_end` (None: `default_t_end`) and `cfl`
+    set the simulated run.
     """
     # built first, so that a bad run setting (cfl, t_end) is an input
     # error before any certificate runs
@@ -64,7 +75,6 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
                     decomp=decomp, bcs=bcs, cfl=cfl)
     rows: list[CertReport] = []
     label = grid.label()
-    h = grid.h
 
     rows.append(CertReport("decomposition_reconstruction", label,
                            decomp.residuals.reconstruction, 1e-9))
@@ -79,45 +89,33 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
                   if isinstance(bc, EllipticModeBC))
     rows.append(CertReport("bc_rank", label, 0.0 if rank_ok else 1.0, 0.5))
 
-    # positivity sweeps, one row per mode
-    for (k, mode), bc in zip(enumerate(decomp.modes), bcs):
-        rng = np.random.default_rng(seed + 1000 + k)
-        worst = np.inf
-        for _ in range(trials):
-            if isinstance(mode, TypeIMode):
-                u = random_scalar_bc_field(grid, bc.sides, rng)
-                val = positivity_residual_type1(mode.c, mode.d, u,
-                                                sides=bc.sides)
-            else:
-                u = random_elliptic_bc_field(grid, bc.conditions, rng)
-                val = positivity_residual_type2(mode, u, bc.conditions)
-            worst = min(worst, val / max(u.norm() ** 2, 1e-300))
-        name = ("positivity_type1" if isinstance(mode, TypeIMode)
-                else "positivity_type2") + f"_mode{k}"
-        rows.append(CertReport(name, label, max(0.0, -worst), 5.0 * h))
+    # -lambda_min(sym(S^T (nu.A) S)) over the side maps S the stepper
+    # imposes, built as SpatialOperator builds them: 0 iff dissipative
+    side_map = _side_maps(decomp, bcs, {side: decomp.p[None] for side in Side})
+    speed = _max_speed(pair)
+    for side in Side:
+        S = side_map[side][0]
+        form = side.sign * S.T @ (pair.a1, pair.a2)[side.axis] @ S
+        least = np.linalg.eigvalsh(0.5 * (form + form.T))[0]
+        rows.append(CertReport(f"boundary_form_{side}", label,
+                               max(0.0, -least) / speed, EXACT_RTOL))
 
-    # duality residual refinement rates; the cross-term identity is tested
-    # with u1 - u2 = 0 traces so boundary stencils contribute a genuine
-    # O(h^2) defect (fields vanishing on all sides make it exactly zero)
-    rate_grids = [RectGrid(grid.L1, grid.L2, n, n) for n in (17, 33, 65)]
-    conds = {s: (1.0, -1.0) for s in Side}
-    cross_res, ibp_res = [], []
-    for g in rate_grids:
-        rng = np.random.default_rng(seed + 2000)
-        shared = smooth_random_field(g, rng)
-        bump = side_vanishing_factor(g, list(Side))
-        vals = np.stack([shared, shared + bump * smooth_random_field(g, rng)])
-        cross_res.append(cross_term_residual(StateField(g, vals), conds))
-        rng = np.random.default_rng(seed + 3000)
-        theta, gf = (StateField(g, np.stack([smooth_random_field(g, rng)
-                                             for _ in range(pair.order)]))
-                     for _ in range(2))
-        ibp_res.append(integration_by_parts_residual(theta, gf,
-                                                     pair.a1, pair.a2))
-    for name, res in (("crossterm_rate", cross_res), ("ibp_rate", ibp_res)):
-        rate = fit_rate(res, rate_grids)
-        rows.append(CertReport(name, rate_grids[-1].label(),
-                               max(0.0, 1.0 - rate), 0.0, rate=rate))
+    # u1 = u2 on every side: the cross terms' boundary parts cancel
+    rng = np.random.default_rng(seed + 2000)
+    shared = smooth_random_field(grid, rng)
+    bump = side_vanishing_factor(grid, list(Side))
+    u1, u2 = shared, shared + bump * smooth_random_field(grid, rng)
+    i1 = inner(grid, _sbp_dx(u2, grid)[None], _sbp_dy(u1, grid)[None])
+    i2 = inner(grid, _sbp_dx(u1, grid)[None], _sbp_dy(u2, grid)[None])
+    rows.append(CertReport("crossterm_identity", label, _defect(i1, -i2),
+                           EXACT_RTOL))
+
+    rng = np.random.default_rng(seed + 3000)
+    theta, gf = (StateField(grid, np.stack([smooth_random_field(grid, rng)
+                                            for _ in range(pair.order)]))
+                 for _ in range(2))
+    terms = _duality_terms(theta, gf, pair.a1, pair.a2, _sbp_dx, _sbp_dy)
+    rows.append(CertReport("ibp_identity", label, _defect(*terms), EXACT_RTOL))
 
     for k, mode in elliptic:
         _, rep = elliptic_uniqueness(mode, grid, bcs[k].conditions)

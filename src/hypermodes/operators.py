@@ -2,7 +2,9 @@
 
 Second-order centered differences (one-sided at the boundary) and trapezoid
 quadrature back every residual here, so smooth-field residuals shrink at
-first or second order under refinement. The elliptic solve is a sparse
+first or second order under refinement: the acceptance suite and
+`scripts/convergence_study.py` measure those rates, while `verify` checks
+the identities exactly (`certify`). The elliptic solve is a sparse
 least-squares discretization of the first-order mode system.
 """
 
@@ -224,6 +226,28 @@ def _line_integral(vals: np.ndarray, h: float) -> float:
     return float(np.sum(w * vals))
 
 
+def _duality_terms(theta: StateField, g: StateField, T1, T2, dx, dy):
+    """The terms (volume 1, volume 2, -boundary) of the duality identity
+    below, which sum to 0, with the differences `dx`, `dy` for d/dx, d/dy."""
+    if theta.components != g.components:
+        raise ValueError("theta and g must have the same component count")
+    grid = theta.grid
+    T1 = np.asarray(T1, dtype=float)
+    T2 = np.asarray(T2, dtype=float)
+    th, gv = theta.values, g.values
+    T1th = _coeff_field_apply(T1, th)
+    T2th = _coeff_field_apply(T2, th)
+    vol1 = inner(grid, dx(T1th, grid) + dy(T2th, grid), gv)
+    vol2 = inner(grid, _coeff_field_apply(T1, dx(gv, grid))
+                 + _coeff_field_apply(T2, dy(gv, grid)), th)
+    Tth, h_along = (T1th, T2th), (grid.hy, grid.hx)
+    boundary = 0.0
+    for side in (Side.E, Side.W, Side.N, Side.S):
+        flux = np.sum(Tth[side.axis][side.edge] * gv[side.edge], axis=0)
+        boundary += side.sign * _line_integral(flux, h_along[side.axis])
+    return vol1, vol2, -boundary
+
+
 def integration_by_parts_residual(theta: StateField, g: StateField,
                                   T1, T2) -> float:
     """Discrete defect of the duality identity
@@ -234,23 +258,7 @@ def integration_by_parts_residual(theta: StateField, g: StateField,
     times T1 th on the W and E sides, T2 th on the S and N sides. Decays at
     least at O(h) for smooth data.
     """
-    if theta.components != g.components:
-        raise ValueError("theta and g must have the same component count")
-    grid = theta.grid
-    T1 = np.asarray(T1, dtype=float)
-    T2 = np.asarray(T2, dtype=float)
-    th, gv = theta.values, g.values
-    T1th = _coeff_field_apply(T1, th)
-    T2th = _coeff_field_apply(T2, th)
-    vol1 = inner(grid, ddx(T1th, grid) + ddy(T2th, grid), gv)
-    vol2 = inner(grid, _coeff_field_apply(T1, ddx(gv, grid))
-                 + _coeff_field_apply(T2, ddy(gv, grid)), th)
-    Tth, h_along = (T1th, T2th), (grid.hy, grid.hx)
-    boundary = 0.0
-    for side in (Side.E, Side.W, Side.N, Side.S):
-        flux = np.sum(Tth[side.axis][side.edge] * gv[side.edge], axis=0)
-        boundary += side.sign * _line_integral(flux, h_along[side.axis])
-    return abs(vol1 + vol2 - boundary)
+    return abs(sum(_duality_terms(theta, g, T1, T2, ddx, ddy)))
 
 
 # --- first-order elliptic solve ------------------------------------------------
@@ -264,17 +272,15 @@ class CertReport:
     grid_label: str
     residual: float
     tolerance: float
-    rate: float | None = None
 
     @property
     def verdict(self) -> bool:
         return self.residual <= self.tolerance
 
     def csv_row(self) -> str:
-        rate = f"{self.rate:.17g}" if self.rate is not None else ""
         verdict = "pass" if self.verdict else "fail"
         return (f"{self.name},{self.grid_label},{self.residual:.17g},"
-                f"{self.tolerance:.17g},{verdict},{rate}")
+                f"{self.tolerance:.17g},{verdict}")
 
 
 def _gradient_matrix(npts: int, h: float) -> sp.csr_matrix:

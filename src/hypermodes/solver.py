@@ -81,8 +81,8 @@ class IVPConfig:
     def __post_init__(self):
         if (self.pair is None) == (self.sampler is None):
             raise ValueError("provide exactly one of pair or sampler")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end:g}")
         if not 0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl:g}")
 

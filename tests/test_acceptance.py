@@ -318,7 +318,7 @@ def test_10_quasi_contraction_budget():
 
 def test_11_deterministic_artifacts(tmp_path):
     args = [sys.executable, "-m", "hypermodes", "verify", "preset=swe",
-            "nx=17", "ny=17", "trials=4", "seed=42"]
+            "nx=17", "ny=17", "seed=42"]
     for run_dir in ("r1", "r2"):
         proc = subprocess.run(args + [f"outdir={tmp_path / run_dir}"],
                               env=src_env(), capture_output=True)
