@@ -68,11 +68,12 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     `seed` fixes every field; `t_end` (None: `default_t_end`) and `cfl`
     set the simulated run.
     """
+    if t_end is None:
+        t_end = default_t_end(pair, grid.L1)
     # built first, so that a bad run setting (cfl, t_end) is an input
     # error before any certificate runs
     ivp = IVPConfig(grid=grid, u0=admissible_field(grid, decomp, bcs, seed),
-                    t_end=t_end or default_t_end(pair, grid.L1), pair=pair,
-                    decomp=decomp, bcs=bcs, cfl=cfl)
+                    t_end=t_end, pair=pair, decomp=decomp, bcs=bcs, cfl=cfl)
     rows: list[CertReport] = []
     label = grid.label()
 

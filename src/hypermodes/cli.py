@@ -232,7 +232,9 @@ def execute(cfg: RunConfig) -> int:
 
     if cfg.command == "simulate":
         u0 = admissible_field(grid, decomp, bcs, cfg.seed)
-        t_end = cfg.t_end or default_t_end(pair, grid.L1)
+        t_end = cfg.t_end
+        if t_end is None:
+            t_end = default_t_end(pair, grid.L1)
         ivp = IVPConfig(grid=grid, u0=u0, t_end=t_end, pair=pair,
                         decomp=decomp, bcs=bcs, cfl=cfg.cfl)
         trajectory, report = run(ivp)

@@ -179,25 +179,28 @@ class TestStep:
         assert errs[1] < errs[0] / 1.4
 
 
-def preset_operator(preset, n):
+def preset_operator(preset, n, cfl=0.4):
     """The CLI default pair of `preset`, its admissible seed-0 data on an
     n x n grid and the operator `simulate` would step."""
     pair = build_pair(RunConfig(command="simulate", preset=preset))
     decomp = simultaneous_diagonalize(pair)
     g = RectGrid(1.0, 1.0, n, n)
     u0 = admissible_field(g, decomp, assemble_system_bcs(decomp), seed=0)
-    cfg = IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair, decomp=decomp)
+    cfg = IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair, decomp=decomp,
+                    cfl=cfl)
     return SpatialOperator(cfg), cfg
 
 
 class TestContractionCertificate:
-    """Projected forward Euler contracts in the energy norm H on the
-    admissible fields, so SSP-RK3, a convex combination of such steps,
-    does too. Both are probed densely, column by column, at 9 x 9."""
+    """Projected forward Euler at the stage step dt_max / 2 contracts in the
+    energy norm H on the admissible fields, so SSP-RK(4,3), a convex
+    combination of such steps, does too at dt_max. Both are probed densely,
+    column by column, at 9 x 9."""
 
+    @pytest.mark.parametrize("cfl", [0.4, 0.5])
     @pytest.mark.parametrize("preset", ["swe", "swmhd", "euler", "wave"])
-    def test_forward_euler_and_step_contract(self, preset):
-        op, cfg = preset_operator(preset, 9)
+    def test_forward_euler_and_step_contract(self, preset, cfl):
+        op, cfg = preset_operator(preset, 9, cfl)
         shape = cfg.u0.values.shape
         eye = np.eye(int(np.prod(shape)))
 
@@ -216,18 +219,58 @@ class TestContractionCertificate:
         def h_norm(m):
             return np.linalg.norm(sw[:, None] * m, 2)
 
-        dt = op.dt_max
+        dt = op.dt_max / 2
         assert h_norm(P @ (eye + dt * L) @ basis) <= 1.0
-        ssp = np.column_stack([step(op, b.reshape(shape), 0.0, dt).ravel()
+        ssp = np.column_stack([step(op, b.reshape(shape), 0.0, op.dt_max).ravel()
                                for b in basis.T])
         assert h_norm(ssp) <= 1.0
-        # the certificate can fail: forward Euler at twice the step grows
+        # the certificate can fail: forward Euler at twice the stage step grows
         assert h_norm(P @ (eye + 2.0 * dt * L) @ basis) > 1.0
 
 
+class TestScheme:
+    """`step` is the Shu-Osher form of SSP-RK(4,3): four projected
+    forward-Euler stages of dt/2 at t, t + dt/2, t + dt, t + dt/2."""
+
+    def test_matches_stage_composition(self):
+        op, cfg = preset_operator("swe", 17)
+        rng = np.random.default_rng(3)
+        f = np.stack([smooth_random_field(cfg.grid, rng) for _ in range(3)])
+        calls = []
+
+        def forcing(t):
+            calls.append(t)
+            return np.sin(5.0 * t) * f
+
+        op = SpatialOperator(replace(cfg, forcing=forcing))
+        u, t, dt = op.project(cfg.u0.values.copy()), 0.3, op.dt_max
+
+        def fe(v, s):
+            return op.project(v + dt / 2 * op.apply(s, v))
+
+        u1 = fe(u, t)
+        u2 = fe(u1, t + dt / 2)
+        u3 = op.project(2 / 3 * u + 1 / 3 * (u2 + dt / 2 * op.apply(t + dt, u2)))
+        expect = fe(u3, t + dt / 2)
+        calls.clear()
+        got = step(op, u, t, dt)
+        assert calls == [t, t + dt / 2, t + dt, t + dt / 2]
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_run_step_count(self):
+        g = RectGrid(1.0, 1.0, 33, 33)
+        pair = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.5))
+        u0 = StateField(g, np.stack([bump_field(g)] * 3))
+        cfg = IVPConfig(grid=g, u0=u0, t_end=0.5, pair=pair)
+        speed = SpatialOperator(cfg).max_speed
+        _, report = run(cfg)
+        nsteps = int(np.ceil(cfg.t_end / (2 * cfg.cfl * g.h / speed)))
+        assert len(report.times) - 1 == nsteps
+
+
 class TestTemporalOrder:
-    """SSP-RK3 is third order in time: the error at t = 8 dt_max against
-    a 512-step solution falls by 2^3 per halving of the step."""
+    """SSP-RK(4,3) is third order in time: the error at t = 8 dt_max
+    against a 512-step solution falls by 2^3 per halving of the step."""
 
     @pytest.mark.parametrize("preset,forced", [("swe", False),
                                                ("wave", False),
