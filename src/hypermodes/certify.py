@@ -92,7 +92,7 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
 
     # -lambda_min(sym(S^T (nu.A) S)) over the side maps S the stepper
     # imposes, built as SpatialOperator builds them: 0 iff dissipative
-    side_map = _side_maps(decomp, bcs, {side: decomp.p[None] for side in Side})
+    side_map = _side_maps(dict.fromkeys(Side, [decomp]), bcs)
     speed = _max_speed(pair)
     for side in Side:
         S = side_map[side][0]

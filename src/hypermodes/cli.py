@@ -133,7 +133,8 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError(f"unknown preset {cfg.preset!r}; "
                           f"presets: {', '.join(sorted(PRESET_DEFAULTS))}")
     has_preset = cfg.preset is not None
-    has_files = cfg.a1_file is not None or cfg.a2_file is not None
+    has_files = any(f is not None for f in (cfg.a1_file, cfg.a2_file,
+                                            cfg.b_file, cfg.s0_file))
     if has_preset and has_files:
         raise ConflictingSources("give either preset=... or matrix files, not both")
     if command != "preset-list":

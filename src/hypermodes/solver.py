@@ -20,10 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .congruence import (ModeDecomposition, SymmetricPair, TypeIMode,
+from .congruence import (ModeDecomposition, SymmetricPair,
                          simultaneous_diagonalize)
 from .errors import CFLViolation, UnstableCoefficients
-from .linalg import rotation_block
 from .modes import (BCAssignment, ScalarModeBC, Side, assemble_system_bcs,
                     check_branch_continuity, growth_rate, sample_coefficients)
 from .operators import RectGrid, StateField
@@ -83,6 +82,12 @@ class IVPConfig:
     def __post_init__(self):
         if (self.pair is None) == (self.sampler is None):
             raise ValueError("provide exactly one of pair or sampler")
+        # decomp and bcs describe one node, var_setup the sampled grid
+        if self.sampler is not None and (self.decomp is not None
+                                         or self.bcs is not None):
+            raise ValueError("decomp and bcs go with pair, not sampler")
+        if self.pair is not None and self.var_setup is not None:
+            raise ValueError("var_setup goes with sampler, not pair")
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and positive, got {self.t_end:g}")
         if not 0 < self.cfl <= 0.5:
@@ -158,15 +163,14 @@ class SpatialOperator:
 
         if config.is_variable:
             setup = config.var_setup or variable_coeff_setup(config.sampler, grid)
-            a1, a2, b, decomp, p = (setup.a1, setup.a2, setup.b,
-                                    setup.decomp_ref, setup.p)
+            a1, a2, b, decomps = setup.a1, setup.a2, setup.b, setup.decomps
         else:
             pair = config.pair
             a1, a2 = pair.a1[None, None], pair.a2[None, None]
             b = np.zeros_like(a1) if pair.b is None else pair.b[None, None]
-            decomp = config.decomp or simultaneous_diagonalize(pair)
-            p = {side: decomp.p[None] for side in Side}
-        self.side_map = _side_maps(decomp, config.bcs, p)
+            decomps = dict.fromkeys(Side, [config.decomp
+                                           or simultaneous_diagonalize(pair)])
+        self.side_map = _side_maps(decomps, config.bcs)
         self.n = a1.shape[-1]
         self.max_speed = self._max_speed(a1, a2)
         self.omega = growth_rate(a1, a2, b, hx, hy)
@@ -342,78 +346,57 @@ def run(config: IVPConfig):
 
 @dataclass
 class VariableCoefficientSetup:
-    """Per-node coefficient samples and the congruence along each side."""
+    """Per-node coefficient samples and the decomposition at each boundary
+    node."""
 
     grid: RectGrid
     a1: np.ndarray            # (nx, ny, n, n)
     a2: np.ndarray
     b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
-    p: dict                   # Side -> (nodes along it, n, n), gauge-matched
-    modes: list               # modes of the reference (0, 0) node
-    decomp_ref: ModeDecomposition
+    decomps: dict             # Side -> [ModeDecomposition] along the side
 
     @property
     def order(self) -> int:
         return self.a1.shape[-1]
 
 
-def _align(d: ModeDecomposition, neighbour: np.ndarray) -> np.ndarray:
-    """d.p with each mode's columns turned to match `neighbour`: a sign
-    flip for a scalar mode; for an elliptic one the rotation R maximizing
-    the alignment of P R with the neighbour (Procrustes over rotations)."""
-    P = d.p.copy()
-    for sl, mode in zip(d.mode_slices(), d.modes):
-        if isinstance(mode, TypeIMode):
-            if np.dot(P[:, sl.start], neighbour[:, sl.start]) < 0:
-                P[:, sl.start] *= -1.0
-        else:
-            M = P[:, sl].T @ neighbour[:, sl]
-            theta = np.arctan2(M[1, 0] - M[0, 1], M[0, 0] + M[1, 1])
-            P[:, sl] = P[:, sl] @ rotation_block(np.cos(theta), np.sin(theta))
-    return P
-
-
 def variable_coeff_setup(sampler, grid: RectGrid) -> VariableCoefficientSetup:
     """Sample each node once, check branch continuity over the whole grid
     in one batched pass, and decompose only the boundary nodes, whose
-    congruences the side maps need. The gauge is carried along the
-    boundary: the W column and the S row from the (0, 0) reference, the N
-    row from the NW corner, the E column from the SE corner."""
-    nx, ny = grid.nx, grid.ny
+    conditions the side maps need. Each boundary node is decomposed on its
+    own and later takes its own synthesized conditions, so where a mode's
+    sign changes along a side its condition switches at that node."""
     a1, a2, b = sample_coefficients(sampler, grid)
     check_branch_continuity(a1, a2)
 
-    decomps = {}   # the NE corner ends both the N row and the E column
+    cache = {}   # each corner ends two sides
 
     def decomposition(node):
-        if node not in decomps:
+        if node not in cache:
             pair = SymmetricPair(a1=a1[node], a2=a2[node])
-            decomps[node] = simultaneous_diagonalize(pair)
-        return decomps[node]
+            cache[node] = simultaneous_diagonalize(pair)
+        return cache[node]
 
-    def chain(first, rest):
-        """`first`, then the congruence at each node of `rest` aligned to
-        the one before it."""
-        out = [first]
-        for node in rest:
-            out.append(_align(decomposition(node), out[-1]))
-        return np.array(out)
-
-    decomp_ref = decomposition((0, 0))
-    p = {Side.W: chain(decomp_ref.p, [(0, j) for j in range(1, ny)]),
-         Side.S: chain(decomp_ref.p, [(i, 0) for i in range(1, nx)])}
-    p[Side.N] = chain(p[Side.W][-1], [(i, ny - 1) for i in range(1, nx)])
-    p[Side.E] = chain(p[Side.S][-1], [(nx - 1, j) for j in range(1, ny)])
-
-    return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b, p=p,
-                                    modes=list(decomp_ref.modes),
-                                    decomp_ref=decomp_ref)
+    # the (i, j) index of each node along a side, in trace order
+    ij = np.indices((grid.nx, grid.ny))
+    decomps = {side: [decomposition(tuple(node)) for node in ij[side.edge].T]
+               for side in Side}
+    return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b,
+                                    decomps=decomps)
 
 
-def _side_maps(decomp: ModeDecomposition, bcs, p: dict) -> dict:
-    """Trace maps P Pi P^-1 of each side, where `p[side]` stacks P at the
-    side's nodes (one node when it stands for all)."""
-    bcs = bcs or assemble_system_bcs(decomp)
-    return {side: np.einsum("...ab,bc,...cd->...ad", p[side],
-                            _mode_projector(decomp, bcs, side),
-                            np.linalg.inv(p[side])) for side in Side}
+def _side_maps(decomps: dict, bcs) -> dict:
+    """Trace maps P Pi P^-1 of each side, stacked over the decompositions
+    `decomps[side]` of its nodes (one node when it stands for all). Each
+    node's P is its own congruence and its Pi keeps the traces its own
+    synthesized conditions admit (`bcs`, when given, for a single node),
+    so where a mode's sign changes along a side its condition switches at
+    that node."""
+    maps = {}
+    for side in Side:
+        p = np.array([d.p for d in decomps[side]])
+        pi = np.array([_mode_projector(d, bcs or assemble_system_bcs(d), side)
+                       for d in decomps[side]])
+        maps[side] = np.einsum("...ab,...bc,...cd->...ad", p, pi,
+                               np.linalg.inv(p))
+    return maps

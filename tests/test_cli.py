@@ -27,6 +27,17 @@ class TestParseConfig:
             cli.parse_config(["diagonalize", "preset=swe", "a1_file=a.txt",
                               "a2_file=b.txt"])
 
+    @pytest.mark.parametrize("key", ["b_file", "s0_file"])
+    def test_matrix_file_with_preset_conflicts(self, tmp_path, capsys, key):
+        # a preset carries its own B and symmetrizer: the file is not read
+        argv = ["simulate", "preset=swe", "nx=17", "ny=17",
+                f"{key}=/nonexistent", f"outdir={tmp_path}"]
+        with pytest.raises(ConflictingSources):
+            cli.parse_config(argv)
+        assert cli.main(argv) == 1
+        assert "not both" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_input(self):
         with pytest.raises(MissingInput):
             cli.parse_config(["diagonalize"])

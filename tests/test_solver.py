@@ -363,13 +363,39 @@ class TestVariableCoefficients:
         return SymmetricPair(a1=np.array([[2.0 + np.sin(x)]]),
                              a2=np.array([[3.0]]))
 
+    SWE = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.5))
+
     def test_constant_sampler_setup(self):
+        # each boundary node of a constant sampler is the pair= case
         g = RectGrid(1.0, 1.0, 9, 9)
-        setup = variable_coeff_setup(
-            lambda x, y: SymmetricPair(a1=np.array([[2.0]]),
-                                       a2=np.array([[3.0]])), g)
+        u0 = StateField(g, np.zeros((3, 9, 9)))
+        const = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                          pair=self.SWE))
+        var = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                        sampler=lambda x, y: self.SWE))
         for side in Side:
-            assert np.allclose(setup.p[side], setup.decomp_ref.p, atol=1e-14)
+            assert var.side_map[side].shape == (9, 3, 3)
+            np.testing.assert_allclose(
+                var.side_map[side],
+                np.broadcast_to(const.side_map[side], (9, 3, 3)),
+                rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("key", ["decomp", "bcs", "var_setup"])
+    def test_input_of_the_other_path_rejected(self, key):
+        # decomp and bcs hold at one node, var_setup on a sampled grid:
+        # given with the other source they would be ignored
+        g = RectGrid(1.0, 1.0, 9, 9)
+        u0 = StateField(g, np.zeros((3, 9, 9)))
+        decomp = simultaneous_diagonalize(self.SWE)
+        sampler = lambda x, y: self.SWE
+        source, value = {
+            "decomp": ({"sampler": sampler}, decomp),
+            "bcs": ({"sampler": sampler}, assemble_system_bcs(decomp)),
+            "var_setup": ({"pair": self.SWE},
+                          variable_coeff_setup(sampler, g)),
+        }[key]
+        with pytest.raises(ValueError, match=key):
+            IVPConfig(grid=g, u0=u0, t_end=1.0, **source, **{key: value})
 
     def test_branch_merge_detected(self):
         # two advection ratios cross mid-domain

@@ -1,13 +1,14 @@
 """The batched variable-coefficient pipeline against the per-node loops it
 replaced.
 
-`reference_check` and `reference_setup` are the former node-by-node
-implementations of `check_variable_coeff_assumptions` and
-`variable_coeff_setup`: every node sampled and, in the setup, fully
-decomposed, with branch matching and gauge alignment against the
-neighbour (i-1, j), or (0, j-1) on the first column. The batched code must
-give the same report, the same W, S and N side congruences, and the same
-error at the same node.
+`reference_check` and `reference_setup` are node-by-node implementations
+of `check_variable_coeff_assumptions` and `variable_coeff_setup`: every
+node sampled and decomposed, with branch matching against the neighbour
+(i-1, j), or (0, j-1) on the first column. Each boundary node takes its
+own synthesized conditions, so where a mode's sign changes along a side
+its condition switches at that node. The batched code must give the same
+report, the same side maps on all four sides, and the same error at the
+same node.
 """
 
 import re
@@ -21,11 +22,11 @@ from hypermodes.congruence import (SymmetricPair, TypeIMode,
 from hypermodes.errors import (AssumptionViolated, BlockMatchingFailure,
                                HypermodesError)
 from hypermodes.linalg import rotation_block
-from hypermodes.modes import Side, check_variable_coeff_assumptions
+from hypermodes.modes import (Side, assemble_system_bcs,
+                              check_variable_coeff_assumptions)
 from hypermodes.operators import (RectGrid, StateField,
                                   side_vanishing_factor, smooth_random_field)
-from hypermodes.solver import (IVPConfig, SpatialOperator,
-                               VariableCoefficientSetup, run,
+from hypermodes.solver import (IVPConfig, SpatialOperator, run,
                                variable_coeff_setup)
 
 # --- the per-node reference loops ----------------------------------------------
@@ -130,17 +131,14 @@ def _match_against(prev_keys, cur_keys, ref_separation, node):
             raise BlockMatchingFailure(f"branches merge at node {node}")
 
 
-def _rotation_align(block_cur, block_ref):
-    M = block_cur.T @ block_ref
-    return float(np.arctan2(M[1, 0] - M[0, 1], M[0, 0] + M[1, 1]))
-
-
 def reference_setup(sampler, grid, tol=1e-9):
-    """Per-node decomposition with continuity matching; p is the full
-    (nx, ny, n, n) stack, each node aligned to its neighbour."""
+    """Per-node decomposition with continuity matching over the grid.
+    Returns a1, a2, b and, per side, the trace maps P Pi P^-1 at its nodes,
+    each from that node's own congruence and synthesized conditions."""
     nx, ny = grid.nx, grid.ny
     xs, ys = grid.x(), grid.y()
-    p = decomp_ref = None
+    a1 = None
+    maps = {side: [] for side in Side}
     ref_separation = {}
     keys_at = {}
     for i in range(nx):
@@ -148,10 +146,9 @@ def reference_setup(sampler, grid, tol=1e-9):
             pair = sampler(float(xs[i]), float(ys[j]))
             d = simultaneous_diagonalize(pair, tol=max(tol, 1e-9))
             keys = _mode_keys(d)
-            if p is None:
+            if a1 is None:
                 n = pair.order
-                a1, a2, b, p = (np.zeros((nx, ny, n, n)) for _ in range(4))
-                decomp_ref = d
+                a1, a2, b = (np.zeros((nx, ny, n, n)) for _ in range(3))
                 for k1 in range(len(keys)):
                     for k2 in range(k1 + 1, len(keys)):
                         sep = _key_dist(keys[k1], keys[k2])
@@ -163,32 +160,13 @@ def reference_setup(sampler, grid, tol=1e-9):
             keys_at[(i, j)] = keys
             a1[i, j], a2[i, j] = pair.a1, pair.a2
             b[i, j] = 0.0 if pair.b is None else pair.b
-            P = d.p.copy()
-            if (i, j) != (0, 0):
-                neighbor = p[i - 1, j] if i > 0 else p[i, j - 1]
-                for sl, mode in zip(d.mode_slices(), d.modes):
-                    if isinstance(mode, TypeIMode):
-                        if np.dot(P[:, sl.start], neighbor[:, sl.start]) < 0:
-                            P[:, sl.start] *= -1.0
-                    else:
-                        theta = _rotation_align(P[:, sl], neighbor[:, sl])
-                        R = np.array([[np.cos(theta), -np.sin(theta)],
-                                      [np.sin(theta), np.cos(theta)]])
-                        P[:, sl] = P[:, sl] @ R
-            p[i, j] = P
-    return a1, a2, b, p, decomp_ref
-
-
-def reference_side_maps(sampler, grid, u):
-    """Side maps of an operator built on the reference congruences."""
-    a1, a2, b, p, decomp_ref = reference_setup(sampler, grid)
-    setup = VariableCoefficientSetup(
-        grid=grid, a1=a1, a2=a2, b=b,
-        p={Side.W: p[0], Side.E: p[-1], Side.S: p[:, 0], Side.N: p[:, -1]},
-        modes=list(decomp_ref.modes), decomp_ref=decomp_ref)
-    return SpatialOperator(IVPConfig(grid=grid, u0=StateField(grid, u),
-                                     t_end=1.0, sampler=sampler,
-                                     var_setup=setup)).side_map
+            bcs = assemble_system_bcs(d)
+            for side, on_side in ((Side.W, i == 0), (Side.E, i == nx - 1),
+                                  (Side.S, j == 0), (Side.N, j == ny - 1)):
+                if on_side:
+                    Pi = solver._mode_projector(d, bcs, side)
+                    maps[side].append(d.p @ Pi @ np.linalg.inv(d.p))
+    return a1, a2, b, {side: np.array(m) for side, m in maps.items()}
 
 
 # --- samplers ----------------------------------------------------------------------
@@ -313,7 +291,7 @@ class TestMatchesReference:
         sampler = planted_varying_sampler(seed)
         g = self.GRID
         setup = variable_coeff_setup(sampler, g)
-        a1, a2, b, _, _ = reference_setup(sampler, g)
+        a1, a2, b, ref = reference_setup(sampler, g)
         assert np.abs(a1 - a1[0, 0]).max() > 1e-2  # the pair varies
         np.testing.assert_array_equal(setup.a1, a1)
         np.testing.assert_array_equal(setup.a2, a2)
@@ -321,8 +299,7 @@ class TestMatchesReference:
         u = np.zeros((setup.order, g.nx, g.ny))
         op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u), t_end=1.0,
                                        sampler=sampler, var_setup=setup))
-        ref = reference_side_maps(sampler, g, u)
-        for side in (Side.W, Side.S, Side.N):
+        for side in Side:
             np.testing.assert_allclose(op.side_map[side], ref[side],
                                        rtol=0, atol=1e-14)
 
@@ -425,8 +402,8 @@ class TestGrowthRate:
 class TestGauge:
     @pytest.mark.parametrize("seed", range(3))
     def test_nonflat_congruence(self, seed):
-        # the E column's gauge now comes from the SE corner, not through the
-        # interior: its maps may move, the verdict and W, S, N maps may not
+        # a congruence that varies in both directions: the verdict holds and
+        # every side's maps are the per-node reference's
         g = RectGrid(1.0, 1.0, 25, 25)
         sampler = nonflat_sampler(seed)
         check_variable_coeff_assumptions(sampler, g)
@@ -441,7 +418,32 @@ class TestGauge:
         assert energy.verdict
         assert energy.max_step_increase == 0.0
         op = SpatialOperator(cfg)
-        ref = reference_side_maps(sampler, g, u0.values)
-        for side in (Side.W, Side.S, Side.N):
+        ref = reference_setup(sampler, g)[-1]
+        for side in Side:
             np.testing.assert_allclose(op.side_map[side], ref[side],
                                        rtol=0, atol=1e-14)
+
+
+class TestBoundaryForm:
+    """Dissipative conditions at every boundary node: with S the node's side
+    map, lambda_min(sym(S^T (nu.A) S)) >= 0 up to roundoff."""
+
+    @pytest.mark.parametrize("make, seed", [(nonflat_sampler, 3),
+                                            (nonflat_sampler, 4),
+                                            (planted_varying_sampler, 4)],
+                             ids=["nonflat3", "nonflat4", "planted4"])
+    def test_every_boundary_node(self, make, seed):
+        g = RectGrid(1.0, 1.0, 17, 17)
+        sampler = make(seed)
+        setup = variable_coeff_setup(sampler, g)
+        u0 = StateField(g, np.zeros((setup.order, g.nx, g.ny)))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       sampler=sampler, var_setup=setup))
+        edge = {Side.W: np.s_[0], Side.E: np.s_[-1],
+                Side.S: np.s_[:, 0], Side.N: np.s_[:, -1]}
+        for side in Side:
+            A = (setup.a1, setup.a2)[side.axis][edge[side]]
+            S = op.side_map[side]
+            form = side.sign * np.swapaxes(S, -1, -2) @ A @ S
+            sym = 0.5 * (form + np.swapaxes(form, -1, -2))
+            assert np.linalg.eigvalsh(sym).min() >= -1e-12 * op.max_speed, side
