@@ -17,7 +17,7 @@ from .operators import (CertReport, RectGrid, StateField, _duality_terms,
                         elliptic_uniqueness, inner, random_elliptic_bc_field,
                         random_scalar_bc_field, side_vanishing_factor,
                         smooth_random_field)
-from .solver import IVPConfig, _side_maps, run
+from .solver import IVPConfig, _max_speed, _side_maps, run
 
 EXACT_RTOL = 1e-12  # tolerance of the identity and boundary-form rows
 
@@ -49,13 +49,20 @@ def admissible_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
     return StateField(grid, u)
 
 
-def _max_speed(pair: SymmetricPair) -> float:
-    return np.abs(np.linalg.eigvalsh([pair.a1, pair.a2])).max()
-
-
 def default_t_end(pair: SymmetricPair, L1: float) -> float:
     """Time for the fastest wave to cross the domain twice in x."""
-    return 2.0 * L1 / _max_speed(pair)
+    return 2.0 * L1 / _max_speed(pair.a1, pair.a2)
+
+
+def simulation_config(pair: SymmetricPair, grid: RectGrid,
+                      decomp: ModeDecomposition, bcs, *, seed: int,
+                      t_end: float | None, cfl: float) -> IVPConfig:
+    """The run `simulate` and `verify` make: from the seeded
+    `admissible_field` to `t_end` (None: `default_t_end`) at `cfl`."""
+    if t_end is None:
+        t_end = default_t_end(pair, grid.L1)
+    return IVPConfig(grid=grid, u0=admissible_field(grid, decomp, bcs, seed),
+                     t_end=t_end, pair=pair, decomp=decomp, bcs=bcs, cfl=cfl)
 
 
 def certification_suite(pair: SymmetricPair, grid: RectGrid,
@@ -68,12 +75,10 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     `seed` fixes every field; `t_end` (None: `default_t_end`) and `cfl`
     set the simulated run.
     """
-    if t_end is None:
-        t_end = default_t_end(pair, grid.L1)
     # built first, so that a bad run setting (cfl, t_end) is an input
     # error before any certificate runs
-    ivp = IVPConfig(grid=grid, u0=admissible_field(grid, decomp, bcs, seed),
-                    t_end=t_end, pair=pair, decomp=decomp, bcs=bcs, cfl=cfl)
+    ivp = simulation_config(pair, grid, decomp, bcs, seed=seed, t_end=t_end,
+                            cfl=cfl)
     rows: list[CertReport] = []
     label = grid.label()
 
@@ -93,7 +98,7 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     # -lambda_min(sym(S^T (nu.A) S)) over the side maps S the stepper
     # imposes, built as SpatialOperator builds them: 0 iff dissipative
     side_map = _side_maps(dict.fromkeys(Side, [decomp]), bcs)
-    speed = _max_speed(pair)
+    speed = _max_speed(pair.a1, pair.a2)
     for side in Side:
         S = side_map[side][0]
         form = side.sign * S.T @ (pair.a1, pair.a2)[side.axis] @ S

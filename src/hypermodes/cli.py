@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import apps
-from .certify import admissible_field, certification_suite, default_t_end
+from .certify import certification_suite, simulation_config
 from .congruence import (ModeDecomposition, SymmetricPair, TypeIMode,
                          simultaneous_diagonalize)
 from .errors import (ConflictingSources, ConfigError, HypermodesError,
@@ -23,7 +23,7 @@ from .errors import (ConflictingSources, ConfigError, HypermodesError,
 from .linalg import format_matrix, load_matrix
 from .modes import assemble_system_bcs, format_assignments
 from .operators import RectGrid
-from .solver import IVPConfig, run
+from .solver import run
 
 COMMANDS = ("diagonalize", "classify", "bc", "simulate", "verify", "preset-list")
 
@@ -232,13 +232,9 @@ def execute(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "simulate":
-        u0 = admissible_field(grid, decomp, bcs, cfg.seed)
-        t_end = cfg.t_end
-        if t_end is None:
-            t_end = default_t_end(pair, grid.L1)
-        ivp = IVPConfig(grid=grid, u0=u0, t_end=t_end, pair=pair,
-                        decomp=decomp, bcs=bcs, cfl=cfg.cfl)
-        trajectory, report = run(ivp)
+        trajectory, report = run(simulation_config(
+            pair, grid, decomp, bcs, seed=cfg.seed, t_end=cfg.t_end,
+            cfl=cfg.cfl))
         _write(outdir / "norms.csv", _norms_csv(report))
         _write(outdir / "energy.txt", report.summary() + "\n")
         if cfg.snapshots:

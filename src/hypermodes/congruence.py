@@ -18,6 +18,8 @@ from .errors import NotTypeII, OffDiagonalResidual, SingularInput
 from .linalg import check_symmetric, rotation_block
 
 SINGULARITY_RTOL = 1e-10
+# relative tolerance of the block residuals and the TypeII normal form
+DECOMPOSITION_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,28 +165,28 @@ class ModeDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _tracefree_parts(M, tol, name="block"):
+def _tracefree_parts(M, name="block"):
     """Read (alpha, beta) off a 2x2 matrix expected to be [[a, b], [b, -a]]."""
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got {M.shape}")
-    scale = max(np.abs(M).max(), 1e-300)
-    if abs(M[0, 1] - M[1, 0]) > tol * scale or abs(M[0, 0] + M[1, 1]) > tol * scale:
+    tol = DECOMPOSITION_RTOL * max(np.abs(M).max(), 1e-300)
+    if abs(M[0, 1] - M[1, 0]) > tol or abs(M[0, 0] + M[1, 1]) > tol:
         raise ValueError(f"{name} is not symmetric trace-free: {M!r}")
     return M[0, 0], 0.5 * (M[0, 1] + M[1, 0])
 
 
-def standardize_type2(C, D, tol: float = 1e-9):
+def standardize_type2(C, D):
     """Scale a trace-free 2x2 pair so the determinant condition equals 1.
 
     Returns (V, mode) with V = kappa0 * I, kappa0 the inverse fourth root
     of alpha2*beta1 - alpha1*beta2 (equivalently mu2*(alpha1^2 + beta1^2)).
     """
-    a1, b1 = _tracefree_parts(C, tol, "C")
-    a2, b2 = _tracefree_parts(D, tol, "D")
+    a1, b1 = _tracefree_parts(C, "C")
+    a2, b2 = _tracefree_parts(D, "D")
     delta = a2 * b1 - a1 * b2
     scale = max(abs(a1), abs(b1), abs(a2), abs(b2), 1e-300)
-    if delta <= tol * scale ** 2:
+    if delta <= DECOMPOSITION_RTOL * scale ** 2:
         raise NotTypeII(
             f"alpha2*beta1 - alpha1*beta2 = {delta:.3e} is not positive")
     kappa0 = delta ** -0.25
@@ -214,8 +216,7 @@ def _split_elliptic_cluster(A_ii):
     return V, V.T @ A_ii @ V
 
 
-def simultaneous_diagonalize(pair: SymmetricPair,
-                             tol: float = 1e-9) -> ModeDecomposition:
+def simultaneous_diagonalize(pair: SymmetricPair) -> ModeDecomposition:
     """Diagonalize (a1, a2) simultaneously by one real congruence.
 
     Pipeline: real block eigenstructure of a1^-1 a2, verification that the
@@ -239,10 +240,11 @@ def simultaneous_diagonalize(pair: SymmetricPair,
         for j, sj in enumerate(slices):
             if i != j:
                 offdiag = max(offdiag, np.abs(B1[si, sj]).max())
-    if offdiag > tol * scale1:
+    if offdiag > DECOMPOSITION_RTOL * scale1:
         raise OffDiagonalResidual(
             f"off-diagonal block residual {offdiag:.3e} exceeds "
-            f"{tol * scale1:.3e}; eigenvalue clustering likely failed")
+            f"{DECOMPOSITION_RTOL * scale1:.3e}; eigenvalue clustering "
+            "likely failed")
 
     modes: list[tuple] = []  # (sort_key, ModePair, columns)
     for blk, sl in zip(form.blocks, slices):
@@ -262,7 +264,7 @@ def simultaneous_diagonalize(pair: SymmetricPair,
             for j in range(blk.multiplicity):
                 Cj = C[2 * j:2 * j + 2, 2 * j:2 * j + 2]
                 Dj = Cj @ rotation_block(blk.re, blk.im)
-                Vs, mode = standardize_type2(Cj, Dj, tol=tol)
+                Vs, mode = standardize_type2(Cj, Dj)
                 key = (1, mode.mu1, mode.mu2)
                 modes.append((key, mode, cols[:, 2 * j:2 * j + 2] @ Vs))
     modes.sort(key=lambda t: t[0])
@@ -282,8 +284,8 @@ def simultaneous_diagonalize(pair: SymmetricPair,
     residuals = DecompositionResiduals(offdiag_1=float(off1),
                                        offdiag_2=float(off2),
                                        reconstruction=float(max(rec1, rec2)))
-    if max(off1, off2) > tol:
+    if max(off1, off2) > DECOMPOSITION_RTOL:
         raise OffDiagonalResidual(
             f"transformed pair deviates from mode blocks by "
-            f"{max(off1, off2):.3e} (tolerance {tol:.1e})")
+            f"{max(off1, off2):.3e} (tolerance {DECOMPOSITION_RTOL:.1e})")
     return ModeDecomposition(p=P_final, modes=mode_list, residuals=residuals)

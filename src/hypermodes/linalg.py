@@ -179,14 +179,14 @@ def _eigenspaces(M: np.ndarray, cluster_tol: float, null_tol: float):
     return spaces, None
 
 
-def is_diagonalizable(M, tol: float = DEFECT_RTOL):
+def is_diagonalizable(M):
     """Check geometric multiplicity == algebraic multiplicity per cluster.
 
     Returns (flag, diagnostic). The diagnostic names the offending
     eigenvalue when the flag is False.
     """
     M = _as_square(M)
-    tol_abs = tol * max(np.linalg.norm(M, 2), 1e-300)
+    tol_abs = DEFECT_RTOL * max(np.linalg.norm(M, 2), 1e-300)
     _, diagnostic = _eigenspaces(M, tol_abs, tol_abs)
     if diagnostic is not None:
         return False, diagnostic

@@ -110,13 +110,13 @@ def synthesize_bc_type1(c: float, d: float) -> frozenset[Side]:
     return frozenset({x_side, y_side})
 
 
-def synthesize_bc_type2(mode: TypeIIMode, tol: float = SIGN_TOL) -> EllipticModeBC:
+def synthesize_bc_type2(mode: TypeIIMode) -> EllipticModeBC:
     """Default component split for an elliptic mode by the signs of
-    (alpha1, alpha2); alpha counts as >= 0 when above -tol*scale."""
+    (alpha1, alpha2); alpha counts as >= 0 when above -SIGN_TOL*scale."""
     scale = max(abs(mode.alpha1), abs(mode.beta1),
                 abs(mode.alpha2), abs(mode.beta2), 1e-300)
-    a1_nonneg = mode.alpha1 > -tol * scale
-    a2_nonneg = mode.alpha2 > -tol * scale
+    a1_nonneg = mode.alpha1 > -SIGN_TOL * scale
+    a2_nonneg = mode.alpha2 > -SIGN_TOL * scale
     u1 = (1.0, 0.0)
     u2 = (0.0, 1.0)
     conditions = {
@@ -213,27 +213,21 @@ def sample_coefficients(sampler: Callable[[float, float], SymmetricPair], grid):
     return a1, a2, b
 
 
-def _mode_keys(ev: np.ndarray, scale: np.ndarray, tol: float = 1e-8):
+def _mode_keys(ev: np.ndarray, scale: np.ndarray):
     """Sorted mode keys of eigenvalue stacks ev (..., n) of a1^-1 a2.
 
-    Eigenvalues within tol*scale of the real axis are TypeI keys (the
+    Eigenvalues within 1e-8*scale of the real axis are TypeI keys (the
     ratio d/c), sorted ascending; the im > 0 member of each complex pair is
     a TypeII key (mu1 + i mu2), sorted by (mu1, mu2) after them; the slots
     the conjugates leave are padding at the end. Returns (keys, kind) with
     kind 0 for TypeI, 1 for TypeII and 2 for padding.
     """
-    thresh = tol * scale[..., None]
+    thresh = 1e-8 * scale[..., None]
     kind = np.where(np.abs(ev.imag) <= thresh, 0, np.where(ev.imag > 0, 1, 2))
     keys = np.where(kind == 0, ev.real + 0j, ev)
     order = np.lexsort((keys.imag, keys.real, kind), axis=-1)
     return (np.take_along_axis(keys, order, -1),
             np.take_along_axis(kind, order, -1))
-
-
-def _ratio_stack(a1, a2):
-    """a1^-1 a2 at every node and its 2-norm (floored away from zero)."""
-    M = np.linalg.solve(a1, a2)
-    return M, np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
 
 
 def _raise_first(checks):
@@ -250,14 +244,19 @@ def _raise_first(checks):
 
 
 def check_variable_coeff_assumptions(sampler: Callable[[float, float], SymmetricPair],
-                                     grid, tol: float = 1e-8) -> VariableCoeffReport:
-    """Sample the coefficient pair on the grid and check that coefficient
-    eigenvalues, real eigenvalues and imaginary parts of a1^-1 a2 stay
-    one-signed away from zero, and that multiplicity patterns are constant.
+                                     grid) -> VariableCoeffReport:
+    """The one admission check of a sampler on the grid, from one batched
+    eig of a1^-1 a2: (b) the eigenvalues of a1 and a2, and (c) the real ones
+    of a1^-1 a2, stay one-signed away from zero; (d) its multiplicity
+    pattern is constant, its eigenbasis condition number at most
+    DEFAULT_CONDITION_CAP, and its branches continue those of the
+    neighbour (i-1, j), or (0, j-1) on the first column, with no swap and
+    no merge of branches apart at (0, 0).
 
-    Raises AssumptionViolated naming the assumption and the first failing
-    node in raster order; returns the margin report otherwise, with omega0
-    from `growth_rate`.
+    Raises AssumptionViolated, IllConditionedBasis or BlockMatchingFailure
+    at the first failing node in raster order; returns the margin report
+    otherwise, with omega0 from `growth_rate`. `variable_coeff_setup`
+    assumes a sampler this check admits.
     """
     a1, a2, b = sample_coefficients(sampler, grid)
     checks = []
@@ -271,8 +270,11 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
                     AssumptionViolated("b", node, f"{name} eigenvalue changed sign"))]
         coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
 
-    M, scale = _ratio_stack(a1, a2)
-    keys, kind = _mode_keys(np.linalg.eigvals(M), scale, tol)
+    M = np.linalg.solve(a1, a2)
+    ev, vecs = np.linalg.eig(M)
+    cond = np.linalg.cond(vecs)
+    keys, kind = _mode_keys(
+        ev, np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300))
     real, cplx = kind == 0, kind == 1
     nreal, ncplx = real.sum(axis=-1), cplx.sum(axis=-1)
     # real keys lead, so a padded sign row compares like the sign tuple
@@ -281,6 +283,30 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
     ref_signs = signs[np.unravel_index(np.argmax(has_real), has_real.shape)]
     # a pair collapsing to real shows up as a multiplicity-pattern change
     pattern = (nreal != nreal[0, 0]) | (ncplx != ncplx[0, 0])
+
+    # branch continuity. (0, 0) is its own neighbour, which passes. Kind
+    # sequences are fixed by the pattern, so up to the first node that
+    # fails (d) each node's kinds are its neighbour's.
+    prev = keys.copy()
+    prev[1:], prev[0, 1:] = keys[:-1], keys[0, :-1]
+    live = kind < 2
+    dist = np.where((kind[..., :, None] == kind[..., None, :])
+                    & live[..., :, None],
+                    np.abs(keys[..., :, None] - prev[..., None, :]), np.inf)
+    own = np.diagonal(dist, axis1=-2, axis2=-1)
+    # exact ties (repeated eigenvalues of constant multiplicity) are fine; a
+    # strictly closer foreign branch signals a swap mid-cell
+    swapped = np.any(live & (own > dist.min(axis=-1)
+                             + 1e-12 * (1.0 + np.abs(keys.real))), axis=-1)
+    # branch pairs separated at the reference node must stay apart
+    k0, t0 = keys[0, 0], kind[0, 0]
+    merged = {(i, j): np.where(kind[..., i] == kind[..., j],
+                               np.abs(keys[..., i] - keys[..., j]), np.inf)
+              < max(1e-8, 1e-3 * abs(k0[i] - k0[j]))
+              for i in range(len(k0)) for j in range(i + 1, len(k0))
+              if t0[i] == t0[j] < 2 and abs(k0[i] - k0[j]) > 1e-7}
+    merge = np.logical_or.reduce([np.zeros_like(swapped), *merged.values()])
+
     checks += [
         (np.any(real & (keys.real == 0), axis=-1), lambda node: AssumptionViolated(
             "c", node, "real eigenvalue of a1^-1 a2 hits zero")),
@@ -289,7 +315,17 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
         (pattern, lambda node: AssumptionViolated(
             "d", node, f"eigenvalue multiplicity pattern changed from "
             f"{(int(nreal[0, 0]), int(ncplx[0, 0]))} to "
-            f"{(int(nreal[node]), int(ncplx[node]))}"))]
+            f"{(int(nreal[node]), int(ncplx[node]))}")),
+        (~(cond <= DEFAULT_CONDITION_CAP), lambda node: IllConditionedBasis(
+            f"eigenvector basis condition number {cond[node]:.3e} exceeds "
+            f"{DEFAULT_CONDITION_CAP:.1e} at node {node}: a1^-1 a2 is "
+            "(nearly) defective there")),
+        (swapped, lambda node: BlockMatchingFailure(
+            f"eigenvalue branch ordering could not be continued at node "
+            f"{node}; branches likely cross nearby")),
+        (merge, lambda node: BlockMatchingFailure(
+            "eigenvalue branches {} and {} merge at node {}".format(
+                *next(ij for ij, m in merged.items() if m[node]), node)))]
     _raise_first(checks)
 
     # C1 proxy
@@ -318,53 +354,3 @@ def growth_rate(a1, a2, b, hx: float, hy: float) -> float:
                 + np.gradient(a2, hy, axis=1, edge_order=2) + rate)
     lam_max = np.linalg.eigvalsh(0.5 * (rate + np.swapaxes(rate, -1, -2))).max()
     return 0.5 * max(0.0, float(lam_max))
-
-
-def check_branch_continuity(a1, a2) -> None:
-    """One batched eigen pass: at every node a1^-1 a2 needs a
-    well-conditioned eigenbasis, and its mode branches must continue those
-    of the neighbour (i-1, j), or (0, j-1) on the first column: the same
-    census, nearest matching the identity, and no merge of branches apart
-    at (0, 0). Raises IllConditionedBasis or BlockMatchingFailure at the
-    first failing node in raster order."""
-    M, scale = _ratio_stack(a1, a2)
-    ev, vecs = np.linalg.eig(M)
-    cond = np.linalg.cond(vecs)
-    keys, kind = _mode_keys(ev, scale)
-    # (0, 0) is its own neighbour, which passes every check below
-    prev_keys, prev_kind = keys.copy(), kind.copy()
-    prev_keys[1:], prev_kind[1:] = keys[:-1], kind[:-1]
-    prev_keys[0, 1:], prev_kind[0, 1:] = keys[0, :-1], kind[0, :-1]
-    census = np.any(kind != prev_kind, axis=-1)
-    live = kind < 2
-    dist = np.where((kind[..., :, None] == prev_kind[..., None, :])
-                    & live[..., :, None],
-                    np.abs(keys[..., :, None] - prev_keys[..., None, :]), np.inf)
-    own = np.diagonal(dist, axis1=-2, axis2=-1)
-    # exact ties (repeated eigenvalues of constant multiplicity) are fine; a
-    # strictly closer foreign branch signals a swap mid-cell
-    swapped = np.any(live & (own > dist.min(axis=-1)
-                             + 1e-12 * (1.0 + np.abs(keys.real))), axis=-1)
-    # branch pairs separated at the reference node must stay apart
-    k0, t0 = keys[0, 0], kind[0, 0]
-    merged = {(i, j): np.where(kind[..., i] == kind[..., j],
-                               np.abs(keys[..., i] - keys[..., j]), np.inf)
-              < max(1e-8, 1e-3 * abs(k0[i] - k0[j]))
-              for i in range(len(k0)) for j in range(i + 1, len(k0))
-              if t0[i] == t0[j] < 2 and abs(k0[i] - k0[j]) > 1e-7}
-    merge = np.zeros_like(census)
-    for m in merged.values():
-        merge |= m
-    _raise_first([
-        (~(cond <= DEFAULT_CONDITION_CAP), lambda node: IllConditionedBasis(
-            f"eigenvector basis condition number {cond[node]:.3e} exceeds "
-            f"{DEFAULT_CONDITION_CAP:.1e} at node {node}: a1^-1 a2 is "
-            "(nearly) defective there")),
-        (census, lambda node: BlockMatchingFailure(
-            f"mode census changed at node {node}")),
-        (~census & swapped, lambda node: BlockMatchingFailure(
-            f"eigenvalue branch ordering could not be continued at node "
-            f"{node}; branches likely cross nearby")),
-        (~census & merge, lambda node: BlockMatchingFailure(
-            "eigenvalue branches {} and {} merge at node {}".format(
-                *next(ij for ij, m in merged.items() if m[node]), node)))])

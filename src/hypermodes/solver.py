@@ -24,12 +24,14 @@ from .congruence import (ModeDecomposition, SymmetricPair,
                          simultaneous_diagonalize)
 from .errors import CFLViolation, UnstableCoefficients
 from .modes import (BCAssignment, ScalarModeBC, Side, assemble_system_bcs,
-                    check_branch_continuity, growth_rate, sample_coefficients)
+                    check_variable_coeff_assumptions, growth_rate,
+                    sample_coefficients)
 from .operators import RectGrid, StateField
 
 log = logging.getLogger(__name__)
 
 STEP_INCREASE_RTOL = 1e-10
+SPEED_RTOL = 1e-8  # a speed this small drives the stable step size to 0
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,24 @@ class IVPConfig:
             raise ValueError(f"t_end must be finite and positive, got {self.t_end:g}")
         if not 0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl:g}")
+        for name in ("u0", "var_setup"):
+            part = getattr(self, name)
+            if part is not None and part.grid != self.grid:
+                raise ValueError(f"{name} was built on another grid")
 
-    @property
-    def is_variable(self) -> bool:
-        return self.sampler is not None
+
+def _max_speed(a1, a2) -> float:
+    """Largest |eigenvalue| of the a1, a2 stacks; none may (nearly) vanish."""
+    top = 0.0
+    for name, mats in (("x", a1), ("y", a2)):
+        w = np.abs(np.linalg.eigvalsh(mats))
+        scale = max(w.max(), 1e-300)
+        if w.min() <= SPEED_RTOL * scale:
+            raise UnstableCoefficients(
+                f"a wave speed along the {name} direction vanishes "
+                f"(|speed|min/|speed|max = {w.min() / scale:.3e})")
+        top = max(top, float(w.max()))
+    return top
 
 
 def _split_signed(mats: np.ndarray):
@@ -152,7 +168,9 @@ class SpatialOperator:
     constant coefficients build the same stacks from one node that stands
     for all. `omega` is the growth rate of the energy identity on those
     stacks (`modes.growth_rate`). `apply` and `project` reuse private
-    buffers: one caller at a time.
+    buffers: one caller at a time. A bare `sampler` passes
+    `check_variable_coeff_assumptions` first; a given `var_setup`, like a
+    given `decomp`, is trusted.
     """
 
     def __init__(self, config: IVPConfig):
@@ -161,8 +179,11 @@ class SpatialOperator:
         self.forcing = config.forcing
         hx, hy = grid.hx, grid.hy
 
-        if config.is_variable:
-            setup = config.var_setup or variable_coeff_setup(config.sampler, grid)
+        if config.sampler is not None:
+            setup = config.var_setup
+            if setup is None:
+                check_variable_coeff_assumptions(config.sampler, grid)
+                setup = variable_coeff_setup(config.sampler, grid)
             a1, a2, b, decomps = setup.a1, setup.a2, setup.b, setup.decomps
         else:
             pair = config.pair
@@ -172,7 +193,7 @@ class SpatialOperator:
                                            or simultaneous_diagonalize(pair)])
         self.side_map = _side_maps(decomps, config.bcs)
         self.n = a1.shape[-1]
-        self.max_speed = self._max_speed(a1, a2)
+        self.max_speed = _max_speed(a1, a2)
         self.omega = growth_rate(a1, a2, b, hx, hy)
 
         xp, xn = _split_signed(_faces(a1, 0))
@@ -202,21 +223,6 @@ class SpatialOperator:
         # SSP-RK(4,3) stage slope and stage state, used by `step`
         self._k = np.empty(shape)
         self._v = np.empty(shape)
-
-    @staticmethod
-    def _max_speed(a1, a2, tol: float = 1e-8) -> float:
-        # looser than the pair's non-singularity threshold: speeds this
-        # small drive the stable step size to zero
-        top = 0.0
-        for name, mats in (("x", a1), ("y", a2)):
-            w = np.abs(np.linalg.eigvalsh(mats))
-            scale = max(w.max(), 1e-300)
-            if w.min() <= tol * scale:
-                raise UnstableCoefficients(
-                    f"a wave speed along the {name} direction vanishes "
-                    f"(|speed|min/|speed|max = {w.min() / scale:.3e})")
-            top = max(top, float(w.max()))
-        return top
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Map the boundary traces of `u` through the side maps in place,
@@ -361,13 +367,13 @@ class VariableCoefficientSetup:
 
 
 def variable_coeff_setup(sampler, grid: RectGrid) -> VariableCoefficientSetup:
-    """Sample each node once, check branch continuity over the whole grid
-    in one batched pass, and decompose only the boundary nodes, whose
-    conditions the side maps need. Each boundary node is decomposed on its
-    own and later takes its own synthesized conditions, so where a mode's
-    sign changes along a side its condition switches at that node."""
+    """Sample each node once and decompose only the boundary nodes, whose
+    conditions the side maps need. The sampler is assumed admitted by
+    `modes.check_variable_coeff_assumptions`; a defective boundary node
+    still fails its own decomposition. Each boundary node is decomposed on
+    its own and later takes its own synthesized conditions, so where a
+    mode's sign changes along a side its condition switches at that node."""
     a1, a2, b = sample_coefficients(sampler, grid)
-    check_branch_continuity(a1, a2)
 
     cache = {}   # each corner ends two sides
 

@@ -11,7 +11,8 @@ from hypermodes.cli import RunConfig, build_pair
 from hypermodes.congruence import SymmetricPair, simultaneous_diagonalize
 from hypermodes.errors import (BlockMatchingFailure, CFLViolation,
                                UnstableCoefficients)
-from hypermodes.modes import ScalarModeBC, Side, assemble_system_bcs
+from hypermodes.modes import (ScalarModeBC, Side, assemble_system_bcs,
+                              check_variable_coeff_assumptions)
 from hypermodes.operators import (RectGrid, StateField,
                                   random_scalar_bc_field,
                                   side_vanishing_factor, smooth_random_field)
@@ -404,7 +405,25 @@ class TestVariableCoefficients:
                                  a2=np.diag([1.0 + x, 2.0 - x]))
         g = RectGrid(1.0, 1.0, 9, 9)
         with pytest.raises(BlockMatchingFailure):
-            variable_coeff_setup(sampler, g)
+            check_variable_coeff_assumptions(sampler, g)
+        u0 = StateField(g, np.zeros((2, 9, 9)))
+        with pytest.raises(BlockMatchingFailure):
+            run(IVPConfig(grid=g, u0=u0, t_end=1.0, sampler=sampler))
+
+    @pytest.mark.parametrize("key", ["u0", "var_setup"])
+    def test_part_from_another_grid_rejected(self, key):
+        # a part built on another grid of the same size holds values at
+        # other coordinates
+        g, other = RectGrid(2.0, 2.0, 17, 17), RectGrid(1.0, 1.0, 17, 17)
+        sampler = lambda x, y: self.SWE
+
+        def built_on(grid):
+            return {"u0": StateField(grid, np.zeros((3, 17, 17))),
+                    "var_setup": variable_coeff_setup(sampler, grid)}
+
+        parts = {**built_on(g), key: built_on(other)[key]}
+        with pytest.raises(ValueError, match=key):
+            IVPConfig(grid=g, t_end=1.0, sampler=sampler, **parts)
 
     def test_lower_order_term_on_sampler_path(self):
         # a constant sampler must reproduce the pair= path, B included

@@ -2,9 +2,10 @@
 replaced.
 
 `reference_check` and `reference_setup` are node-by-node implementations
-of `check_variable_coeff_assumptions` and `variable_coeff_setup`: every
-node sampled and decomposed, with branch matching against the neighbour
-(i-1, j), or (0, j-1) on the first column. Each boundary node takes its
+of `check_variable_coeff_assumptions` and `variable_coeff_setup`. The
+check runs every standing assumption at a node, with branch matching
+against the neighbour (i-1, j), or (0, j-1) on the first column, before
+the next node. The setup decomposes each boundary node, which takes its
 own synthesized conditions, so where a mode's sign changes along a side
 its condition switches at that node. The batched code must give the same
 report, the same side maps on all four sides, and the same error at the
@@ -20,8 +21,8 @@ from hypermodes import solver
 from hypermodes.congruence import (SymmetricPair, TypeIMode,
                                    simultaneous_diagonalize)
 from hypermodes.errors import (AssumptionViolated, BlockMatchingFailure,
-                               HypermodesError)
-from hypermodes.linalg import rotation_block
+                               HypermodesError, IllConditionedBasis)
+from hypermodes.linalg import DEFAULT_CONDITION_CAP, rotation_block
 from hypermodes.modes import (Side, assemble_system_bcs,
                               check_variable_coeff_assumptions)
 from hypermodes.operators import (RectGrid, StateField,
@@ -38,72 +39,6 @@ def _eig_signature(M, tol):
     real = sorted(float(e.real) for e in ev if abs(e.imag) <= tol)
     cplx = sorted((float(e.real), float(e.imag)) for e in ev if e.imag > tol)
     return real, cplx
-
-
-def reference_check(sampler, grid, tol=1e-8):
-    """Per-node assumption check; returns the report fields as a dict. Its
-    omega0 leaves the lower-order term out, so compare on samplers
-    without one."""
-    xs, ys = grid.x(), grid.y()
-    a1_samples = a2_samples = None
-    coeff_margin = real_margin = imag_margin = np.inf
-    coeff_signs = {"a1": None, "a2": None}
-    real_signs = multiplicity_pattern = None
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            pair = sampler(float(x), float(y))
-            n = pair.order
-            if a1_samples is None:
-                a1_samples = np.zeros((grid.nx, grid.ny, n, n))
-                a2_samples = np.zeros((grid.nx, grid.ny, n, n))
-            a1_samples[i, j] = pair.a1
-            a2_samples[i, j] = pair.a2
-            for name, M in (("a1", pair.a1), ("a2", pair.a2)):
-                ev = np.sort(np.linalg.eigvalsh(M))
-                if np.any(ev == 0):
-                    raise AssumptionViolated("b", (i, j),
-                                             f"{name} eigenvalue hits zero")
-                signs = tuple(np.sign(ev))
-                if coeff_signs[name] is None:
-                    coeff_signs[name] = signs
-                elif signs != coeff_signs[name]:
-                    raise AssumptionViolated("b", (i, j),
-                                             f"{name} eigenvalue changed sign")
-                coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
-            M = np.linalg.solve(pair.a1, pair.a2)
-            scale = max(np.linalg.norm(M, 2), 1e-300)
-            real, cplx = _eig_signature(M, tol * scale)
-            if real:
-                r = np.array(real)
-                if np.any(r == 0):
-                    raise AssumptionViolated("c", (i, j), "real eigenvalue hits zero")
-                signs = tuple(np.sign(r))
-                if real_signs is None:
-                    real_signs = signs
-                elif signs != real_signs:
-                    raise AssumptionViolated("c", (i, j),
-                                             "real eigenvalue changed sign")
-                real_margin = min(real_margin, float(np.abs(r).min()))
-            if cplx:
-                imag_margin = min(imag_margin, min(p[1] for p in cplx))
-            pattern = (len(real), len(cplx))
-            if multiplicity_pattern is None:
-                multiplicity_pattern = pattern
-            elif pattern != multiplicity_pattern:
-                raise AssumptionViolated("d", (i, j), "pattern changed")
-
-    d_a1_dx = np.gradient(a1_samples, grid.hx, axis=0, edge_order=2)
-    d_a2_dy = np.gradient(a2_samples, grid.hy, axis=1, edge_order=2)
-    d_a1_dy = np.gradient(a1_samples, grid.hy, axis=1, edge_order=2)
-    d_a2_dx = np.gradient(a2_samples, grid.hx, axis=0, edge_order=2)
-    c1_norm = float(max(np.abs(d_a1_dx).max(), np.abs(d_a1_dy).max(),
-                        np.abs(d_a2_dx).max(), np.abs(d_a2_dy).max(),
-                        np.abs(a1_samples).max(), np.abs(a2_samples).max()))
-    div = d_a1_dx + d_a2_dy
-    lam_max = np.linalg.eigvalsh(0.5 * (div + np.swapaxes(div, -1, -2))).max()
-    return dict(c1_norm_estimate=c1_norm, coeff_eig_margin=coeff_margin,
-                real_eig_margin=real_margin, imag_eig_margin=imag_margin,
-                omega0=0.5 * max(0.0, float(lam_max)))
 
 
 def _mode_keys(decomp):
@@ -131,24 +66,65 @@ def _match_against(prev_keys, cur_keys, ref_separation, node):
             raise BlockMatchingFailure(f"branches merge at node {node}")
 
 
-def reference_setup(sampler, grid, tol=1e-9):
-    """Per-node decomposition with continuity matching over the grid.
-    Returns a1, a2, b and, per side, the trace maps P Pi P^-1 at its nodes,
-    each from that node's own congruence and synthesized conditions."""
-    nx, ny = grid.nx, grid.ny
+def reference_check(sampler, grid):
+    """Per-node admission check, every check at a node before the next
+    node; returns the report fields as a dict. Branches are matched by the
+    mode keys of each node's own decomposition. Its omega0 leaves the
+    lower-order term out, so compare on samplers without one."""
     xs, ys = grid.x(), grid.y()
-    a1 = None
-    maps = {side: [] for side in Side}
+    a1_samples = a2_samples = None
+    coeff_margin = real_margin = imag_margin = np.inf
+    coeff_signs = {"a1": None, "a2": None}
+    real_signs = multiplicity_pattern = None
     ref_separation = {}
     keys_at = {}
-    for i in range(nx):
-        for j in range(ny):
-            pair = sampler(float(xs[i]), float(ys[j]))
-            d = simultaneous_diagonalize(pair, tol=max(tol, 1e-9))
-            keys = _mode_keys(d)
-            if a1 is None:
-                n = pair.order
-                a1, a2, b = (np.zeros((nx, ny, n, n)) for _ in range(3))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            pair = sampler(float(x), float(y))
+            n = pair.order
+            if a1_samples is None:
+                a1_samples = np.zeros((grid.nx, grid.ny, n, n))
+                a2_samples = np.zeros((grid.nx, grid.ny, n, n))
+            a1_samples[i, j] = pair.a1
+            a2_samples[i, j] = pair.a2
+            for name, M in (("a1", pair.a1), ("a2", pair.a2)):
+                ev = np.sort(np.linalg.eigvalsh(M))
+                if np.any(ev == 0):
+                    raise AssumptionViolated("b", (i, j),
+                                             f"{name} eigenvalue hits zero")
+                signs = tuple(np.sign(ev))
+                if coeff_signs[name] is None:
+                    coeff_signs[name] = signs
+                elif signs != coeff_signs[name]:
+                    raise AssumptionViolated("b", (i, j),
+                                             f"{name} eigenvalue changed sign")
+                coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
+            M = np.linalg.solve(pair.a1, pair.a2)
+            scale = max(np.linalg.norm(M, 2), 1e-300)
+            real, cplx = _eig_signature(M, 1e-8 * scale)
+            if real:
+                r = np.array(real)
+                if np.any(r == 0):
+                    raise AssumptionViolated("c", (i, j), "real eigenvalue hits zero")
+                signs = tuple(np.sign(r))
+                if real_signs is None:
+                    real_signs = signs
+                elif signs != real_signs:
+                    raise AssumptionViolated("c", (i, j),
+                                             "real eigenvalue changed sign")
+                real_margin = min(real_margin, float(np.abs(r).min()))
+            if cplx:
+                imag_margin = min(imag_margin, min(p[1] for p in cplx))
+            pattern = (len(real), len(cplx))
+            if multiplicity_pattern is None:
+                multiplicity_pattern = pattern
+            elif pattern != multiplicity_pattern:
+                raise AssumptionViolated("d", (i, j), "pattern changed")
+            cond = np.linalg.cond(np.linalg.eig(M)[1])
+            if not cond <= DEFAULT_CONDITION_CAP:
+                raise IllConditionedBasis(f"cond {cond:.3e} at node {(i, j)}")
+            keys = _mode_keys(simultaneous_diagonalize(pair))
+            if (i, j) == (0, 0):
                 for k1 in range(len(keys)):
                     for k2 in range(k1 + 1, len(keys)):
                         sep = _key_dist(keys[k1], keys[k2])
@@ -158,12 +134,45 @@ def reference_setup(sampler, grid, tol=1e-9):
                 nb = (i - 1, j) if i > 0 else (i, j - 1)
                 _match_against(keys_at[nb], keys, ref_separation, (i, j))
             keys_at[(i, j)] = keys
+
+    d_a1_dx = np.gradient(a1_samples, grid.hx, axis=0, edge_order=2)
+    d_a2_dy = np.gradient(a2_samples, grid.hy, axis=1, edge_order=2)
+    d_a1_dy = np.gradient(a1_samples, grid.hy, axis=1, edge_order=2)
+    d_a2_dx = np.gradient(a2_samples, grid.hx, axis=0, edge_order=2)
+    c1_norm = float(max(np.abs(d_a1_dx).max(), np.abs(d_a1_dy).max(),
+                        np.abs(d_a2_dx).max(), np.abs(d_a2_dy).max(),
+                        np.abs(a1_samples).max(), np.abs(a2_samples).max()))
+    div = d_a1_dx + d_a2_dy
+    lam_max = np.linalg.eigvalsh(0.5 * (div + np.swapaxes(div, -1, -2))).max()
+    return dict(c1_norm_estimate=c1_norm, coeff_eig_margin=coeff_margin,
+                real_eig_margin=real_margin, imag_eig_margin=imag_margin,
+                omega0=0.5 * max(0.0, float(lam_max)))
+
+
+def reference_setup(sampler, grid):
+    """Per-node sampling and boundary decomposition. Returns a1, a2, b and,
+    per side, the trace maps P Pi P^-1 at its nodes, each from that node's
+    own congruence and synthesized conditions."""
+    nx, ny = grid.nx, grid.ny
+    xs, ys = grid.x(), grid.y()
+    a1 = None
+    maps = {side: [] for side in Side}
+    for i in range(nx):
+        for j in range(ny):
+            pair = sampler(float(xs[i]), float(ys[j]))
+            if a1 is None:
+                n = pair.order
+                a1, a2, b = (np.zeros((nx, ny, n, n)) for _ in range(3))
             a1[i, j], a2[i, j] = pair.a1, pair.a2
             b[i, j] = 0.0 if pair.b is None else pair.b
+            on = {Side.W: i == 0, Side.E: i == nx - 1,
+                  Side.S: j == 0, Side.N: j == ny - 1}
+            if not any(on.values()):
+                continue
+            d = simultaneous_diagonalize(pair)
             bcs = assemble_system_bcs(d)
-            for side, on_side in ((Side.W, i == 0), (Side.E, i == nx - 1),
-                                  (Side.S, j == 0), (Side.N, j == ny - 1)):
-                if on_side:
+            for side in Side:
+                if on[side]:
                     Pi = solver._mode_projector(d, bcs, side)
                     maps[side].append(d.p @ Pi @ np.linalg.inv(d.p))
     return a1, a2, b, {side: np.array(m) for side, m in maps.items()}
@@ -260,6 +269,13 @@ FAILING = {
 }
 
 
+def bare_config(sampler, grid):
+    """A run of `sampler` with no `var_setup`: the operator admits it."""
+    u0 = np.zeros((sampler(0.0, 0.0).order, grid.nx, grid.ny))
+    return IVPConfig(grid=grid, u0=StateField(grid, u0), t_end=1.0,
+                     sampler=sampler)
+
+
 def _outcome(fn, *args):
     """(class name, which, node) of the error `fn` raises, or None."""
     try:
@@ -303,26 +319,30 @@ class TestMatchesReference:
             np.testing.assert_allclose(op.side_map[side], ref[side],
                                        rtol=0, atol=1e-14)
 
-    # (check, setup) outcome of each failing sampler at 9x9, x = i / 8
+    # the one outcome of each failing sampler at 9x9, x = i / 8
     EXPECTED = {
-        "zero_crossing": (("AssumptionViolated", "b", (4, 0)), None),
-        "real_sign_change": (("AssumptionViolated", "c", (5, 0)),
-                             ("BlockMatchingFailure", None, (5, 0))),
-        "census_change": (("AssumptionViolated", "d", (5, 0)),
-                          ("BlockMatchingFailure", None, (5, 0))),
-        "branch_swap": (None, ("BlockMatchingFailure", None, (5, 0))),
-        "branch_merge": (None, ("BlockMatchingFailure", None, (4, 0))),
+        "zero_crossing": ("AssumptionViolated", "b", (4, 0)),
+        "real_sign_change": ("AssumptionViolated", "c", (5, 0)),
+        "census_change": ("AssumptionViolated", "d", (5, 0)),
+        "branch_swap": ("BlockMatchingFailure", None, (5, 0)),
+        "branch_merge": ("BlockMatchingFailure", None, (4, 0)),
     }
 
     @pytest.mark.parametrize("case", sorted(FAILING))
     def test_same_failure(self, case):
         g = RectGrid(1.0, 1.0, 9, 9)
         sampler = FAILING[case]
-        check, setup = self.EXPECTED[case]
-        assert _outcome(reference_check, sampler, g) == check
-        assert _outcome(check_variable_coeff_assumptions, sampler, g) == check
-        assert _outcome(reference_setup, sampler, g) == setup
-        assert _outcome(variable_coeff_setup, sampler, g) == setup
+        expected = self.EXPECTED[case]
+        assert _outcome(reference_check, sampler, g) == expected
+        assert _outcome(check_variable_coeff_assumptions, sampler, g) == expected
+        # the setup trusts its caller: each boundary node decomposes alone
+        assert _outcome(variable_coeff_setup, sampler, g) is None
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_bare_sampler_run_is_admitted(self, case):
+        # run(sampler=...) admits exactly what the check admits
+        g = RectGrid(1.0, 1.0, 9, 9)
+        assert _outcome(run, bare_config(FAILING[case], g)) == self.EXPECTED[case]
 
     def test_decomposes_boundary_only(self, monkeypatch):
         calls = []
@@ -339,7 +359,8 @@ class TestMatchesReference:
 class TestInteriorGuard:
     def test_defective_interior_node_named(self):
         # a1^-1 a2 is a Jordan block at one interior node, the identity
-        # elsewhere: every branch check passes, and no boundary node sees it
+        # elsewhere: every sign, pattern and branch check passes there, and
+        # no boundary node sees it, so only the eigenbasis condition can
         g = RectGrid(1.0, 1.0, 9, 9)
         xs, ys = g.x(), g.y()
 
@@ -347,9 +368,11 @@ class TestInteriorGuard:
             s = 1.0 if (x, y) == (xs[4], ys[3]) else 0.0
             return SymmetricPair(a1=SWAP, a2=SWAP + s * np.diag([1.0, 0.0]))
 
-        check_variable_coeff_assumptions(sampler, g)
-        with pytest.raises(HypermodesError, match=r"node \(4, 3\)"):
-            variable_coeff_setup(sampler, g)
+        expected = ("IllConditionedBasis", None, (4, 3))
+        assert _outcome(reference_check, sampler, g) == expected
+        assert _outcome(check_variable_coeff_assumptions, sampler, g) == expected
+        assert _outcome(run, bare_config(sampler, g)) == expected
+        assert _outcome(variable_coeff_setup, sampler, g) is None
 
 
 class TestGrowthRate:
