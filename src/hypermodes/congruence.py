@@ -26,7 +26,7 @@ DECOMPOSITION_RTOL = 1e-9
 class SymmetricPair:
     """System matrices (a1, a2), optional lower-order term b and the
     symmetrizer s0 that produced them (metadata; a1, a2 are already
-    symmetric)."""
+    symmetric). A NaN or infinite entry in any of them is a ValueError."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -55,6 +55,8 @@ class SymmetricPair:
             object.__setattr__(self, "b", b)
             if b.shape != a1.shape:
                 raise ValueError("b must match the system order")
+            if not np.isfinite(b).all():
+                raise ValueError("b has a non-finite entry")
         if self.s0 is not None:
             s0 = np.asarray(self.s0, dtype=float)
             object.__setattr__(self, "s0", s0)

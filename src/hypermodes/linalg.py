@@ -240,15 +240,20 @@ def real_block_eigen(M, cluster_tol: float | None = None,
 
 
 def check_symmetric(M, *names: str):
-    """Raise ValueError naming the first matrix whose relative Frobenius
-    asymmetry exceeds SYMMETRY_RTOL. M is one matrix and `names` its name,
-    or a stack of matrices checked in one pass, with one name each."""
+    """Raise ValueError naming the first matrix with a NaN or infinite
+    entry, or else the first whose relative Frobenius asymmetry exceeds
+    SYMMETRY_RTOL. M is one matrix and `names` its name, or a stack of
+    matrices checked in one pass, with one name each."""
     M = np.asarray(M)
     n2 = M.shape[-1] ** 2
-    d = (M - M.swapaxes(-1, -2)).reshape(-1, n2)
     flat = M.reshape(-1, n2)
-    asym = np.einsum("ki,ki->k", d, d).tolist()
     size = np.einsum("ki,ki->k", flat, flat).tolist()
+    for name, row, size2 in zip(names, flat, size):
+        # a squared norm is finite unless an entry is, or passes ~1e154
+        if not math.isfinite(size2) and not np.isfinite(row).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    d = (M - M.swapaxes(-1, -2)).reshape(-1, n2)
+    asym = np.einsum("ki,ki->k", d, d).tolist()
     for name, asym2, size2 in zip(names, asym, size):
         err = math.sqrt(asym2) / max(math.sqrt(size2), 1e-300)
         if err > SYMMETRY_RTOL:

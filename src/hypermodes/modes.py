@@ -10,8 +10,8 @@ infinitely many equivalent condition sets.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .errors import (AssumptionViolated, BlockMatchingFailure,
                      IllConditionedBasis, RankDeficientOverride,
                      ZeroCoefficient, ZeroKappa)
 from .linalg import DEFAULT_CONDITION_CAP
+
+if TYPE_CHECKING:  # operators imports this module
+    from .operators import RectGrid
 
 SIGN_TOL = 1e-12
 
@@ -191,7 +194,8 @@ class VariableCoeffReport:
 
     Margins are minima over the sample nodes. The C1 norm is a
     finite-difference proxy; Holder regularity itself is taken on trust.
-    omega0 is the pointwise growth rate of the energy identity.
+    omega0 is the pointwise growth rate of the energy identity, and
+    `setup` holds the samples these verdicts were taken on.
     """
 
     c1_norm_estimate: float
@@ -199,18 +203,35 @@ class VariableCoeffReport:
     real_eig_margin: float
     imag_eig_margin: float
     omega0: float
+    setup: VariableCoefficientSetup = field(repr=False, compare=False)
 
 
-def sample_coefficients(sampler: Callable[[float, float], SymmetricPair], grid):
-    """Call `sampler` once per node, x outer, and stack the pairs into
-    (a1, a2, b), each (nx, ny, n, n); b is zero where the sampler has none."""
+@dataclass
+class VariableCoefficientSetup:
+    """The coefficient samples of a sampler on `grid`, one node each."""
+
+    grid: RectGrid
+    a1: np.ndarray            # (nx, ny, n, n)
+    a2: np.ndarray
+    b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
+
+    @property
+    def order(self) -> int:
+        return self.a1.shape[-1]
+
+
+def variable_coeff_setup(sampler: Callable[[float, float], SymmetricPair],
+                         grid: RectGrid) -> VariableCoefficientSetup:
+    """The one sampling loop: call `sampler` once per node, x outer, and
+    stack the pairs. It checks nothing; `check_variable_coeff_assumptions`
+    samples through it and returns the samples it admitted."""
     pairs = [sampler(float(x), float(y)) for x in grid.x() for y in grid.y()]
     shape = (grid.nx, grid.ny) + pairs[0].a1.shape
     a1 = np.array([p.a1 for p in pairs]).reshape(shape)
     a2 = np.array([p.a2 for p in pairs]).reshape(shape)
     b = np.array([np.zeros_like(p.a1) if p.b is None else p.b
                   for p in pairs]).reshape(shape)
-    return a1, a2, b
+    return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b)
 
 
 def _mode_keys(ev: np.ndarray, scale: np.ndarray):
@@ -253,12 +274,14 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
     neighbour (i-1, j), or (0, j-1) on the first column, with no swap and
     no merge of branches apart at (0, 0).
 
-    Raises AssumptionViolated, IllConditionedBasis or BlockMatchingFailure
-    at the first failing node in raster order; returns the margin report
-    otherwise, with omega0 from `growth_rate`. `variable_coeff_setup`
-    assumes a sampler this check admits.
+    Samples each node once, through `variable_coeff_setup`. Raises
+    AssumptionViolated, IllConditionedBasis or BlockMatchingFailure at the
+    first failing node in raster order; returns the margin report
+    otherwise, with omega0 from `growth_rate` and the admitted samples as
+    its `setup`, which a run can step without sampling again.
     """
-    a1, a2, b = sample_coefficients(sampler, grid)
+    setup = variable_coeff_setup(sampler, grid)
+    a1, a2, b = setup.a1, setup.a2, setup.b
     checks = []
     coeff_margin = np.inf
     for name, A in (("a1", a1), ("a2", a2)):
@@ -339,6 +362,7 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
         real_eig_margin=float(np.abs(keys.real[real]).min(initial=np.inf)),
         imag_eig_margin=float(keys.imag[cplx].min(initial=np.inf)),
         omega0=growth_rate(a1, a2, b, grid.hx, grid.hy),
+        setup=setup,
     )
 
 

@@ -23,9 +23,11 @@ import numpy as np
 from .congruence import (ModeDecomposition, SymmetricPair,
                          simultaneous_diagonalize)
 from .errors import CFLViolation, UnstableCoefficients
-from .modes import (BCAssignment, ScalarModeBC, Side, assemble_system_bcs,
+# variable_coeff_setup is re-exported for callers that reach it here
+from .modes import (BCAssignment, ScalarModeBC, Side,
+                    VariableCoefficientSetup, assemble_system_bcs,
                     check_variable_coeff_assumptions, growth_rate,
-                    sample_coefficients)
+                    variable_coeff_setup)
 from .operators import RectGrid, StateField
 
 log = logging.getLogger(__name__)
@@ -68,7 +70,7 @@ class IVPConfig:
     pair: SymmetricPair | None = None
     sampler: Callable[[float, float], SymmetricPair] | None = None
     decomp: ModeDecomposition | None = None
-    var_setup: "VariableCoefficientSetup | None" = None
+    var_setup: VariableCoefficientSetup | None = None
     bcs: list[BCAssignment] | None = None
     forcing: Callable[[float], np.ndarray] | None = None
     # dt_max = 2 cfl h / max speed, with cfl in (0, 0.5]: each of a step's
@@ -168,9 +170,10 @@ class SpatialOperator:
     constant coefficients build the same stacks from one node that stands
     for all. `omega` is the growth rate of the energy identity on those
     stacks (`modes.growth_rate`). `apply` and `project` reuse private
-    buffers: one caller at a time. A bare `sampler` passes
-    `check_variable_coeff_assumptions` first; a given `var_setup`, like a
-    given `decomp`, is trusted.
+    buffers: one caller at a time. A bare `sampler` is sampled once, by
+    `check_variable_coeff_assumptions`, and the operator steps the samples
+    it admitted; a given `var_setup`, like a given `decomp`, is trusted.
+    Only the boundary nodes, whose side maps need them, are decomposed.
     """
 
     def __init__(self, config: IVPConfig):
@@ -180,11 +183,18 @@ class SpatialOperator:
         hx, hy = grid.hx, grid.hy
 
         if config.sampler is not None:
-            setup = config.var_setup
-            if setup is None:
-                check_variable_coeff_assumptions(config.sampler, grid)
-                setup = variable_coeff_setup(config.sampler, grid)
-            a1, a2, b, decomps = setup.a1, setup.a2, setup.b, setup.decomps
+            setup = (config.var_setup or check_variable_coeff_assumptions(
+                config.sampler, grid).setup)
+            a1, a2, b = setup.a1, setup.a2, setup.b
+            # each side's boundary nodes in trace order; a corner ends two
+            # sides and is decomposed once
+            ij = np.indices(a1.shape[:2])
+            nodes = {side: list(map(tuple, ij[side.edge].T)) for side in Side}
+            decomp = {node: simultaneous_diagonalize(
+                          SymmetricPair(a1=a1[node], a2=a2[node]))
+                      for node in dict.fromkeys(sum(nodes.values(), []))}
+            decomps = {side: [decomp[node] for node in nodes[side]]
+                       for side in Side}
         else:
             pair = config.pair
             a1, a2 = pair.a1[None, None], pair.a2[None, None]
@@ -345,50 +355,6 @@ def run(config: IVPConfig):
                           omega=op.omega, max_step_increase=max_inc,
                           verdict=bool(ok))
     return trajectory, report
-
-
-# --- variable coefficients -------------------------------------------------
-
-
-@dataclass
-class VariableCoefficientSetup:
-    """Per-node coefficient samples and the decomposition at each boundary
-    node."""
-
-    grid: RectGrid
-    a1: np.ndarray            # (nx, ny, n, n)
-    a2: np.ndarray
-    b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
-    decomps: dict             # Side -> [ModeDecomposition] along the side
-
-    @property
-    def order(self) -> int:
-        return self.a1.shape[-1]
-
-
-def variable_coeff_setup(sampler, grid: RectGrid) -> VariableCoefficientSetup:
-    """Sample each node once and decompose only the boundary nodes, whose
-    conditions the side maps need. The sampler is assumed admitted by
-    `modes.check_variable_coeff_assumptions`; a defective boundary node
-    still fails its own decomposition. Each boundary node is decomposed on
-    its own and later takes its own synthesized conditions, so where a
-    mode's sign changes along a side its condition switches at that node."""
-    a1, a2, b = sample_coefficients(sampler, grid)
-
-    cache = {}   # each corner ends two sides
-
-    def decomposition(node):
-        if node not in cache:
-            pair = SymmetricPair(a1=a1[node], a2=a2[node])
-            cache[node] = simultaneous_diagonalize(pair)
-        return cache[node]
-
-    # the (i, j) index of each node along a side, in trace order
-    ij = np.indices((grid.nx, grid.ny))
-    decomps = {side: [decomposition(tuple(node)) for node in ij[side.edge].T]
-               for side in Side}
-    return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b,
-                                    decomps=decomps)
 
 
 def _side_maps(decomps: dict, bcs) -> dict:

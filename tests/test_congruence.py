@@ -218,6 +218,21 @@ class TestSimultaneousDiagonalize:
         else:
             SymmetricPair(a1=np.eye(4), a2=a2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["a1", "a2", "b", "s0"])
+    def test_non_finite_entry_named(self, field, value):
+        # a symmetric entry pair, so no asymmetry check can catch it
+        fields = {"a1": np.eye(2), "a2": np.diag([2.0, 3.0]),
+                  "b": np.zeros((2, 2)), "s0": np.eye(2)}
+        fields[field][0, 1] = fields[field][1, 0] = value
+        with pytest.raises(ValueError, match=rf"^{field} has a non-finite entry$"):
+            SymmetricPair(**fields)
+
+    def test_huge_finite_entries_accepted(self):
+        # their squared norm overflows; the entries themselves are finite
+        SymmetricPair(a1=1e200 * np.eye(2), a2=1e200 * np.diag([2.0, 3.0]),
+                      b=1e200 * np.ones((2, 2)))
+
     def test_report_contains_modes_and_residuals(self):
         rng = np.random.default_rng(1)
         pair, _ = plant_pair([("I", 1.0, 2.0), ("II", 0.5, 0.5, 0.0, 1.0)], rng)

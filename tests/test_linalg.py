@@ -241,6 +241,13 @@ class TestCheckSymmetric:
     def test_zero_matrix_is_symmetric(self):
         linalg.check_symmetric(np.zeros((3, 3)), "Z")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_named(self, value):
+        # NaN > tol is False, so the asymmetry alone would pass a NaN
+        S = np.stack([np.eye(2), np.full((2, 2), value)])
+        with pytest.raises(ValueError, match="^m1 has a non-finite entry$"):
+            linalg.check_symmetric(S, "m0", "m1")
+
 
 class TestMatrixText:
     def test_round_trip_exact(self):

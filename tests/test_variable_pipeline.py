@@ -2,12 +2,13 @@
 replaced.
 
 `reference_check` and `reference_setup` are node-by-node implementations
-of `check_variable_coeff_assumptions` and `variable_coeff_setup`. The
-check runs every standing assumption at a node, with branch matching
-against the neighbour (i-1, j), or (0, j-1) on the first column, before
-the next node. The setup decomposes each boundary node, which takes its
-own synthesized conditions, so where a mode's sign changes along a side
-its condition switches at that node. The batched code must give the same
+of `check_variable_coeff_assumptions` and of the samples and side maps a
+`SpatialOperator` builds on `variable_coeff_setup`. The check runs every
+standing assumption at a node, with branch matching against the
+neighbour (i-1, j), or (0, j-1) on the first column, before the next
+node. `reference_setup` decomposes each boundary node, which takes its own
+synthesized conditions, so where a mode's sign changes along a side its
+condition switches at that node. The batched code must give the same
 report, the same side maps on all four sides, and the same error at the
 same node.
 """
@@ -335,7 +336,7 @@ class TestMatchesReference:
         expected = self.EXPECTED[case]
         assert _outcome(reference_check, sampler, g) == expected
         assert _outcome(check_variable_coeff_assumptions, sampler, g) == expected
-        # the setup trusts its caller: each boundary node decomposes alone
+        # the setup only samples and checks nothing
         assert _outcome(variable_coeff_setup, sampler, g) is None
 
     @pytest.mark.parametrize("case", sorted(FAILING))
@@ -345,6 +346,8 @@ class TestMatchesReference:
         assert _outcome(run, bare_config(FAILING[case], g)) == self.EXPECTED[case]
 
     def test_decomposes_boundary_only(self, monkeypatch):
+        # the setup only samples; the operator decomposes each boundary
+        # node once, corners included
         calls = []
 
         def counted(pair, **kw):
@@ -352,8 +355,52 @@ class TestMatchesReference:
             return simultaneous_diagonalize(pair, **kw)
 
         monkeypatch.setattr(solver, "simultaneous_diagonalize", counted)
-        variable_coeff_setup(planted_varying_sampler(0), self.GRID)
-        assert len(calls) == 2 * (self.GRID.nx + self.GRID.ny) - 4
+        g, sampler = self.GRID, planted_varying_sampler(0)
+        setup = variable_coeff_setup(sampler, g)
+        assert calls == []
+        u0 = StateField(g, np.zeros((setup.order, g.nx, g.ny)))
+        SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0, sampler=sampler,
+                                  var_setup=setup))
+        assert len(calls) == 2 * (g.nx + g.ny) - 4
+
+
+class TestSampledOnce:
+    """A bare run samples each node once and steps the samples its
+    admission check took."""
+
+    GRID = RectGrid(1.0, 1.0, 9, 9)
+
+    def test_one_sampler_call_per_node(self):
+        g, base = self.GRID, planted_varying_sampler(0)
+        n = base(0.0, 0.0).order
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return base(x, y)
+
+        u0 = StateField(g, np.zeros((n, g.nx, g.ny)))
+        run(IVPConfig(grid=g, u0=u0, t_end=0.05, sampler=counting))
+        assert len(calls) == g.nx * g.ny
+
+    def test_steps_the_admitted_samples(self):
+        # a second pass would flip a1 at node (4, 4), which the check
+        # rejects and which would raise omega; the run steps the first
+        g = self.GRID
+        calls = []
+
+        def two_pass(x, y):
+            calls.append((x, y))
+            flip = len(calls) > g.nx * g.ny and (x, y) == (g.x()[4], g.y()[4])
+            return SymmetricPair(a1=np.array([[-1.0 if flip else 1.0]]),
+                                 a2=np.array([[1.0]]))
+
+        u0 = StateField(g, np.zeros((1, g.nx, g.ny)))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       sampler=two_pass))
+        assert op.omega == 0.0
+        with pytest.raises(AssumptionViolated, match=r"node \(4, 4\)"):
+            check_variable_coeff_assumptions(two_pass, g)
 
 
 class TestInteriorGuard:
