@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Refinement study for the discrete certificates.
-
-Measures the decay rate of the cross-term and duality residuals of the
-second-order (edge_order=2) differences, the manufactured-solution recovery
-order of the elliptic solve and its uniqueness estimate sigma-min over a
-sequence of grids, printing one table row per grid. `hypermodes verify`
-fits no rate: it checks both identities exactly (summation by parts).
-"""
+"""Refinement study for the quadrature checks of the paper's lemmas
+(tests/lemmas.py, loaded from its file): the decay rates of the cross-term
+and duality residuals, the manufactured-solution recovery order of the
+elliptic solve and its uniqueness estimate sigma-min, one row per grid."""
 
 import argparse
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 from hypermodes.congruence import TypeIIMode
 from hypermodes.modes import Side
-from hypermodes.operators import (RectGrid, StateField, cross_term_residual,
-                                  elliptic_steady_solve, elliptic_uniqueness,
-                                  integration_by_parts_residual,
-                                  manufactured_elliptic)
+from hypermodes.operators import (RectGrid, StateField, elliptic_steady_solve,
+                                  elliptic_uniqueness)
+
+_spec = importlib.util.spec_from_file_location(
+    "lemmas", Path(__file__).resolve().parents[1] / "tests" / "lemmas.py")
+lemmas = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lemmas)
 
 DEFAULT_CONDS = {Side.W: (1.0, 0.0), Side.S: (1.0, 0.0),
                  Side.E: (0.0, 1.0), Side.N: (0.0, 1.0)}
@@ -39,7 +40,7 @@ def main():
         inner = X * (1 - X) * Y * (1 - Y)
         u = StateField(g, np.stack(
             [shared, shared + inner * np.exp(X) * np.sin(np.pi * Y + 0.5)]))
-        cross = cross_term_residual(u, mixed)
+        cross = lemmas.cross_term_residual(u, mixed)
 
         mu1, mu2 = X / 4.0, 1.0 + Y / 4.0
         T1 = np.zeros((g.nx, g.ny, 2, 2))
@@ -48,9 +49,9 @@ def main():
                        np.stack([mu1, -mu2], -1)], -2)
         theta = StateField(g, np.stack([np.sin(2 * X + Y), np.cos(X - Y)]))
         gf = StateField(g, np.stack([np.cos(3 * X), np.sin(X + 2 * Y)]))
-        ibp = integration_by_parts_residual(theta, gf, T1, T2)
+        ibp = lemmas.integration_by_parts_residual(theta, gf, T1, T2)
 
-        u_star, psi = manufactured_elliptic(g, (0.0, 1.0, 1.0, 0.0))
+        u_star, psi = lemmas.manufactured_elliptic(g, (0.0, 1.0, 1.0, 0.0))
         sol, _ = elliptic_steady_solve(mode, StateField(g, psi), g,
                                        DEFAULT_CONDS)
         mms = StateField(g, sol.values - u_star).norm()

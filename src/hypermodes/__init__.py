@@ -3,8 +3,8 @@ systems on a rectangle.
 
 A single real congruence splits the system into scalar hyperbolic modes and
 2x2 elliptic modes; sign tables assign each mode its admissible homogeneous
-boundary conditions; a first-order upwind simulator and a battery of
-discrete residual checks certify the resulting energy bounds.
+boundary conditions; a first-order upwind simulator runs the system, and a
+battery of certificates computed from it checks the energy bounds.
 """
 
 from . import apps, congruence, linalg, modes, operators, solver

@@ -1,8 +1,8 @@
 """Application presets: linearized shallow water (with Coriolis and with
 magnetic field), linearized compressible Euler, and the wave equation in
-first-order form. Each preset builds the symmetrized coefficient pair and,
-where the reference provides them, closed-form eigenvalues that serve as
-independent oracles for the decomposition."""
+first-order form. Each preset builds the symmetrized coefficient pair. The
+closed-form eigenvalues of the two shallow water presets, independent
+oracles for the decomposition, live with the tests (`tests/lemmas.py`)."""
 
 from __future__ import annotations
 
@@ -114,19 +114,6 @@ def preset_swe(p: SWEParams) -> SymmetricPair:
     return symmetrize(*swe_raw_matrices(p))
 
 
-def swe_eigenvalues(p: SWEParams) -> np.ndarray:
-    """Closed-form spectrum of E1^-1 E2: two gravity branches through
-    kappa0 = sqrt(g (u0^2 + v0^2 - g phi0) / phi0) and the advective v0/u0.
-    Complex values are returned when kappa0^2 < 0."""
-    kappa0_sq = p.g * (p.u0 ** 2 + p.v0 ** 2 - p.g * p.phi0) / p.phi0
-    kappa0 = np.sqrt(complex(kappa0_sq, 0.0))
-    den = p.u0 ** 2 - p.g * p.phi0
-    lam1 = (p.u0 * p.v0 + p.phi0 * kappa0) / den
-    lam2 = (p.u0 * p.v0 - p.phi0 * kappa0) / den
-    lam3 = complex(p.v0 / p.u0, 0.0)
-    return np.array([lam1, lam2, lam3])
-
-
 # --- shallow water magnetohydrodynamics ----------------------------------------
 
 
@@ -182,22 +169,6 @@ def swmhd_raw_matrices(p: SWMHDParams):
 def preset_swmhd(p: SWMHDParams) -> SymmetricPair:
     e1, e2, s0 = swmhd_raw_matrices(p)
     return symmetrize(e1, e2, s0=s0)
-
-
-def swmhd_eigenvalues(p: SWMHDParams) -> np.ndarray:
-    """The five displayed branches: two Alfven ratios (b20 +/- v0) over
-    (b10 +/- u0), the advective v0/u0, and the magneto-gravity pair from
-    the discriminant expression (complex when the discriminant is negative)."""
-    lam1 = complex((p.b20 + p.v0) / (p.b10 + p.u0), 0.0)
-    lam2 = complex((p.b20 - p.v0) / (p.b10 - p.u0), 0.0)
-    lam5 = complex(p.v0 / p.u0, 0.0)
-    den = p.b10 ** 2 - p.u0 ** 2 + p.g * p.phi0
-    cross = p.b10 * p.b20 - p.u0 * p.v0
-    disc = cross ** 2 - den * (p.b20 ** 2 - p.v0 ** 2 + p.g * p.phi0)
-    root = np.sqrt(complex(disc, 0.0))
-    lam3 = (cross + root) / den
-    lam4 = (cross - root) / den
-    return np.array([lam1, lam2, lam3, lam4, lam5])
 
 
 # --- compressible Euler ---------------------------------------------------------

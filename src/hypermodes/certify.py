@@ -1,11 +1,8 @@
 """The battery of discrete certificates for one decomposed system, and
 the seeded admissible initial data and run length it simulates with.
-
-The identity rows difference with the summation-by-parts (SBP) operator
-D = H^-1 Q of the trapezoid norm H (Kreiss & Scherer 1974; Strand, JCP
-110, 1994): <Df, g>_H + <f, Dg>_H = [fg] to roundoff, so the identities
-are exact, and <(A1 Dx + A2 Dy)u, u>_H is half the side rows' boundary forms.
-"""
+Every row is computed from the input system and its conditions. The
+summation-by-parts identities of the differences hold for any pair, so
+they are unit tests (`tests/test_certify.py`), not rows."""
 
 from __future__ import annotations
 
@@ -13,25 +10,12 @@ import numpy as np
 
 from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode
 from .modes import EllipticModeBC, ScalarModeBC, Side, check_rank2
-from .operators import (CertReport, RectGrid, StateField, _duality_terms,
-                        elliptic_uniqueness, inner, random_elliptic_bc_field,
-                        random_scalar_bc_field, side_vanishing_factor,
-                        smooth_random_field)
+from .operators import (CertReport, RectGrid, StateField,
+                        elliptic_uniqueness, random_elliptic_bc_field,
+                        random_scalar_bc_field)
 from .solver import IVPConfig, _max_speed, _side_maps, run
 
-EXACT_RTOL = 1e-12  # tolerance of the identity and boundary-form rows
-
-
-def _sbp_dx(values: np.ndarray, grid: RectGrid) -> np.ndarray:
-    return np.gradient(values, grid.hx, axis=-2, edge_order=1)
-
-def _sbp_dy(values: np.ndarray, grid: RectGrid) -> np.ndarray:
-    return np.gradient(values, grid.hy, axis=-1, edge_order=1)
-
-
-def _defect(*terms: float) -> float:
-    """|sum of the terms| relative to the largest of them."""
-    return abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300)
+EXACT_RTOL = 1e-12  # tolerance of the boundary-form rows
 
 
 def admissible_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
@@ -70,7 +54,7 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
                         t_end: float | None, cfl: float) -> list[CertReport]:
     """The full battery of discrete certificates for one system, every
     row closed-form on `grid`: the decomposition, one boundary form per
-    side, the SBP identities, elliptic uniqueness and the energy verdict.
+    side, elliptic uniqueness and the energy verdict.
 
     `seed` fixes every field; `t_end` (None: `default_t_end`) and `cfl`
     set the simulated run.
@@ -105,23 +89,6 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
         least = np.linalg.eigvalsh(0.5 * (form + form.T))[0]
         rows.append(CertReport(f"boundary_form_{side}", label,
                                max(0.0, -least) / speed, EXACT_RTOL))
-
-    # u1 = u2 on every side: the cross terms' boundary parts cancel
-    rng = np.random.default_rng(seed + 2000)
-    shared = smooth_random_field(grid, rng)
-    bump = side_vanishing_factor(grid, list(Side))
-    u1, u2 = shared, shared + bump * smooth_random_field(grid, rng)
-    i1 = inner(grid, _sbp_dx(u2, grid)[None], _sbp_dy(u1, grid)[None])
-    i2 = inner(grid, _sbp_dx(u1, grid)[None], _sbp_dy(u2, grid)[None])
-    rows.append(CertReport("crossterm_identity", label, _defect(i1, -i2),
-                           EXACT_RTOL))
-
-    rng = np.random.default_rng(seed + 3000)
-    theta, gf = (StateField(grid, np.stack([smooth_random_field(grid, rng)
-                                            for _ in range(pair.order)]))
-                 for _ in range(2))
-    terms = _duality_terms(theta, gf, pair.a1, pair.a2, _sbp_dx, _sbp_dy)
-    rows.append(CertReport("ibp_identity", label, _defect(*terms), EXACT_RTOL))
 
     for k, mode in elliptic:
         _, rep = elliptic_uniqueness(mode, grid, bcs[k].conditions)

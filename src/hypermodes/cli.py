@@ -137,6 +137,11 @@ def parse_config(argv) -> RunConfig:
                                             cfg.b_file, cfg.s0_file))
     if has_preset and has_files:
         raise ConflictingSources("give either preset=... or matrix files, not both")
+    if has_files and cfg.preset_params:
+        keys = ", ".join(sorted(cfg.preset_params))
+        raise ConflictingSources(f"preset parameters {keys} do not apply to matrix files")
+    if cfg.snapshots < 0:
+        raise ConfigError(f"snapshots must be 0 or positive, got {cfg.snapshots}")
     if command != "preset-list":
         if not has_preset and not has_files:
             raise MissingInput("no input source: give preset=... or "

@@ -62,10 +62,6 @@ class AssumptionViolated(HypermodesError):
 
 # --- discrete operators ----------------------------------------------------
 
-class BCViolated(HypermodesError):
-    pass
-
-
 class EllipticityLost(HypermodesError):
     pass
 

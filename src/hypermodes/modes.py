@@ -145,13 +145,6 @@ def rotate_type2(mode: TypeIIMode, kappa: float) -> TypeIIMode:
     return TypeIIMode(a1, b1, a2, b2)
 
 
-def rotation_matrix(kappa: float) -> np.ndarray:
-    """Q(kappa), the orthogonal map sending u to the rotated mode variables."""
-    if kappa == 0:
-        raise ZeroKappa("kappa must be non-zero")
-    return np.array([[kappa, -1.0], [1.0, kappa]]) / np.sqrt(1.0 + kappa * kappa)
-
-
 def check_rank2(conditions: Mapping[Side, tuple[float, float]]) -> bool:
     rows = np.array([conditions[s] for s in SIDE_ORDER], dtype=float)
     return np.linalg.matrix_rank(rows, tol=1e-10 * max(np.abs(rows).max(), 1e-300)) == 2

@@ -1,11 +1,11 @@
-"""Discrete certification operators on the rectangle.
+"""Grids, grid functions and the first-order elliptic solve on the rectangle.
 
-Second-order centered differences (one-sided at the boundary) and trapezoid
-quadrature back every residual here, so smooth-field residuals shrink at
-first or second order under refinement: the acceptance suite and
-`scripts/convergence_study.py` measure those rates, while `verify` checks
-the identities exactly (`certify`). The elliptic solve is a sparse
-least-squares discretization of the first-order mode system.
+`RectGrid` and `StateField` carry the trapezoid norm that runs and
+certificates measure in. The elliptic solve is a sparse least-squares
+discretization of the first-order mode system, with second-order centered
+differences (one-sided at the boundary); its uniqueness estimate is a
+`verify` row. The seeded smooth fields that `verify` and `simulate` start
+from are built here too.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .congruence import TypeIIMode
-from .errors import BCViolated, EllipticityLost, RankDeficientBC
+from .errors import EllipticityLost, RankDeficientBC
 from .modes import SIDE_ORDER, Side, check_rank2
 
 if TYPE_CHECKING:  # scipy is imported by the elliptic solve's functions only
     import scipy.sparse as sp
 
-BC_TRACE_RTOL = 1e-10
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
 # LOBPCG stopping rule of the sigma_min estimate
 UNIQUENESS_TOL, UNIQUENESS_MAXITER = 1e-10, 60
@@ -38,8 +37,8 @@ class RectGrid:
     ny: int
 
     def __post_init__(self):
-        if self.L1 <= 0 or self.L2 <= 0:
-            raise ValueError("domain lengths must be positive")
+        if not (0 < self.L1 < np.inf and 0 < self.L2 < np.inf):
+            raise ValueError("domain lengths must be positive and finite")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("node counts must be at least 8")
 
@@ -103,31 +102,6 @@ class StateField:
         w = self.grid.quad_weights()
         return float(np.sqrt(np.sum(w * np.sum(self.values ** 2, axis=0))))
 
-    def side_trace(self, side: Side) -> np.ndarray:
-        return self.values[side.edge]
-
-
-def ddx(values: np.ndarray, grid: RectGrid) -> np.ndarray:
-    return np.gradient(values, grid.hx, axis=-2, edge_order=2)
-
-def ddy(values: np.ndarray, grid: RectGrid) -> np.ndarray:
-    return np.gradient(values, grid.hy, axis=-1, edge_order=2)
-
-
-def inner(grid: RectGrid, f: np.ndarray, g: np.ndarray) -> float:
-    """Trapezoid L2 inner product of (n, nx, ny) arrays."""
-    w = grid.quad_weights()
-    return float(np.sum(w * np.sum(f * g, axis=0)))
-
-
-def _check_trace_zero(u: StateField, side: Side, rows: np.ndarray, what: str):
-    scale = max(np.abs(u.values).max(), 1e-300)
-    worst = np.abs(rows).max()
-    if worst > BC_TRACE_RTOL * scale:
-        raise BCViolated(
-            f"{what} on side {side}: max trace {worst:.3e} "
-            f"(relative tolerance {BC_TRACE_RTOL:.1e})")
-
 
 def _coeff_grid(value, grid: RectGrid) -> np.ndarray:
     """Promote a scalar coefficient to an (nx, ny) array."""
@@ -139,126 +113,12 @@ def _coeff_grid(value, grid: RectGrid) -> np.ndarray:
     return arr
 
 
-def positivity_residual_type1(c, d, u: StateField,
-                              sides: frozenset[Side]) -> float:
-    """Quadrature estimate of <c u_x + d u_y, u> for a scalar mode field
-    vanishing on its two inflow sides.
-
-    c, d may be constants or (nx, ny) samples with one-signed values; for
-    smooth u the result is bounded below by -C*h (constant coefficients)
-    or -(omega0 + C*h)*||u||^2 (variable).
-    """
-    grid = u.grid
-    cg = _coeff_grid(c, grid)
-    dg = _coeff_grid(d, grid)
-    for side in sides:
-        _check_trace_zero(u, side, u.side_trace(side), "scalar mode trace")
-    v = u.values[0]
-    flux = cg * ddx(v, grid) + dg * ddy(v, grid)
-    return inner(grid, flux[None], v[None])
-
-
 def _type2_coeff_grids(mode, grid: RectGrid):
     if isinstance(mode, TypeIIMode):
         vals = (mode.alpha1, mode.beta1, mode.alpha2, mode.beta2)
     else:
         vals = mode  # (alpha1, beta1, alpha2, beta2), scalars or arrays
     return tuple(_coeff_grid(v, grid) for v in vals)
-
-
-def apply_type2(mode, u: StateField) -> np.ndarray:
-    """T1 u_x + T2 u_y for the trace-free coefficient pair of the mode."""
-    grid = u.grid
-    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
-    u1, u2 = u.values[0], u.values[1]
-    u1x, u2x = ddx(u1, grid), ddx(u2, grid)
-    u1y, u2y = ddy(u1, grid), ddy(u2, grid)
-    return np.stack([
-        a1 * u1x + b1 * u2x + a2 * u1y + b2 * u2y,
-        b1 * u1x - a1 * u2x + b2 * u1y - a2 * u2y,
-    ])
-
-
-def check_conditions(u: StateField,
-                     conditions: Mapping[Side, tuple[float, float]],
-                     what: str = "elliptic mode trace") -> None:
-    for side in SIDE_ORDER:
-        a, b = conditions[side]
-        tr = u.side_trace(side)
-        _check_trace_zero(u, side, a * tr[0] + b * tr[1], what)
-
-
-def positivity_residual_type2(mode, u: StateField,
-                              conditions: Mapping[Side, tuple[float, float]],
-                              ) -> float:
-    """Quadrature estimate of <T1 u_x + T2 u_y, u> for a two-component field
-    satisfying the elliptic-mode side conditions."""
-    if u.components != 2:
-        raise ValueError("elliptic mode fields have two components")
-    check_conditions(u, conditions)
-    return inner(u.grid, apply_type2(mode, u), u.values)
-
-
-def cross_term_residual(u: StateField,
-                        conditions: Mapping[Side, tuple[float, float]]) -> float:
-    """|integral(u2_x u1_y) - integral(u1_x u2_y)| for fields satisfying
-    a_j u1 + b_j u2 = 0 on each side; vanishes in the continuum."""
-    if u.components != 2:
-        raise ValueError("cross-term fields have two components")
-    check_conditions(u, conditions, "cross-term side condition")
-    grid = u.grid
-    u1, u2 = u.values[0], u.values[1]
-    i1 = inner(grid, ddx(u2, grid)[None], ddy(u1, grid)[None])
-    i2 = inner(grid, ddx(u1, grid)[None], ddy(u2, grid)[None])
-    return abs(i1 - i2)
-
-
-def _coeff_field_apply(T: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply an (m, m) or (nx, ny, m, m) coefficient to an (m, nx, ny) field."""
-    if T.ndim == 2:
-        return np.einsum("ab,bij->aij", T, v)
-    return np.einsum("ijab,bij->aij", T, v)
-
-
-def _line_integral(vals: np.ndarray, h: float) -> float:
-    w = np.full(vals.shape[-1], h)
-    w[0] = w[-1] = 0.5 * h
-    return float(np.sum(w * vals))
-
-
-def _duality_terms(theta: StateField, g: StateField, T1, T2, dx, dy):
-    """The terms (volume 1, volume 2, -boundary) of the duality identity
-    below, which sum to 0, with the differences `dx`, `dy` for d/dx, d/dy."""
-    if theta.components != g.components:
-        raise ValueError("theta and g must have the same component count")
-    grid = theta.grid
-    T1 = np.asarray(T1, dtype=float)
-    T2 = np.asarray(T2, dtype=float)
-    th, gv = theta.values, g.values
-    T1th = _coeff_field_apply(T1, th)
-    T2th = _coeff_field_apply(T2, th)
-    vol1 = inner(grid, dx(T1th, grid) + dy(T2th, grid), gv)
-    vol2 = inner(grid, _coeff_field_apply(T1, dx(gv, grid))
-                 + _coeff_field_apply(T2, dy(gv, grid)), th)
-    Tth, h_along = (T1th, T2th), (grid.hy, grid.hx)
-    boundary = 0.0
-    for side in (Side.E, Side.W, Side.N, Side.S):
-        flux = np.sum(Tth[side.axis][side.edge] * gv[side.edge], axis=0)
-        boundary += side.sign * _line_integral(flux, h_along[side.axis])
-    return vol1, vol2, -boundary
-
-
-def integration_by_parts_residual(theta: StateField, g: StateField,
-                                  T1, T2) -> float:
-    """Discrete defect of the duality identity
-
-        <(T1 th)_x + (T2 th)_y, g> + <T1 g_x + T2 g_y, th> = <gamma_nu th, g>
-
-    with the co-normal trace gamma_nu th equal to the outward normal's sign
-    times T1 th on the W and E sides, T2 th on the S and N sides. Decays at
-    least at O(h) for smooth data.
-    """
-    return abs(sum(_duality_terms(theta, g, T1, T2, ddx, ddy)))
 
 
 # --- first-order elliptic solve ------------------------------------------------
@@ -299,7 +159,7 @@ def _gradient_matrix(npts: int, h: float) -> sp.csr_matrix:
 
 def _difference_matrices(grid: RectGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(Dx, Dy) acting on node-major flattened (nx, ny) fields: the matrix
-    forms of `ddx` and `ddy`."""
+    forms of np.gradient(edge_order=2) along x and y."""
     import scipy.sparse as sp
 
     Dx = sp.kron(_gradient_matrix(grid.nx, grid.hx), sp.identity(grid.ny),
@@ -469,47 +329,6 @@ def smooth_random_field(grid: RectGrid, rng: np.random.Generator) -> np.ndarray:
         out += amp * np.sin(ax * np.pi * x / grid.L1 + px) * \
             np.sin(ay * np.pi * y / grid.L2 + py)
     return out / 3
-
-
-def _bump(t, a, b):
-    """C^2 bump supported on (a, b): ((t-a)(b-t))^3, else 0."""
-    s = (t - a) * (b - t)
-    return np.where((t > a) & (t < b), s ** 3, 0.0)
-
-
-def _bump_prime(t, a, b):
-    s = (t - a) * (b - t)
-    return np.where((t > a) & (t < b), 3.0 * s ** 2 * (a + b - 2.0 * t), 0.0)
-
-
-def manufactured_elliptic(grid: RectGrid, mode_coeffs):
-    """Compactly supported exact solution and its forcing for the
-    first-order mode system T1 u_x + T2 u_y = psi.
-
-    mode_coeffs = (alpha1, beta1, alpha2, beta2), scalars or (nx, ny) arrays.
-    Returns (u_star values, psi values), both (2, nx, ny).
-    """
-    X, Y = grid.meshgrid()
-    ax, bx = 0.15 * grid.L1, 0.85 * grid.L1
-    ay, by = 0.15 * grid.L2, 0.85 * grid.L2
-    scale = 1.0 / (_bump(0.5 * (ax + bx), ax, bx)
-                   * _bump(0.5 * (ay + by), ay, by))
-    ex, exp_ = _bump(X, ax, bx), _bump_prime(X, ax, bx)
-    ey, eyp = _bump(Y, ay, by), _bump_prime(Y, ay, by)
-
-    s1, c1 = np.sin(3 * X + Y), np.cos(3 * X + Y)
-    s2, c2 = np.sin(X - 2 * Y), np.cos(X - 2 * Y)
-    u1 = scale * ex * ey * s1
-    u2 = scale * ex * ey * c2
-    u1x = scale * (exp_ * ey * s1 + ex * ey * 3 * c1)
-    u1y = scale * (ex * eyp * s1 + ex * ey * c1)
-    u2x = scale * (exp_ * ey * c2 - ex * ey * s2)
-    u2y = scale * (ex * eyp * c2 + ex * ey * 2 * s2)
-
-    a1, b1, a2, b2 = (np.asarray(v, dtype=float) for v in mode_coeffs)
-    psi1 = a1 * u1x + b1 * u2x + a2 * u1y + b2 * u2y
-    psi2 = b1 * u1x - a1 * u2x + b2 * u1y - a2 * u2y
-    return np.stack([u1, u2]), np.stack([psi1, psi2])
 
 
 def side_vanishing_factor(grid: RectGrid, sides) -> np.ndarray:

@@ -17,10 +17,13 @@ import time
 
 import numpy as np
 from conftest import plant_pair, random_mixed_spec, src_env
+from lemmas import (cross_term_residual, integration_by_parts_residual,
+                    manufactured_elliptic, positivity_residual_type1,
+                    positivity_residual_type2, swe_eigenvalues,
+                    swmhd_eigenvalues)
 
 from hypermodes.apps import (SWEParams, SWMHDParams, WaveParams, preset_swe,
-                             preset_swmhd, preset_wave, swe_eigenvalues,
-                             swe_raw_matrices, swmhd_eigenvalues,
+                             preset_swmhd, preset_wave, swe_raw_matrices,
                              swmhd_raw_matrices)
 from hypermodes.certify import admissible_field, default_t_end
 from hypermodes.congruence import (SymmetricPair, TypeIIMode,
@@ -28,12 +31,8 @@ from hypermodes.congruence import (SymmetricPair, TypeIIMode,
 from hypermodes.modes import (Side, assemble_system_bcs,
                               check_variable_coeff_assumptions,
                               synthesize_bc_type1, synthesize_bc_type2)
-from hypermodes.operators import (RectGrid, StateField, cross_term_residual,
-                                  elliptic_steady_solve, elliptic_uniqueness,
-                                  integration_by_parts_residual,
-                                  manufactured_elliptic,
-                                  positivity_residual_type1,
-                                  positivity_residual_type2,
+from hypermodes.operators import (RectGrid, StateField, elliptic_steady_solve,
+                                  elliptic_uniqueness,
                                   random_elliptic_bc_field,
                                   random_scalar_bc_field)
 from hypermodes.solver import IVPConfig, run, variable_coeff_setup

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from lemmas import swe_eigenvalues, swmhd_eigenvalues
 
 from hypermodes.apps import (EulerParams, SWEParams, SWMHDParams, WaveParams,
                              euler_raw_matrices, preset_euler, preset_swe,
-                             preset_swmhd, preset_wave, swe_eigenvalues,
-                             swe_raw_matrices, swmhd_eigenvalues,
+                             preset_swmhd, preset_wave, swe_raw_matrices,
                              swmhd_raw_matrices, symmetrize)
 from hypermodes.congruence import TypeIIMode, TypeIMode, simultaneous_diagonalize
 from hypermodes.errors import (GenericityViolated, NonPositiveSymmetrizer,

@@ -1,25 +1,37 @@
-"""The exact rows of the certificate battery, and that each can fail.
+"""The rows of the certificate battery and that each can fail, and the
+summation-by-parts (SBP) identities of the differences.
 
-Each mutation below breaks one ingredient the row rests on: the
-summation-by-parts (SBP) difference, one side's boundary term or a corner
-weight of the duality identity, and the dissipativity of one side's
-conditions.
+The SBP pair is D = H^-1 Q, `np.gradient(edge_order=1)` with the
+trapezoid norm H (Kreiss & Scherer 1974; Strand, JCP 110, 1994):
+<Df, g>_H + <f, Dg>_H = [fg] to roundoff, so the cross-term and duality
+identities hold exactly. No input pair can break them, so they are unit
+tests here and not `verify` rows. Each mutation below breaks one
+ingredient a check rests on: the SBP difference, one side's boundary term
+or a corner weight of the duality identity, and the dissipativity of one
+side's conditions.
 """
 
+import numpy as np
 import pytest
+from lemmas import _coeff_field_apply, _line_integral, ddx, ddy, inner
 
-from hypermodes import certify, cli, operators
+from hypermodes import certify, cli
 from hypermodes.congruence import simultaneous_diagonalize
 from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs)
-from hypermodes.operators import RectGrid
+from hypermodes.operators import (RectGrid, side_vanishing_factor,
+                                  smooth_random_field)
 
 PRESETS = ("swe", "swmhd", "euler", "wave")
 
 
+def preset_pair(preset):
+    return cli.build_pair(cli.RunConfig(command="verify", preset=preset))
+
+
 def rows(preset, mutate_bcs=None, n=17, seed=42):
     """Residual of every row of the battery, by name."""
-    pair = cli.build_pair(cli.RunConfig(command="verify", preset=preset))
+    pair = preset_pair(preset)
     decomp = simultaneous_diagonalize(pair)
     bcs = assemble_system_bcs(decomp)
     if mutate_bcs is not None:
@@ -30,45 +42,104 @@ def rows(preset, mutate_bcs=None, n=17, seed=42):
     return {r.name: r.residual for r in suite}
 
 
+def sbp_dx(values, grid):
+    return np.gradient(values, grid.hx, axis=-2, edge_order=1)
+
+
+def sbp_dy(values, grid):
+    return np.gradient(values, grid.hy, axis=-1, edge_order=1)
+
+
+def defect(*terms):
+    """|sum of the terms| relative to the largest of them."""
+    return abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300)
+
+
+def identity_defects(preset, n=17, seed=42, dx=sbp_dx, dy=sbp_dy,
+                     line_integral=_line_integral):
+    """Relative defects (cross term, duality) of the differences (dx, dy)
+    in the trapezoid norm, on seeded smooth fields, with the preset's
+    (A1, A2) and `line_integral` for each side's boundary term."""
+    pair = preset_pair(preset)
+    grid = RectGrid(1.0, 1.0, n, n)
+    # u1 = u2 on every side: the cross terms' boundary parts cancel
+    rng = np.random.default_rng(seed + 2000)
+    shared = smooth_random_field(grid, rng)
+    bump = side_vanishing_factor(grid, list(Side))
+    u1, u2 = shared, shared + bump * smooth_random_field(grid, rng)
+    cross = defect(inner(grid, dx(u2, grid)[None], dy(u1, grid)[None]),
+                   -inner(grid, dx(u1, grid)[None], dy(u2, grid)[None]))
+
+    # <Dx(A1 th) + Dy(A2 th), g>_H + <A1 Dx g + A2 Dy g, th>_H equals the
+    # boundary sum of nu.A th . g
+    rng = np.random.default_rng(seed + 3000)
+    th, g = (np.stack([smooth_random_field(grid, rng)
+                       for _ in range(pair.order)]) for _ in range(2))
+    A = pair.a1, pair.a2
+    Ath = [_coeff_field_apply(a, th) for a in A]
+    vol1 = inner(grid, dx(Ath[0], grid) + dy(Ath[1], grid), g)
+    vol2 = inner(grid, _coeff_field_apply(A[0], dx(g, grid))
+                 + _coeff_field_apply(A[1], dy(g, grid)), th)
+    h_along = grid.hy, grid.hx
+    boundary = sum(side.sign * line_integral(
+        np.sum(Ath[side.axis][side.edge] * g[side.edge], axis=0),
+        h_along[side.axis]) for side in (Side.E, Side.W, Side.N, Side.S))
+    return cross, defect(vol1, vol2, -boundary)
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("n", [17, 33])
 def test_exact_rows_hold_to_roundoff(preset, n):
     got = rows(preset, n=n)
-    assert got["crossterm_identity"] <= 1e-14
-    assert got["ibp_identity"] <= 1e-14
     for side in Side:
         assert got[f"boundary_form_{side}"] <= 1e-15
 
 
+@pytest.mark.parametrize("preset, elliptic", [("swe", []),
+                                              ("wave", ["mode0"])])
+def test_battery_rows(preset, elliptic):
+    # every row is computed from the input system: no identity rows
+    assert list(rows(preset)) == (
+        ["decomposition_reconstruction"]
+        + ["determinant_condition"] * bool(elliptic) + ["bc_rank"]
+        + [f"boundary_form_{side}" for side in Side]
+        + [f"elliptic_uniqueness_{m}" for m in elliptic]
+        + ["energy_monotonic"])
+
+
 @pytest.mark.parametrize("preset", PRESETS)
-def test_second_order_ends_break_both_identities(preset, monkeypatch):
+@pytest.mark.parametrize("n", [17, 33])
+def test_sbp_identities_hold_to_roundoff(preset, n):
+    cross, ibp = identity_defects(preset, n=n)
+    assert cross <= 1e-14
+    assert ibp <= 1e-14
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_second_order_ends_break_both_identities(preset):
     # np.gradient's edge_order=2 ends are not the trapezoid norm's SBP pair
-    monkeypatch.setattr(certify, "_sbp_dx", operators.ddx)
-    monkeypatch.setattr(certify, "_sbp_dy", operators.ddy)
-    got = rows(preset)
-    assert got["crossterm_identity"] > 1e-3
-    assert got["ibp_identity"] > 1e-3
+    cross, ibp = identity_defects(preset, dx=ddx, dy=ddy)
+    assert cross > 1e-3
+    assert ibp > 1e-3
 
 
-def test_flipped_side_term_breaks_ibp(monkeypatch):
-    line_integral = operators._line_integral
+def test_flipped_side_term_breaks_ibp():
     calls = []
 
     def flip_first_side(vals, h):
         calls.append(h)
-        return (-1.0 if len(calls) == 1 else 1.0) * line_integral(vals, h)
+        return (-1.0 if len(calls) == 1 else 1.0) * _line_integral(vals, h)
 
-    monkeypatch.setattr(operators, "_line_integral", flip_first_side)
-    got = rows("swe")
+    _, ibp = identity_defects("swe", line_integral=flip_first_side)
     assert len(calls) == 4
-    assert got["ibp_identity"] > 1e-3
+    assert ibp > 1e-3
 
 
-def test_dropped_corner_weight_breaks_ibp(monkeypatch):
-    line_integral = operators._line_integral
-    monkeypatch.setattr(operators, "_line_integral",
-                        lambda vals, h: line_integral(vals, h) - 0.5 * h * vals[0])
-    assert rows("swe")["ibp_identity"] > 1e-3
+def test_dropped_corner_weight_breaks_ibp():
+    def drop_first_corner(vals, h):
+        return _line_integral(vals, h) - 0.5 * h * vals[0]
+
+    assert identity_defects("swe", line_integral=drop_first_corner)[1] > 1e-3
 
 
 def test_scalar_inflow_on_the_outflow_side_fails_its_side():
@@ -94,4 +165,3 @@ def test_swapped_elliptic_conditions_fail_both_sides():
     assert got["boundary_form_W"] == pytest.approx(0.8)
     assert got["boundary_form_E"] == pytest.approx(0.8)
     assert max(got["boundary_form_S"], got["boundary_form_N"]) <= 1e-15
-

@@ -38,6 +38,20 @@ class TestParseConfig:
         assert "not both" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_preset_parameters_with_matrix_files_conflict(self, tmp_path,
+                                                          capsys):
+        # a pair read from files takes no preset parameter: none is dropped
+        save_matrix(tmp_path / "a1.txt", np.eye(2))
+        save_matrix(tmp_path / "a2.txt", np.diag([2.0, 3.0]))
+        argv = ["classify", f"a1_file={tmp_path / 'a1.txt'}",
+                f"a2_file={tmp_path / 'a2.txt'}", "u0=99", "alpha=3",
+                f"outdir={tmp_path / 'out'}"]
+        with pytest.raises(ConflictingSources):
+            cli.parse_config(argv)
+        assert cli.main(argv) == 1
+        assert "alpha, u0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input(self):
         with pytest.raises(MissingInput):
             cli.parse_config(["diagonalize"])
@@ -138,7 +152,11 @@ class TestExecute:
     def test_cfl_out_of_range_is_input_error(self, command, tmp_path, capsys):
         for setting, named in (("cfl=0.7", "(0, 0.5]"),
                                ("t_end=inf", "t_end"), ("t_end=nan", "t_end"),
-                               ("t_end=0", "t_end")):
+                               ("t_end=0", "t_end"),
+                               ("L1=nan", "domain lengths"),
+                               ("L1=inf", "domain lengths"),
+                               ("L2=-inf", "domain lengths"),
+                               ("snapshots=-3", "snapshots")):
             rc = cli.main([command, "preset=wave", "nx=17", "ny=17", setting,
                            f"outdir={tmp_path}"])
             assert rc == 1, setting
@@ -289,10 +307,10 @@ ARTIFACT_DIGESTS = {
     ("simulate", "swmhd"): "b5dced6fed12dd54",
     ("simulate", "euler"): "7e31245e248f1020",
     ("simulate", "wave"): "d9a83c710c2540c0",
-    ("verify", "swe"): "230460a8d52bdae3",
-    ("verify", "swmhd"): "a5c4d49a66260506",
-    ("verify", "euler"): "099b1508b8d53271",
-    ("verify", "wave"): "9acc15a5d8985b64",
+    ("verify", "swe"): "37856451cafe1aad",
+    ("verify", "swmhd"): "09afca90da04c6ff",
+    ("verify", "euler"): "52f686c8f985f458",
+    ("verify", "wave"): "1be3efdc9432d159",
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 from conftest import plant_pair, random_congruence, random_mixed_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lemmas import swe_eigenvalues
 
 from hypermodes import linalg
 from hypermodes.errors import (DimensionMismatch, IllConditionedBasis,
@@ -133,7 +134,7 @@ class TestIsDiagonalizable:
 
     def test_swe_product(self):
         # three distinct eigenvalues, checked against the closed forms
-        from hypermodes.apps import SWEParams, preset_swe, swe_eigenvalues
+        from hypermodes.apps import SWEParams, preset_swe
 
         p = SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0)
         pair = preset_swe(p)

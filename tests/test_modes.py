@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lemmas import rotation_matrix
 
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import (AssumptionViolated, RankDeficientOverride,
@@ -10,8 +11,7 @@ from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs, check_rank2,
                               check_variable_coeff_assumptions,
                               format_assignments, rotate_type2,
-                              rotation_matrix, synthesize_bc_type1,
-                              synthesize_bc_type2)
+                              synthesize_bc_type1, synthesize_bc_type2)
 from hypermodes.congruence import SymmetricPair
 from hypermodes.operators import RectGrid
 

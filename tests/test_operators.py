@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
+from lemmas import (BCViolated, cross_term_residual, ddx, ddy,
+                    integration_by_parts_residual, manufactured_elliptic,
+                    positivity_residual_type1, positivity_residual_type2)
 
 from hypermodes.congruence import TypeIIMode
-from hypermodes.errors import BCViolated, EllipticityLost, RankDeficientBC
+from hypermodes.errors import EllipticityLost, RankDeficientBC
 from hypermodes.modes import SIDE_ORDER, Side
 from hypermodes.operators import (RectGrid, StateField,
                                   _difference_matrices,
                                   _least_squares_matrix, _normal_factor,
-                                  compact_support_mask, cross_term_residual,
-                                  ddx, ddy, elliptic_steady_solve,
+                                  compact_support_mask, elliptic_steady_solve,
                                   elliptic_uniqueness,
-                                  integration_by_parts_residual,
-                                  manufactured_elliptic,
-                                  positivity_residual_type1,
-                                  positivity_residual_type2,
                                   random_elliptic_bc_field,
                                   random_scalar_bc_field,
                                   side_vanishing_factor)
@@ -36,6 +34,12 @@ class TestGridAndField:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             RectGrid(1.0, 1.0, 4, 9)
+
+    @pytest.mark.parametrize("lengths", [(np.nan, 1.0), (np.inf, 1.0),
+                                         (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_length_rejected(self, lengths):
+        with pytest.raises(ValueError, match="domain lengths"):
+            RectGrid(*lengths, 9, 9)
 
     def test_field_shape_checked(self):
         g = RectGrid(1.0, 1.0, 9, 9)

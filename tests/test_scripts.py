@@ -1,10 +1,21 @@
-"""Smoke test: the experiment scripts run end to end at small sizes."""
+"""Smoke test: the experiment scripts run end to end at small sizes, and
+the convergence study prints the pinned bytes."""
 
 import subprocess
 import sys
 
 import pytest
 from conftest import ROOT, src_env
+
+# the exact stdout at these sizes, pinned when the lemma checks moved from
+# the package to tests/lemmas.py
+PINNED_STDOUT = {
+    "convergence_study.py": (
+        '  grid   cross-term      duality    mms-error              rates  sigma-min\n'
+        '  17^2    2.618e-03    1.661e-02    1.591e-02                        2.0522\n'
+        '  33^2    7.363e-04    4.219e-03    3.637e-03   1.83  1.98  2.13     2.1349\n'
+    ),
+}
 
 
 @pytest.mark.parametrize("script, args", [
@@ -18,6 +29,8 @@ def test_script_runs(script, args, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script in PINNED_STDOUT:
+        assert proc.stdout == PINNED_STDOUT[script]
 
 
 def test_contraction_study_runs_the_cli(tmp_path):
