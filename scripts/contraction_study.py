@@ -25,7 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     worst = 0
-    for name in ("swe", "swmhd", "wave"):
+    for name in cli.PRESET_DEFAULTS:
         for n in args.sizes:
             print(f"{name:6s} {n:4d}x{n:<4d} ", end="", flush=True)
             status = cli.main(["simulate", f"preset={name}", f"nx={n}",

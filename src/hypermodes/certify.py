@@ -80,7 +80,9 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     rows.append(CertReport("bc_rank", label, 0.0 if rank_ok else 1.0, 0.5))
 
     # -lambda_min(sym(S^T (nu.A) S)) over the side maps S the stepper
-    # imposes, built as SpatialOperator builds them: 0 iff dissipative
+    # imposes, built as SpatialOperator builds them: 0 iff dissipative.
+    # With the SAT weight alpha >= lambda_max(nu.A) / 2 this row is exactly
+    # the stepper's boundary stability condition
     side_map = _side_maps(dict.fromkeys(Side, [decomp]), bcs)
     speed = _max_speed(pair.a1, pair.a2)
     for side in Side:

@@ -142,6 +142,8 @@ def parse_config(argv) -> RunConfig:
         raise ConflictingSources(f"preset parameters {keys} do not apply to matrix files")
     if cfg.snapshots < 0:
         raise ConfigError(f"snapshots must be 0 or positive, got {cfg.snapshots}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be 0 or positive, got {cfg.seed}")
     if command != "preset-list":
         if not has_preset and not has_files:
             raise MissingInput("no input source: give preset=... or "

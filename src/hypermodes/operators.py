@@ -1,11 +1,11 @@
 """Grids, grid functions and the first-order elliptic solve on the rectangle.
 
-`RectGrid` and `StateField` carry the trapezoid norm that runs and
-certificates measure in. The elliptic solve is a sparse least-squares
-discretization of the first-order mode system, with second-order centered
-differences (one-sided at the boundary); its uniqueness estimate is a
-`verify` row. The seeded smooth fields that `verify` and `simulate` start
-from are built here too.
+`RectGrid` and `StateField` carry the trapezoid norm of the elliptic
+solve and the error norms (`solver.run` uses the cell norm). The elliptic
+solve is a sparse least-squares discretization of the first-order mode
+system, with second-order centered differences (one-sided at the
+boundary); its uniqueness estimate is a `verify` row. The seeded smooth
+fields that `verify` and `simulate` start from are built here too.
 """
 
 from __future__ import annotations

@@ -163,6 +163,14 @@ class TestExecute:
             assert named in capsys.readouterr().err, setting
             assert not any(tmp_path.iterdir()), setting
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_negative_seed_is_input_error(self, command, tmp_path, capsys):
+        rc = cli.main([command, "preset=swe", "nx=9", "ny=9", "seed=-1",
+                       f"outdir={tmp_path}"])
+        assert rc == 1
+        assert "seed must be 0 or positive" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_snapshots_written(self, tmp_path):
         rc = cli.main(["simulate", "preset=wave", "nx=17", "ny=17",
                        "t_end=0.1", "snapshots=1", f"outdir={tmp_path}"])
@@ -303,10 +311,10 @@ rc = 0 if energy.verdict else 2
 # file's name followed by its bytes. A change that moves any of these bytes
 # must update the digest and say why in CHANGES.md.
 ARTIFACT_DIGESTS = {
-    ("simulate", "swe"): "1e9d9cde5c43314e",
-    ("simulate", "swmhd"): "b5dced6fed12dd54",
-    ("simulate", "euler"): "7e31245e248f1020",
-    ("simulate", "wave"): "d9a83c710c2540c0",
+    ("simulate", "swe"): "f054c9d48ab9441b",
+    ("simulate", "swmhd"): "579a72b086182d9c",
+    ("simulate", "euler"): "dfe9b11da6e6414e",
+    ("simulate", "wave"): "51dae4b24e198c1b",
     ("verify", "swe"): "37856451cafe1aad",
     ("verify", "swmhd"): "09afca90da04c6ff",
     ("verify", "euler"): "52f686c8f985f458",

@@ -53,4 +53,4 @@ def test_contraction_study_runs_the_cli(tmp_path):
     # a grid below 8 nodes is an input error: every run exits 1
     bad = run([str(ROOT / "scripts" / "contraction_study.py"), "--sizes", "7"])
     assert bad.returncode == 1
-    assert len(bad.stdout.splitlines()) == 3
+    assert len(bad.stdout.splitlines()) == 4  # one line per preset
