@@ -42,6 +42,10 @@ _INT_KEYS = {"nx", "ny", "seed", "snapshots"}
 _STR_KEYS = {"preset", "a1_file", "a2_file", "b_file", "s0_file", "outdir",
              "config"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# keys of the grid and the run, which only these commands use; the others
+# reject them
+RUN_KEYS = ("nx", "ny", "L1", "L2", "t_end", "cfl", "seed", "snapshots")
+RUN_COMMANDS = ("simulate", "verify")
 
 
 @dataclass
@@ -120,6 +124,12 @@ def parse_config(argv) -> RunConfig:
         merged.update(_read_config_file(flags["config"]))
     merged.update(flags)
     merged.pop("config", None)
+    if command not in RUN_COMMANDS:
+        unused = [key for key in RUN_KEYS if key in merged]
+        if unused:
+            raise ConfigError(f"{command} takes no {', '.join(unused)}: "
+                              f"these keys apply to "
+                              f"{' and '.join(RUN_COMMANDS)} only")
 
     cfg = RunConfig(command=command)
     preset_param_keys = set().union(*(set(d) for d in PRESET_DEFAULTS.values()))
@@ -206,7 +216,6 @@ def execute(cfg: RunConfig) -> int:
         return 0
 
     pair = build_pair(cfg)
-    grid = RectGrid(L1=cfg.L1, L2=cfg.L2, nx=cfg.nx, ny=cfg.ny)
     decomp = simultaneous_diagonalize(pair)
 
     if cfg.command == "diagonalize":
@@ -237,6 +246,8 @@ def execute(cfg: RunConfig) -> int:
         _write(outdir / "bc.txt", format_assignments(bcs))
         print(format_assignments(bcs), end="")
         return 0
+
+    grid = RectGrid(L1=cfg.L1, L2=cfg.L2, nx=cfg.nx, ny=cfg.ny)
 
     if cfg.command == "simulate":
         trajectory, report = run(simulation_config(

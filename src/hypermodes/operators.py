@@ -4,8 +4,10 @@
 solve and the error norms (`solver.run` uses the cell norm). The elliptic
 solve is a sparse least-squares discretization of the first-order mode
 system, with second-order centered differences (one-sided at the
-boundary); its uniqueness estimate is a `verify` row. The seeded smooth
-fields that `verify` and `simulate` start from are built here too.
+boundary). The solve runs preconditioned conjugate gradients on its normal
+equations; its uniqueness estimate, a `verify` row, factors them with a
+sparse LU, which the solve also falls back on when CG stalls. The seeded
+smooth fields that `verify` and `simulate` start from are built here too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ if TYPE_CHECKING:  # scipy is imported by the elliptic solve's functions only
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
 # LOBPCG stopping rule of the sigma_min estimate
 UNIQUENESS_TOL, UNIQUENESS_MAXITER = 1e-10, 60
+# CG stopping rule of the solve: relative residual of the normal equations,
+# and the iteration count after which the solve factors F^t F instead; from
+# 65^2 up, that many iterations cost less than the factor they precede
+CG_RTOL, CG_MAXITER = 1e-12, 250
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,9 @@ def _least_squares_matrix(mode, grid: RectGrid,
 
 def _normal_factor(mode, grid: RectGrid,
                    conditions: Mapping[Side, tuple[float, float]]):
-    """(F, F^t F, LU of F^t F) for the least-squares matrix F.
+    """(F, F^t F, LU of F^t F) for the least-squares matrix F: the
+    preconditioner of `elliptic_uniqueness`, and the fallback of
+    `elliptic_steady_solve` on inputs where CG does not converge.
 
     F^t F is symmetric positive definite whenever the discrete problem is
     uniquely solvable, so it is factored in SuperLU's symmetric mode:
@@ -238,6 +246,56 @@ def _normal_factor(mode, grid: RectGrid,
     return F, normal, lu
 
 
+def _fast_diagonalization(mode, grid: RectGrid,
+                          conditions: Mapping[Side, tuple[float, float]]):
+    """Preconditioner of F^t F: r -> P^-1 r on the flattened (u1, u2).
+
+    P is block diagonal, one Kronecker sum per component k:
+    (c1 Gx^t Gx + Ex_k) (x) I + I (x) (c2 Gy^t Gy + Ey_k), with G the
+    1-D `_gradient_matrix`, c1 and c2 the node means of alpha1^2 + beta1^2
+    and alpha2^2 + beta2^2, and E_k the side rows' penalty on component
+    k, w^2 c_k^2 / |c|^2 for a side condition c of row weight w, on that
+    side's end node. One `eigh` per 1-D matrix inverts P exactly (fast
+    diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    For a constant mode with component conditions, P is F^t F without
+    its mixed (alpha1 alpha2 + beta1 beta2) term and the boundary rows of
+    its cross term, so the CG count does not grow with the mesh.
+    """
+    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
+    scales = (float(np.mean(a1 ** 2 + b1 ** 2)),
+              float(np.mean(a2 ** 2 + b2 ** 2)))
+    grams = [(g.T @ g).toarray() for g in
+             (_gradient_matrix(grid.nx, grid.hx),
+              _gradient_matrix(grid.ny, grid.hy))]
+    weight = 10.0 / min(grid.hx, grid.hy)
+    blocks = []
+    for k in (0, 1):
+        spectra = []
+        for axis, (gram, c) in enumerate(zip(grams, scales)):
+            m = c * gram
+            for side in SIDE_ORDER:
+                if side.axis == axis:
+                    cond = conditions[side]
+                    end = 0 if side.sign < 0 else -1
+                    m[end, end] += (weight ** 2 * cond[k] ** 2
+                                    / (cond[0] ** 2 + cond[1] ** 2))
+            spectra.append(np.linalg.eigh(m))
+        (lx, vx), (ly, vy) = spectra
+        den = lx[:, None] + ly[None, :]
+        # each component carries some side's penalty (rank 2), so den > 0
+        # but for roundoff; the floor keeps P positive definite regardless
+        den = np.maximum(den, np.finfo(float).eps * den.max())
+        blocks.append((vx, vy, den))
+    shape = (2, grid.nx, grid.ny)
+
+    def solve(r):
+        return np.concatenate([(vx @ ((vx.T @ rk @ vy) / den) @ vy.T).ravel()
+                               for rk, (vx, vy, den)
+                               in zip(r.reshape(shape), blocks)])
+
+    return solve
+
+
 def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
                           conditions: Mapping[Side, tuple[float, float]]):
     """Least-squares solution of T1 u_x + T2 u_y = psi with the side
@@ -245,11 +303,17 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
 
     psi is treated as compactly supported: it is zeroed on the two node
     layers nearest each side. The normal equations F^t F u = F^t psi are
-    solved with the one symmetric-mode factor of F^t F that
-    `_normal_factor` also gives `elliptic_uniqueness`, plus one round of
-    iterative refinement. Returns (field, report) where the report records
-    the discrete equation residual relative to psi.
+    solved by conjugate gradients preconditioned with
+    `_fast_diagonalization`, to a relative residual of CG_RTOL. Inputs on
+    which CG has not converged after CG_MAXITER iterations (mixed side
+    conditions on fine grids, a strong mixed term as when |mu1| >> mu2, or
+    near-degenerate ellipticity) are solved with the symmetric-mode factor
+    of `_normal_factor` instead, plus one round of iterative refinement.
+    Returns (field, report) where the report records the discrete equation
+    residual relative to psi.
     """
+    import scipy.sparse.linalg as spla
+
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     delta = a2 * b1 - a1 * b2
     if delta.min() < ELLIPTICITY_MIN:
@@ -264,12 +328,20 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     nx, ny = grid.nx, grid.ny
     N = nx * ny
     rhs_field = psi.values * compact_support_mask(grid)[None]
-    full, normal, lu = _normal_factor(mode, grid, conditions)
+    full = _least_squares_matrix(mode, grid, conditions)
     b = np.concatenate([rhs_field[0].ravel(), rhs_field[1].ravel()])
     rhs = np.concatenate([b, np.zeros(full.shape[0] - 2 * N)])
     atb = full.T @ rhs
-    sol = lu.solve(atb)
-    sol += lu.solve(atb - normal @ sol)  # one round of iterative refinement
+    F = spla.aslinearoperator(full)
+    precond = spla.LinearOperator(
+        (2 * N, 2 * N), matvec=_fast_diagonalization(mode, grid, conditions),
+        dtype=float)
+    sol, info = spla.cg(F.T @ F, atb, rtol=CG_RTOL, maxiter=CG_MAXITER,
+                        M=precond)
+    if info != 0:
+        _, normal, lu = _normal_factor(mode, grid, conditions)
+        sol = lu.solve(atb)
+        sol += lu.solve(atb - normal @ sol)  # one round of iterative refinement
     if not np.all(np.isfinite(sol)):
         raise RankDeficientBC("normal equations are numerically singular")
 
@@ -293,8 +365,10 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     """Estimate sigma of the smallest singular value of the least-squares
     matrix F of `elliptic_steady_solve`: LOBPCG for the smallest eigenpair
     of F^t F from a seeded start, preconditioned by the symmetric-mode
-    factor of F^t F from `_normal_factor`, the one the solve uses. Then
-    sigma = ||F x|| / ||x|| for the eigenvector estimate x.
+    factor of F^t F from `_normal_factor`. Then sigma = ||F x|| / ||x||
+    for the eigenvector estimate x. (The solve's `_fast_diagonalization`
+    does not serve here: with it, LOBPCG stops at UNIQUENESS_MAXITER with
+    sigma up to 7 % high on mixed rank-2 conditions at 65^2.)
 
     Returns (sigma, report). The report's residual 1/sigma is the discrete
     stability constant C in ||u|| <= C ||F u||; it fails above 1e6, as when

@@ -8,7 +8,8 @@ from conftest import ROOT, random_congruence, src_env
 from scipy.linalg import block_diag
 
 from hypermodes import cli
-from hypermodes.errors import ConflictingSources, MissingInput, UnknownKey
+from hypermodes.errors import (ConfigError, ConflictingSources, MissingInput,
+                               UnknownKey)
 from hypermodes.linalg import save_matrix
 from hypermodes.operators import CertReport
 
@@ -85,6 +86,47 @@ class TestParseConfig:
 
     def test_preset_list_needs_no_input(self):
         assert cli.parse_config(["preset-list"]).command == "preset-list"
+
+    @pytest.mark.parametrize("command",
+                             ["diagonalize", "classify", "bc", "preset-list"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_run_keys_rejected_off_run_commands(self, tmp_path, capsys,
+                                                command, from_file):
+        # no grid or time step is used here, so cfl=9 is not silently
+        # accepted where simulate and verify would reject it
+        keys = ["nx=3", "ny=9", "L1=2", "L2=nan", "t_end=5", "cfl=9",
+                "seed=1", "snapshots=4"]
+        if from_file:
+            cf = tmp_path / "run.cfg"
+            cf.write_text("\n".join(keys) + "\n")
+            keys = [f"config={cf}"]
+        source = [] if command == "preset-list" else ["preset=swe"]
+        argv = [command, *source, *keys, f"outdir={tmp_path / 'out'}"]
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(argv)
+        for key in cli.RUN_KEYS:
+            assert key in str(info.value)
+        assert cli.main(argv) == 1
+        assert "t_end, cfl, seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_keys_build_a_grid_for_run_commands_only(self, tmp_path,
+                                                         monkeypatch):
+        # verify takes its run keys from a config file as before, while the
+        # commands that use no grid never build one
+        cf = tmp_path / "run.cfg"
+        cf.write_text("preset = swe\nnx = 17\nny = 17\nseed = 3\n"
+                      "cfl = 0.3\nt_end = 0.05\n")
+        assert cli.main(["verify", f"config={cf}",
+                         f"outdir={tmp_path / 'v'}"]) == 0
+        assert "17x17" in (tmp_path / "v" / "cert.csv").read_text()
+
+        def no_grid(**kwargs):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(cli, "RectGrid", no_grid)
+        for command in ("diagonalize", "classify", "bc"):
+            assert cli.main([command, "preset=swe",
+                             f"outdir={tmp_path / command}"]) == 0
 
 
 class TestExecute:
@@ -268,8 +310,9 @@ def _exit_and_scipy(tmp_path, body):
 
 
 class TestScipyOnlyForEllipticSolve:
-    # scipy's sparse LU serves the elliptic least-squares solve alone, so
-    # a purely hyperbolic run must not pay for importing it
+    # scipy's CG and sparse LU serve the elliptic least-squares solve and
+    # its uniqueness estimate alone, so a purely hyperbolic run must not
+    # pay for importing it
     @pytest.mark.parametrize("argv", [
         ["diagonalize", "preset=swe"],
         ["classify", "preset=swe"],

@@ -4,9 +4,11 @@ from lemmas import (BCViolated, cross_term_residual, ddx, ddy,
                     integration_by_parts_residual, manufactured_elliptic,
                     positivity_residual_type1, positivity_residual_type2)
 
-from hypermodes.congruence import TypeIIMode
+from hypermodes import operators
+from hypermodes.apps import WaveParams, preset_wave
+from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import EllipticityLost, RankDeficientBC
-from hypermodes.modes import SIDE_ORDER, Side
+from hypermodes.modes import SIDE_ORDER, Side, synthesize_bc_type2
 from hypermodes.operators import (RectGrid, StateField,
                                   _difference_matrices,
                                   _least_squares_matrix, _normal_factor,
@@ -14,11 +16,13 @@ from hypermodes.operators import (RectGrid, StateField,
                                   elliptic_uniqueness,
                                   random_elliptic_bc_field,
                                   random_scalar_bc_field,
-                                  side_vanishing_factor)
+                                  side_vanishing_factor, smooth_random_field)
 
 WS = frozenset({Side.W, Side.S})
 DEFAULT_CONDS = {Side.W: (1.0, 0.0), Side.S: (1.0, 0.0),
                  Side.E: (0.0, 1.0), Side.N: (0.0, 1.0)}
+MIXED_CONDS = {Side.W: (0.3, 0.7), Side.S: (-2.0, 0.1), Side.E: (0.0, 1.0),
+               Side.N: (1.5, -0.2)}
 
 
 def grid65():
@@ -229,8 +233,7 @@ def test_difference_matrices_match_gradient():
 
 def test_side_rows_match_loop_assembly():
     g = RectGrid(1.0, 2.0, 9, 12)
-    conds = {Side.W: (0.3, 0.7), Side.S: (-2.0, 0.1), Side.E: (0.0, 1.0),
-             Side.N: (1.5, -0.2)}
+    conds = MIXED_CONDS
     N = g.nx * g.ny
     C = _least_squares_matrix((0.0, 1.0, 1.0, 0.0), g, conds).toarray()[2 * N:]
     nodes = {Side.W: [j for j in range(g.ny)],
@@ -347,6 +350,87 @@ class TestEllipticSolve:
         same = {s: (1.0, 1.0) for s in Side}
         with pytest.raises(RankDeficientBC):
             elliptic_steady_solve(self.CR_MODE, zero, g, same)
+
+
+def _wave_mode():
+    (mode,) = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8))).modes
+    return mode
+
+
+def _variable_mode(g):
+    X, Y = g.meshgrid()
+    return (np.zeros_like(X), np.ones_like(X), 1.0 + Y / 4.0, X / 4.0)
+
+
+# (mode, conditions) on a grid. CG stalls on the near-degenerate
+# ellipticity of the last (determinant 0.005), so it needs the factor; the
+# mixed conditions need about CG_MAXITER iterations at 65^2, so either path
+# may serve them
+CG_CASES = {
+    "cr": lambda g: (TypeIIMode(0.0, 1.0, 1.0, 0.0), DEFAULT_CONDS),
+    "wave": lambda g: (_wave_mode(),
+                       synthesize_bc_type2(_wave_mode()).conditions),
+    "mixed": lambda g: (TypeIIMode(0.0, 1.0, 1.0, 0.0), MIXED_CONDS),
+    "variable": lambda g: (_variable_mode(g), DEFAULT_CONDS),
+    "near_degenerate": lambda g: (
+        TypeIIMode(1.0, 1.0, 1.0, 0.995),
+        synthesize_bc_type2(TypeIIMode(1.0, 1.0, 1.0, 0.995)).conditions),
+}
+
+
+def _smooth_psi(g):
+    rng = np.random.default_rng(5)
+    return StateField(g, np.stack([smooth_random_field(g, rng)
+                                   for _ in range(2)]))
+
+
+class TestConjugateGradientSolve:
+    @pytest.mark.parametrize("case", list(CG_CASES))
+    def test_agrees_with_factor(self, case, monkeypatch):
+        g = grid65()
+        mode, conds = CG_CASES[case](g)
+        psi = _smooth_psi(g)
+        F, _, lu = _normal_factor(mode, g, conds)
+        rhs = np.zeros(F.shape[0])
+        rhs[:F.shape[1]] = (psi.values * compact_support_mask(g)[None]).ravel()
+        want = lu.solve(F.T @ rhs)
+
+        factored = []
+        real = operators._normal_factor
+        monkeypatch.setattr(operators, "_normal_factor",
+                            lambda *args: factored.append(args) or real(*args))
+        u, report = elliptic_steady_solve(mode, psi, g, conds)
+        assert (np.linalg.norm(u.values.ravel() - want)
+                <= 1e-10 * np.linalg.norm(want))
+        assert report.verdict
+        if case != "mixed":
+            assert len(factored) == (case == "near_degenerate")
+
+    @pytest.mark.parametrize("n", [33, 129])
+    def test_iterations_do_not_grow_with_mesh(self, n, monkeypatch):
+        applied = []
+        real = operators._fast_diagonalization
+
+        def counted(*args):
+            solve = real(*args)
+            return lambda r: applied.append(1) or solve(r)
+        monkeypatch.setattr(operators, "_fast_diagonalization", counted)
+        g = RectGrid(1.0, 1.0, n, n)
+        elliptic_steady_solve(TypeIIMode(0.0, 1.0, 1.0, 0.0), _smooth_psi(g),
+                              g, DEFAULT_CONDS)
+        assert 0 < len(applied) <= 40
+
+    def test_no_factor_on_fast_path(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("sparse LU called")
+        monkeypatch.setattr(spla, "splu", no_factor)
+        g = grid65()
+        u, report = elliptic_steady_solve(TypeIIMode(0.0, 1.0, 1.0, 0.0),
+                                          _smooth_psi(g), g, DEFAULT_CONDS)
+        assert report.verdict
+        assert u.norm() > 0
 
 
 class TestGenerators:
