@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotTypeII, OffDiagonalResidual, SingularInput
-from .linalg import check_symmetric, rotation_block
+from .linalg import SYMMETRY_RTOL, check_symmetric, rotation_block
 
 SINGULARITY_RTOL = 1e-10
 # relative tolerance of the block residuals and the TypeII normal form
@@ -67,6 +67,23 @@ class SymmetricPair:
     @property
     def order(self) -> int:
         return self.a1.shape[0]
+
+
+def _suspect_pairs(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Indices of the pairs of the stacks a1, a2 (k, n, n) that
+    SymmetricPair may reject: those with a non-finite entry, or within a
+    factor 2 of its asymmetry or singularity tolerance. SymmetricPair
+    itself decides each of them."""
+    pairs = np.stack([a1, a2], axis=1)
+    finite = np.isfinite(pairs).all(axis=(1, 2, 3))
+    flat = np.where(finite[:, None, None, None], pairs, 0.0).reshape(
+        (-1,) + a1.shape[1:])
+    size = linalg.frobenius(flat)
+    asym = (linalg.frobenius(flat - np.swapaxes(flat, -1, -2))
+            > 0.5 * SYMMETRY_RTOL * size)
+    s = np.abs(np.linalg.eigvalsh(flat))
+    singular = s.min(axis=-1) <= 2.0 * SINGULARITY_RTOL * s.max(axis=-1)
+    return np.flatnonzero(~finite | (asym | singular).reshape(-1, 2).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -167,15 +184,40 @@ class ModeDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _tracefree_parts(M, name="block"):
-    """Read (alpha, beta) off a 2x2 matrix expected to be [[a, b], [b, -a]]."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got {M.shape}")
-    tol = DECOMPOSITION_RTOL * max(np.abs(M).max(), 1e-300)
-    if abs(M[0, 1] - M[1, 0]) > tol or abs(M[0, 0] + M[1, 1]) > tol:
-        raise ValueError(f"{name} is not symmetric trace-free: {M!r}")
-    return M[0, 0], 0.5 * (M[0, 1] + M[1, 0])
+def _tracefree_parts(M, name, errors):
+    """Read (alpha, beta) off a stack (g, 2, 2) expected to hold
+    [[a, b], [b, -a]]; each matrix that is not is entered in `errors`,
+    keyed by its index, unless an earlier check already failed there."""
+    if M.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got {M.shape[-2:]}")
+    tol = DECOMPOSITION_RTOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1e-300)
+    bad = ((np.abs(M[:, 0, 1] - M[:, 1, 0]) > tol)
+           | (np.abs(M[:, 0, 0] + M[:, 1, 1]) > tol))
+    for g in np.flatnonzero(bad):
+        errors.setdefault(int(g), ValueError(
+            f"{name} is not symmetric trace-free: {M[g]!r}"))
+    return M[:, 0, 0], 0.5 * (M[:, 0, 1] + M[:, 1, 0])
+
+
+def _standardize(C, D, errors):
+    """`standardize_type2` of each pair of the stacks C, D (g, 2, 2):
+    (kappa0 (g,), the scaled (alpha1, beta1, alpha2, beta2), each (g,)).
+    A pair that fails is entered in `errors`, keyed by its index, unless
+    an earlier check already failed there, and takes kappa0 = 1."""
+    a1, b1 = _tracefree_parts(C, "C", errors)
+    a2, b2 = _tracefree_parts(D, "D", errors)
+    delta = a2 * b1 - a1 * b2
+    scale = np.maximum(np.maximum(np.abs(a1), np.abs(b1)),
+                       np.maximum(np.abs(a2), np.abs(b2)))
+    low = delta <= DECOMPOSITION_RTOL * np.maximum(scale, 1e-300) ** 2
+    for g in np.flatnonzero(low):
+        errors.setdefault(int(g), NotTypeII(
+            f"alpha2*beta1 - alpha1*beta2 = {delta[g]:.3e} is not positive"))
+    # the scalar power, which an array power may round differently
+    kappa0 = np.array([1.0 if bad else float(d) ** -0.25
+                       for d, bad in zip(delta, low)])
+    k2 = kappa0 * kappa0
+    return kappa0, (k2 * a1, k2 * b1, k2 * a2, k2 * b2)
 
 
 def standardize_type2(C, D):
@@ -184,22 +226,18 @@ def standardize_type2(C, D):
     Returns (V, mode) with V = kappa0 * I, kappa0 the inverse fourth root
     of alpha2*beta1 - alpha1*beta2 (equivalently mu2*(alpha1^2 + beta1^2)).
     """
-    a1, b1 = _tracefree_parts(C, "C")
-    a2, b2 = _tracefree_parts(D, "D")
-    delta = a2 * b1 - a1 * b2
-    scale = max(abs(a1), abs(b1), abs(a2), abs(b2), 1e-300)
-    if delta <= DECOMPOSITION_RTOL * scale ** 2:
-        raise NotTypeII(
-            f"alpha2*beta1 - alpha1*beta2 = {delta:.3e} is not positive")
-    kappa0 = delta ** -0.25
-    k2 = kappa0 * kappa0
-    mode = TypeIIMode(k2 * a1, k2 * b1, k2 * a2, k2 * b2)
-    return np.diag([kappa0, kappa0]), mode
+    errors = {}
+    kappa0, params = _standardize(np.asarray(C, dtype=float)[None],
+                                  np.asarray(D, dtype=float)[None], errors)
+    if errors:
+        raise errors[0]
+    return np.diag([kappa0[0], kappa0[0]]), TypeIIMode(*(p[0] for p in params))
 
 
 def _split_elliptic_cluster(A_ii):
     """Orthogonal V, commuting with J = blockdiag(rotation_block(0, 1)),
-    and C = V^t A_ii V = blockdiag(diag(lam_j, -lam_j)).
+    and C = V^t A_ii V = blockdiag(diag(lam_j, -lam_j)), for one block or a
+    stack (..., 2k, 2k) of them.
 
     A_ii is the cluster's block of A1 in the real block eigenbasis; it
     anticommutes with J, so its eigenvalues come in +/-lam pairs and J maps
@@ -207,15 +245,165 @@ def _split_elliptic_cluster(A_ii):
     block's rotation-scaling form. A single pair (k = 1) is already a
     trace-free 2x2 block and keeps V = I.
     """
-    k = A_ii.shape[0] // 2
+    k = A_ii.shape[-1] // 2
     if k == 1:
         return np.eye(2), A_ii
     _, vecs = np.linalg.eigh(A_ii)
-    pos = vecs[:, k:]
+    pos = vecs[..., k:]
     V = np.empty_like(vecs)
-    V[:, 0::2] = pos
-    V[:, 1::2] = np.kron(np.eye(k), rotation_block(0.0, 1.0)) @ pos
-    return V, V.T @ A_ii @ V
+    V[..., 0::2] = pos
+    V[..., 1::2] = np.kron(np.eye(k), rotation_block(0.0, 1.0)) @ pos
+    return V, np.swapaxes(V, -1, -2) @ A_ii @ V
+
+
+def _decompose_group(A1, A2, form: linalg.BlockFormStack):
+    """The decompositions of the pairs (A1, A2) (g, n, n) whose
+    a1^-1 a2 share the cluster pattern of their real block forms `form`:
+    per pair, its ModeDecomposition, or the exception
+    `simultaneous_diagonalize` raises for it alone. Every step runs once
+    for the whole stack; only the mode order is sorted per pair."""
+    count, n = A1.shape[:2]
+    errors: dict[int, Exception] = {}
+    P = form.basis
+    B1 = np.swapaxes(P, -1, -2) @ A1 @ P
+    B1 = 0.5 * (B1 + np.swapaxes(B1, -1, -2))
+
+    slices = form.block_slices()
+    scale1 = np.maximum(linalg.frobenius(A1), 1e-300)
+    off = np.ones((n, n), dtype=bool)
+    for sl in slices:
+        off[sl, sl] = False
+    offdiag = np.where(off, np.abs(B1), 0.0).max(axis=(-2, -1))
+    for g in np.flatnonzero(offdiag > DECOMPOSITION_RTOL * scale1):
+        errors[int(g)] = OffDiagonalResidual(
+            f"off-diagonal block residual {offdiag[g]:.3e} exceeds "
+            f"{DECOMPOSITION_RTOL * scale1[g]:.3e}; eigenvalue clustering "
+            "likely failed")
+
+    # the modes in block order: (c, d) of a scalar mode, (alpha1, beta1,
+    # alpha2, beta2) of an elliptic one, each (count,), and its columns
+    parts: list[tuple] = []
+    for j, ((cplx, mult), sl) in enumerate(zip(form.pattern, slices)):
+        A_ii = B1[:, sl, sl]
+        cols = P[:, :, sl]
+        if not cplx:
+            d, V = np.linalg.eigh(A_ii)
+            cols = cols @ V
+            for idx in range(mult):
+                parts.append(((d[:, idx], form.re[:, j] * d[:, idx]),
+                              cols[:, :, idx:idx + 1]))
+        else:
+            V, C = _split_elliptic_cluster(A_ii)
+            cols = cols @ V
+            R = linalg.rotation_blocks(form.re[:, j], form.im[:, j])
+            for t in range(mult):
+                two = slice(2 * t, 2 * t + 2)
+                Cj = C[:, two, two]
+                kappa0, params = _standardize(Cj, Cj @ R, errors)
+                Vs = kappa0[:, None, None] * np.eye(2)
+                parts.append((params, cols[:, :, two] @ Vs))
+
+    # block diagonals and columns in block order; each pair's sort below
+    # permutes whole mode blocks of them
+    Bd = np.zeros((2, count, n, n))
+    start = 0
+    for params, cols in parts:
+        if len(params) == 2:
+            Bd[:, :, start, start] = params
+        else:
+            a, b = np.array(params[0::2]), np.array(params[1::2])
+            Bd[:, :, start, start], Bd[:, :, start, start + 1] = a, b
+            Bd[:, :, start + 1, start], Bd[:, :, start + 1, start + 1] = b, -a
+        start += cols.shape[-1]
+    columns = np.concatenate([cols for _, cols in parts], axis=-1)
+
+    live = np.array([g for g in range(count) if g not in errors], dtype=int)
+    perms, mode_lists = [], []
+    for g in live:
+        modes: list[tuple] = []  # (sort key, mode, its column indices)
+        start = 0
+        for params, cols in parts:
+            width = cols.shape[-1]
+            if width == 1:
+                mode = TypeIMode(c=float(params[0][g]), d=float(params[1][g]))
+                key = (0, mode.advection_ratio, mode.c)
+            else:
+                mode = TypeIIMode(*(p[g] for p in params))
+                key = (1, mode.mu1, mode.mu2)
+            modes.append((key, mode, range(start, start + width)))
+            start += width
+        modes.sort(key=lambda t: t[0])
+        perms.append([c for t in modes for c in t[2]])
+        mode_lists.append(tuple(t[1] for t in modes))
+    if len(live):
+        perm = np.array(perms)
+        P_final = np.take_along_axis(columns[live], perm[:, None, :], -1)
+        Bd = np.take_along_axis(np.take_along_axis(
+            Bd[:, live], perm[None, :, :, None], -2), perm[None, :, None, :], -1)
+        A1, A2, scale1 = A1[live], A2[live], scale1[live]
+        scale2 = np.maximum(linalg.frobenius(A2), 1e-300)
+        PT = np.swapaxes(P_final, -1, -2)
+        off1 = linalg.frobenius(PT @ A1 @ P_final - Bd[0]) / scale1
+        off2 = linalg.frobenius(PT @ A2 @ P_final - Bd[1]) / scale2
+        P_inv = np.linalg.inv(P_final)
+        P_invT = np.swapaxes(P_inv, -1, -2)
+        rec1 = linalg.frobenius(A1 - P_invT @ Bd[0] @ P_inv) / scale1
+        rec2 = linalg.frobenius(A2 - P_invT @ Bd[1] @ P_inv) / scale2
+
+    out: list = [errors.get(g) for g in range(count)]
+    for i, g in enumerate(live):
+        worst = max(off1[i], off2[i])
+        if worst > DECOMPOSITION_RTOL:
+            out[g] = OffDiagonalResidual(
+                f"transformed pair deviates from mode blocks by "
+                f"{worst:.3e} (tolerance {DECOMPOSITION_RTOL:.1e})")
+            continue
+        residuals = DecompositionResiduals(
+            offdiag_1=float(off1[i]), offdiag_2=float(off2[i]),
+            reconstruction=float(max(rec1[i], rec2[i])))
+        out[g] = ModeDecomposition(p=P_final[i], modes=mode_lists[i],
+                                   residuals=residuals)
+    return out
+
+
+def _decompose(a1: np.ndarray, a2: np.ndarray):
+    """(decomps, errors) of the valid pairs of the stacks a1, a2 (k, n, n):
+    decomps[i] is pair i's ModeDecomposition, or None where errors[i]
+    holds the exception `simultaneous_diagonalize` raises for it alone.
+    One solve and one eigen pass serve the stack, then each group of pairs
+    with one cluster pattern is decomposed together."""
+    decomps: list[ModeDecomposition | None] = [None] * len(a1)
+    forms, errors = linalg.real_block_eigen_stack(np.linalg.solve(a1, a2))
+    for form in forms:
+        for node, result in zip(form.nodes, _decompose_group(
+                a1[form.nodes], a2[form.nodes], form)):
+            if isinstance(result, ModeDecomposition):
+                decomps[node] = result
+            else:
+                errors[int(node)] = result
+    return decomps, errors
+
+
+def diagonalize_stack(a1, a2) -> list[ModeDecomposition]:
+    """`simultaneous_diagonalize` of every pair of the stacks a1, a2
+    (k, n, n), batched over the pairs. Each pair is checked as
+    SymmetricPair checks it. The first pair, in stack order, that fails a
+    check or the decomposition raises what SymmetricPair or
+    `simultaneous_diagonalize` raises for it alone."""
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    errors: dict[int, Exception] = {}
+    for i in _suspect_pairs(a1, a2):
+        try:
+            SymmetricPair(a1=a1[i], a2=a2[i])
+        except (ValueError, SingularInput) as exc:
+            errors[int(i)] = exc
+    ok = np.array([i for i in range(len(a1)) if i not in errors], dtype=int)
+    decomps, failed = _decompose(a1[ok], a2[ok]) if len(ok) else ([], {})
+    errors.update((int(ok[i]), exc) for i, exc in failed.items())
+    if errors:
+        raise errors[min(errors)]
+    return decomps
 
 
 def simultaneous_diagonalize(pair: SymmetricPair) -> ModeDecomposition:
@@ -227,67 +415,9 @@ def simultaneous_diagonalize(pair: SymmetricPair) -> ModeDecomposition:
     modes; a complex cluster's block is split into 2x2 elliptic blocks
     (`_split_elliptic_cluster`), each then scaled by `standardize_type2`.
     Modes are ordered TypeI first (by d/c), then TypeII (by mu1, mu2).
+    The stack of one of `diagonalize_stack`, on a pair checked already.
     """
-    A1, A2 = pair.a1, pair.a2
-    M = np.linalg.solve(A1, A2)
-    form = linalg.real_block_eigen(M)
-    P = form.basis.copy()
-    B1 = P.T @ A1 @ P
-    B1 = 0.5 * (B1 + B1.T)
-
-    slices = form.block_slices()
-    scale1 = max(np.linalg.norm(A1), 1e-300)
-    offdiag = 0.0
-    for i, si in enumerate(slices):
-        for j, sj in enumerate(slices):
-            if i != j:
-                offdiag = max(offdiag, np.abs(B1[si, sj]).max())
-    if offdiag > DECOMPOSITION_RTOL * scale1:
-        raise OffDiagonalResidual(
-            f"off-diagonal block residual {offdiag:.3e} exceeds "
-            f"{DECOMPOSITION_RTOL * scale1:.3e}; eigenvalue clustering "
-            "likely failed")
-
-    modes: list[tuple] = []  # (sort_key, ModePair, columns)
-    for blk, sl in zip(form.blocks, slices):
-        A_ii = B1[sl, sl]
-        cols = P[:, sl]
-        if not blk.is_complex:
-            lam = blk.re
-            d, V = np.linalg.eigh(A_ii)
-            cols = cols @ V
-            for idx in range(blk.multiplicity):
-                mode = TypeIMode(c=float(d[idx]), d=float(lam * d[idx]))
-                key = (0, mode.advection_ratio, mode.c)
-                modes.append((key, mode, cols[:, idx:idx + 1]))
-        else:
-            V, C = _split_elliptic_cluster(A_ii)
-            cols = cols @ V
-            for j in range(blk.multiplicity):
-                Cj = C[2 * j:2 * j + 2, 2 * j:2 * j + 2]
-                Dj = Cj @ rotation_block(blk.re, blk.im)
-                Vs, mode = standardize_type2(Cj, Dj)
-                key = (1, mode.mu1, mode.mu2)
-                modes.append((key, mode, cols[:, 2 * j:2 * j + 2] @ Vs))
-    modes.sort(key=lambda t: t[0])
-
-    P_final = np.hstack([t[2] for t in modes])
-    mode_list = tuple(t[1] for t in modes)
-
-    Bd1, Bd2 = _block_diagonals(mode_list)
-    T1 = P_final.T @ A1 @ P_final
-    T2 = P_final.T @ A2 @ P_final
-    scale2 = max(np.linalg.norm(A2), 1e-300)
-    off1 = np.linalg.norm(T1 - Bd1) / scale1
-    off2 = np.linalg.norm(T2 - Bd2) / scale2
-    P_inv = np.linalg.inv(P_final)
-    rec1 = np.linalg.norm(A1 - P_inv.T @ Bd1 @ P_inv) / scale1
-    rec2 = np.linalg.norm(A2 - P_inv.T @ Bd2 @ P_inv) / scale2
-    residuals = DecompositionResiduals(offdiag_1=float(off1),
-                                       offdiag_2=float(off2),
-                                       reconstruction=float(max(rec1, rec2)))
-    if max(off1, off2) > DECOMPOSITION_RTOL:
-        raise OffDiagonalResidual(
-            f"transformed pair deviates from mode blocks by "
-            f"{max(off1, off2):.3e} (tolerance {DECOMPOSITION_RTOL:.1e})")
-    return ModeDecomposition(p=P_final, modes=mode_list, residuals=residuals)
+    (decomp,), errors = _decompose(pair.a1[None], pair.a2[None])
+    if errors:
+        raise errors[0]
+    return decomp

@@ -2,7 +2,8 @@
 
 Eigenstructure of real matrices expressed in real block form (real
 eigenvalues give scalar blocks, complex pairs give 2x2 rotation-scaling
-blocks), congruence transforms, and a plain-text matrix format.
+blocks), batched over stacks of matrices, and a plain-text matrix
+format.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ DEFECT_RTOL = 1e-8
 def rotation_block(mu1: float, mu2: float) -> np.ndarray:
     """2x2 real block representing the eigenvalue pair mu1 +/- i*mu2."""
     return np.array([[mu1, -mu2], [mu2, mu1]])
+
+
+def rotation_blocks(mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """Stack (k, 2, 2) of the rotation blocks of the pairs mu1 +/- i*mu2."""
+    return np.moveaxis(rotation_block(mu1, mu2), -1, 0)
 
 
 def block_slices(sizes) -> list[slice]:
@@ -70,12 +76,6 @@ class EigenBlock:
     def size(self) -> int:
         return self.multiplicity * (2 if self.is_complex else 1)
 
-    def canonical_form(self) -> np.ndarray:
-        """lambda*I_k, or diag(E0, ..., E0) with E0 the rotation-scaling block."""
-        if not self.is_complex:
-            return self.re * np.eye(self.multiplicity)
-        return block_diag([rotation_block(self.re, self.im)] * self.multiplicity)
-
     def sort_key(self):
         return (self.is_complex, self.re, self.im)
 
@@ -84,14 +84,12 @@ class EigenBlock:
 class RealBlockForm:
     """Real similarity basis and the eigenvalue blocks it exposes.
 
-    basis^-1 @ M @ basis equals blockdiag of the blocks' canonical forms.
+    basis^-1 @ M @ basis is block diagonal: lambda*I_k for a real block,
+    k rotation-scaling blocks rotation_block(re, im) for a complex one.
     """
 
     basis: np.ndarray
     blocks: tuple[EigenBlock, ...]
-
-    def block_matrix(self) -> np.ndarray:
-        return block_diag([b.canonical_form() for b in self.blocks])
 
     def block_slices(self) -> list[slice]:
         return block_slices([b.size for b in self.blocks])
@@ -138,45 +136,82 @@ def _cluster_eigenvalues(evals: np.ndarray, cluster_tol: float):
     return out
 
 
-def _fix_column_phase(col: np.ndarray) -> np.ndarray:
-    """Deterministic sign/phase: pivot entry made real and positive.
+def _fix_column_phase(cols: np.ndarray) -> np.ndarray:
+    """Deterministic sign/phase of each column of a stack (..., n, m):
+    its pivot entry made real and positive.
 
-    The pivot is the lowest-index entry within a whisker of the maximal
-    modulus, so near-ties cannot flip the convention between runs or
-    parameter perturbations.
+    The pivot is the lowest-index entry within a whisker of the column's
+    maximal modulus, so near-ties cannot flip the convention between runs
+    or parameter perturbations. Columns of an SVD basis have unit norm, so
+    every pivot is nonzero.
     """
-    mags = np.abs(col)
-    top = mags.max()
-    if top == 0:
-        return col
-    idx = int(np.argmax(mags >= (1.0 - 1e-6) * top))
-    pivot = col[idx]
-    if np.iscomplexobj(col):
-        return col * (np.conj(pivot) / abs(pivot))
-    return col * np.sign(pivot)
+    mags = np.abs(cols)
+    top = mags.max(axis=-2, keepdims=True)
+    idx = np.argmax(mags >= (1.0 - 1e-6) * top, axis=-2, keepdims=True)
+    pivot = np.take_along_axis(cols, idx, axis=-2)
+    if np.iscomplexobj(cols):
+        # conj(pivot) / |pivot|, rounded as a complex scalar divides
+        phase = np.conj(pivot) * (1.0 / np.hypot(pivot.real, pivot.imag))
+        return cols * phase
+    return cols * np.sign(pivot)
 
 
-def _eigenspaces(M: np.ndarray, cluster_tol: float, null_tol: float):
-    """The one eigen pass: eigvals, clusters, one SVD of M - lambda*I each.
+def frobenius(X) -> np.ndarray:
+    """Frobenius norm of each matrix of a real stack (k, ...), rounded as
+    np.linalg.norm rounds it for one matrix."""
+    flat = np.reshape(X, (len(X), 1, -1))
+    # a 1 x N by N x 1 matmul is the BLAS dot that np.linalg.norm takes
+    return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[:, 0, 0]
 
-    A cluster of algebraic multiplicity k is defective when the k-th
-    smallest singular value of the shift exceeds null_tol. Returns
-    (spaces, None) with spaces a list of (EigenBlock, eigenspace basis),
-    or (None, diagnostic) naming the first defective cluster.
+
+def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
+    """The one eigen pass over a stack M (k, n, n): one eigvals of the
+    stack, the clusters of each node, and then, for each group of nodes
+    with one cluster pattern (the kind and multiplicity of each cluster in
+    sorted order), one batched SVD of M - lambda*I per cluster.
+
+    A cluster of algebraic multiplicity m is defective when the m-th
+    smallest singular value of its shift exceeds the node's null_tol.
+    Returns (groups, diagnostics): each group is (nodes, pattern, the
+    nodes' cluster eigenvalues (g, clusters) complex, one eigenspace basis
+    stack (g, n, m) per cluster), holding only nodes with no defective
+    cluster; diagnostics maps every other node to the message naming its
+    first defective cluster.
     """
-    n = M.shape[0]
-    spaces = []
-    for re, im, mult in _cluster_eigenvalues(np.linalg.eigvals(M), cluster_tol):
-        shifted = (M.astype(complex) - complex(re, im) * np.eye(n) if im > 0
-                   else M - re * np.eye(n))
-        _, s, Vh = np.linalg.svd(shifted)
-        if s[n - mult] > null_tol:
-            geometric = int(np.sum(s <= null_tol))
-            which = f"{re:.6g}" if im == 0 else f"{re:.6g}+{im:.6g}i"
-            return None, (f"eigenvalue {which} is defective: geometric "
-                          f"multiplicity {geometric} < algebraic {mult}")
-        spaces.append((EigenBlock(re, im, mult), Vh[n - mult:].conj().T))
-    return spaces, None
+    n = M.shape[-1]
+    evals = np.linalg.eigvals(M)
+    by_pattern: dict[tuple, list] = {}
+    for node, (ev, tol) in enumerate(zip(evals, cluster_tol)):
+        clusters = _cluster_eigenvalues(ev, tol)
+        pattern = tuple((im > 0, mult) for _, im, mult in clusters)
+        by_pattern.setdefault(pattern, []).append(
+            (node, [complex(re, im) for re, im, _ in clusters]))
+    groups, diagnostics = [], {}
+    for pattern, members in by_pattern.items():
+        nodes = np.array([node for node, _ in members])
+        lam = np.array([lams for _, lams in members])
+        Mg, tol = M[nodes], np.asarray(null_tol)[nodes]
+        spaces = []
+        for j, (cplx, mult) in enumerate(pattern):
+            shift = lam[:, j, None, None]
+            shifted = (Mg.astype(complex) - shift * np.eye(n) if cplx
+                       else Mg - shift.real * np.eye(n))
+            _, s, Vh = np.linalg.svd(shifted)
+            for g in np.flatnonzero(s[:, n - mult] > tol):
+                if int(nodes[g]) not in diagnostics:
+                    geometric = int(np.sum(s[g] <= tol[g]))
+                    z = lam[g, j]
+                    which = (f"{z.real:.6g}" if not cplx
+                             else f"{z.real:.6g}+{z.imag:.6g}i")
+                    diagnostics[int(nodes[g])] = (
+                        f"eigenvalue {which} is defective: geometric "
+                        f"multiplicity {geometric} < algebraic {mult}")
+            spaces.append(np.swapaxes(Vh[:, n - mult:].conj(), -1, -2))
+        keep = np.array([node not in diagnostics for node in nodes])
+        if keep.any():
+            groups.append((nodes[keep], pattern, lam[keep],
+                           [basis[keep] for basis in spaces]))
+    return groups, diagnostics
 
 
 def is_diagonalizable(M):
@@ -187,10 +222,91 @@ def is_diagonalizable(M):
     """
     M = _as_square(M)
     tol_abs = DEFECT_RTOL * max(np.linalg.norm(M, 2), 1e-300)
-    _, diagnostic = _eigenspaces(M, tol_abs, tol_abs)
-    if diagnostic is not None:
-        return False, diagnostic
+    _, diagnostics = _eigenspaces(M[None], [tol_abs], [tol_abs])
+    if diagnostics:
+        return False, diagnostics[0]
     return True, "all eigenvalue clusters have full eigenspaces"
+
+
+@dataclass(frozen=True)
+class BlockFormStack:
+    """Real block forms of the nodes of a stack that share one cluster
+    pattern: `nodes` indexes the stack, `pattern` holds each block's
+    (is_complex, multiplicity) in block order, re and im (g, blocks) are
+    each node's block eigenvalues, and basis (g, n, n) its real basis."""
+
+    nodes: np.ndarray
+    pattern: tuple[tuple[bool, int], ...]
+    re: np.ndarray
+    im: np.ndarray
+    basis: np.ndarray
+
+    def block_slices(self) -> list[slice]:
+        return block_slices([m * (2 if cplx else 1) for cplx, m in self.pattern])
+
+    def form(self, g: int) -> RealBlockForm:
+        """The RealBlockForm of the g-th node of the group."""
+        blocks = tuple(EigenBlock(float(re), float(im), m) for re, im, (_, m)
+                       in zip(self.re[g], self.im[g], self.pattern))
+        return RealBlockForm(basis=self.basis[g], blocks=blocks)
+
+
+def real_block_eigen_stack(M, cluster_tol: float | None = None,
+                           condition_cap: float = DEFAULT_CONDITION_CAP):
+    """`real_block_eigen` of each matrix of a finite stack M (k, n, n),
+    batched over the nodes that share a cluster pattern.
+
+    Returns (forms, errors): one BlockFormStack per cluster pattern, over
+    the nodes that pass, and a map from each other node to the exception
+    `real_block_eigen` raises for it alone.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    null_tol = DEFECT_RTOL * np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)),
+                                        1e-300)
+    tol = null_tol if cluster_tol is None else np.full(len(M), cluster_tol)
+    groups, diagnostics = _eigenspaces(M, tol, null_tol)
+    errors = {node: NotDiagonalizable(d) for node, d in diagnostics.items()}
+    forms = []
+    for nodes, pattern, lam, spaces in groups:
+        sizes = [m * (2 if cplx else 1) for cplx, m in pattern]
+        if sum(sizes) != n:
+            errors.update((int(node), NotDiagonalizable(
+                "eigenvalue clusters do not partition the dimension; "
+                "try a larger cluster tolerance")) for node in nodes)
+            continue
+        P = np.empty((len(nodes), n, n))
+        J = np.zeros_like(P)
+        for j, ((cplx, m), sl, basis) in enumerate(
+                zip(pattern, block_slices(sizes), spaces)):
+            w = _fix_column_phase(basis)
+            if cplx:
+                # columns (Re w, -Im w) realize the rotation-scaling block
+                P[:, :, sl.start:sl.stop:2] = w.real
+                P[:, :, sl.start + 1:sl.stop:2] = -w.imag
+                J[:, sl, sl] = np.kron(np.eye(m), rotation_blocks(
+                    lam[:, j].real, lam[:, j].imag))
+            else:
+                P[:, :, sl] = w
+                J[:, sl, sl] = lam[:, j].real[:, None, None] * np.eye(m)
+        cond = np.linalg.cond(P)
+        Mg = M[nodes]
+        residual = frobenius(Mg @ P - P @ J) / np.maximum(frobenius(Mg), 1e-300)
+        ill = ~(cond <= condition_cap)
+        for g in np.flatnonzero(ill):
+            errors[int(nodes[g])] = IllConditionedBasis(
+                f"eigenvector basis condition number {cond[g]:.3e} exceeds "
+                f"cap {condition_cap:.1e}")
+        for g in np.flatnonzero(~ill & (residual > RECONSTRUCTION_RTOL)):
+            errors[int(nodes[g])] = NotDiagonalizable(
+                f"real block reconstruction residual {residual[g]:.3e} "
+                f"exceeds {RECONSTRUCTION_RTOL:.1e}; input is defective or "
+                "clustered beyond tolerance")
+        keep = np.array([node not in errors for node in nodes])
+        if keep.any():
+            forms.append(BlockFormStack(nodes[keep], pattern, lam.real[keep],
+                                        lam.imag[keep], P[keep]))
+    return forms, errors
 
 
 def real_block_eigen(M, cluster_tol: float | None = None,
@@ -200,43 +316,14 @@ def real_block_eigen(M, cluster_tol: float | None = None,
     Real eigenvalue clusters give lambda*I_k blocks; complex pairs give
     stacked rotation-scaling blocks with im > 0. Eigenvalues within
     cluster_tol of each other are merged into one block. Blocks are sorted
-    by (kind, re, im) so identical inputs give identical orderings.
+    by (kind, re, im) so identical inputs give identical orderings. The
+    stack of one of `real_block_eigen_stack`.
     """
     M = _as_square(M)
-    n = M.shape[0]
-    scale = max(np.linalg.norm(M, 2), 1e-300)
-    if cluster_tol is None:
-        cluster_tol = DEFECT_RTOL * scale
-    spaces, diagnostic = _eigenspaces(M, cluster_tol, DEFECT_RTOL * scale)
-    if diagnostic is not None:
-        raise NotDiagonalizable(diagnostic)
-    blocks = tuple(blk for blk, _ in spaces)
-    if sum(b.size for b in blocks) != n:
-        raise NotDiagonalizable(
-            "eigenvalue clusters do not partition the dimension; "
-            "try a larger cluster tolerance")
-
-    cols = []
-    for blk, basis in spaces:
-        for j in range(blk.multiplicity):
-            w = _fix_column_phase(basis[:, j])
-            # columns (Re w, -Im w) realize the rotation-scaling block
-            cols.append(np.column_stack([w.real, -w.imag]) if blk.is_complex
-                        else w[:, None])
-    P = np.hstack(cols)
-    cond = float(np.linalg.cond(P))
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise IllConditionedBasis(
-            f"eigenvector basis condition number {cond:.3e} exceeds cap "
-            f"{condition_cap:.1e}")
-    J = block_diag([b.canonical_form() for b in blocks])
-    residual = np.linalg.norm(M @ P - P @ J) / max(np.linalg.norm(M), 1e-300)
-    if residual > RECONSTRUCTION_RTOL:
-        raise NotDiagonalizable(
-            f"real block reconstruction residual {residual:.3e} exceeds "
-            f"{RECONSTRUCTION_RTOL:.1e}; input is defective or clustered "
-            "beyond tolerance")
-    return RealBlockForm(basis=P, blocks=blocks)
+    forms, errors = real_block_eigen_stack(M[None], cluster_tol, condition_cap)
+    if errors:
+        raise errors[0]
+    return forms[0].form(0)
 
 
 def check_symmetric(M, *names: str):
@@ -259,20 +346,6 @@ def check_symmetric(M, *names: str):
         if err > SYMMETRY_RTOL:
             raise ValueError(
                 f"{name} is not symmetric (relative asymmetry {err:.3e})")
-
-
-def congruence_transform(A, P) -> np.ndarray:
-    """P^t A P, explicitly symmetrized by averaging with its transpose."""
-    A = np.asarray(A, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
-    if P.ndim != 2 or P.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"P rows ({P.shape[0]}) must match A order ({A.shape[0]})")
-    check_symmetric(A, "A")
-    out = P.T @ A @ P
-    return 0.5 * (out + out.T)
 
 
 # --- plain-text matrix format -------------------------------------------------

@@ -3,8 +3,7 @@
 Scalar (hyperbolic) modes get homogeneous data on their two inflow sides,
 decided by the signs of the pair (c, d). Elliptic modes split the two
 components over complementary pairs of contiguous sides, decided by the
-signs of (alpha1, alpha2); a rotation of the mode variables generates the
-infinitely many equivalent condition sets.
+signs of (alpha1, alpha2).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode, TypeIMode
 from .errors import (AssumptionViolated, BlockMatchingFailure,
                      IllConditionedBasis, RankDeficientOverride,
-                     ZeroCoefficient, ZeroKappa)
+                     ZeroCoefficient)
 from .linalg import DEFAULT_CONDITION_CAP
 
 if TYPE_CHECKING:  # operators imports this module
@@ -129,20 +128,6 @@ def synthesize_bc_type2(mode: TypeIIMode) -> EllipticModeBC:
         Side.N: u2 if a2_nonneg else u1,
     }
     return EllipticModeBC(mode_index=0, conditions=conditions)
-
-
-def rotate_type2(mode: TypeIIMode, kappa: float) -> TypeIIMode:
-    """Transform the mode coefficients under the orthogonal change of
-    variables v = Q(kappa) u; preserves the determinant condition."""
-    if kappa == 0:
-        raise ZeroKappa("kappa must be non-zero")
-    k2 = kappa * kappa
-    den = 1.0 + k2
-    a1 = ((k2 - 1.0) * mode.alpha1 - 2.0 * kappa * mode.beta1) / den
-    a2 = ((k2 - 1.0) * mode.alpha2 - 2.0 * kappa * mode.beta2) / den
-    b1 = ((k2 - 1.0) * mode.beta1 + 2.0 * kappa * mode.alpha1) / den
-    b2 = ((k2 - 1.0) * mode.beta2 + 2.0 * kappa * mode.alpha2) / den
-    return TypeIIMode(a1, b1, a2, b2)
 
 
 def check_rank2(conditions: Mapping[Side, tuple[float, float]]) -> bool:

@@ -221,11 +221,11 @@ def _least_squares_matrix(mode, grid: RectGrid,
     return sp.vstack([A, C], format="csr")
 
 
-def _normal_factor(mode, grid: RectGrid,
-                   conditions: Mapping[Side, tuple[float, float]]):
-    """(F, F^t F, LU of F^t F) for the least-squares matrix F: the
-    preconditioner of `elliptic_uniqueness`, and the fallback of
-    `elliptic_steady_solve` on inputs where CG does not converge.
+def _normal_factor(F):
+    """(F^t F, LU of F^t F) for an assembled least-squares matrix F
+    (`_least_squares_matrix`): the preconditioner of
+    `elliptic_uniqueness`, and the fallback of `elliptic_steady_solve` on
+    inputs where CG does not converge.
 
     F^t F is symmetric positive definite whenever the discrete problem is
     uniquely solvable, so it is factored in SuperLU's symmetric mode:
@@ -239,11 +239,10 @@ def _normal_factor(mode, grid: RectGrid,
     """
     import scipy.sparse.linalg as spla
 
-    F = _least_squares_matrix(mode, grid, conditions)
     normal = (F.T @ F).tocsc()
     lu = spla.splu(normal, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
-    return F, normal, lu
+    return normal, lu
 
 
 def _fast_diagonalization(mode, grid: RectGrid,
@@ -339,7 +338,7 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     sol, info = spla.cg(F.T @ F, atb, rtol=CG_RTOL, maxiter=CG_MAXITER,
                         M=precond)
     if info != 0:
-        _, normal, lu = _normal_factor(mode, grid, conditions)
+        normal, lu = _normal_factor(full)
         sol = lu.solve(atb)
         sol += lu.solve(atb - normal @ sol)  # one round of iterative refinement
     if not np.all(np.isfinite(sol)):
@@ -377,7 +376,8 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     """
     import scipy.sparse.linalg as spla
 
-    F, normal, lu = _normal_factor(mode, grid, conditions)
+    F = _least_squares_matrix(mode, grid, conditions)
+    normal, lu = _normal_factor(F)
     x = np.random.default_rng(0).standard_normal((F.shape[1], 1))
     inverse = spla.LinearOperator(normal.shape, matvec=lu.solve,
                                   matmat=lu.solve, dtype=float)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .congruence import (ModeDecomposition, SymmetricPair,
-                         simultaneous_diagonalize)
+                         diagonalize_stack, simultaneous_diagonalize)
 from .errors import CFLViolation, UnstableCoefficients
 # variable_coeff_setup is re-exported for callers that reach it here
 from .modes import (BCAssignment, ScalarModeBC, Side,
@@ -144,15 +144,21 @@ def _mode_projector(decomp: ModeDecomposition, bcs, side: Side) -> np.ndarray:
     return Pi
 
 
+def _component_major(mats: np.ndarray) -> np.ndarray:
+    """A per-node stack (..., n, n) laid out as (n, n, ...), the layout of
+    the state (n, nx, ny), so that each entry is contiguous over nodes."""
+    return np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+
+
 def _mul(mats: np.ndarray, v: np.ndarray, out: np.ndarray):
-    """out = M v at every node of v (n, ...) for a per-node stack
-    (..., n, n); a stack of one node stands for all nodes. `out` is
+    """out = M v at every node of v (n, ...) for a component-major stack
+    (n, n, ...); a stack of one node stands for all nodes. `out` is
     C-contiguous."""
-    n = mats.shape[-1]
+    n = mats.shape[0]
     if mats.size == n * n:
         np.matmul(mats.reshape(n, n), v.reshape(n, -1), out=out.reshape(n, -1))
     else:
-        np.einsum("...ab,b...->a...", mats, v, out=out)
+        np.einsum("ab...,b...->a...", mats, v, out=out)
 
 
 class SpatialOperator:
@@ -167,13 +173,22 @@ class SpatialOperator:
     of d/dt |u|^2 is -(Su)^T (nu.A) Su + w^T (nu.A) w - 2 alpha |w|^2 <= 0
     wherever the conditions are dissipative (`certify`'s boundary forms).
     Each term is a per-node stack (neighbour terms aligned to the source
-    node); constant coefficients build the same stacks from one node that
-    stands for all. `omega` is the growth rate of the energy identity on
-    those stacks (`modes.growth_rate`). `apply` reuses private buffers: one
-    caller at a time. A bare `sampler` is sampled once, by
+    node) stored component-major, like the state (n, nx, ny): `centre` and
+    `neighbour[side]` are (n, n, nx, ny), `edge[side]` (n, n, nodes of the
+    side), so `apply` multiplies with one einsum over contiguous node
+    planes; `side_map[side]` stays node-major, (nodes, n, n). Constant
+    coefficients build the same stacks from one node that stands for all,
+    (n, n, 1, 1) and (n, n, 1), multiplied by one matmul. `omega` is the
+    growth rate of the energy identity on those stacks
+    (`modes.growth_rate`). `apply` reuses private buffers: one caller at a
+    time. A bare `sampler` is sampled once, by
     `check_variable_coeff_assumptions`, and the operator steps the samples
     it admitted; a given `var_setup`, like a given `decomp`, is trusted.
-    Only the boundary nodes, whose side maps need them, are decomposed.
+    Only the boundary nodes, whose side maps need them, are decomposed,
+    all in one `diagonalize_stack` call: one solve and one eigen pass for
+    the stack, then each step batched over the nodes of one cluster
+    pattern. The first failing node, in W, E, S, N order, raises what
+    SymmetricPair or `simultaneous_diagonalize` raises for it alone.
     """
 
     def __init__(self, config: IVPConfig):
@@ -187,12 +202,12 @@ class SpatialOperator:
                 config.sampler, grid).setup)
             a1, a2, b = setup.a1, setup.a2, setup.b
             # each side's boundary nodes in trace order; a corner ends two
-            # sides and is decomposed once
+            # sides and is decomposed once, all of them in one batch
             ij = np.indices(a1.shape[:2])
             nodes = {side: list(map(tuple, ij[side.edge].T)) for side in Side}
-            decomp = {node: simultaneous_diagonalize(
-                          SymmetricPair(a1=a1[node], a2=a2[node]))
-                      for node in dict.fromkeys(sum(nodes.values(), []))}
+            unique = list(dict.fromkeys(sum(nodes.values(), [])))
+            i, j = np.array(unique).T
+            decomp = dict(zip(unique, diagonalize_stack(a1[i, j], a2[i, j])))
             decomps = {side: [decomp[node] for node in nodes[side]]
                        for side in Side}
         else:
@@ -208,10 +223,11 @@ class SpatialOperator:
 
         xp, xn = _split_signed(_faces(a1, 0))
         yp, yn = _split_signed(_faces(a2, 1))
-        self.centre = ((xn[1:] - xp[:-1]) / hx + (yn[:, 1:] - yp[:, :-1]) / hy
-                       - b)
-        self.neighbour = {Side.W: xp[1:] / hx, Side.E: -xn[:-1] / hx,
-                          Side.S: yp[:, 1:] / hy, Side.N: -yn[:, :-1] / hy}
+        self.centre = _component_major(
+            (xn[1:] - xp[:-1]) / hx + (yn[:, 1:] - yp[:, :-1]) / hy - b)
+        self.neighbour = {side: _component_major(m) for side, m in (
+            (Side.W, xp[1:] / hx), (Side.E, -xn[:-1] / hx),
+            (Side.S, yp[:, 1:] / hy), (Side.N, -yn[:, :-1] / hy))}
         normal = {Side.W: a1[0], Side.E: a1[-1],
                   Side.S: a2[:, 0], Side.N: a2[:, -1]}
         self.edge = {}
@@ -222,8 +238,8 @@ class SpatialOperator:
             alpha = 0.5 * np.maximum(np.linalg.eigvalsh(nu_a)[..., -1], 0.0)
             miss = np.eye(self.n) - self.side_map[side]
             sigma = alpha[..., None, None] * np.swapaxes(miss, -1, -2) - nu_a
-            self.edge[side] = -(_split_signed(nu_a)[1]
-                                + sigma @ miss) / (hx, hy)[side.axis]
+            self.edge[side] = _component_major(
+                -(_split_signed(nu_a)[1] + sigma @ miss) / (hx, hy)[side.axis])
 
         if config.u0.components != self.n:
             raise ValueError("initial data component count does not match system")

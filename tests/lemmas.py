@@ -1,5 +1,6 @@
-"""Quadrature checks of the paper's continuum lemmas, and closed-form
-oracles. Second-order centered differences (`np.gradient(edge_order=2)`)
+"""Quadrature checks of the paper's continuum lemmas, closed-form
+oracles, and the mode rotation and congruence transform that only the
+tests use. Second-order centered differences (`np.gradient(edge_order=2)`)
 and trapezoid quadrature back every residual, so smooth-field residuals
 shrink at first or second order under refinement, as the acceptance suite,
 `test_operators.py` and `scripts/convergence_study.py` measure.
@@ -8,7 +9,9 @@ shrink at first or second order under refinement, as the acceptance suite,
 import numpy as np
 
 from hypermodes.apps import SWEParams, SWMHDParams
-from hypermodes.errors import HypermodesError, ZeroKappa
+from hypermodes.congruence import TypeIIMode
+from hypermodes.errors import DimensionMismatch, HypermodesError, ZeroKappa
+from hypermodes.linalg import check_symmetric
 from hypermodes.modes import SIDE_ORDER, Side
 from hypermodes.operators import (RectGrid, StateField, _coeff_grid,
                                   _type2_coeff_grids)
@@ -191,6 +194,36 @@ def rotation_matrix(kappa: float) -> np.ndarray:
     if kappa == 0:
         raise ZeroKappa("kappa must be non-zero")
     return np.array([[kappa, -1.0], [1.0, kappa]]) / np.sqrt(1.0 + kappa * kappa)
+
+
+def rotate_type2(mode: TypeIIMode, kappa: float) -> TypeIIMode:
+    """Transform the mode coefficients under the orthogonal change of
+    variables v = Q(kappa) u; preserves the determinant condition. The
+    rotated conditions are the infinitely many equivalent condition sets
+    of an elliptic mode."""
+    if kappa == 0:
+        raise ZeroKappa("kappa must be non-zero")
+    k2 = kappa * kappa
+    den = 1.0 + k2
+    a1 = ((k2 - 1.0) * mode.alpha1 - 2.0 * kappa * mode.beta1) / den
+    a2 = ((k2 - 1.0) * mode.alpha2 - 2.0 * kappa * mode.beta2) / den
+    b1 = ((k2 - 1.0) * mode.beta1 + 2.0 * kappa * mode.alpha1) / den
+    b2 = ((k2 - 1.0) * mode.beta2 + 2.0 * kappa * mode.alpha2) / den
+    return TypeIIMode(a1, b1, a2, b2)
+
+
+def congruence_transform(A, P) -> np.ndarray:
+    """P^t A P, explicitly symmetrized by averaging with its transpose."""
+    A = np.asarray(A, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"A must be square, got {A.shape}")
+    if P.ndim != 2 or P.shape[0] != A.shape[0]:
+        raise DimensionMismatch(
+            f"P rows ({P.shape[0]}) must match A order ({A.shape[0]})")
+    check_symmetric(A, "A")
+    out = P.T @ A @ P
+    return 0.5 * (out + out.T)
 
 
 def swe_eigenvalues(p: SWEParams) -> np.ndarray:

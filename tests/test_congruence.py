@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
-                                   _split_elliptic_cluster,
+                                   _split_elliptic_cluster, diagonalize_stack,
                                    simultaneous_diagonalize,
                                    standardize_type2)
 from hypermodes.errors import NotDiagonalizable, NotTypeII, SingularInput
-from hypermodes.linalg import real_block_eigen, rotation_block
+from hypermodes.linalg import (_cluster_eigenvalues, block_diag,
+                               real_block_eigen, rotation_block)
 
 
 def reconstruction_residual(pair, decomp):
@@ -284,3 +285,109 @@ class TestStandardizeType2:
         with pytest.raises(NotTypeII):
             standardize_type2(C, D)
 
+
+
+# --- the per-pair loop the batched pipeline replaced ----------------------------
+
+
+def _loop_real_block_form(M):
+    """Per cluster, column by column: (basis, [(re, im, multiplicity)])."""
+    n = M.shape[0]
+    tol = 1e-8 * max(np.linalg.norm(M, 2), 1e-300)
+    cols, blocks = [], []
+    for re, im, mult in _cluster_eigenvalues(np.linalg.eigvals(M), tol):
+        shifted = (M.astype(complex) - complex(re, im) * np.eye(n) if im > 0
+                   else M - re * np.eye(n))
+        _, s, Vh = np.linalg.svd(shifted)
+        assert s[n - mult] <= tol
+        basis = Vh[n - mult:].conj().T
+        for j in range(mult):
+            w = basis[:, j]
+            mags = np.abs(w)
+            pivot = w[int(np.argmax(mags >= (1.0 - 1e-6) * mags.max()))]
+            w = (w * (np.conj(pivot) / abs(pivot)) if im > 0
+                 else w * np.sign(pivot))
+            cols.append(np.column_stack([w.real, -w.imag]) if im > 0
+                        else w[:, None])
+        blocks.append((re, im, mult))
+    return np.hstack(cols), blocks
+
+
+def loop_diagonalize(pair):
+    """One pair at a time: (P, modes, residuals)."""
+    A1, A2 = pair.a1, pair.a2
+    P, blocks = _loop_real_block_form(np.linalg.solve(A1, A2))
+    B1 = P.T @ A1 @ P
+    B1 = 0.5 * (B1 + B1.T)
+    modes, start = [], 0
+    for re, im, mult in blocks:
+        size = mult * (2 if im > 0 else 1)
+        sl = slice(start, start + size)
+        start += size
+        if im == 0:
+            d, V = np.linalg.eigh(B1[sl, sl])
+            cols = P[:, sl] @ V
+            for idx in range(mult):
+                mode = TypeIMode(c=float(d[idx]), d=float(re * d[idx]))
+                modes.append(((0, mode.advection_ratio, mode.c), mode,
+                              cols[:, idx:idx + 1]))
+        else:
+            V, C = _split_elliptic_cluster(B1[sl, sl])
+            cols = P[:, sl] @ V
+            for j in range(mult):
+                Cj = C[2 * j:2 * j + 2, 2 * j:2 * j + 2]
+                Dj = Cj @ rotation_block(re, im)
+                a1, b1 = Cj[0, 0], 0.5 * (Cj[0, 1] + Cj[1, 0])
+                a2, b2 = Dj[0, 0], 0.5 * (Dj[0, 1] + Dj[1, 0])
+                kappa0 = (a2 * b1 - a1 * b2) ** -0.25
+                k2 = kappa0 * kappa0
+                mode = TypeIIMode(k2 * a1, k2 * b1, k2 * a2, k2 * b2)
+                modes.append(((1, mode.mu1, mode.mu2), mode,
+                              cols[:, 2 * j:2 * j + 2]
+                              @ np.diag([kappa0, kappa0])))
+    modes.sort(key=lambda t: t[0])
+    P = np.hstack([t[2] for t in modes])
+    modes = tuple(t[1] for t in modes)
+    Bd1 = block_diag([m.first() for m in modes])
+    Bd2 = block_diag([m.second() for m in modes])
+    s1, s2 = np.linalg.norm(A1), np.linalg.norm(A2)
+    P_inv = np.linalg.inv(P)
+    rec = max(np.linalg.norm(A1 - P_inv.T @ Bd1 @ P_inv) / s1,
+              np.linalg.norm(A2 - P_inv.T @ Bd2 @ P_inv) / s2)
+    return P, modes, (np.linalg.norm(P.T @ A1 @ P - Bd1) / s1,
+                      np.linalg.norm(P.T @ A2 @ P - Bd2) / s2, rec)
+
+
+class TestStackMatchesLoop:
+    """`diagonalize_stack` against the per-pair loop, bit for bit: the
+    batched steps round as their one-pair forms do."""
+
+    @staticmethod
+    def planted_stacks():
+        """100 planted pairs (rng 123) in stacks by order, each stack
+        mixing several cluster patterns, plus repeated clusters."""
+        rng = np.random.default_rng(123)
+        pairs = [plant_pair(random_mixed_spec(rng), rng)[0] for _ in range(100)]
+        for _ in range(4):
+            pairs.append(plant_pair([("I", 1.0, 0.5), ("I", -2.0, -1.0),
+                                     ("II", 0.6, 0.8, 0.3, 1.1),
+                                     ("II", -0.4, 1.2, 0.3, 1.1)], rng)[0])
+        by_order = {}
+        for pair in pairs:
+            by_order.setdefault(pair.order, []).append(pair)
+        return by_order
+
+    def test_bitwise(self):
+        stacks = self.planted_stacks()
+        patterns = 0
+        for pairs in stacks.values():
+            decomps = diagonalize_stack(np.array([p.a1 for p in pairs]),
+                                        np.array([p.a2 for p in pairs]))
+            patterns += len({tuple(type(m) for m in d.modes) for d in decomps})
+            for pair, d in zip(pairs, decomps):
+                P, modes, (off1, off2, rec) = loop_diagonalize(pair)
+                assert np.array_equal(d.p, P)
+                assert d.modes == modes
+                assert (d.residuals.offdiag_1, d.residuals.offdiag_2,
+                        d.residuals.reconstruction) == (off1, off2, rec)
+        assert patterns > len(stacks)  # stacks mix patterns

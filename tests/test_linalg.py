@@ -3,14 +3,22 @@ import pytest
 from conftest import plant_pair, random_congruence, random_mixed_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lemmas import swe_eigenvalues
+from lemmas import congruence_transform, swe_eigenvalues
 
 from hypermodes import linalg
 from hypermodes.errors import (DimensionMismatch, IllConditionedBasis,
                                NotDiagonalizable)
-from hypermodes.linalg import (EigenBlock, congruence_transform,
-                               format_matrix, is_diagonalizable, parse_matrix,
+from hypermodes.linalg import (EigenBlock, block_diag, format_matrix,
+                               is_diagonalizable, parse_matrix,
                                real_block_eigen, rotation_block)
+
+
+def block_matrix(form):
+    """The block diagonal form.basis exposes: lambda*I_k for a real block,
+    k rotation-scaling blocks for a complex one."""
+    return block_diag([rotation_block(b.re, b.im) if b.is_complex
+                       else np.array([[b.re]])
+                       for b in form.blocks for _ in range(b.multiplicity)])
 
 
 class TestRealBlockEigen:
@@ -42,7 +50,7 @@ class TestRealBlockEigen:
             kinds = sorted((b.re, b.im, b.multiplicity) for b in form.blocks)
             assert kinds == [(pytest.approx(1.0), pytest.approx(0.0), 1),
                              (pytest.approx(2.0), pytest.approx(3.0), 1)]
-            res = np.linalg.norm(M @ form.basis - form.basis @ form.block_matrix())
+            res = np.linalg.norm(M @ form.basis - form.basis @ block_matrix(form))
             assert res < 1e-9 * np.linalg.norm(M)
 
     def test_reconstruction_residual_bound(self):
@@ -50,7 +58,7 @@ class TestRealBlockEigen:
         for _ in range(20):
             M = rng.standard_normal((6, 6))
             form = real_block_eigen(M)
-            res = np.linalg.norm(M @ form.basis - form.basis @ form.block_matrix())
+            res = np.linalg.norm(M @ form.basis - form.basis @ block_matrix(form))
             assert res / np.linalg.norm(M) < 1e-9
 
     def test_complex_blocks_positive_imag(self):

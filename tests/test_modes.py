@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lemmas import rotation_matrix
+from lemmas import rotate_type2, rotation_matrix
 
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import (AssumptionViolated, RankDeficientOverride,
@@ -10,8 +10,8 @@ from hypermodes.errors import (AssumptionViolated, RankDeficientOverride,
 from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs, check_rank2,
                               check_variable_coeff_assumptions,
-                              format_assignments, rotate_type2,
-                              synthesize_bc_type1, synthesize_bc_type2)
+                              format_assignments, synthesize_bc_type1,
+                              synthesize_bc_type2)
 from hypermodes.congruence import SymmetricPair
 from hypermodes.operators import RectGrid
 

@@ -284,7 +284,8 @@ class TestEllipticSolve:
         # symmetric mode leaves 755,254 entries here; splu's unsymmetric
         # defaults leave 1,675,077 and the minimum-degree ordering with
         # partial pivoting 1,285,922
-        _, _, lu = _normal_factor(self.CR_MODE, grid65(), DEFAULT_CONDS)
+        _, lu = _normal_factor(_least_squares_matrix(self.CR_MODE, grid65(),
+                                                     DEFAULT_CONDS))
         assert lu.L.nnz + lu.U.nnz <= 1.0e6
 
     @pytest.mark.parametrize("variable", [False, True])
@@ -390,7 +391,8 @@ class TestConjugateGradientSolve:
         g = grid65()
         mode, conds = CG_CASES[case](g)
         psi = _smooth_psi(g)
-        F, _, lu = _normal_factor(mode, g, conds)
+        F = _least_squares_matrix(mode, g, conds)
+        _, lu = _normal_factor(F)
         rhs = np.zeros(F.shape[0])
         rhs[:F.shape[1]] = (psi.values * compact_support_mask(g)[None]).ravel()
         want = lu.solve(F.T @ rhs)
@@ -405,6 +407,25 @@ class TestConjugateGradientSolve:
         assert report.verdict
         if case != "mixed":
             assert len(factored) == (case == "near_degenerate")
+
+    def test_fallback_assembles_once(self, monkeypatch):
+        # CG cut short: the factor is taken of the F assembled for CG, and
+        # gives the solution CG gives
+        g = RectGrid(1.0, 1.0, 33, 33)
+        mode, psi = TypeIIMode(0.0, 1.0, 1.0, 0.0), _smooth_psi(g)
+        want, _ = elliptic_steady_solve(mode, psi, g, DEFAULT_CONDS)
+        assembled, factored = [], []
+        assemble, factor = operators._least_squares_matrix, operators._normal_factor
+        monkeypatch.setattr(operators, "_least_squares_matrix",
+                            lambda *args: assembled.append(1) or assemble(*args))
+        monkeypatch.setattr(operators, "_normal_factor",
+                            lambda F: factored.append(1) or factor(F))
+        monkeypatch.setattr(operators, "CG_MAXITER", 1)
+        u, report = elliptic_steady_solve(mode, psi, g, DEFAULT_CONDS)
+        assert (len(assembled), len(factored)) == (1, 1)
+        assert report.verdict
+        assert (np.linalg.norm(u.values - want.values)
+                <= 1e-10 * np.linalg.norm(want.values))
 
     @pytest.mark.parametrize("n", [33, 129])
     def test_iterations_do_not_grow_with_mesh(self, n, monkeypatch):

@@ -618,6 +618,48 @@ class TestStencilForm:
         ref = reference_apply(g, setup.a1, setup.a2, setup.b, op.side_map, u)
         assert self.rel_err(op, ref, u) <= 1e-12
 
+    def test_variable_matches_reference_ny_is_n_squared(self):
+        # order 3 on 11x9: a W or E edge stack (3, 3, 9) holds
+        # n * n * ny = ny^2 entries, as one node of order ny would, so the
+        # one-node test must read the order from the leading axis
+        rng = np.random.default_rng(9)
+        pair, _ = plant_pair([("I", 1.3, -0.8), ("II", 0.6, 0.8, 0.3, 1.1)],
+                             rng)
+        skew = rng.standard_normal((3, 3))
+        pair = SymmetricPair(a1=pair.a1, a2=pair.a2,
+                             b=0.5 * np.eye(3) + skew - skew.T)
+        sampler = varying_sampler(pair, rng)
+        g = RectGrid(1.0, 1.0, 11, 9)
+        setup = variable_coeff_setup(sampler, g)
+        u = rng.standard_normal((3, 11, 9))
+        op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u),
+                                       t_end=1.0, sampler=sampler,
+                                       var_setup=setup))
+        assert op.edge[Side.W].size == op.edge[Side.E].size == g.ny ** 2
+        ref = reference_apply(g, setup.a1, setup.a2, setup.b, op.side_map, u)
+        assert self.rel_err(op, ref, u) <= 1e-12
+
+    def test_boundary_decomposition_count_is_fixed(self, monkeypatch):
+        # the boundary nodes are decomposed in one batch: the number of
+        # eigvals and svd calls does not grow with the grid
+        sampler = varying_sampler(planted_system(np.random.default_rng(3)),
+                                  np.random.default_rng(4))
+        calls = []
+        for name in ("eigvals", "svd"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real, **k:
+                                calls.append(1) or real(*a, **k))
+        counts = []
+        for n in (17, 33):
+            g = RectGrid(1.0, 1.0, n, n)
+            setup = variable_coeff_setup(sampler, g)
+            u0 = StateField(g, np.zeros((setup.order, n, n)))
+            calls.clear()
+            SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                      sampler=sampler, var_setup=setup))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_energy_never_rises_random_mixed(self, seed):

@@ -20,7 +20,7 @@ import pytest
 from conftest import random_congruence, random_mixed_spec, tracefree
 from hypermodes import solver
 from hypermodes.congruence import (SymmetricPair, TypeIMode,
-                                   simultaneous_diagonalize)
+                                   diagonalize_stack, simultaneous_diagonalize)
 from hypermodes.errors import (AssumptionViolated, BlockMatchingFailure,
                                HypermodesError, IllConditionedBasis)
 from hypermodes.linalg import DEFAULT_CONDITION_CAP, rotation_block
@@ -347,21 +347,25 @@ class TestMatchesReference:
 
     def test_decomposes_boundary_only(self, monkeypatch):
         # the setup only samples; the operator decomposes each boundary
-        # node once, corners included
+        # node once, corners included, in one batch in W, E, S, N order
         calls = []
 
-        def counted(pair, **kw):
-            calls.append(pair)
-            return simultaneous_diagonalize(pair, **kw)
+        def counted(a1, a2):
+            calls.append(a1)
+            return diagonalize_stack(a1, a2)
 
-        monkeypatch.setattr(solver, "simultaneous_diagonalize", counted)
+        monkeypatch.setattr(solver, "diagonalize_stack", counted)
         g, sampler = self.GRID, planted_varying_sampler(0)
         setup = variable_coeff_setup(sampler, g)
         assert calls == []
         u0 = StateField(g, np.zeros((setup.order, g.nx, g.ny)))
         SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0, sampler=sampler,
                                   var_setup=setup))
-        assert len(calls) == 2 * (g.nx + g.ny) - 4
+        (stack,) = calls
+        a1 = setup.a1
+        boundary = np.concatenate([a1[0], a1[-1], a1[1:-1, 0], a1[1:-1, -1]])
+        assert len(stack) == 2 * (g.nx + g.ny) - 4
+        np.testing.assert_array_equal(stack, boundary)
 
 
 class TestSampledOnce:
@@ -492,6 +496,100 @@ class TestGauge:
         for side in Side:
             np.testing.assert_allclose(op.side_map[side], ref[side],
                                        rtol=0, atol=1e-14)
+
+
+def two_pattern_sampler(seed):
+    """Order-4 pair, unadmitted: four scalar modes for x <= 0.5, two
+    scalar modes and one elliptic mode beyond, each varying smoothly
+    under one fixed random congruence. No B."""
+    rng = np.random.default_rng([seed, 24])
+    G = random_congruence(4, rng)
+
+    def sampler(x, y):
+        w = 0.1 * np.sin(2.0 * x + y)
+        B1 = np.diag([1.0 + w, -1.0, 1.5, -0.8 - w])
+        B2 = B1 @ np.diag([0.5 + w, 1.2, -0.7, 2.0 - w])
+        if x > 0.5:
+            B1[2:, 2:] = tracefree(0.6, 0.8 + w)
+            B2[2:, 2:] = B1[2:, 2:] @ rotation_block(0.3 + w, 1.0)
+        a1, a2 = G.T @ B1 @ G, G.T @ B2 @ G
+        return SymmetricPair(a1=0.5 * (a1 + a1.T), a2=0.5 * (a2 + a2.T))
+
+    return sampler
+
+
+def reference_boundary_error(setup):
+    """What the per-node boundary loop raises on a trusted setup: each
+    boundary node in W, E, S, N order, a corner once, taken as a
+    SymmetricPair and decomposed before the next; None if none fails."""
+    ij = np.indices(setup.a1.shape[:2])
+    nodes = [tuple(node) for side in Side for node in ij[side.edge].T]
+    for node in dict.fromkeys(nodes):
+        try:
+            simultaneous_diagonalize(SymmetricPair(a1=setup.a1[node],
+                                                   a2=setup.a2[node]))
+        except (ValueError, HypermodesError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestBatchedBoundary:
+    """The boundary nodes decomposed in one batch, against the per-node
+    reference, where they fall into more than one cluster pattern and
+    where some of them fail."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_cluster_patterns(self, seed):
+        g = RectGrid(1.0, 1.0, 13, 11)
+        sampler = two_pattern_sampler(seed)
+        setup = variable_coeff_setup(sampler, g)
+        ref = reference_setup(sampler, g)[-1]
+        # the check rejects the pattern change; a given setup is trusted
+        with pytest.raises(AssumptionViolated):
+            check_variable_coeff_assumptions(sampler, g)
+        u0 = StateField(g, np.zeros((4, g.nx, g.ny)))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       sampler=sampler, var_setup=setup))
+        for side in Side:
+            np.testing.assert_allclose(op.side_map[side], ref[side],
+                                       rtol=0, atol=1e-14)
+
+    # (a1, a2) planted at boundary nodes of a setup of order 2; a1^-1 a2
+    # of the "jordan" pair is [[1, 0], [1, 1]], and the near one passes
+    # the defect check but not the reconstruction check
+    DEFECTS = {
+        "jordan": (SWAP, SWAP + np.diag([1.0, 0.0])),
+        "near_jordan": (SWAP, SWAP + np.diag([5e-9, 0.0])),
+        "singular": (np.diag([1.0, 0.0]), SWAP),
+        "asymmetric": (np.array([[0.0, 1.0], [1.1, 0.0]]), SWAP),
+        "non_finite": (SWAP, np.array([[np.nan, 1.0], [1.0, 0.0]])),
+    }
+    PLANTS = {
+        "jordan_S": [((3, 0), "jordan")],
+        "near_jordan_N": [((7, 10), "near_jordan")],
+        "singular_N": [((5, 10), "singular")],
+        "asymmetric_W": [((0, 4), "asymmetric")],
+        "non_finite_corner": [((12, 10), "non_finite")],
+        # E is decomposed before S, so the E node's error wins
+        "E_before_S": [((2, 0), "jordan"), ((12, 3), "singular")],
+        "W_before_E": [((12, 3), "asymmetric"), ((0, 7), "jordan")],
+    }
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_first_failing_node(self, plant):
+        g = RectGrid(1.0, 1.0, 13, 11)
+        setup = variable_coeff_setup(lambda x, y: SymmetricPair(
+            a1=SWAP, a2=np.array([[1.0 + 0.1 * x, 2.0 + y], [2.0 + y, 1.0]])), g)
+        for node, name in self.PLANTS[plant]:
+            setup.a1[node], setup.a2[node] = self.DEFECTS[name]
+        expected = reference_boundary_error(setup)
+        assert expected is not None
+        u0 = StateField(g, np.zeros((2, g.nx, g.ny)))
+        with pytest.raises((ValueError, HypermodesError)) as info:
+            SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                      sampler=lambda x, y: None,
+                                      var_setup=setup))
+        assert (type(info.value), str(info.value)) == expected
 
 
 class TestBoundaryForm:
