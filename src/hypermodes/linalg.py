@@ -76,9 +76,6 @@ class EigenBlock:
     def size(self) -> int:
         return self.multiplicity * (2 if self.is_complex else 1)
 
-    def sort_key(self):
-        return (self.is_complex, self.re, self.im)
-
 
 @dataclass(frozen=True)
 class RealBlockForm:

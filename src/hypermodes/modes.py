@@ -82,9 +82,6 @@ class EllipticModeBC:
                 raise ValueError(f"condition on {side} is identically zero")
         object.__setattr__(self, "conditions", conds)
 
-    def condition_matrix(self) -> np.ndarray:
-        return np.array([self.conditions[s] for s in SIDE_ORDER])
-
     def lines(self) -> list[str]:
         return [
             f"mode {self.mode_index}: TypeII side={s.value} "

@@ -77,7 +77,7 @@ class TestRealBlockEigen:
         f2 = real_block_eigen(M.copy())
         assert f1.blocks == f2.blocks
         assert np.array_equal(f1.basis, f2.basis)
-        keys = [b.sort_key() for b in f1.blocks]
+        keys = [(b.is_complex, b.re, b.im) for b in f1.blocks]
         assert keys == sorted(keys)
 
     def test_multiplicity_cluster(self):

@@ -7,7 +7,7 @@ from lemmas import rotate_type2, rotation_matrix
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import (AssumptionViolated, RankDeficientOverride,
                                ZeroCoefficient, ZeroKappa)
-from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
+from hypermodes.modes import (SIDE_ORDER, EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs, check_rank2,
                               check_variable_coeff_assumptions,
                               format_assignments, synthesize_bc_type1,
@@ -133,7 +133,8 @@ class TestRotation:
         for kappa in (0.5, 1.0, -2.0, 7.0):
             rotated = rotate_type2(mode, kappa)
             bc = synthesize_bc_type2(rotated)
-            induced = bc.condition_matrix() @ rotation_matrix(kappa)
+            conditions = np.array([bc.conditions[s] for s in SIDE_ORDER])
+            induced = conditions @ rotation_matrix(kappa)
             rank = np.linalg.matrix_rank(induced, tol=1e-10)
             assert rank == 2
 

@@ -16,6 +16,7 @@ from hypermodes.modes import (ScalarModeBC, Side, assemble_system_bcs,
 from hypermodes.operators import (RectGrid, StateField,
                                   random_scalar_bc_field,
                                   side_vanishing_factor, smooth_random_field)
+from hypermodes import solver
 from hypermodes.solver import (IVPConfig, SpatialOperator, run, step,
                                variable_coeff_setup)
 
@@ -720,6 +721,16 @@ class TestBuffers:
         with pytest.raises(ValueError):
             op.apply(0.0, u, out=u)
 
+    def test_wrongly_shaped_state_rejected(self):
+        # the same count of values in another shape is not a state either
+        op, u = self.swe()
+        for bad in (u.reshape(1, 3, 17, 17), u.reshape(3, 17 * 17, 1),
+                    u[:, :16]):
+            with pytest.raises(ValueError, match=r"\(3, 17, 17\)"):
+                op.apply(0.0, bad)
+            with pytest.raises(ValueError, match=r"\(3, 17, 17\)"):
+                step(op, bad, 0.0, op.dt_max)
+
     def test_interleaved_operators_match_solo(self):
         def steps(pairs, count=5):
             states = [u for _, u in pairs]
@@ -735,3 +746,47 @@ class TestBuffers:
         together = steps([a, b])
         for alone, mixed in zip(solo, together):
             assert all(np.array_equal(x, y) for x, y in zip(alone, mixed))
+
+
+class TestTiles:
+    """`apply` and each stage of `step` sweep the grid in row tiles; the
+    result is the same to the bit however the rows are tiled."""
+
+    @staticmethod
+    def config(kind, nx, ny):
+        rng = np.random.default_rng(5)
+        g = RectGrid(1.0, 1.0, nx, ny)
+        if kind == "variable":
+            sampler = varying_sampler(planted_system(rng), rng)
+            setup = variable_coeff_setup(sampler, g)
+            n, coeffs = setup.order, dict(sampler=sampler, var_setup=setup)
+        else:
+            n, coeffs = 3, dict(pair=preset_swe(SWEParams(
+                u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.5)))
+        if kind == "forced":
+            X, Y = g.meshgrid()
+            coeffs["forcing"] = lambda t: np.stack(
+                [np.sin(X + k * Y + t) for k in range(n)])
+        u0 = StateField(g, rng.standard_normal((n, nx, ny)))
+        return IVPConfig(grid=g, u0=u0, t_end=1.0, **coeffs)
+
+    # 23x11 ends on a short tile of 3-row tiles; 1-row tiles leave the
+    # first and last tile without a W or E neighbour row
+    @pytest.mark.parametrize("kind, nx, ny", [
+        ("swe", 17, 17), ("variable", 17, 17), ("forced", 17, 17),
+        ("swe", 23, 11), ("variable", 23, 11)])
+    def test_tilings_bit_identical(self, monkeypatch, kind, nx, ny):
+        cfg = self.config(kind, nx, ny)
+        u = cfg.u0.values
+        results = []
+        for rows, tiles in ((1, nx), (3, -(-nx // 3)), (nx, 1)):
+            monkeypatch.setattr(solver, "TILE_BYTES", rows * u[:, 0].nbytes)
+            op = SpatialOperator(cfg)
+            assert len(op._tiles) == tiles
+            outs, v = [op.apply(0.3, u)], u
+            for k in range(3):
+                v = step(op, v, 0.3 + k * op.dt_max, op.dt_max)
+                outs.append(v)
+            results.append(np.stack(outs).view(np.uint64))
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
