@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotTypeII, OffDiagonalResidual, SingularInput
+from .errors import (HypermodesError, NotTypeII, OffDiagonalResidual,
+                     SingularInput)
 from .linalg import SYMMETRY_RTOL, check_symmetric, rotation_block
 
 SINGULARITY_RTOL = 1e-10
@@ -73,7 +74,7 @@ def _suspect_pairs(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Indices of the pairs of the stacks a1, a2 (k, n, n) that
     SymmetricPair may reject: those with a non-finite entry, or within a
     factor 2 of its asymmetry or singularity tolerance. SymmetricPair
-    itself decides each of them."""
+    itself decides each of them, on the pair-by-pair path."""
     pairs = np.stack([a1, a2], axis=1)
     finite = np.isfinite(pairs).all(axis=(1, 2, 3))
     flat = np.where(finite[:, None, None, None], pairs, 0.0).reshape(
@@ -144,11 +145,6 @@ class DecompositionResiduals:
     reconstruction: float
 
 
-def _block_diagonals(modes) -> tuple[np.ndarray, np.ndarray]:
-    return (linalg.block_diag([m.first() for m in modes]),
-            linalg.block_diag([m.second() for m in modes]))
-
-
 @dataclass(frozen=True)
 class ModeDecomposition:
     p: np.ndarray
@@ -163,7 +159,8 @@ class ModeDecomposition:
         return linalg.block_slices([len(m.first()) for m in self.modes])
 
     def block_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        return _block_diagonals(self.modes)
+        return (linalg.block_diag([m.first() for m in self.modes]),
+                linalg.block_diag([m.second() for m in self.modes]))
 
     def report(self) -> str:
         lines = ["congruence matrix P:",
@@ -184,38 +181,35 @@ class ModeDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _tracefree_parts(M, name, errors):
+def _tracefree_parts(M, name):
     """Read (alpha, beta) off a stack (g, 2, 2) expected to hold
-    [[a, b], [b, -a]]; each matrix that is not is entered in `errors`,
-    keyed by its index, unless an earlier check already failed there."""
+    [[a, b], [b, -a]]; the first matrix that is not raises ValueError."""
     if M.shape[-2:] != (2, 2):
         raise ValueError(f"{name} must be 2x2, got {M.shape[-2:]}")
     tol = DECOMPOSITION_RTOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1e-300)
     bad = ((np.abs(M[:, 0, 1] - M[:, 1, 0]) > tol)
            | (np.abs(M[:, 0, 0] + M[:, 1, 1]) > tol))
-    for g in np.flatnonzero(bad):
-        errors.setdefault(int(g), ValueError(
-            f"{name} is not symmetric trace-free: {M[g]!r}"))
+    if bad.any():
+        raise ValueError(
+            f"{name} is not symmetric trace-free: {M[bad.argmax()]!r}")
     return M[:, 0, 0], 0.5 * (M[:, 0, 1] + M[:, 1, 0])
 
 
-def _standardize(C, D, errors):
+def _standardize(C, D):
     """`standardize_type2` of each pair of the stacks C, D (g, 2, 2):
     (kappa0 (g,), the scaled (alpha1, beta1, alpha2, beta2), each (g,)).
-    A pair that fails is entered in `errors`, keyed by its index, unless
-    an earlier check already failed there, and takes kappa0 = 1."""
-    a1, b1 = _tracefree_parts(C, "C", errors)
-    a2, b2 = _tracefree_parts(D, "D", errors)
+    The first pair that fails raises."""
+    a1, b1 = _tracefree_parts(C, "C")
+    a2, b2 = _tracefree_parts(D, "D")
     delta = a2 * b1 - a1 * b2
     scale = np.maximum(np.maximum(np.abs(a1), np.abs(b1)),
                        np.maximum(np.abs(a2), np.abs(b2)))
     low = delta <= DECOMPOSITION_RTOL * np.maximum(scale, 1e-300) ** 2
-    for g in np.flatnonzero(low):
-        errors.setdefault(int(g), NotTypeII(
-            f"alpha2*beta1 - alpha1*beta2 = {delta[g]:.3e} is not positive"))
+    if low.any():
+        raise NotTypeII(f"alpha2*beta1 - alpha1*beta2 = "
+                        f"{delta[low.argmax()]:.3e} is not positive")
     # the scalar power, which an array power may round differently
-    kappa0 = np.array([1.0 if bad else float(d) ** -0.25
-                       for d, bad in zip(delta, low)])
+    kappa0 = np.array([float(d) ** -0.25 for d in delta])
     k2 = kappa0 * kappa0
     return kappa0, (k2 * a1, k2 * b1, k2 * a2, k2 * b2)
 
@@ -226,11 +220,8 @@ def standardize_type2(C, D):
     Returns (V, mode) with V = kappa0 * I, kappa0 the inverse fourth root
     of alpha2*beta1 - alpha1*beta2 (equivalently mu2*(alpha1^2 + beta1^2)).
     """
-    errors = {}
     kappa0, params = _standardize(np.asarray(C, dtype=float)[None],
-                                  np.asarray(D, dtype=float)[None], errors)
-    if errors:
-        raise errors[0]
+                                  np.asarray(D, dtype=float)[None])
     return np.diag([kappa0[0], kappa0[0]]), TypeIIMode(*(p[0] for p in params))
 
 
@@ -257,13 +248,11 @@ def _split_elliptic_cluster(A_ii):
 
 
 def _decompose_group(A1, A2, form: linalg.BlockFormStack):
-    """The decompositions of the pairs (A1, A2) (g, n, n) whose
-    a1^-1 a2 share the cluster pattern of their real block forms `form`:
-    per pair, its ModeDecomposition, or the exception
-    `simultaneous_diagonalize` raises for it alone. Every step runs once
-    for the whole stack; only the mode order is sorted per pair."""
+    """The ModeDecomposition of each pair (A1, A2) (g, n, n) whose
+    a1^-1 a2 share the cluster pattern of their real block forms `form`.
+    Every step runs once for the whole stack, and the first failing check
+    found raises; only the mode order is sorted per pair."""
     count, n = A1.shape[:2]
-    errors: dict[int, Exception] = {}
     P = form.basis
     B1 = np.swapaxes(P, -1, -2) @ A1 @ P
     B1 = 0.5 * (B1 + np.swapaxes(B1, -1, -2))
@@ -274,8 +263,10 @@ def _decompose_group(A1, A2, form: linalg.BlockFormStack):
     for sl in slices:
         off[sl, sl] = False
     offdiag = np.where(off, np.abs(B1), 0.0).max(axis=(-2, -1))
-    for g in np.flatnonzero(offdiag > DECOMPOSITION_RTOL * scale1):
-        errors[int(g)] = OffDiagonalResidual(
+    bad = offdiag > DECOMPOSITION_RTOL * scale1
+    if bad.any():
+        g = bad.argmax()
+        raise OffDiagonalResidual(
             f"off-diagonal block residual {offdiag[g]:.3e} exceeds "
             f"{DECOMPOSITION_RTOL * scale1[g]:.3e}; eigenvalue clustering "
             "likely failed")
@@ -299,7 +290,7 @@ def _decompose_group(A1, A2, form: linalg.BlockFormStack):
             for t in range(mult):
                 two = slice(2 * t, 2 * t + 2)
                 Cj = C[:, two, two]
-                kappa0, params = _standardize(Cj, Cj @ R, errors)
+                kappa0, params = _standardize(Cj, Cj @ R)
                 Vs = kappa0[:, None, None] * np.eye(2)
                 parts.append((params, cols[:, :, two] @ Vs))
 
@@ -317,9 +308,8 @@ def _decompose_group(A1, A2, form: linalg.BlockFormStack):
         start += cols.shape[-1]
     columns = np.concatenate([cols for _, cols in parts], axis=-1)
 
-    live = np.array([g for g in range(count) if g not in errors], dtype=int)
     perms, mode_lists = [], []
-    for g in live:
+    for g in range(count):
         modes: list[tuple] = []  # (sort key, mode, its column indices)
         start = 0
         for params, cols in parts:
@@ -335,75 +325,58 @@ def _decompose_group(A1, A2, form: linalg.BlockFormStack):
         modes.sort(key=lambda t: t[0])
         perms.append([c for t in modes for c in t[2]])
         mode_lists.append(tuple(t[1] for t in modes))
-    if len(live):
-        perm = np.array(perms)
-        P_final = np.take_along_axis(columns[live], perm[:, None, :], -1)
-        Bd = np.take_along_axis(np.take_along_axis(
-            Bd[:, live], perm[None, :, :, None], -2), perm[None, :, None, :], -1)
-        A1, A2, scale1 = A1[live], A2[live], scale1[live]
-        scale2 = np.maximum(linalg.frobenius(A2), 1e-300)
-        PT = np.swapaxes(P_final, -1, -2)
-        off1 = linalg.frobenius(PT @ A1 @ P_final - Bd[0]) / scale1
-        off2 = linalg.frobenius(PT @ A2 @ P_final - Bd[1]) / scale2
-        P_inv = np.linalg.inv(P_final)
-        P_invT = np.swapaxes(P_inv, -1, -2)
-        rec1 = linalg.frobenius(A1 - P_invT @ Bd[0] @ P_inv) / scale1
-        rec2 = linalg.frobenius(A2 - P_invT @ Bd[1] @ P_inv) / scale2
+    perm = np.array(perms)
+    P_final = np.take_along_axis(columns, perm[:, None, :], -1)
+    Bd = np.take_along_axis(np.take_along_axis(
+        Bd, perm[None, :, :, None], -2), perm[None, :, None, :], -1)
+    scale2 = np.maximum(linalg.frobenius(A2), 1e-300)
+    PT = np.swapaxes(P_final, -1, -2)
+    off1 = linalg.frobenius(PT @ A1 @ P_final - Bd[0]) / scale1
+    off2 = linalg.frobenius(PT @ A2 @ P_final - Bd[1]) / scale2
+    P_inv = np.linalg.inv(P_final)
+    P_invT = np.swapaxes(P_inv, -1, -2)
+    rec1 = linalg.frobenius(A1 - P_invT @ Bd[0] @ P_inv) / scale1
+    rec2 = linalg.frobenius(A2 - P_invT @ Bd[1] @ P_inv) / scale2
 
-    out: list = [errors.get(g) for g in range(count)]
-    for i, g in enumerate(live):
-        worst = max(off1[i], off2[i])
-        if worst > DECOMPOSITION_RTOL:
-            out[g] = OffDiagonalResidual(
-                f"transformed pair deviates from mode blocks by "
-                f"{worst:.3e} (tolerance {DECOMPOSITION_RTOL:.1e})")
-            continue
-        residuals = DecompositionResiduals(
-            offdiag_1=float(off1[i]), offdiag_2=float(off2[i]),
-            reconstruction=float(max(rec1[i], rec2[i])))
-        out[g] = ModeDecomposition(p=P_final[i], modes=mode_lists[i],
-                                   residuals=residuals)
-    return out
+    worst = np.maximum(off1, off2)
+    bad = worst > DECOMPOSITION_RTOL
+    if bad.any():
+        raise OffDiagonalResidual(
+            f"transformed pair deviates from mode blocks by "
+            f"{worst[bad.argmax()]:.3e} (tolerance {DECOMPOSITION_RTOL:.1e})")
+    return [ModeDecomposition(P_final[g], mode_lists[g], DecompositionResiduals(
+        float(off1[g]), float(off2[g]), float(max(rec1[g], rec2[g]))))
+        for g in range(count)]
 
 
-def _decompose(a1: np.ndarray, a2: np.ndarray):
-    """(decomps, errors) of the valid pairs of the stacks a1, a2 (k, n, n):
-    decomps[i] is pair i's ModeDecomposition, or None where errors[i]
-    holds the exception `simultaneous_diagonalize` raises for it alone.
+def _decompose(a1: np.ndarray, a2: np.ndarray) -> list[ModeDecomposition]:
+    """The ModeDecomposition of each pair of the stacks a1, a2 (k, n, n).
     One solve and one eigen pass serve the stack, then each group of pairs
-    with one cluster pattern is decomposed together."""
-    decomps: list[ModeDecomposition | None] = [None] * len(a1)
-    forms, errors = linalg.real_block_eigen_stack(np.linalg.solve(a1, a2))
-    for form in forms:
-        for node, result in zip(form.nodes, _decompose_group(
-                a1[form.nodes], a2[form.nodes], form)):
-            if isinstance(result, ModeDecomposition):
-                decomps[node] = result
-            else:
-                errors[int(node)] = result
-    return decomps, errors
+    with one cluster pattern is decomposed together. The first failing
+    check found raises, so a stack of one raises what its pair raises."""
+    decomps = {}
+    for form in linalg.real_block_eigen_stack(np.linalg.solve(a1, a2)):
+        decomps.update(zip(form.nodes.tolist(), _decompose_group(
+            a1[form.nodes], a2[form.nodes], form)))
+    return [decomps[i] for i in range(len(a1))]
 
 
 def diagonalize_stack(a1, a2) -> list[ModeDecomposition]:
     """`simultaneous_diagonalize` of every pair of the stacks a1, a2
-    (k, n, n), batched over the pairs. Each pair is checked as
-    SymmetricPair checks it. The first pair, in stack order, that fails a
-    check or the decomposition raises what SymmetricPair or
-    `simultaneous_diagonalize` raises for it alone."""
+    (k, n, n), batched over the pairs. Failures are rare, so they are not
+    explained in the batch: a stack that holds a pair `_suspect_pairs`
+    flags, or whose batch raises, is decomposed again pair by pair. Each
+    pair is then checked by SymmetricPair, and the first pair, in stack
+    order, that fails raises its own error."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
-    errors: dict[int, Exception] = {}
-    for i in _suspect_pairs(a1, a2):
+    if not len(_suspect_pairs(a1, a2)):
         try:
-            SymmetricPair(a1=a1[i], a2=a2[i])
-        except (ValueError, SingularInput) as exc:
-            errors[int(i)] = exc
-    ok = np.array([i for i in range(len(a1)) if i not in errors], dtype=int)
-    decomps, failed = _decompose(a1[ok], a2[ok]) if len(ok) else ([], {})
-    errors.update((int(ok[i]), exc) for i, exc in failed.items())
-    if errors:
-        raise errors[min(errors)]
-    return decomps
+            return _decompose(a1, a2)
+        except (HypermodesError, ValueError):
+            pass
+    return [simultaneous_diagonalize(SymmetricPair(a1=x, a2=y))
+            for x, y in zip(a1, a2)]
 
 
 def simultaneous_diagonalize(pair: SymmetricPair) -> ModeDecomposition:
@@ -417,7 +390,4 @@ def simultaneous_diagonalize(pair: SymmetricPair) -> ModeDecomposition:
     Modes are ordered TypeI first (by d/c), then TypeII (by mu1, mu2).
     The stack of one of `diagonalize_stack`, on a pair checked already.
     """
-    (decomp,), errors = _decompose(pair.a1[None], pair.a2[None])
-    if errors:
-        raise errors[0]
-    return decomp
+    return _decompose(pair.a1[None], pair.a2[None])[0]

@@ -168,12 +168,11 @@ def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
     sorted order), one batched SVD of M - lambda*I per cluster.
 
     A cluster of algebraic multiplicity m is defective when the m-th
-    smallest singular value of its shift exceeds the node's null_tol.
-    Returns (groups, diagnostics): each group is (nodes, pattern, the
-    nodes' cluster eigenvalues (g, clusters) complex, one eigenspace basis
-    stack (g, n, m) per cluster), holding only nodes with no defective
-    cluster; diagnostics maps every other node to the message naming its
-    first defective cluster.
+    smallest singular value of its shift exceeds the node's null_tol; the
+    first defective cluster found raises NotDiagonalizable naming it.
+    Returns the groups, each (nodes, pattern, the nodes' cluster
+    eigenvalues (g, clusters) complex, one eigenspace basis stack (g, n, m)
+    per cluster).
     """
     n = M.shape[-1]
     evals = np.linalg.eigvals(M)
@@ -183,7 +182,7 @@ def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
         pattern = tuple((im > 0, mult) for _, im, mult in clusters)
         by_pattern.setdefault(pattern, []).append(
             (node, [complex(re, im) for re, im, _ in clusters]))
-    groups, diagnostics = [], {}
+    groups = []
     for pattern, members in by_pattern.items():
         nodes = np.array([node for node, _ in members])
         lam = np.array([lams for _, lams in members])
@@ -194,21 +193,19 @@ def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
             shifted = (Mg.astype(complex) - shift * np.eye(n) if cplx
                        else Mg - shift.real * np.eye(n))
             _, s, Vh = np.linalg.svd(shifted)
-            for g in np.flatnonzero(s[:, n - mult] > tol):
-                if int(nodes[g]) not in diagnostics:
-                    geometric = int(np.sum(s[g] <= tol[g]))
-                    z = lam[g, j]
-                    which = (f"{z.real:.6g}" if not cplx
-                             else f"{z.real:.6g}+{z.imag:.6g}i")
-                    diagnostics[int(nodes[g])] = (
-                        f"eigenvalue {which} is defective: geometric "
-                        f"multiplicity {geometric} < algebraic {mult}")
+            defective = s[:, n - mult] > tol
+            if defective.any():
+                g = defective.argmax()
+                geometric = int(np.sum(s[g] <= tol[g]))
+                z = lam[g, j]
+                which = (f"{z.real:.6g}" if not cplx
+                         else f"{z.real:.6g}+{z.imag:.6g}i")
+                raise NotDiagonalizable(
+                    f"eigenvalue {which} is defective: geometric "
+                    f"multiplicity {geometric} < algebraic {mult}")
             spaces.append(np.swapaxes(Vh[:, n - mult:].conj(), -1, -2))
-        keep = np.array([node not in diagnostics for node in nodes])
-        if keep.any():
-            groups.append((nodes[keep], pattern, lam[keep],
-                           [basis[keep] for basis in spaces]))
-    return groups, diagnostics
+        groups.append((nodes, pattern, lam, spaces))
+    return groups
 
 
 def is_diagonalizable(M):
@@ -219,9 +216,10 @@ def is_diagonalizable(M):
     """
     M = _as_square(M)
     tol_abs = DEFECT_RTOL * max(np.linalg.norm(M, 2), 1e-300)
-    _, diagnostics = _eigenspaces(M[None], [tol_abs], [tol_abs])
-    if diagnostics:
-        return False, diagnostics[0]
+    try:
+        _eigenspaces(M[None], [tol_abs], [tol_abs])
+    except NotDiagonalizable as exc:
+        return False, str(exc)
     return True, "all eigenvalue clusters have full eigenspaces"
 
 
@@ -251,27 +249,22 @@ class BlockFormStack:
 def real_block_eigen_stack(M, cluster_tol: float | None = None,
                            condition_cap: float = DEFAULT_CONDITION_CAP):
     """`real_block_eigen` of each matrix of a finite stack M (k, n, n),
-    batched over the nodes that share a cluster pattern.
-
-    Returns (forms, errors): one BlockFormStack per cluster pattern, over
-    the nodes that pass, and a map from each other node to the exception
-    `real_block_eigen` raises for it alone.
+    batched over the nodes that share a cluster pattern: one
+    BlockFormStack per pattern. The first failing check found raises, so
+    a stack of one raises what `real_block_eigen` raises.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     null_tol = DEFECT_RTOL * np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)),
                                         1e-300)
     tol = null_tol if cluster_tol is None else np.full(len(M), cluster_tol)
-    groups, diagnostics = _eigenspaces(M, tol, null_tol)
-    errors = {node: NotDiagonalizable(d) for node, d in diagnostics.items()}
     forms = []
-    for nodes, pattern, lam, spaces in groups:
+    for nodes, pattern, lam, spaces in _eigenspaces(M, tol, null_tol):
         sizes = [m * (2 if cplx else 1) for cplx, m in pattern]
         if sum(sizes) != n:
-            errors.update((int(node), NotDiagonalizable(
+            raise NotDiagonalizable(
                 "eigenvalue clusters do not partition the dimension; "
-                "try a larger cluster tolerance")) for node in nodes)
-            continue
+                "try a larger cluster tolerance")
         P = np.empty((len(nodes), n, n))
         J = np.zeros_like(P)
         for j, ((cplx, m), sl, basis) in enumerate(
@@ -287,23 +280,20 @@ def real_block_eigen_stack(M, cluster_tol: float | None = None,
                 P[:, :, sl] = w
                 J[:, sl, sl] = lam[:, j].real[:, None, None] * np.eye(m)
         cond = np.linalg.cond(P)
+        ill = ~(cond <= condition_cap)
+        if ill.any():
+            raise IllConditionedBasis(
+                f"eigenvector basis condition number {cond[ill.argmax()]:.3e} "
+                f"exceeds cap {condition_cap:.1e}")
         Mg = M[nodes]
         residual = frobenius(Mg @ P - P @ J) / np.maximum(frobenius(Mg), 1e-300)
-        ill = ~(cond <= condition_cap)
-        for g in np.flatnonzero(ill):
-            errors[int(nodes[g])] = IllConditionedBasis(
-                f"eigenvector basis condition number {cond[g]:.3e} exceeds "
-                f"cap {condition_cap:.1e}")
-        for g in np.flatnonzero(~ill & (residual > RECONSTRUCTION_RTOL)):
-            errors[int(nodes[g])] = NotDiagonalizable(
-                f"real block reconstruction residual {residual[g]:.3e} "
+        if (residual > RECONSTRUCTION_RTOL).any():
+            raise NotDiagonalizable(
+                f"real block reconstruction residual {residual.max():.3e} "
                 f"exceeds {RECONSTRUCTION_RTOL:.1e}; input is defective or "
                 "clustered beyond tolerance")
-        keep = np.array([node not in errors for node in nodes])
-        if keep.any():
-            forms.append(BlockFormStack(nodes[keep], pattern, lam.real[keep],
-                                        lam.imag[keep], P[keep]))
-    return forms, errors
+        forms.append(BlockFormStack(nodes, pattern, lam.real, lam.imag, P))
+    return forms
 
 
 def real_block_eigen(M, cluster_tol: float | None = None,
@@ -316,11 +306,8 @@ def real_block_eigen(M, cluster_tol: float | None = None,
     by (kind, re, im) so identical inputs give identical orderings. The
     stack of one of `real_block_eigen_stack`.
     """
-    M = _as_square(M)
-    forms, errors = real_block_eigen_stack(M[None], cluster_tol, condition_cap)
-    if errors:
-        raise errors[0]
-    return forms[0].form(0)
+    return real_block_eigen_stack(_as_square(M)[None], cluster_tol,
+                                  condition_cap)[0].form(0)
 
 
 def check_symmetric(M, *names: str):

@@ -127,8 +127,20 @@ def synthesize_bc_type2(mode: TypeIIMode) -> EllipticModeBC:
     return EllipticModeBC(mode_index=0, conditions=conditions)
 
 
-def check_rank2(conditions: Mapping[Side, tuple[float, float]]) -> bool:
+def condition_rows(conditions: Mapping[Side, tuple[float, float]],
+                   ) -> np.ndarray:
+    """The side conditions (a, b) as rows (4, 2) in SIDE_ORDER. A NaN or
+    infinite entry is a ValueError naming its side."""
     rows = np.array([conditions[s] for s in SIDE_ORDER], dtype=float)
+    for side, row in zip(SIDE_ORDER, rows):
+        if not np.isfinite(row).all():
+            raise ValueError(f"side {side} condition ({row[0]}, {row[1]}) "
+                             "is not finite")
+    return rows
+
+
+def check_rank2(conditions: Mapping[Side, tuple[float, float]]) -> bool:
+    rows = condition_rows(conditions)
     return np.linalg.matrix_rank(rows, tol=1e-10 * max(np.abs(rows).max(), 1e-300)) == 2
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .congruence import TypeIIMode
 from .errors import EllipticityLost, RankDeficientBC
-from .modes import SIDE_ORDER, Side, check_rank2
+from .modes import SIDE_ORDER, Side, check_rank2, condition_rows
 
 if TYPE_CHECKING:  # scipy is imported by the elliptic solve's functions only
     import scipy.sparse as sp
@@ -112,6 +112,8 @@ class StateField:
 def _coeff_grid(value, grid: RectGrid) -> np.ndarray:
     """Promote a scalar coefficient to an (nx, ny) array."""
     arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficient has a non-finite entry")
     if arr.ndim == 0:
         return np.full((grid.nx, grid.ny), float(arr))
     if arr.shape != (grid.nx, grid.ny):
@@ -190,6 +192,7 @@ def _least_squares_matrix(mode, grid: RectGrid,
     a u1 + b u2 (normalized, weight 10 / min(hx, hy)) per side node."""
     import scipy.sparse as sp
 
+    side_rows = condition_rows(conditions)
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     nx, ny = grid.nx, grid.ny
     N = nx * ny
@@ -208,8 +211,7 @@ def _least_squares_matrix(mode, grid: RectGrid,
     weight = 10.0 / min(grid.hx, grid.hy)
     nodes = np.concatenate([node[side.edge] for side in SIDE_ORDER])
     coeffs = []
-    for side in SIDE_ORDER:
-        a, bb = conditions[side]
+    for side, (a, bb) in zip(SIDE_ORDER, side_rows):
         nrm = float(np.hypot(a, bb))
         coeffs.append(np.tile([weight * a / nrm, weight * bb / nrm],
                               (len(node[side.edge]), 1)))

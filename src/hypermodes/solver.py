@@ -373,6 +373,8 @@ def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     that applies L and makes the stage's update in the same tile, from one
     stage buffer into the other. Leaves `u` untouched and returns a new
     array."""
+    if not dt > 0:  # also NaN
+        raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > op.dt_max * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt = {dt:.6g} exceeds the stability bound {op.dt_max:.6g}")

@@ -5,8 +5,10 @@ from conftest import (mode_signature, plant_pair, planted_signature,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermodes import congruence
 from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
-                                   _split_elliptic_cluster, diagonalize_stack,
+                                   _split_elliptic_cluster, _suspect_pairs,
+                                   diagonalize_stack,
                                    simultaneous_diagonalize,
                                    standardize_type2)
 from hypermodes.errors import NotDiagonalizable, NotTypeII, SingularInput
@@ -391,3 +393,38 @@ class TestStackMatchesLoop:
                 assert (d.residuals.offdiag_1, d.residuals.offdiag_2,
                         d.residuals.reconstruction) == (off1, off2, rec)
         assert patterns > len(stacks)  # stacks mix patterns
+
+    def test_valid_stack_stays_batched(self, monkeypatch):
+        def per_pair(pair):
+            raise AssertionError("a valid stack was decomposed pair by pair")
+
+        monkeypatch.setattr(congruence, "simultaneous_diagonalize", per_pair)
+        for pairs in self.planted_stacks().values():
+            decomps = diagonalize_stack(np.array([p.a1 for p in pairs]),
+                                        np.array([p.a2 for p in pairs]))
+            assert len(decomps) == len(pairs)
+
+    def test_suspect_pair_goes_pair_by_pair(self, monkeypatch):
+        """A pair within the screen's margin that SymmetricPair admits
+        sends the stack down the per-pair path, with the same results."""
+        calls = []
+
+        def counted(pair):
+            calls.append(pair)
+            return simultaneous_diagonalize(pair)
+
+        monkeypatch.setattr(congruence, "simultaneous_diagonalize", counted)
+        pairs = max(self.planted_stacks().values(), key=len)
+        a1 = np.array([p.a1 for p in pairs])
+        a2 = np.array([p.a2 for p in pairs])
+        k = len(pairs) // 2
+        # relative asymmetry 0.7e-12, between 0.5 and 1 SYMMETRY_RTOL
+        a1[k, 0, 1] += 0.7e-12 * np.linalg.norm(a1[k]) / np.sqrt(2.0)
+        assert list(_suspect_pairs(a1, a2)) == [k]
+        decomps = diagonalize_stack(a1, a2)
+        assert len(calls) == len(pairs)
+        for x, y, d in zip(a1, a2, decomps):
+            ref = simultaneous_diagonalize(SymmetricPair(a1=x, a2=y))
+            assert np.array_equal(d.p, ref.p)
+            assert d.modes == ref.modes
+            assert d.residuals == ref.residuals

@@ -177,6 +177,16 @@ class TestAssemble:
         with pytest.raises(RankDeficientOverride):
             assemble_system_bcs(decomp, overrides={0: same})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_override_named(self, value):
+        from hypermodes.apps import WaveParams, preset_wave
+
+        decomp = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8)))
+        conds = {Side.W: (1.0, 0.0), Side.E: (value, 1.0),
+                 Side.S: (1.0, 0.0), Side.N: (0.0, 1.0)}
+        with pytest.raises(ValueError, match="side E condition"):
+            assemble_system_bcs(decomp, overrides={0: conds})
+
     def test_valid_override_accepted(self):
         from hypermodes.apps import WaveParams, preset_wave
 

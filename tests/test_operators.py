@@ -352,6 +352,27 @@ class TestEllipticSolve:
         with pytest.raises(RankDeficientBC):
             elliptic_steady_solve(self.CR_MODE, zero, g, same)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["solve", "uniqueness"])
+    def test_non_finite_condition_named(self, entry, value):
+        g = RectGrid(1.0, 1.0, 17, 17)
+        conds = {**DEFAULT_CONDS, Side.E: (value, 1.0)}
+        zero = StateField(g, np.zeros((2, g.nx, g.ny)))
+        with pytest.raises(ValueError, match="side E condition"):
+            if entry == "solve":
+                elliptic_steady_solve(self.CR_MODE, zero, g, conds)
+            else:
+                elliptic_uniqueness(self.CR_MODE, g, conds)
+
+    def test_non_finite_coefficient_rejected(self):
+        g = RectGrid(1.0, 1.0, 17, 17)
+        beta1 = np.ones((g.nx, g.ny))
+        beta1[5, 7] = np.nan
+        coeffs = (0.0, beta1, 1.0, 0.0)
+        zero = StateField(g, np.zeros((2, g.nx, g.ny)))
+        with pytest.raises(ValueError, match="non-finite"):
+            elliptic_steady_solve(coeffs, zero, g, DEFAULT_CONDS)
+
 
 def _wave_mode():
     (mode,) = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8))).modes

@@ -168,6 +168,15 @@ class TestStep:
         with pytest.raises(CFLViolation):
             step(op, u0.values, 0.0, 2.0 * op.dt_max)
 
+    @pytest.mark.parametrize("dt", [np.nan, 0.0, -1.0])
+    def test_bad_dt_rejected(self, dt):
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u0 = StateField(g, np.zeros((1, 17, 17)))
+        op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
+                                       pair=scalar_pair()))
+        with pytest.raises(ValueError, match="dt"):
+            step(op, u0.values, 0.0, dt)
+
     def test_transport_oracle(self):
         # exact solution is the translated bump before boundary contact
         errs = []
