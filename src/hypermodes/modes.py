@@ -130,12 +130,14 @@ def synthesize_bc_type2(mode: TypeIIMode) -> EllipticModeBC:
 def condition_rows(conditions: Mapping[Side, tuple[float, float]],
                    ) -> np.ndarray:
     """The side conditions (a, b) as rows (4, 2) in SIDE_ORDER. A NaN or
-    infinite entry is a ValueError naming its side."""
+    infinite entry, or a zero row, is a ValueError naming its side."""
     rows = np.array([conditions[s] for s in SIDE_ORDER], dtype=float)
     for side, row in zip(SIDE_ORDER, rows):
         if not np.isfinite(row).all():
             raise ValueError(f"side {side} condition ({row[0]}, {row[1]}) "
                              "is not finite")
+        if not row.any():
+            raise ValueError(f"side {side} condition is zero")
     return rows
 
 

@@ -2,27 +2,26 @@
 
 `RectGrid` and `StateField` carry the trapezoid norm of the elliptic
 solve and the error norms (`solver.run` uses the cell norm). The elliptic
-solve is a sparse least-squares discretization of the first-order mode
-system, with second-order centered differences (one-sided at the
-boundary). The solve runs preconditioned conjugate gradients on its normal
-equations; its uniqueness estimate, a `verify` row, factors them with a
-sparse LU, which the solve also falls back on when CG stalls. The seeded
-smooth fields that `verify` and `simulate` start from are built here too.
+solve is a least-squares discretization of the first-order mode system,
+with second-order centered differences (one-sided at the boundary). The
+solve runs preconditioned conjugate gradients on its normal equations in
+numpy, applying the least-squares matrix as a stencil. Its uniqueness
+estimate, a `verify` row, assembles that matrix with scipy.sparse and
+factors the normal equations with a sparse LU, which the solve also falls
+back on when CG stalls; scipy is imported there only. The seeded smooth
+fields that `verify` and `simulate` start from are built here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .congruence import TypeIIMode
 from .errors import EllipticityLost, RankDeficientBC
 from .modes import SIDE_ORDER, Side, check_rank2, condition_rows
-
-if TYPE_CHECKING:  # scipy is imported by the elliptic solve's functions only
-    import scipy.sparse as sp
 
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
 # LOBPCG stopping rule of the sigma_min estimate
@@ -151,29 +150,54 @@ class CertReport:
                 f"{self.tolerance:.17g},{verdict}")
 
 
-def _gradient_matrix(npts: int, h: float) -> sp.csr_matrix:
-    """Matrix form of np.gradient: centered interior, one-sided 2nd order ends."""
-    import scipy.sparse as sp
-
+def _gradient_matrix(npts: int, h: float) -> np.ndarray:
+    """Dense matrix form of np.gradient(edge_order=2): centered interior,
+    one-sided second-order ends."""
+    g = np.zeros((npts, npts))
     inner = np.arange(1, npts - 1)
-    rows = np.concatenate([np.repeat(inner, 2), [0, 0, 0], [npts - 1] * 3])
-    cols = np.concatenate([np.stack([inner - 1, inner + 1], 1).ravel(),
-                           [0, 1, 2], [npts - 1, npts - 2, npts - 3]])
-    data = np.concatenate([np.tile([-0.5 / h, 0.5 / h], npts - 2),
-                           [-1.5 / h, 2.0 / h, -0.5 / h],
-                           [1.5 / h, -2.0 / h, 0.5 / h]])
-    return sp.csr_matrix((data, (rows, cols)), shape=(npts, npts))
+    g[inner, inner - 1], g[inner, inner + 1] = -0.5 / h, 0.5 / h
+    g[0, :3] = -1.5 / h, 2.0 / h, -0.5 / h
+    g[-1, -3:] = 0.5 / h, -2.0 / h, 1.5 / h
+    return g
 
 
-def _difference_matrices(grid: RectGrid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(Dx, Dy) acting on node-major flattened (nx, ny) fields: the matrix
-    forms of np.gradient(edge_order=2) along x and y."""
+def _gradient(u: np.ndarray, h: float, axis: int, out: np.ndarray):
+    """np.gradient(u, h, axis=axis, edge_order=2), with its arithmetic,
+    written into `out` (the `_gradient_matrix` of that axis applied along
+    it). The solve applies it twice per CG iteration, and from 129^2 up
+    np.gradient's temporaries cost more than its arithmetic."""
+    u, out = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    out[0] = (-1.5 / h) * u[0] + (2.0 / h) * u[1] + (-0.5 / h) * u[2]
+    out[-1] = (0.5 / h) * u[-3] + (-2.0 / h) * u[-2] + (1.5 / h) * u[-1]
+
+
+def _gradient_adjoint(w: np.ndarray, h: float, axis: int, out: np.ndarray):
+    """G^t w along `axis`, for G the `_gradient_matrix` of that axis,
+    written into `out`: the transpose of `_gradient` as a stencil. G's
+    centered rows are its interior rows 1 .. n-2 only, so w's end entries
+    reach G^t w through the one-sided rows alone."""
+    w, out = np.moveaxis(w, axis, 0), np.moveaxis(out, axis, 0)
+    c = 0.5 / h
+    np.subtract(w[1:-3], w[3:-1], out=out[2:-2])
+    out[2:-2] *= c
+    out[0], out[1] = -c * w[1], -c * w[2]
+    out[-2], out[-1] = c * w[-3], c * w[-2]
+    for k, e in enumerate((-1.5 / h, 2.0 / h, -0.5 / h)):
+        out[k] += e * w[0]
+        out[-1 - k] -= e * w[-1]
+
+
+def _difference_matrices(grid: RectGrid):
+    """(Dx, Dy), sparse CSR, acting on node-major flattened (nx, ny) fields:
+    the matrix forms of np.gradient(edge_order=2) along x and y."""
     import scipy.sparse as sp
 
-    Dx = sp.kron(_gradient_matrix(grid.nx, grid.hx), sp.identity(grid.ny),
-                 format="csr")
-    Dy = sp.kron(sp.identity(grid.nx), _gradient_matrix(grid.ny, grid.hy),
-                 format="csr")
+    Dx = sp.kron(sp.csr_matrix(_gradient_matrix(grid.nx, grid.hx)),
+                 sp.identity(grid.ny), format="csr")
+    Dy = sp.kron(sp.identity(grid.nx),
+                 sp.csr_matrix(_gradient_matrix(grid.ny, grid.hy)), format="csr")
     return Dx, Dy
 
 
@@ -184,15 +208,87 @@ def compact_support_mask(grid: RectGrid) -> np.ndarray:
     return mask
 
 
+def _side_weights(grid: RectGrid,
+                  conditions: Mapping[Side, tuple[float, float]]):
+    """Per side in SIDE_ORDER, the coefficients (w a / |c|, w b / |c|) of
+    its rows w (a u1 + b u2) / |c|, for the side condition c = (a, b) and
+    the row weight w = 10 / min(hx, hy)."""
+    weight = 10.0 / min(grid.hx, grid.hy)
+    out = []
+    for a, b in condition_rows(conditions):
+        nrm = float(np.hypot(a, b))
+        out.append((weight * a / nrm, weight * b / nrm))
+    return out
+
+
+def _least_squares_stencil(mode, grid: RectGrid,
+                           conditions: Mapping[Side, tuple[float, float]]):
+    """(F, Ft): the `_least_squares_matrix` F and its transpose, applied as
+    O(N) stencils to flat vectors without assembling F.
+
+    With T1 = [[alpha1, beta1], [beta1, -alpha1]] and T2 the same in
+    (alpha2, beta2), F u is T1 u_x + T2 u_y at every node, with u_x and
+    u_y from `_gradient`, then the side rows. That is one (2, 4) product
+    of the coefficients t with the stacked (u_x, u_y) at every node, a
+    single matmul when the coefficients are constant. T1 and T2 are
+    symmetric, so Ft v = Gx^t (T1 v) + Gy^t (T2 v) plus the side rows'
+    transpose, with G^t from `_gradient_adjoint`.
+    """
+    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
+    nx, ny = grid.nx, grid.ny
+    N = nx * ny
+    t = np.stack([[a1, b1, a2, b2], [b1, -a1, b2, -a2]]).reshape(2, 4, N)
+    constant = bool((t == t[..., :1]).all())
+    if constant:
+        t = t[..., 0]
+    sides, nrows = [], 2 * N  # (edge, coefficients, rows of F) per side
+    for side, coeffs in zip(SIDE_ORDER, _side_weights(grid, conditions)):
+        start, nrows = nrows, nrows + (ny if side.axis == 0 else nx)
+        sides.append((side.edge, coeffs, slice(start, nrows)))
+    # work buffers; each application fills and reads them within one call
+    grads, part = np.empty((4, nx, ny)), np.empty((2, nx, ny))
+
+    def times_t(g, out, transpose=False):  # out = t g (or t^t g) per node
+        if constant:
+            np.matmul(t.T if transpose else t, g, out=out)
+        else:
+            np.einsum("jkn,jn->kn" if transpose else "kjn,jn->kn", t, g,
+                      out=out)
+
+    def forward(x):
+        u = x.reshape(2, nx, ny)
+        _gradient(u, grid.hx, 1, grads[:2])
+        _gradient(u, grid.hy, 2, grads[2:])
+        out = np.empty(nrows)
+        times_t(grads.reshape(4, N), out[:2 * N].reshape(2, N))
+        for edge, (ca, cb), rows in sides:
+            np.add(ca * u[0][edge], cb * u[1][edge], out=out[rows])
+        return out
+
+    def adjoint(y):
+        times_t(y[:2 * N].reshape(2, N), grads.reshape(4, N), transpose=True)
+        out = np.empty((2, nx, ny))
+        _gradient_adjoint(grads[:2], grid.hx, 1, out)
+        _gradient_adjoint(grads[2:], grid.hy, 2, part)
+        out += part
+        for edge, (ca, cb), rows in sides:
+            out[0][edge] += ca * y[rows]
+            out[1][edge] += cb * y[rows]
+        return out.ravel()
+
+    return forward, adjoint
+
+
 def _least_squares_matrix(mode, grid: RectGrid,
-                          conditions: Mapping[Side, tuple[float, float]],
-                          ) -> sp.csr_matrix:
-    """F = [T1 Dx + T2 Dy; weighted side rows] on the unknowns (u1, u2),
-    each flattened node-major: 2 * nx * ny equation rows, then one row
-    a u1 + b u2 (normalized, weight 10 / min(hx, hy)) per side node."""
+                          conditions: Mapping[Side, tuple[float, float]]):
+    """F = [T1 Dx + T2 Dy; weighted side rows], sparse CSR, on the unknowns
+    (u1, u2), each flattened node-major: 2 * nx * ny equation rows, then
+    one row a u1 + b u2 (normalized, weight 10 / min(hx, hy)) per side
+    node. The solve applies the same F as `_least_squares_stencil`; this
+    assembly serves only its factor fallback and `elliptic_uniqueness`."""
     import scipy.sparse as sp
 
-    side_rows = condition_rows(conditions)
+    side_weights = _side_weights(grid, conditions)
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     nx, ny = grid.nx, grid.ny
     N = nx * ny
@@ -208,13 +304,9 @@ def _least_squares_matrix(mode, grid: RectGrid,
     ], format="csr")
 
     node = np.arange(N).reshape(nx, ny)
-    weight = 10.0 / min(grid.hx, grid.hy)
     nodes = np.concatenate([node[side.edge] for side in SIDE_ORDER])
-    coeffs = []
-    for side, (a, bb) in zip(SIDE_ORDER, side_rows):
-        nrm = float(np.hypot(a, bb))
-        coeffs.append(np.tile([weight * a / nrm, weight * bb / nrm],
-                              (len(node[side.edge]), 1)))
+    coeffs = [np.tile(c, (len(node[side.edge]), 1))
+              for side, c in zip(SIDE_ORDER, side_weights)]
     r = len(nodes)
     rows = np.repeat(np.arange(r), 2)
     cols = np.stack([nodes, N + nodes], 1).ravel()
@@ -249,25 +341,26 @@ def _normal_factor(F):
 
 def _fast_diagonalization(mode, grid: RectGrid,
                           conditions: Mapping[Side, tuple[float, float]]):
-    """Preconditioner of F^t F: r -> P^-1 r on the flattened (u1, u2).
+    """Preconditioner of F^t F: r -> P^-1 r on the flattened (u1, u2),
+    in numpy alone.
 
     P is block diagonal, one Kronecker sum per component k:
     (c1 Gx^t Gx + Ex_k) (x) I + I (x) (c2 Gy^t Gy + Ey_k), with G the
-    1-D `_gradient_matrix`, c1 and c2 the node means of alpha1^2 + beta1^2
-    and alpha2^2 + beta2^2, and E_k the side rows' penalty on component
-    k, w^2 c_k^2 / |c|^2 for a side condition c of row weight w, on that
-    side's end node. One `eigh` per 1-D matrix inverts P exactly (fast
-    diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-    For a constant mode with component conditions, P is F^t F without
-    its mixed (alpha1 alpha2 + beta1 beta2) term and the boundary rows of
-    its cross term, so the CG count does not grow with the mesh.
+    dense 1-D `_gradient_matrix`, c1 and c2 the node means of
+    alpha1^2 + beta1^2 and alpha2^2 + beta2^2, and E_k the side rows'
+    penalty on component k, w^2 c_k^2 / |c|^2 for a side condition c of
+    row weight w, on that side's end node. One `eigh` per 1-D matrix
+    inverts P exactly (fast diagonalization, Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964). For a constant mode with component conditions,
+    P is F^t F without its mixed (alpha1 alpha2 + beta1 beta2) term and
+    the boundary rows of its cross term, so the CG count does not grow
+    with the mesh.
     """
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     scales = (float(np.mean(a1 ** 2 + b1 ** 2)),
               float(np.mean(a2 ** 2 + b2 ** 2)))
-    grams = [(g.T @ g).toarray() for g in
-             (_gradient_matrix(grid.nx, grid.hx),
-              _gradient_matrix(grid.ny, grid.hy))]
+    grams = [g.T @ g for g in (_gradient_matrix(grid.nx, grid.hx),
+                               _gradient_matrix(grid.ny, grid.hy))]
     weight = 10.0 / min(grid.hx, grid.hy)
     blocks = []
     for k in (0, 1):
@@ -297,6 +390,31 @@ def _fast_diagonalization(mode, grid: RectGrid,
     return solve
 
 
+def _pcg(normal, rhs: np.ndarray, precond):
+    """Preconditioned conjugate gradients for normal(x) = rhs from x = 0,
+    step for step as scipy.sparse.linalg.cg: before each of at most
+    CG_MAXITER iterations, stop once ||r|| < CG_RTOL ||rhs||. Returns
+    (x, converged)."""
+    x = np.zeros_like(rhs)
+    tol = CG_RTOL * np.linalg.norm(rhs)
+    if tol == 0.0:
+        return x, True
+    r = rhs.copy()
+    p = rho_prev = None
+    for _ in range(CG_MAXITER):
+        if np.linalg.norm(r) < tol:
+            return x, True
+        z = precond(r)
+        rho = r @ z
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = normal(p)
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, False
+
+
 def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
                           conditions: Mapping[Side, tuple[float, float]]):
     """Least-squares solution of T1 u_x + T2 u_y = psi with the side
@@ -304,17 +422,18 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
 
     psi is treated as compactly supported: it is zeroed on the two node
     layers nearest each side. The normal equations F^t F u = F^t psi are
-    solved by conjugate gradients preconditioned with
-    `_fast_diagonalization`, to a relative residual of CG_RTOL. Inputs on
-    which CG has not converged after CG_MAXITER iterations (mixed side
-    conditions on fine grids, a strong mixed term as when |mu1| >> mu2, or
-    near-degenerate ellipticity) are solved with the symmetric-mode factor
-    of `_normal_factor` instead, plus one round of iterative refinement.
+    solved by conjugate gradients (`_pcg`) preconditioned with
+    `_fast_diagonalization`, to a relative residual of CG_RTOL, with F
+    and F^t applied as the stencils of `_least_squares_stencil`: that
+    path runs in numpy alone. Inputs on which CG has not converged after
+    CG_MAXITER iterations (mixed side conditions from 65^2 up, a strong
+    mixed term as when |mu1| >> mu2, or near-degenerate ellipticity) are
+    solved with the symmetric-mode factor of `_normal_factor` of the
+    assembled `_least_squares_matrix` instead, plus one round of
+    iterative refinement; only that fallback imports scipy.
     Returns (field, report) where the report records the discrete equation
     residual relative to psi.
     """
-    import scipy.sparse.linalg as spla
-
     a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
     delta = a2 * b1 - a1 * b2
     if delta.min() < ELLIPTICITY_MIN:
@@ -328,26 +447,22 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
 
     nx, ny = grid.nx, grid.ny
     N = nx * ny
-    rhs_field = psi.values * compact_support_mask(grid)[None]
-    full = _least_squares_matrix(mode, grid, conditions)
-    b = np.concatenate([rhs_field[0].ravel(), rhs_field[1].ravel()])
-    rhs = np.concatenate([b, np.zeros(full.shape[0] - 2 * N)])
-    atb = full.T @ rhs
-    F = spla.aslinearoperator(full)
-    precond = spla.LinearOperator(
-        (2 * N, 2 * N), matvec=_fast_diagonalization(mode, grid, conditions),
-        dtype=float)
-    sol, info = spla.cg(F.T @ F, atb, rtol=CG_RTOL, maxiter=CG_MAXITER,
-                        M=precond)
-    if info != 0:
-        normal, lu = _normal_factor(full)
+    forward, adjoint = _least_squares_stencil(mode, grid, conditions)
+    b = (psi.values * compact_support_mask(grid)[None]).ravel()
+    rhs = np.concatenate([b, np.zeros(2 * (nx + ny))])  # zero side rows
+    atb = adjoint(rhs)
+    sol, converged = _pcg(lambda x: adjoint(forward(x)), atb,
+                          _fast_diagonalization(mode, grid, conditions))
+    if not converged:
+        normal, lu = _normal_factor(_least_squares_matrix(mode, grid,
+                                                          conditions))
         sol = lu.solve(atb)
         sol += lu.solve(atb - normal @ sol)  # one round of iterative refinement
     if not np.all(np.isfinite(sol)):
         raise RankDeficientBC("normal equations are numerically singular")
 
     u = np.stack([sol[:N].reshape(nx, ny), sol[N:].reshape(nx, ny)])
-    eq_residual = (full @ sol)[:2 * N] - b
+    eq_residual = forward(sol)[:2 * N] - b
     w = grid.quad_weights().ravel()
     res_norm = float(np.sqrt(np.sum(w * eq_residual[:N] ** 2)
                              + np.sum(w * eq_residual[N:] ** 2)))

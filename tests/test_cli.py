@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import subprocess
 import sys
@@ -309,10 +310,50 @@ def _exit_and_scipy(tmp_path, body):
     return int(rc), loaded == "True"
 
 
+def _module_level_scipy_imports(source: str) -> list[int]:
+    """Line numbers of the scipy imports in `source` that are not inside a
+    function body, and so run when the module is imported."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if not in_function and any(n == "scipy" or n.startswith("scipy.")
+                                       for n in names):
+                found.append(child.lineno)
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scipy_guard_flags_module_level_imports():
+    source = ("import numpy\nimport scipy.sparse as sp\n"
+              "if True:\n    from scipy import linalg\n"
+              "class C:\n    import scipy\n"
+              "def f():\n    import scipy.sparse.linalg as spla\n"
+              "from .modes import Side\n")
+    assert _module_level_scipy_imports(source) == [2, 4, 6]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "hypermodes")
+                                        .glob("*.py")), ids=lambda p: p.name)
+def test_scipy_imported_inside_functions_only(path):
+    # a module-level scipy import would load scipy with the package, for
+    # every command (TestScipyOnlyForEllipticSolve)
+    assert _module_level_scipy_imports(path.read_text()) == []
+
+
 class TestScipyOnlyForEllipticSolve:
-    # scipy's CG and sparse LU serve the elliptic least-squares solve and
-    # its uniqueness estimate alone, so a purely hyperbolic run must not
-    # pay for importing it
+    # scipy's sparse LU serves the elliptic solve's factor fallback and its
+    # uniqueness estimate alone, so a purely hyperbolic run, and an
+    # elliptic solve whose CG converges, must not pay for importing it
     @pytest.mark.parametrize("argv", [
         ["diagonalize", "preset=swe"],
         ["classify", "preset=swe"],
@@ -341,6 +382,23 @@ u = np.stack([smooth_random_field(g, rng)
 u0 = StateField(g, u * side_vanishing_factor(g, SIDE_ORDER))
 _, energy = run(IVPConfig(grid=g, u0=u0, t_end=0.05, sampler=sampler))
 rc = 0 if energy.verdict else 2
+"""
+        assert _exit_and_scipy(tmp_path, body) == (0, False)
+
+    def test_elliptic_solve_by_cg(self, tmp_path):
+        body = """
+import numpy as np
+from hypermodes import apps, congruence, modes
+from hypermodes.operators import (RectGrid, StateField, elliptic_steady_solve,
+                                  smooth_random_field)
+decomp = congruence.simultaneous_diagonalize(
+    apps.preset_wave(apps.WaveParams(0.6, 0.8)))
+(mode,), (bc,) = decomp.modes, modes.assemble_system_bcs(decomp)
+g = RectGrid(1.0, 1.0, 33, 33)
+rng = np.random.default_rng(5)
+psi = StateField(g, np.stack([smooth_random_field(g, rng) for _ in range(2)]))
+u, report = elliptic_steady_solve(mode, psi, g, bc.conditions)
+rc = 0 if report.verdict and u.norm() > 0 else 2
 """
         assert _exit_and_scipy(tmp_path, body) == (0, False)
 

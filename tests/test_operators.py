@@ -11,7 +11,8 @@ from hypermodes.errors import EllipticityLost, RankDeficientBC
 from hypermodes.modes import SIDE_ORDER, Side, synthesize_bc_type2
 from hypermodes.operators import (RectGrid, StateField,
                                   _difference_matrices,
-                                  _least_squares_matrix, _normal_factor,
+                                  _least_squares_matrix,
+                                  _least_squares_stencil, _normal_factor,
                                   compact_support_mask, elliptic_steady_solve,
                                   elliptic_uniqueness,
                                   random_elliptic_bc_field,
@@ -231,6 +232,34 @@ def test_difference_matrices_match_gradient():
         assert np.abs(D @ f.ravel() - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("axis", [1, 2])
+def test_gradient_is_numpy_gradient(axis):
+    # the solve's buffered derivative repeats np.gradient's arithmetic
+    g = RectGrid(2.0, 0.7, 19, 23)
+    u = np.random.default_rng(2).standard_normal((2, g.nx, g.ny))
+    h = (g.hx, g.hy)[axis - 1]
+    out = np.empty_like(u)
+    operators._gradient(u, h, axis, out)
+    assert np.array_equal(out, np.gradient(u, h, axis=axis, edge_order=2))
+
+
+@pytest.mark.parametrize("case", ["cr", "variable", "mixed"])
+def test_stencil_matches_matrix(case):
+    # the solve's matrix-free F and F^t are the assembled F of the factor
+    g = RectGrid(2.0, 0.7, 19, 23)
+    mode, conds = {"cr": ((0.0, 1.0, 1.0, 0.0), DEFAULT_CONDS),
+                   "variable": (_variable_mode(g), DEFAULT_CONDS),
+                   "mixed": ((0.0, 1.0, 1.0, 0.0), MIXED_CONDS)}[case]
+    F = _least_squares_matrix(mode, g, conds)
+    forward, adjoint = _least_squares_stencil(mode, g, conds)
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(F.shape[1]), rng.standard_normal(F.shape[0])
+    for got, want in ((forward(u), F @ u), (adjoint(v), F.T @ v)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert forward(u) @ v == pytest.approx(u @ adjoint(v), rel=1e-12)
+
+
 def test_side_rows_match_loop_assembly():
     g = RectGrid(1.0, 2.0, 9, 12)
     conds = MIXED_CONDS
@@ -364,6 +393,20 @@ class TestEllipticSolve:
             else:
                 elliptic_uniqueness(self.CR_MODE, g, conds)
 
+    @pytest.mark.parametrize("side", SIDE_ORDER, ids=str)
+    @pytest.mark.parametrize("entry", ["solve", "uniqueness"])
+    def test_zero_condition_named(self, entry, side):
+        # the other three default conditions still have rank 2, so the
+        # rank check alone would let the zero row through
+        g = RectGrid(1.0, 1.0, 17, 17)
+        conds = {**DEFAULT_CONDS, side: (0.0, 0.0)}
+        zero = StateField(g, np.zeros((2, g.nx, g.ny)))
+        with pytest.raises(ValueError, match=f"side {side} condition is zero"):
+            if entry == "solve":
+                elliptic_steady_solve(self.CR_MODE, zero, g, conds)
+            else:
+                elliptic_uniqueness(self.CR_MODE, g, conds)
+
     def test_non_finite_coefficient_rejected(self):
         g = RectGrid(1.0, 1.0, 17, 17)
         beta1 = np.ones((g.nx, g.ny))
@@ -386,8 +429,8 @@ def _variable_mode(g):
 
 # (mode, conditions) on a grid. CG stalls on the near-degenerate
 # ellipticity of the last (determinant 0.005), so it needs the factor; the
-# mixed conditions need about CG_MAXITER iterations at 65^2, so either path
-# may serve them
+# mixed conditions need 295 iterations at 65^2, more than CG_MAXITER, so
+# they fall back on the factor there too
 CG_CASES = {
     "cr": lambda g: (TypeIIMode(0.0, 1.0, 1.0, 0.0), DEFAULT_CONDS),
     "wave": lambda g: (_wave_mode(),
@@ -461,6 +504,19 @@ class TestConjugateGradientSolve:
         elliptic_steady_solve(TypeIIMode(0.0, 1.0, 1.0, 0.0), _smooth_psi(g),
                               g, DEFAULT_CONDS)
         assert 0 < len(applied) <= 40
+
+    def test_fast_path_assembles_nothing(self, monkeypatch):
+        # a converged CG applies F as a stencil: no sparse F is built
+        assembled = []
+        assemble = operators._least_squares_matrix
+        monkeypatch.setattr(operators, "_least_squares_matrix",
+                            lambda *args: assembled.append(1) or assemble(*args))
+        g = grid65()
+        mode, conds = CG_CASES["wave"](g)
+        u, report = elliptic_steady_solve(mode, _smooth_psi(g), g, conds)
+        assert assembled == []
+        assert report.verdict
+        assert u.norm() > 0
 
     def test_no_factor_on_fast_path(self, monkeypatch):
         import scipy.sparse.linalg as spla
