@@ -196,8 +196,10 @@ def _tracefree_parts(M, name):
 
 
 def _standardize(C, D):
-    """`standardize_type2` of each pair of the stacks C, D (g, 2, 2):
-    (kappa0 (g,), the scaled (alpha1, beta1, alpha2, beta2), each (g,)).
+    """Scale each trace-free pair of the stacks C, D (g, 2, 2) so that its
+    determinant condition alpha2*beta1 - alpha1*beta2 equals 1: (kappa0
+    (g,), the inverse fourth root of that determinant, and the scaled
+    (alpha1, beta1, alpha2, beta2) = kappa0^2 times the pair's, each (g,)).
     The first pair that fails raises."""
     a1, b1 = _tracefree_parts(C, "C")
     a2, b2 = _tracefree_parts(D, "D")
@@ -212,17 +214,6 @@ def _standardize(C, D):
     kappa0 = np.array([float(d) ** -0.25 for d in delta])
     k2 = kappa0 * kappa0
     return kappa0, (k2 * a1, k2 * b1, k2 * a2, k2 * b2)
-
-
-def standardize_type2(C, D):
-    """Scale a trace-free 2x2 pair so the determinant condition equals 1.
-
-    Returns (V, mode) with V = kappa0 * I, kappa0 the inverse fourth root
-    of alpha2*beta1 - alpha1*beta2 (equivalently mu2*(alpha1^2 + beta1^2)).
-    """
-    kappa0, params = _standardize(np.asarray(C, dtype=float)[None],
-                                  np.asarray(D, dtype=float)[None])
-    return np.diag([kappa0[0], kappa0[0]]), TypeIIMode(*(p[0] for p in params))
 
 
 def _split_elliptic_cluster(A_ii):
@@ -386,7 +377,7 @@ def simultaneous_diagonalize(pair: SymmetricPair) -> ModeDecomposition:
     congruence by that basis block-diagonalizes a1, then one orthogonal
     split per cluster: eigh of a real cluster's block gives its scalar
     modes; a complex cluster's block is split into 2x2 elliptic blocks
-    (`_split_elliptic_cluster`), each then scaled by `standardize_type2`.
+    (`_split_elliptic_cluster`), each then scaled by `_standardize`.
     Modes are ordered TypeI first (by d/c), then TypeII (by mu1, mu2).
     The stack of one of `diagonalize_stack`, on a pair checked already.
     """

@@ -43,10 +43,6 @@ class ZeroCoefficient(HypermodesError):
     pass
 
 
-class ZeroKappa(HypermodesError):
-    pass
-
-
 class RankDeficientOverride(HypermodesError):
     """Override condition set loses the rank-2 uniqueness property."""
 

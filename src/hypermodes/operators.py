@@ -208,116 +208,149 @@ def compact_support_mask(grid: RectGrid) -> np.ndarray:
     return mask
 
 
-def _side_weights(grid: RectGrid,
-                  conditions: Mapping[Side, tuple[float, float]]):
-    """Per side in SIDE_ORDER, the coefficients (w a / |c|, w b / |c|) of
-    its rows w (a u1 + b u2) / |c|, for the side condition c = (a, b) and
-    the row weight w = 10 / min(hx, hy)."""
-    weight = 10.0 / min(grid.hx, grid.hy)
-    out = []
-    for a, b in condition_rows(conditions):
-        nrm = float(np.hypot(a, b))
-        out.append((weight * a / nrm, weight * b / nrm))
-    return out
+class _LeastSquares:
+    """The least-squares matrix F of the elliptic solve, decided once.
 
-
-def _least_squares_stencil(mode, grid: RectGrid,
-                           conditions: Mapping[Side, tuple[float, float]]):
-    """(F, Ft): the `_least_squares_matrix` F and its transpose, applied as
-    O(N) stencils to flat vectors without assembling F.
-
-    With T1 = [[alpha1, beta1], [beta1, -alpha1]] and T2 the same in
-    (alpha2, beta2), F u is T1 u_x + T2 u_y at every node, with u_x and
-    u_y from `_gradient`, then the side rows. That is one (2, 4) product
-    of the coefficients t with the stacked (u_x, u_y) at every node, a
-    single matmul when the coefficients are constant. T1 and T2 are
-    symmetric, so Ft v = Gx^t (T1 v) + Gy^t (T2 v) plus the side rows'
-    transpose, with G^t from `_gradient_adjoint`.
+    F's rows are T1 u_x + T2 u_y at every node, with T1 = [[alpha1, beta1],
+    [beta1, -alpha1]], T2 the same in (alpha2, beta2), and u_x, u_y the
+    `_gradient_matrix` differences; then one row w (a u1 + b u2) / |c| per
+    side node, for the side condition c = (a, b) and the row weight
+    w = 10 / min(hx, hy). Its unknowns are (u1, u2), each flattened
+    node-major. F's data is `t`, the coefficients as one (2, 4) product of
+    each node's stacked (u_x, u_y), and `side_rows`, each side's row
+    coefficients (w a / |c|, w b / |c|) in SIDE_ORDER. The CG stencils
+    `forward` and `adjoint`, the sparse assembly `matrix` and the
+    `preconditioner` all read them from here.
     """
-    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
-    nx, ny = grid.nx, grid.ny
-    N = nx * ny
-    t = np.stack([[a1, b1, a2, b2], [b1, -a1, b2, -a2]]).reshape(2, 4, N)
-    constant = bool((t == t[..., :1]).all())
-    if constant:
-        t = t[..., 0]
-    sides, nrows = [], 2 * N  # (edge, coefficients, rows of F) per side
-    for side, coeffs in zip(SIDE_ORDER, _side_weights(grid, conditions)):
-        start, nrows = nrows, nrows + (ny if side.axis == 0 else nx)
-        sides.append((side.edge, coeffs, slice(start, nrows)))
-    # work buffers; each application fills and reads them within one call
-    grads, part = np.empty((4, nx, ny)), np.empty((2, nx, ny))
 
-    def times_t(g, out, transpose=False):  # out = t g (or t^t g) per node
-        if constant:
-            np.matmul(t.T if transpose else t, g, out=out)
+    def __init__(self, mode, grid: RectGrid,
+                 conditions: Mapping[Side, tuple[float, float]]):
+        a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
+        nx, ny = grid.nx, grid.ny
+        self.grid, self.N = grid, nx * ny
+        self.t = np.stack([[a1, b1, a2, b2],
+                           [b1, -a1, b2, -a2]]).reshape(2, 4, self.N)
+        rows = condition_rows(conditions)
+        self.side_rows = ((10.0 / min(grid.hx, grid.hy)) * rows
+                          / np.hypot(rows[:, :1], rows[:, 1:]))
+        self.side_slices, self.nrows = [], 2 * self.N  # F's rows per side
+        for side in SIDE_ORDER:
+            start = self.nrows
+            self.nrows += ny if side.axis == 0 else nx
+            self.side_slices.append(slice(start, self.nrows))
+        # a constant mode multiplies by one (2, 4) matrix, a single matmul
+        constant = bool((self.t == self.t[..., :1]).all())
+        self._t = self.t[..., 0] if constant else self.t
+        # work buffers; each application fills and reads them within one call
+        self._grads, self._part = np.empty((4, nx, ny)), np.empty((2, nx, ny))
+
+    def _times_t(self, g, out, transpose=False):
+        """out = t g (or t^t g) at every node."""
+        if self._t.ndim == 2:
+            np.matmul(self._t.T if transpose else self._t, g, out=out)
         else:
-            np.einsum("jkn,jn->kn" if transpose else "kjn,jn->kn", t, g,
+            np.einsum("jkn,jn->kn" if transpose else "kjn,jn->kn", self._t, g,
                       out=out)
 
-    def forward(x):
-        u = x.reshape(2, nx, ny)
-        _gradient(u, grid.hx, 1, grads[:2])
-        _gradient(u, grid.hy, 2, grads[2:])
-        out = np.empty(nrows)
-        times_t(grads.reshape(4, N), out[:2 * N].reshape(2, N))
-        for edge, (ca, cb), rows in sides:
-            np.add(ca * u[0][edge], cb * u[1][edge], out=out[rows])
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """F x for a flat x, as an O(N) stencil: `_gradient` along each
+        axis, the product with t, then the side rows."""
+        grid, N = self.grid, self.N
+        u = x.reshape(2, grid.nx, grid.ny)
+        _gradient(u, grid.hx, 1, self._grads[:2])
+        _gradient(u, grid.hy, 2, self._grads[2:])
+        out = np.empty(self.nrows)
+        self._times_t(self._grads.reshape(4, N), out[:2 * N].reshape(2, N))
+        for side, (ca, cb), rows in zip(SIDE_ORDER, self.side_rows,
+                                        self.side_slices):
+            np.add(ca * u[0][side.edge], cb * u[1][side.edge], out=out[rows])
         return out
 
-    def adjoint(y):
-        times_t(y[:2 * N].reshape(2, N), grads.reshape(4, N), transpose=True)
-        out = np.empty((2, nx, ny))
-        _gradient_adjoint(grads[:2], grid.hx, 1, out)
-        _gradient_adjoint(grads[2:], grid.hy, 2, part)
-        out += part
-        for edge, (ca, cb), rows in sides:
-            out[0][edge] += ca * y[rows]
-            out[1][edge] += cb * y[rows]
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """F^t y: T1 and T2 are symmetric, so it is Gx^t (T1 y) +
+        Gy^t (T2 y) plus the side rows' transpose, with G^t from
+        `_gradient_adjoint`."""
+        grid, N = self.grid, self.N
+        self._times_t(y[:2 * N].reshape(2, N), self._grads.reshape(4, N),
+                      transpose=True)
+        out = np.empty((2, grid.nx, grid.ny))
+        _gradient_adjoint(self._grads[:2], grid.hx, 1, out)
+        _gradient_adjoint(self._grads[2:], grid.hy, 2, self._part)
+        out += self._part
+        for side, (ca, cb), rows in zip(SIDE_ORDER, self.side_rows,
+                                        self.side_slices):
+            out[0][side.edge] += ca * y[rows]
+            out[1][side.edge] += cb * y[rows]
         return out.ravel()
 
-    return forward, adjoint
+    def matrix(self):
+        """F assembled, sparse CSR: the factor fallback of
+        `elliptic_steady_solve` and `elliptic_uniqueness` need it."""
+        import scipy.sparse as sp
 
+        t, N = self.t, self.N
+        Dx, Dy = _difference_matrices(self.grid)
+        A = sp.bmat([[sp.diags(t[k, c]) @ Dx + sp.diags(t[k, 2 + c]) @ Dy
+                      for c in (0, 1)] for k in (0, 1)], format="csr")
+        node = np.arange(N).reshape(self.grid.nx, self.grid.ny)
+        nodes = [node[side.edge] for side in SIDE_ORDER]
+        data = np.repeat(self.side_rows, [len(n) for n in nodes], axis=0)
+        nodes = np.concatenate(nodes)
+        r = len(nodes)
+        cols = np.stack([nodes, N + nodes], 1).ravel()
+        C = sp.csr_matrix((data.ravel(), (np.repeat(np.arange(r), 2), cols)),
+                          shape=(r, 2 * N))
+        return sp.vstack([A, C], format="csr")
 
-def _least_squares_matrix(mode, grid: RectGrid,
-                          conditions: Mapping[Side, tuple[float, float]]):
-    """F = [T1 Dx + T2 Dy; weighted side rows], sparse CSR, on the unknowns
-    (u1, u2), each flattened node-major: 2 * nx * ny equation rows, then
-    one row a u1 + b u2 (normalized, weight 10 / min(hx, hy)) per side
-    node. The solve applies the same F as `_least_squares_stencil`; this
-    assembly serves only its factor fallback and `elliptic_uniqueness`."""
-    import scipy.sparse as sp
+    def preconditioner(self):
+        """Preconditioner of F^t F: r -> P^-1 r on the flattened (u1, u2),
+        in numpy alone.
 
-    side_weights = _side_weights(grid, conditions)
-    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
-    nx, ny = grid.nx, grid.ny
-    N = nx * ny
-    Dx, Dy = _difference_matrices(grid)
+        P is block diagonal, one Kronecker sum per component k:
+        (c1 Gx^t Gx + Ex_k) (x) I + I (x) (c2 Gy^t Gy + Ey_k), with G the
+        dense 1-D `_gradient_matrix`, c1 and c2 the node means of
+        alpha1^2 + beta1^2 and alpha2^2 + beta2^2, and E_k the square of
+        each side row's coefficient on component k, on that side's end
+        node. One `eigh` per 1-D matrix inverts P exactly (fast
+        diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964). For a
+        constant mode with component conditions, P is F^t F without its
+        mixed (alpha1 alpha2 + beta1 beta2) term and the boundary rows of
+        its cross term, so the CG count does not grow with the mesh.
+        """
+        t, grid = self.t, self.grid
+        scales = (float(np.mean(t[0, 0] ** 2 + t[0, 1] ** 2)),
+                  float(np.mean(t[0, 2] ** 2 + t[0, 3] ** 2)))
+        grams = [g.T @ g for g in (_gradient_matrix(grid.nx, grid.hx),
+                                   _gradient_matrix(grid.ny, grid.hy))]
+        blocks = []
+        for k in (0, 1):
+            spectra = []
+            for axis, (gram, c) in enumerate(zip(grams, scales)):
+                m = c * gram
+                for side, row in zip(SIDE_ORDER, self.side_rows):
+                    if side.axis == axis:
+                        end = 0 if side.sign < 0 else -1
+                        m[end, end] += row[k] ** 2
+                spectra.append(np.linalg.eigh(m))
+            (lx, vx), (ly, vy) = spectra
+            den = lx[:, None] + ly[None, :]
+            # each component carries some side's penalty (rank 2), so den > 0
+            # but for roundoff; the floor keeps P positive definite regardless
+            den = np.maximum(den, np.finfo(float).eps * den.max())
+            blocks.append((vx, vy, den))
+        shape = (2, grid.nx, grid.ny)
 
-    def dia(v):
-        return sp.diags(v.ravel())
+        def solve(r):
+            return np.concatenate([
+                (vx @ ((vx.T @ rk @ vy) / den) @ vy.T).ravel()
+                for rk, (vx, vy, den) in zip(r.reshape(shape), blocks)])
 
-    # rows: [T1 u_x + T2 u_y]_1, [T1 u_x + T2 u_y]_2 at every node
-    A = sp.bmat([
-        [dia(a1) @ Dx + dia(a2) @ Dy, dia(b1) @ Dx + dia(b2) @ Dy],
-        [dia(b1) @ Dx + dia(b2) @ Dy, -(dia(a1) @ Dx + dia(a2) @ Dy)],
-    ], format="csr")
-
-    node = np.arange(N).reshape(nx, ny)
-    nodes = np.concatenate([node[side.edge] for side in SIDE_ORDER])
-    coeffs = [np.tile(c, (len(node[side.edge]), 1))
-              for side, c in zip(SIDE_ORDER, side_weights)]
-    r = len(nodes)
-    rows = np.repeat(np.arange(r), 2)
-    cols = np.stack([nodes, N + nodes], 1).ravel()
-    data = np.concatenate(coeffs).ravel()
-    C = sp.csr_matrix((data, (rows, cols)), shape=(r, 2 * N))
-    return sp.vstack([A, C], format="csr")
+        return solve
 
 
 def _normal_factor(F):
     """(F^t F, LU of F^t F) for an assembled least-squares matrix F
-    (`_least_squares_matrix`): the preconditioner of
+    (`_LeastSquares.matrix`): the preconditioner of
     `elliptic_uniqueness`, and the fallback of `elliptic_steady_solve` on
     inputs where CG does not converge.
 
@@ -337,57 +370,6 @@ def _normal_factor(F):
     lu = spla.splu(normal, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     return normal, lu
-
-
-def _fast_diagonalization(mode, grid: RectGrid,
-                          conditions: Mapping[Side, tuple[float, float]]):
-    """Preconditioner of F^t F: r -> P^-1 r on the flattened (u1, u2),
-    in numpy alone.
-
-    P is block diagonal, one Kronecker sum per component k:
-    (c1 Gx^t Gx + Ex_k) (x) I + I (x) (c2 Gy^t Gy + Ey_k), with G the
-    dense 1-D `_gradient_matrix`, c1 and c2 the node means of
-    alpha1^2 + beta1^2 and alpha2^2 + beta2^2, and E_k the side rows'
-    penalty on component k, w^2 c_k^2 / |c|^2 for a side condition c of
-    row weight w, on that side's end node. One `eigh` per 1-D matrix
-    inverts P exactly (fast diagonalization, Lynch, Rice & Thomas,
-    Numer. Math. 6, 1964). For a constant mode with component conditions,
-    P is F^t F without its mixed (alpha1 alpha2 + beta1 beta2) term and
-    the boundary rows of its cross term, so the CG count does not grow
-    with the mesh.
-    """
-    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
-    scales = (float(np.mean(a1 ** 2 + b1 ** 2)),
-              float(np.mean(a2 ** 2 + b2 ** 2)))
-    grams = [g.T @ g for g in (_gradient_matrix(grid.nx, grid.hx),
-                               _gradient_matrix(grid.ny, grid.hy))]
-    weight = 10.0 / min(grid.hx, grid.hy)
-    blocks = []
-    for k in (0, 1):
-        spectra = []
-        for axis, (gram, c) in enumerate(zip(grams, scales)):
-            m = c * gram
-            for side in SIDE_ORDER:
-                if side.axis == axis:
-                    cond = conditions[side]
-                    end = 0 if side.sign < 0 else -1
-                    m[end, end] += (weight ** 2 * cond[k] ** 2
-                                    / (cond[0] ** 2 + cond[1] ** 2))
-            spectra.append(np.linalg.eigh(m))
-        (lx, vx), (ly, vy) = spectra
-        den = lx[:, None] + ly[None, :]
-        # each component carries some side's penalty (rank 2), so den > 0
-        # but for roundoff; the floor keeps P positive definite regardless
-        den = np.maximum(den, np.finfo(float).eps * den.max())
-        blocks.append((vx, vy, den))
-    shape = (2, grid.nx, grid.ny)
-
-    def solve(r):
-        return np.concatenate([(vx @ ((vx.T @ rk @ vy) / den) @ vy.T).ravel()
-                               for rk, (vx, vy, den)
-                               in zip(r.reshape(shape), blocks)])
-
-    return solve
 
 
 def _pcg(normal, rhs: np.ndarray, precond):
@@ -423,19 +405,27 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     psi is treated as compactly supported: it is zeroed on the two node
     layers nearest each side. The normal equations F^t F u = F^t psi are
     solved by conjugate gradients (`_pcg`) preconditioned with
-    `_fast_diagonalization`, to a relative residual of CG_RTOL, with F
-    and F^t applied as the stencils of `_least_squares_stencil`: that
-    path runs in numpy alone. Inputs on which CG has not converged after
+    `_LeastSquares.preconditioner`, to a relative residual of CG_RTOL,
+    with F and F^t applied as the stencils of `_LeastSquares`: that path
+    runs in numpy alone. Inputs on which CG has not converged after
     CG_MAXITER iterations (mixed side conditions from 65^2 up, a strong
     mixed term as when |mu1| >> mu2, or near-degenerate ellipticity) are
     solved with the symmetric-mode factor of `_normal_factor` of the
-    assembled `_least_squares_matrix` instead, plus one round of
-    iterative refinement; only that fallback imports scipy.
+    assembled F instead, plus one round of iterative refinement; only that
+    fallback imports scipy.
     Returns (field, report) where the report records the discrete equation
     residual relative to psi.
     """
-    a1, b1, a2, b2 = _type2_coeff_grids(mode, grid)
-    delta = a2 * b1 - a1 * b2
+    if psi.grid != grid:
+        raise ValueError("psi was built on another grid")
+    if psi.components != 2:
+        raise ValueError("psi of an elliptic mode has 2 components, not "
+                         f"{psi.components}")
+    ls = _LeastSquares(mode, grid, conditions)
+    nx, ny = grid.nx, grid.ny
+    N = nx * ny
+    a1, b1, a2, b2 = ls.t[0]
+    delta = (a2 * b1 - a1 * b2).reshape(nx, ny)
     if delta.min() < ELLIPTICITY_MIN:
         ij = np.unravel_index(np.argmin(delta), delta.shape)
         raise EllipticityLost(
@@ -445,24 +435,20 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
     if not check_rank2(conditions):
         raise RankDeficientBC("side-condition matrix has rank < 2")
 
-    nx, ny = grid.nx, grid.ny
-    N = nx * ny
-    forward, adjoint = _least_squares_stencil(mode, grid, conditions)
     b = (psi.values * compact_support_mask(grid)[None]).ravel()
-    rhs = np.concatenate([b, np.zeros(2 * (nx + ny))])  # zero side rows
-    atb = adjoint(rhs)
-    sol, converged = _pcg(lambda x: adjoint(forward(x)), atb,
-                          _fast_diagonalization(mode, grid, conditions))
+    rhs = np.concatenate([b, np.zeros(ls.nrows - 2 * N)])  # zero side rows
+    atb = ls.adjoint(rhs)
+    sol, converged = _pcg(lambda x: ls.adjoint(ls.forward(x)), atb,
+                          ls.preconditioner())
     if not converged:
-        normal, lu = _normal_factor(_least_squares_matrix(mode, grid,
-                                                          conditions))
+        normal, lu = _normal_factor(ls.matrix())
         sol = lu.solve(atb)
         sol += lu.solve(atb - normal @ sol)  # one round of iterative refinement
     if not np.all(np.isfinite(sol)):
         raise RankDeficientBC("normal equations are numerically singular")
 
     u = np.stack([sol[:N].reshape(nx, ny), sol[N:].reshape(nx, ny)])
-    eq_residual = forward(sol)[:2 * N] - b
+    eq_residual = ls.forward(sol)[:2 * N] - b
     w = grid.quad_weights().ravel()
     res_norm = float(np.sqrt(np.sum(w * eq_residual[:N] ** 2)
                              + np.sum(w * eq_residual[N:] ** 2)))
@@ -482,8 +468,8 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     matrix F of `elliptic_steady_solve`: LOBPCG for the smallest eigenpair
     of F^t F from a seeded start, preconditioned by the symmetric-mode
     factor of F^t F from `_normal_factor`. Then sigma = ||F x|| / ||x||
-    for the eigenvector estimate x. (The solve's `_fast_diagonalization`
-    does not serve here: with it, LOBPCG stops at UNIQUENESS_MAXITER with
+    for the eigenvector estimate x. (The solve's preconditioner does not
+    serve here: with it, LOBPCG stops at UNIQUENESS_MAXITER with
     sigma up to 7 % high on mixed rank-2 conditions at 65^2.)
 
     Returns (sigma, report). The report's residual 1/sigma is the discrete
@@ -493,7 +479,7 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     """
     import scipy.sparse.linalg as spla
 
-    F = _least_squares_matrix(mode, grid, conditions)
+    F = _LeastSquares(mode, grid, conditions).matrix()
     normal, lu = _normal_factor(F)
     x = np.random.default_rng(0).standard_normal((F.shape[1], 1))
     inverse = spla.LinearOperator(normal.shape, matvec=lu.solve,

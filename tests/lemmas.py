@@ -1,6 +1,6 @@
 """Quadrature checks of the paper's continuum lemmas, closed-form
-oracles, and the mode rotation and congruence transform that only the
-tests use. Second-order centered differences (`np.gradient(edge_order=2)`)
+oracles, and the mode rotation, the one-pair mode scaling and the
+congruence transform that only the tests use. Second-order centered differences (`np.gradient(edge_order=2)`)
 and trapezoid quadrature back every residual, so smooth-field residuals
 shrink at first or second order under refinement, as the acceptance suite,
 `test_operators.py` and `scripts/convergence_study.py` measure.
@@ -9,8 +9,8 @@ shrink at first or second order under refinement, as the acceptance suite,
 import numpy as np
 
 from hypermodes.apps import SWEParams, SWMHDParams
-from hypermodes.congruence import TypeIIMode
-from hypermodes.errors import DimensionMismatch, HypermodesError, ZeroKappa
+from hypermodes.congruence import TypeIIMode, _standardize
+from hypermodes.errors import DimensionMismatch, HypermodesError
 from hypermodes.linalg import check_symmetric
 from hypermodes.modes import SIDE_ORDER, Side
 from hypermodes.operators import (RectGrid, StateField, _coeff_grid,
@@ -21,6 +21,10 @@ BC_TRACE_RTOL = 1e-10
 
 class BCViolated(HypermodesError):
     """A field given to a lemma check breaks its side conditions."""
+
+
+class ZeroKappa(HypermodesError):
+    """A mode rotation was asked for with kappa = 0."""
 
 
 def ddx(values: np.ndarray, grid: RectGrid) -> np.ndarray:
@@ -210,6 +214,17 @@ def rotate_type2(mode: TypeIIMode, kappa: float) -> TypeIIMode:
     b1 = ((k2 - 1.0) * mode.beta1 + 2.0 * kappa * mode.alpha1) / den
     b2 = ((k2 - 1.0) * mode.beta2 + 2.0 * kappa * mode.alpha2) / den
     return TypeIIMode(a1, b1, a2, b2)
+
+
+def standardize_type2(C, D):
+    """Scale a trace-free 2x2 pair so the determinant condition equals 1.
+
+    Returns (V, mode) with V = kappa0 * I, kappa0 the inverse fourth root
+    of alpha2*beta1 - alpha1*beta2 (equivalently mu2*(alpha1^2 + beta1^2)).
+    """
+    kappa0, params = _standardize(np.asarray(C, dtype=float)[None],
+                                  np.asarray(D, dtype=float)[None])
+    return np.diag([kappa0[0], kappa0[0]]), TypeIIMode(*(p[0] for p in params))
 
 
 def congruence_transform(A, P) -> np.ndarray:

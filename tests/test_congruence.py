@@ -4,13 +4,13 @@ from conftest import (mode_signature, plant_pair, planted_signature,
                       random_mixed_spec, tracefree)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lemmas import standardize_type2
 
 from hypermodes import congruence
 from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
                                    _split_elliptic_cluster, _suspect_pairs,
                                    diagonalize_stack,
-                                   simultaneous_diagonalize,
-                                   standardize_type2)
+                                   simultaneous_diagonalize)
 from hypermodes.errors import NotDiagonalizable, NotTypeII, SingularInput
 from hypermodes.linalg import (_cluster_eigenvalues, block_diag,
                                real_block_eigen, rotation_block)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lemmas import rotate_type2, rotation_matrix
+from lemmas import ZeroKappa, rotate_type2, rotation_matrix
 
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import (AssumptionViolated, RankDeficientOverride,
-                               ZeroCoefficient, ZeroKappa)
+                               ZeroCoefficient)
 from hypermodes.modes import (SIDE_ORDER, EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs, check_rank2,
                               check_variable_coeff_assumptions,

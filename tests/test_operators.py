@@ -9,10 +9,9 @@ from hypermodes.apps import WaveParams, preset_wave
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import EllipticityLost, RankDeficientBC
 from hypermodes.modes import SIDE_ORDER, Side, synthesize_bc_type2
-from hypermodes.operators import (RectGrid, StateField,
-                                  _difference_matrices,
-                                  _least_squares_matrix,
-                                  _least_squares_stencil, _normal_factor,
+from hypermodes.operators import (RectGrid, StateField, _difference_matrices,
+                                  _gradient_matrix, _LeastSquares,
+                                  _normal_factor,
                                   compact_support_mask, elliptic_steady_solve,
                                   elliptic_uniqueness,
                                   random_elliptic_bc_field,
@@ -250,8 +249,8 @@ def test_stencil_matches_matrix(case):
     mode, conds = {"cr": ((0.0, 1.0, 1.0, 0.0), DEFAULT_CONDS),
                    "variable": (_variable_mode(g), DEFAULT_CONDS),
                    "mixed": ((0.0, 1.0, 1.0, 0.0), MIXED_CONDS)}[case]
-    F = _least_squares_matrix(mode, g, conds)
-    forward, adjoint = _least_squares_stencil(mode, g, conds)
+    ls = _LeastSquares(mode, g, conds)
+    F, forward, adjoint = ls.matrix(), ls.forward, ls.adjoint
     rng = np.random.default_rng(3)
     u, v = rng.standard_normal(F.shape[1]), rng.standard_normal(F.shape[0])
     for got, want in ((forward(u), F @ u), (adjoint(v), F.T @ v)):
@@ -264,7 +263,8 @@ def test_side_rows_match_loop_assembly():
     g = RectGrid(1.0, 2.0, 9, 12)
     conds = MIXED_CONDS
     N = g.nx * g.ny
-    C = _least_squares_matrix((0.0, 1.0, 1.0, 0.0), g, conds).toarray()[2 * N:]
+    F = _LeastSquares((0.0, 1.0, 1.0, 0.0), g, conds).matrix()
+    C = F.toarray()[2 * N:]
     nodes = {Side.W: [j for j in range(g.ny)],
              Side.E: [(g.nx - 1) * g.ny + j for j in range(g.ny)],
              Side.S: [i * g.ny for i in range(g.nx)],
@@ -279,6 +279,34 @@ def test_side_rows_match_loop_assembly():
             row[N + nd] = weight * b / np.hypot(a, b)
             want.append(row)
     assert np.array_equal(C, np.array(want))
+
+
+@pytest.mark.parametrize("conds", [DEFAULT_CONDS, MIXED_CONDS],
+                         ids=["component", "mixed"])
+@pytest.mark.parametrize("varying", [False, True], ids=["constant", "varying"])
+def test_preconditioner_dense_oracle(varying, conds):
+    # P per component: the Kronecker sum of the 1-D grams at the node-mean
+    # coefficient scales, plus each side row's squared coefficient on that
+    # component at the side's end node; hx != hy here
+    g = RectGrid(1.0, 1.0, 9, 11)
+    mode = _variable_mode(g) if varying else (0.3, 1.0, 1.0, -0.2)
+    a1, b1, a2, b2 = (np.broadcast_to(c, (g.nx, g.ny)) for c in mode)
+    c1, c2 = np.mean(a1 ** 2 + b1 ** 2), np.mean(a2 ** 2 + b2 ** 2)
+    Gx, Gy = _gradient_matrix(g.nx, g.hx), _gradient_matrix(g.ny, g.hy)
+    weight = 10.0 / min(g.hx, g.hy)
+    solve = _LeastSquares(mode, g, conds).preconditioner()
+    r = np.random.default_rng(4).standard_normal((2, g.nx * g.ny))
+    got = solve(r.ravel()).reshape(2, -1)
+    for k in (0, 1):
+        Ex, Ey = np.zeros((g.nx, g.nx)), np.zeros((g.ny, g.ny))
+        for side, E in ((Side.W, Ex), (Side.E, Ex), (Side.S, Ey), (Side.N, Ey)):
+            a, b = conds[side]
+            end = 0 if side in (Side.W, Side.S) else -1
+            E[end, end] += weight ** 2 * (a, b)[k] ** 2 / (a ** 2 + b ** 2)
+        P = (np.kron(c1 * Gx.T @ Gx + Ex, np.eye(g.ny))
+             + np.kron(np.eye(g.nx), c2 * Gy.T @ Gy + Ey))
+        want = np.linalg.solve(P, r[k])
+        assert np.linalg.norm(got[k] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestEllipticSolve:
@@ -313,8 +341,8 @@ class TestEllipticSolve:
         # symmetric mode leaves 755,254 entries here; splu's unsymmetric
         # defaults leave 1,675,077 and the minimum-degree ordering with
         # partial pivoting 1,285,922
-        _, lu = _normal_factor(_least_squares_matrix(self.CR_MODE, grid65(),
-                                                     DEFAULT_CONDS))
+        _, lu = _normal_factor(_LeastSquares(self.CR_MODE, grid65(),
+                                             DEFAULT_CONDS).matrix())
         assert lu.L.nnz + lu.U.nnz <= 1.0e6
 
     @pytest.mark.parametrize("variable", [False, True])
@@ -326,7 +354,7 @@ class TestEllipticSolve:
         _, psi = manufactured_elliptic(g, mode)
         u, _ = elliptic_steady_solve(mode, StateField(g, psi), g,
                                      DEFAULT_CONDS)
-        F = _least_squares_matrix(mode, g, DEFAULT_CONDS).toarray()
+        F = _LeastSquares(mode, g, DEFAULT_CONDS).matrix().toarray()
         rhs = np.zeros(F.shape[0])
         rhs[:F.shape[1]] = (psi * compact_support_mask(g)[None]).ravel()
         x = np.linalg.lstsq(F, rhs, rcond=None)[0]
@@ -416,6 +444,20 @@ class TestEllipticSolve:
         with pytest.raises(ValueError, match="non-finite"):
             elliptic_steady_solve(coeffs, zero, g, DEFAULT_CONDS)
 
+    @pytest.mark.parametrize("lengths, components, message", [
+        ((2.0, 1.0), 2, "psi was built on another grid"),
+        ((1.0, 1.0), 1, "psi of an elliptic mode has 2 components, not 1"),
+        ((1.0, 1.0), 3, "psi of an elliptic mode has 2 components, not 3"),
+    ], ids=["other_grid", "one_component", "three_components"])
+    def test_psi_checked(self, lengths, components, message):
+        # a psi of the same node counts on another grid would be solved
+        # without complaint; a wrong component count fails inside numpy
+        g = RectGrid(1.0, 1.0, 17, 17)
+        psi = StateField(RectGrid(*lengths, 17, 17),
+                         np.ones((components, 17, 17)))
+        with pytest.raises(ValueError, match=message):
+            elliptic_steady_solve(self.CR_MODE, psi, g, DEFAULT_CONDS)
+
 
 def _wave_mode():
     (mode,) = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8))).modes
@@ -455,7 +497,7 @@ class TestConjugateGradientSolve:
         g = grid65()
         mode, conds = CG_CASES[case](g)
         psi = _smooth_psi(g)
-        F = _least_squares_matrix(mode, g, conds)
+        F = _LeastSquares(mode, g, conds).matrix()
         _, lu = _normal_factor(F)
         rhs = np.zeros(F.shape[0])
         rhs[:F.shape[1]] = (psi.values * compact_support_mask(g)[None]).ravel()
@@ -479,9 +521,10 @@ class TestConjugateGradientSolve:
         mode, psi = TypeIIMode(0.0, 1.0, 1.0, 0.0), _smooth_psi(g)
         want, _ = elliptic_steady_solve(mode, psi, g, DEFAULT_CONDS)
         assembled, factored = [], []
-        assemble, factor = operators._least_squares_matrix, operators._normal_factor
-        monkeypatch.setattr(operators, "_least_squares_matrix",
-                            lambda *args: assembled.append(1) or assemble(*args))
+        assemble = operators._LeastSquares.matrix
+        factor = operators._normal_factor
+        monkeypatch.setattr(operators._LeastSquares, "matrix",
+                            lambda ls: assembled.append(1) or assemble(ls))
         monkeypatch.setattr(operators, "_normal_factor",
                             lambda F: factored.append(1) or factor(F))
         monkeypatch.setattr(operators, "CG_MAXITER", 1)
@@ -494,12 +537,12 @@ class TestConjugateGradientSolve:
     @pytest.mark.parametrize("n", [33, 129])
     def test_iterations_do_not_grow_with_mesh(self, n, monkeypatch):
         applied = []
-        real = operators._fast_diagonalization
+        real = operators._LeastSquares.preconditioner
 
-        def counted(*args):
-            solve = real(*args)
+        def counted(ls):
+            solve = real(ls)
             return lambda r: applied.append(1) or solve(r)
-        monkeypatch.setattr(operators, "_fast_diagonalization", counted)
+        monkeypatch.setattr(operators._LeastSquares, "preconditioner", counted)
         g = RectGrid(1.0, 1.0, n, n)
         elliptic_steady_solve(TypeIIMode(0.0, 1.0, 1.0, 0.0), _smooth_psi(g),
                               g, DEFAULT_CONDS)
@@ -508,9 +551,9 @@ class TestConjugateGradientSolve:
     def test_fast_path_assembles_nothing(self, monkeypatch):
         # a converged CG applies F as a stencil: no sparse F is built
         assembled = []
-        assemble = operators._least_squares_matrix
-        monkeypatch.setattr(operators, "_least_squares_matrix",
-                            lambda *args: assembled.append(1) or assemble(*args))
+        assemble = operators._LeastSquares.matrix
+        monkeypatch.setattr(operators._LeastSquares, "matrix",
+                            lambda ls: assembled.append(1) or assemble(ls))
         g = grid65()
         mode, conds = CG_CASES["wave"](g)
         u, report = elliptic_steady_solve(mode, _smooth_psi(g), g, conds)
