@@ -10,7 +10,6 @@ battery of certificates computed from it checks the energy bounds.
 from . import apps, congruence, linalg, modes, operators, solver
 from .congruence import (ModeDecomposition, SymmetricPair, TypeIIMode,
                          TypeIMode, simultaneous_diagonalize)
-from .linalg import real_block_eigen, is_diagonalizable
 from .modes import (Side, assemble_system_bcs, synthesize_bc_type1,
                     synthesize_bc_type2)
 from .operators import RectGrid, StateField
@@ -19,9 +18,9 @@ from .solver import IVPConfig, run
 __all__ = [
     "apps", "congruence", "linalg", "modes", "operators", "solver",
     "ModeDecomposition", "SymmetricPair", "TypeIIMode", "TypeIMode",
-    "simultaneous_diagonalize", "real_block_eigen", "is_diagonalizable",
-    "Side", "assemble_system_bcs", "synthesize_bc_type1",
-    "synthesize_bc_type2", "RectGrid", "StateField", "IVPConfig", "run",
+    "simultaneous_diagonalize", "Side", "assemble_system_bcs",
+    "synthesize_bc_type1", "synthesize_bc_type2", "RectGrid", "StateField",
+    "IVPConfig", "run",
 ]
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ _STR_KEYS = {"preset", "a1_file", "a2_file", "b_file", "s0_file", "outdir",
              "config"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 # keys of the grid and the run, which only these commands use; the others
-# reject them
+# reject them, and verify, which writes no states, rejects snapshots
 RUN_KEYS = ("nx", "ny", "L1", "L2", "t_end", "cfl", "seed", "snapshots")
 RUN_COMMANDS = ("simulate", "verify")
 
@@ -130,6 +130,8 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"{command} takes no {', '.join(unused)}: "
                               f"these keys apply to "
                               f"{' and '.join(RUN_COMMANDS)} only")
+    if command == "verify" and "snapshots" in merged:
+        raise ConfigError("verify takes no snapshots: it writes cert.csv only")
 
     cfg = RunConfig(command=command)
     preset_param_keys = set().union(*(set(d) for d in PRESET_DEFAULTS.values()))
@@ -150,8 +152,8 @@ def parse_config(argv) -> RunConfig:
     if has_files and cfg.preset_params:
         keys = ", ".join(sorted(cfg.preset_params))
         raise ConflictingSources(f"preset parameters {keys} do not apply to matrix files")
-    if cfg.snapshots < 0:
-        raise ConfigError(f"snapshots must be 0 or positive, got {cfg.snapshots}")
+    if cfg.snapshots not in (0, 1):
+        raise ConfigError(f"snapshots must be 0 or 1, got {cfg.snapshots}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be 0 or positive, got {cfg.seed}")
     if command != "preset-list":

@@ -11,10 +11,6 @@ class HypermodesError(Exception):
 
 # --- dense linear algebra -------------------------------------------------
 
-class DimensionMismatch(HypermodesError):
-    pass
-
-
 class NotDiagonalizable(HypermodesError):
     """A defective eigenvalue was detected; the standing hypothesis fails."""
 

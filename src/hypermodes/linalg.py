@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditionedBasis, NotDiagonalizable
+from .errors import IllConditionedBasis, NotDiagonalizable
 
 DEFAULT_CONDITION_CAP = 1e8
 RECONSTRUCTION_RTOL = 1e-9
 SYMMETRY_RTOL = 1e-12
-# a cluster is defective when its shift keeps a singular value above this
-# fraction of ||M||_2 among the trailing `multiplicity` ones
+# as a fraction of ||M||_2: an eigenvalue this close to the real axis is
+# real, and a cluster is defective when its shift keeps a singular value
+# above it among the trailing `multiplicity` ones
 DEFECT_RTOL = 1e-8
 
 
@@ -51,86 +52,55 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EigenBlock:
-    """One eigenvalue cluster: real when im == 0, a conjugate pair when im > 0.
+def defect_tol(M) -> np.ndarray:
+    """DEFECT_RTOL * ||M||_2 of each matrix of a stack M (..., n, n),
+    floored so that a zero matrix gets a positive tolerance."""
+    return DEFECT_RTOL * np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
 
-    A complex block of multiplicity k spans 2k rows of the real form.
+
+def eigen_keys(evals: np.ndarray, tol):
+    """Classify and sort each row of an eigenvalue stack evals (..., n).
+
+    An eigenvalue within tol (...,) of the real axis is real: kind 0, keyed
+    by its real part. The im > 0 member of a conjugate pair is complex:
+    kind 1, keyed by itself. Its conjugate is padding, kind 2. Each row is
+    sorted by (kind, re, im), so the real keys lead and the padding trails.
+    Returns (keys, kind), each (..., n).
     """
-
-    re: float
-    im: float
-    multiplicity: int
-
-    def __post_init__(self):
-        if self.im < 0:
-            raise ValueError("complex blocks store the im > 0 representative")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-
-    @property
-    def is_complex(self) -> bool:
-        return self.im > 0
-
-    @property
-    def size(self) -> int:
-        return self.multiplicity * (2 if self.is_complex else 1)
+    tol = np.asarray(tol)[..., None]
+    kind = np.where(np.abs(evals.imag) <= tol, 0, np.where(evals.imag > 0, 1, 2))
+    keys = np.where(kind == 0, evals.real + 0j, evals)
+    order = _key_order(keys, kind)
+    return (np.take_along_axis(keys, order, -1),
+            np.take_along_axis(kind, order, -1))
 
 
-@dataclass(frozen=True)
-class RealBlockForm:
-    """Real similarity basis and the eigenvalue blocks it exposes.
+def _key_order(keys: np.ndarray, kind: np.ndarray) -> np.ndarray:
+    """The indices that sort keys along the last axis by (kind, re, im)."""
+    return np.lexsort((keys.imag, keys.real, kind), axis=-1)
 
-    basis^-1 @ M @ basis is block diagonal: lambda*I_k for a real block,
-    k rotation-scaling blocks rotation_block(re, im) for a complex one.
+
+def _cluster_eigenvalues(keys, cluster_tol: float):
+    """Greedily merge one node's sorted real and complex keys (the kind 0
+    and 1 keys of `eigen_keys`, as Python complex) that lie within
+    cluster_tol of a cluster's mean and are of its kind.
+
+    Returns the cluster means (complex, im >= 0) and their algebraic
+    multiplicities, ordered as `eigen_keys` orders its keys: a complex
+    mean can move past another cluster's as it merges.
     """
-
-    basis: np.ndarray
-    blocks: tuple[EigenBlock, ...]
-
-    def block_slices(self) -> list[slice]:
-        return block_slices([b.size for b in self.blocks])
-
-
-def _as_square(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    return M
-
-
-def _cluster_eigenvalues(evals: np.ndarray, cluster_tol: float):
-    """Group eigenvalues within cluster_tol; one entry per conjugate pair.
-
-    Returns a list of (mean re, mean im, algebraic multiplicity), im >= 0,
-    deterministically ordered by (is_complex, re, im).
-    """
-    reps = []
-    for ev in evals:
-        if abs(ev.imag) <= cluster_tol:
-            reps.append(complex(ev.real, 0.0))
-        elif ev.imag > 0:
-            reps.append(complex(ev.real, ev.imag))
-    reps.sort(key=lambda z: (z.imag > 0, z.real, z.imag))
     clusters: list[list[complex]] = []
-    for ev in reps:
-        placed = False
+    for ev in keys:
         for c in clusters:
             mean = sum(c) / len(c)
             if (ev.imag > 0) == (mean.imag > 0) and abs(ev - mean) <= cluster_tol:
                 c.append(ev)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([ev])
-    out = []
-    for c in clusters:
-        mean = sum(c) / len(c)
-        out.append((mean.real, max(mean.imag, 0.0), len(c)))
-    out.sort(key=lambda t: (t[1] > 0, t[0], t[1]))
-    return out
+    means = np.array([sum(c) / len(c) for c in clusters])
+    order = _key_order(means, means.imag > 0)
+    return means[order], [len(clusters[i]) for i in order]
 
 
 def _fix_column_phase(cols: np.ndarray) -> np.ndarray:
@@ -175,13 +145,13 @@ def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
     per cluster).
     """
     n = M.shape[-1]
-    evals = np.linalg.eigvals(M)
+    keys, kind = eigen_keys(np.linalg.eigvals(M), cluster_tol)
+    live = kind < 2
     by_pattern: dict[tuple, list] = {}
-    for node, (ev, tol) in enumerate(zip(evals, cluster_tol)):
-        clusters = _cluster_eigenvalues(ev, tol)
-        pattern = tuple((im > 0, mult) for _, im, mult in clusters)
-        by_pattern.setdefault(pattern, []).append(
-            (node, [complex(re, im) for re, im, _ in clusters]))
+    for node, tol in enumerate(cluster_tol):
+        lam, mults = _cluster_eigenvalues(keys[node, live[node]].tolist(), tol)
+        pattern = tuple(zip((lam.imag > 0).tolist(), mults))
+        by_pattern.setdefault(pattern, []).append((node, lam))
     groups = []
     for pattern, members in by_pattern.items():
         nodes = np.array([node for node, _ in members])
@@ -208,21 +178,6 @@ def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
     return groups
 
 
-def is_diagonalizable(M):
-    """Check geometric multiplicity == algebraic multiplicity per cluster.
-
-    Returns (flag, diagnostic). The diagnostic names the offending
-    eigenvalue when the flag is False.
-    """
-    M = _as_square(M)
-    tol_abs = DEFECT_RTOL * max(np.linalg.norm(M, 2), 1e-300)
-    try:
-        _eigenspaces(M[None], [tol_abs], [tol_abs])
-    except NotDiagonalizable as exc:
-        return False, str(exc)
-    return True, "all eigenvalue clusters have full eigenspaces"
-
-
 @dataclass(frozen=True)
 class BlockFormStack:
     """Real block forms of the nodes of a stack that share one cluster
@@ -237,30 +192,34 @@ class BlockFormStack:
     basis: np.ndarray
 
     def block_slices(self) -> list[slice]:
-        return block_slices([m * (2 if cplx else 1) for cplx, m in self.pattern])
+        return block_slices(_block_sizes(self.pattern))
 
-    def form(self, g: int) -> RealBlockForm:
-        """The RealBlockForm of the g-th node of the group."""
-        blocks = tuple(EigenBlock(float(re), float(im), m) for re, im, (_, m)
-                       in zip(self.re[g], self.im[g], self.pattern))
-        return RealBlockForm(basis=self.basis[g], blocks=blocks)
+
+def _block_sizes(pattern) -> list[int]:
+    """Rows of the real form that each (is_complex, multiplicity) block of
+    a cluster pattern spans: a complex pair's block spans two per copy."""
+    return [m * (2 if cplx else 1) for cplx, m in pattern]
 
 
 def real_block_eigen_stack(M, cluster_tol: float | None = None,
                            condition_cap: float = DEFAULT_CONDITION_CAP):
-    """`real_block_eigen` of each matrix of a finite stack M (k, n, n),
-    batched over the nodes that share a cluster pattern: one
-    BlockFormStack per pattern. The first failing check found raises, so
-    a stack of one raises what `real_block_eigen` raises.
+    """Real bases P and blocks J with P^-1 M P = blockdiag(J) for each
+    matrix of a finite stack M (k, n, n), batched over the nodes that
+    share a cluster pattern: one BlockFormStack per pattern.
+
+    Real eigenvalue clusters give lambda*I_k blocks; complex pairs give
+    stacked rotation-scaling blocks with im > 0. Eigenvalues within
+    cluster_tol (default `defect_tol`) of each other are merged into one
+    block. Blocks are sorted as `eigen_keys` sorts, so identical inputs
+    give identical orderings. The first failing check found raises.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
-    null_tol = DEFECT_RTOL * np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)),
-                                        1e-300)
+    null_tol = defect_tol(M)
     tol = null_tol if cluster_tol is None else np.full(len(M), cluster_tol)
     forms = []
     for nodes, pattern, lam, spaces in _eigenspaces(M, tol, null_tol):
-        sizes = [m * (2 if cplx else 1) for cplx, m in pattern]
+        sizes = _block_sizes(pattern)
         if sum(sizes) != n:
             raise NotDiagonalizable(
                 "eigenvalue clusters do not partition the dimension; "
@@ -294,20 +253,6 @@ def real_block_eigen_stack(M, cluster_tol: float | None = None,
                 "clustered beyond tolerance")
         forms.append(BlockFormStack(nodes, pattern, lam.real, lam.imag, P))
     return forms
-
-
-def real_block_eigen(M, cluster_tol: float | None = None,
-                     condition_cap: float = DEFAULT_CONDITION_CAP) -> RealBlockForm:
-    """Real basis P and blocks J with P^-1 M P = blockdiag(J).
-
-    Real eigenvalue clusters give lambda*I_k blocks; complex pairs give
-    stacked rotation-scaling blocks with im > 0. Eigenvalues within
-    cluster_tol of each other are merged into one block. Blocks are sorted
-    by (kind, re, im) so identical inputs give identical orderings. The
-    stack of one of `real_block_eigen_stack`.
-    """
-    return real_block_eigen_stack(_as_square(M)[None], cluster_tol,
-                                  condition_cap)[0].form(0)
 
 
 def check_symmetric(M, *names: str):

@@ -18,7 +18,7 @@ from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode, TypeIMode
 from .errors import (AssumptionViolated, BlockMatchingFailure,
                      IllConditionedBasis, RankDeficientOverride,
                      ZeroCoefficient)
-from .linalg import DEFAULT_CONDITION_CAP
+from .linalg import DEFAULT_CONDITION_CAP, defect_tol, eigen_keys
 
 if TYPE_CHECKING:  # operators imports this module
     from .operators import RectGrid
@@ -223,23 +223,6 @@ def variable_coeff_setup(sampler: Callable[[float, float], SymmetricPair],
     return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b)
 
 
-def _mode_keys(ev: np.ndarray, scale: np.ndarray):
-    """Sorted mode keys of eigenvalue stacks ev (..., n) of a1^-1 a2.
-
-    Eigenvalues within 1e-8*scale of the real axis are TypeI keys (the
-    ratio d/c), sorted ascending; the im > 0 member of each complex pair is
-    a TypeII key (mu1 + i mu2), sorted by (mu1, mu2) after them; the slots
-    the conjugates leave are padding at the end. Returns (keys, kind) with
-    kind 0 for TypeI, 1 for TypeII and 2 for padding.
-    """
-    thresh = 1e-8 * scale[..., None]
-    kind = np.where(np.abs(ev.imag) <= thresh, 0, np.where(ev.imag > 0, 1, 2))
-    keys = np.where(kind == 0, ev.real + 0j, ev)
-    order = np.lexsort((keys.imag, keys.real, kind), axis=-1)
-    return (np.take_along_axis(keys, order, -1),
-            np.take_along_axis(kind, order, -1))
-
-
 def _raise_first(checks):
     """Raise for the first failing node in raster order, and there for the
     first failing check: `checks` is an ordered list of (fail mask over the
@@ -285,8 +268,8 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
     M = np.linalg.solve(a1, a2)
     ev, vecs = np.linalg.eig(M)
     cond = np.linalg.cond(vecs)
-    keys, kind = _mode_keys(
-        ev, np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300))
+    # kind 0 keys are TypeI ratios d/c, kind 1 TypeII keys mu1 + i mu2
+    keys, kind = eigen_keys(ev, defect_tol(M))
     real, cplx = kind == 0, kind == 1
     nreal, ncplx = real.sum(axis=-1), cplx.sum(axis=-1)
     # real keys lead, so a padded sign row compares like the sign tuple

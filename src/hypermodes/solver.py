@@ -31,7 +31,10 @@ from .modes import (BCAssignment, ScalarModeBC, Side,
 from .operators import RectGrid, StateField
 
 STEP_INCREASE_RTOL = 1e-10
-SPEED_RTOL = 1e-8  # a speed this small drives the stable step size to 0
+# an eigenvalue of a1 (a2) this small, relative to the largest |eigenvalue|
+# of a1 (a2) over the stack, makes the x (y) sides nearly characteristic;
+# the paper excludes that by requiring a1 and a2 non-singular
+SPEED_RTOL = 1e-8
 # Bytes of state in one row tile, (n, rows, ny). A sweep does all of a tile's
 # passes while the tile sits in a core's L2, not in L3. On a 2-core machine
 # with 2 MB of L2 per core, the swe step at 257^2 (three 0.5 MB components)

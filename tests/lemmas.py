@@ -10,7 +10,7 @@ import numpy as np
 
 from hypermodes.apps import SWEParams, SWMHDParams
 from hypermodes.congruence import TypeIIMode, _standardize
-from hypermodes.errors import DimensionMismatch, HypermodesError
+from hypermodes.errors import HypermodesError
 from hypermodes.linalg import check_symmetric
 from hypermodes.modes import SIDE_ORDER, Side
 from hypermodes.operators import (RectGrid, StateField, _coeff_grid,
@@ -25,6 +25,10 @@ class BCViolated(HypermodesError):
 
 class ZeroKappa(HypermodesError):
     """A mode rotation was asked for with kappa = 0."""
+
+
+class DimensionMismatch(HypermodesError):
+    """A congruence transform was given matrices of mismatched shapes."""
 
 
 def ddx(values: np.ndarray, grid: RectGrid) -> np.ndarray:

@@ -132,6 +132,16 @@ class TestEuler:
             EulerParams(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
                         dp_drho=0.4, dp_de=0.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("rho0", "rho0 must be positive"), ("p0", "p0 must be positive")])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_reference_state_rejected(self, field, message, value):
+        params = dict(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
+                      dp_drho=0.4, dp_de=0.4)
+        params[field] = value
+        with pytest.raises(NonPositiveSymmetrizer, match=f"^{message}$"):
+            EulerParams(**params)
+
     def test_end_to_end_decomposition(self):
         p = EulerParams(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
                         dp_drho=0.4, dp_de=0.4)
@@ -197,3 +207,18 @@ class TestSymmetrize:
         e2 = np.eye(2)
         with pytest.raises(NotSymmetrizable):
             symmetrize(e1, e2, s0=np.eye(2))
+
+    def test_nonsymmetric_s0_rejected(self):
+        s0 = np.array([[2.0, 0.1], [0.0, 1.0]])
+        with pytest.raises(NonPositiveSymmetrizer,
+                           match="^s0 must be symmetric$"):
+            symmetrize(np.eye(2), np.diag([1.0, 2.0]), s0=s0)
+
+    @pytest.mark.parametrize("s0, smallest", [
+        (np.diag([1.0, 0.0]), "0.000e+00"), (np.diag([1.0, -2.0]), "-2.000e+00")],
+        ids=["zero", "negative"])
+    def test_nonpositive_s0_rejected(self, s0, smallest):
+        message = f"s0 has a non-positive eigenvalue ({smallest})"
+        with pytest.raises(NonPositiveSymmetrizer) as info:
+            symmetrize(np.eye(2), np.diag([1.0, 2.0]), s0=s0)
+        assert str(info.value) == message

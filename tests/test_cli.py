@@ -220,6 +220,32 @@ class TestExecute:
         assert rc == 0
         assert (tmp_path / "u0_0000.txt").exists()
 
+    @pytest.mark.parametrize("value", ["2", "50"])
+    def test_snapshot_count_is_input_error(self, tmp_path, capsys, value):
+        # run keeps its own set of states, so a count would be ignored
+        rc = cli.main(["simulate", "preset=wave", "nx=17", "ny=17",
+                       "t_end=0.1", f"snapshots={value}", f"outdir={tmp_path}"])
+        assert rc == 1
+        assert (f"snapshots must be 0 or 1, got {value}"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["0", "3"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_verify_rejects_snapshots(self, tmp_path, capsys, value,
+                                      from_file):
+        keys = [f"snapshots={value}"]
+        if from_file:
+            cf = tmp_path / "run.cfg"
+            cf.write_text(f"snapshots = {value}\n")
+            keys = [f"config={cf}"]
+        out = tmp_path / "out"
+        rc = cli.main(["verify", "preset=swe", "nx=9", "ny=9", *keys,
+                       f"outdir={out}"])
+        assert rc == 1
+        assert "verify takes no snapshots" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_swe_passes(self, tmp_path):
         rc = cli.main(["verify", "preset=swe", "nx=17", "ny=17",
                        f"outdir={tmp_path}"])

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lemmas import standardize_type2
 
-from hypermodes import congruence
+from hypermodes import congruence, linalg
 from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
                                    _split_elliptic_cluster, _suspect_pairs,
                                    diagonalize_stack,
                                    simultaneous_diagonalize)
-from hypermodes.errors import NotDiagonalizable, NotTypeII, SingularInput
-from hypermodes.linalg import (_cluster_eigenvalues, block_diag,
-                               real_block_eigen, rotation_block)
+from hypermodes.errors import (NotDiagonalizable, NotTypeII,
+                               OffDiagonalResidual, SingularInput)
+from hypermodes.linalg import (_cluster_eigenvalues, block_diag, eigen_keys,
+                               real_block_eigen_stack, rotation_block)
 
 
 def reconstruction_residual(pair, decomp):
@@ -114,10 +115,11 @@ class TestSimultaneousDiagonalize:
             assert m.mu2 == pytest.approx(mu2, abs=1e-8)
             assert m.determinant_condition == pytest.approx(1.0, abs=1e-10)
 
-        form = real_block_eigen(np.linalg.solve(pair.a1, pair.a2))
-        (sl,) = [sl for blk, sl in zip(form.blocks, form.block_slices())
-                 if blk.is_complex]
-        B1 = form.basis.T @ pair.a1 @ form.basis
+        (form,) = real_block_eigen_stack(
+            np.linalg.solve(pair.a1, pair.a2)[None])
+        (sl,) = [sl for (cplx, _), sl in zip(form.pattern, form.block_slices())
+                 if cplx]
+        B1 = form.basis[0].T @ pair.a1 @ form.basis[0]
         V, _ = _split_elliptic_cluster(0.5 * (B1 + B1.T)[sl, sl])
         J = np.kron(np.eye(k), rotation_block(0.0, 1.0))
         assert np.allclose(V.T @ V, np.eye(2 * k), atol=1e-12)
@@ -186,6 +188,40 @@ class TestSimultaneousDiagonalize:
                              a2=np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(NotDiagonalizable, match="geometric multiplicity"):
             simultaneous_diagonalize(pair)
+
+    def test_mixed_cluster_basis_rejected(self, monkeypatch):
+        # a basis column that mixes the eigenvectors of two clusters leaves
+        # an off-block entry in P^t a1 P: here the (0, 1) entry, 1 exactly
+        pair = SymmetricPair(a1=np.diag([1.0, 2.0, 3.0]),
+                             a2=np.diag([1.0, -2.0, 5.0]))
+        block_form = linalg.real_block_eigen_stack
+
+        def mixed(M, *args, **kwargs):
+            forms = block_form(M, *args, **kwargs)
+            for f in forms:
+                f.basis[:, :, 0] += f.basis[:, :, 1]
+            return forms
+
+        monkeypatch.setattr(linalg, "real_block_eigen_stack", mixed)
+        with pytest.raises(OffDiagonalResidual) as info:
+            simultaneous_diagonalize(pair)
+        tol = congruence.DECOMPOSITION_RTOL * np.sqrt(14.0)
+        assert str(info.value) == (
+            f"off-diagonal block residual 1.000e+00 exceeds {tol:.3e}; "
+            "eigenvalue clustering likely failed")
+
+    def test_mode_blocks_checked_against_a2(self):
+        # the block form of a1^-1 a2 with 2 a2 in place of a2: P^t a1 P is
+        # block diagonal, but P^t (2 a2) P is twice the mode blocks of a2
+        pair = SymmetricPair(a1=np.diag([1.0, 2.0, 3.0]),
+                             a2=np.diag([1.0, -2.0, 5.0]))
+        (form,) = linalg.real_block_eigen_stack(
+            np.linalg.solve(pair.a1, pair.a2)[None])
+        with pytest.raises(OffDiagonalResidual) as info:
+            congruence._decompose_group(pair.a1[None], 2.0 * pair.a2[None],
+                                        form)
+        assert str(info.value) == ("transformed pair deviates from mode "
+                                   "blocks by 5.000e-01 (tolerance 1.0e-09)")
 
     def test_singular_input_rejected(self):
         with pytest.raises(SingularInput):
@@ -297,7 +333,9 @@ def _loop_real_block_form(M):
     n = M.shape[0]
     tol = 1e-8 * max(np.linalg.norm(M, 2), 1e-300)
     cols, blocks = [], []
-    for re, im, mult in _cluster_eigenvalues(np.linalg.eigvals(M), tol):
+    keys, kind = eigen_keys(np.linalg.eigvals(M), tol)
+    for lam, mult in zip(*_cluster_eigenvalues(keys[kind < 2].tolist(), tol)):
+        re, im = lam.real, lam.imag
         shifted = (M.astype(complex) - complex(re, im) * np.eye(n) if im > 0
                    else M - re * np.eye(n))
         _, s, Vh = np.linalg.svd(shifted)

@@ -40,18 +40,18 @@ def _defined(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def _referenced(tree: ast.AST) -> set[str]:
-    """Every name a module reads: as a `Name`, an `Attribute`, an import
-    alias or a string constant (as in `__all__` or `getattr`)."""
+    """Every name a module reads as code: a `Name` it loads, an `Attribute`
+    or an import alias. An assignment to a name is no use of it, nor is a
+    string constant: a name in `__all__`, or one the benchmark's tracer
+    would wrap, runs only if code calls it."""
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)
     return refs
 
 
@@ -64,15 +64,23 @@ def test_guard_flags_unreferenced_names():
     source = ("X = 1\n__all__ = []\ndef f():\n    return g()\n"
               "def g():\n    pass\nclass C:\n    def __init__(self):\n"
               "        pass\n    def m(self):\n        pass\n")
-    refs = _referenced(ast.parse("import mod.C\nprint('X')\n"))
+    refs = _referenced(ast.parse("import mod.C\nprint('X', 'g')\n"))
     assert _unreferenced(source, refs | _referenced(ast.parse(source))) \
-        == ["f", "C.m"]
+        == ["X", "f", "C.m"]
+
+
+def _using_files():
+    """The files whose references count as uses: every module of TREES but
+    the package's `__init__.py`, whose re-exports and `__all__` call
+    nothing."""
+    return [path for tree in TREES for path in tree.rglob("*.py")
+            if path != PACKAGE / "__init__.py"]
 
 
 @pytest.fixture(scope="module")
 def references() -> set[str]:
     return set().union(*(_referenced(ast.parse(path.read_text()))
-                         for tree in TREES for path in tree.rglob("*.py")))
+                         for path in _using_files()))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

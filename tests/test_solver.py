@@ -143,6 +143,15 @@ class TestSemidiscrete:
         w = g.quad_weights()
         assert abs(np.sum(w * np.sum(bu * u, axis=0))) < 1e-13 * np.sum(w * np.sum(u * u, axis=0))
 
+    @pytest.mark.parametrize("components", [2, 4])
+    def test_component_count_checked(self, components):
+        pair = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0))
+        g = RectGrid(1.0, 1.0, 9, 9)
+        u0 = StateField(g, np.zeros((components, 9, 9)))
+        with pytest.raises(ValueError, match="^initial data component count "
+                                             "does not match system$"):
+            SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0, pair=pair))
+
     def test_vanishing_speed_rejected(self):
         pair = SymmetricPair(a1=np.diag([1.0, 1e-9]), a2=np.eye(2))
         g = RectGrid(1.0, 1.0, 17, 17)
