@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode
-from .modes import EllipticModeBC, ScalarModeBC, Side, check_rank2
+from .modes import ScalarModeBC, Side
 from .operators import (CertReport, RectGrid, StateField,
                         elliptic_uniqueness, random_elliptic_bc_field,
                         random_scalar_bc_field)
@@ -74,10 +74,6 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     if elliptic:
         worst = max(abs(m.determinant_condition - 1.0) for _, m in elliptic)
         rows.append(CertReport("determinant_condition", label, worst, 1e-10))
-
-    rank_ok = all(check_rank2(bc.conditions) for bc in bcs
-                  if isinstance(bc, EllipticModeBC))
-    rows.append(CertReport("bc_rank", label, 0.0 if rank_ok else 1.0, 0.5))
 
     # -lambda_min(sym(S^T (nu.A) S)) over the side maps S the stepper
     # imposes, built as SpatialOperator builds them: 0 iff dissipative.

@@ -10,6 +10,7 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -252,17 +253,19 @@ def execute(cfg: RunConfig) -> int:
     grid = RectGrid(L1=cfg.L1, L2=cfg.L2, nx=cfg.nx, ny=cfg.ny)
 
     if cfg.command == "simulate":
-        trajectory, report = run(simulation_config(
+        index = itertools.count()
+
+        def write_state(t, u):
+            idx = next(index)
+            for comp, values in enumerate(u):
+                _write(outdir / f"u{comp}_{idx:04d}.txt",
+                       f"# t = {t:.17g}\n" + format_matrix(values))
+
+        _, report = run(simulation_config(
             pair, grid, decomp, bcs, seed=cfg.seed, t_end=cfg.t_end,
-            cfl=cfg.cfl))
+            cfl=cfg.cfl), snapshot=write_state if cfg.snapshots else None)
         _write(outdir / "norms.csv", _norms_csv(report))
         _write(outdir / "energy.txt", report.summary() + "\n")
-        if cfg.snapshots:
-            for idx, (t, snap) in enumerate(trajectory):
-                for comp in range(snap.components):
-                    _write(outdir / f"u{comp}_{idx:04d}.txt",
-                           f"# t = {t:.17g}\n"
-                           + format_matrix(snap.values[comp]))
         print(report.summary())
         return 0 if report.verdict else 2
 

@@ -101,7 +101,7 @@ def test_battery_rows(preset, elliptic):
     # every row is computed from the input system: no identity rows
     assert list(rows(preset)) == (
         ["decomposition_reconstruction"]
-        + ["determinant_condition"] * bool(elliptic) + ["bc_rank"]
+        + ["determinant_condition"] * bool(elliptic)
         + [f"boundary_form_{side}" for side in Side]
         + [f"elliptic_uniqueness_{m}" for m in elliptic]
         + ["energy_monotonic"])

@@ -220,9 +220,27 @@ class TestExecute:
         assert rc == 0
         assert (tmp_path / "u0_0000.txt").exists()
 
+    def test_snapshot_run_error_writes_nothing(self, tmp_path, capsys):
+        # a bad setting, and a system the stepper rejects, fail before the
+        # first state is written
+        rc = cli.main(["simulate", "preset=wave", "nx=17", "ny=17",
+                       "cfl=0.7", "snapshots=1", f"outdir={tmp_path}"])
+        assert rc == 1
+        assert "(0, 0.5]" in capsys.readouterr().err
+        save_matrix(tmp_path / "a1.txt", np.diag([1.0, 1e-9]))
+        save_matrix(tmp_path / "a2.txt", np.eye(2))
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", f"a1_file={tmp_path / 'a1.txt'}",
+                       f"a2_file={tmp_path / 'a2.txt'}", "nx=17", "ny=17",
+                       "t_end=0.1", "snapshots=1", f"outdir={out}"])
+        assert rc == 1
+        assert "UnstableCoefficients" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["2", "50"])
     def test_snapshot_count_is_input_error(self, tmp_path, capsys, value):
-        # run keeps its own set of states, so a count would be ignored
+        # run fixes the steps whose states it hands to the writer, so a
+        # count would be ignored
         rc = cli.main(["simulate", "preset=wave", "nx=17", "ny=17",
                        "t_end=0.1", f"snapshots={value}", f"outdir={tmp_path}"])
         assert rc == 1
@@ -442,10 +460,10 @@ ARTIFACT_DIGESTS = {
     ("simulate", "swmhd"): "579a72b086182d9c",
     ("simulate", "euler"): "dfe9b11da6e6414e",
     ("simulate", "wave"): "51dae4b24e198c1b",
-    ("verify", "swe"): "37856451cafe1aad",
-    ("verify", "swmhd"): "09afca90da04c6ff",
-    ("verify", "euler"): "52f686c8f985f458",
-    ("verify", "wave"): "1be3efdc9432d159",
+    ("verify", "swe"): "d97ffafe62ece0b8",
+    ("verify", "swmhd"): "b572debcb7a822ec",
+    ("verify", "euler"): "8e7e226b4d0b30c6",
+    ("verify", "wave"): "23094b99415616d8",
 }
 
 
@@ -462,3 +480,25 @@ def test_artifacts_pinned(tmp_path, command, preset):
                 digest.update(name.encode())
                 digest.update((out / name).read_bytes())
     assert digest.hexdigest()[:16] == ARTIFACT_DIGESTS[command, preset]
+
+
+SNAPSHOT_DIGESTS = {
+    "swe": "e9ff93ad4b7f2dc6",
+    "swmhd": "684a26c553b6d5b1",
+    "euler": "b00f7a534c847213",
+    "wave": "5b1cd75cad17c9c0",
+}
+
+
+@pytest.mark.parametrize("preset", SNAPSHOT_DIGESTS)
+def test_snapshots_pinned(tmp_path, preset):
+    # every state file of `simulate snapshots=1`, names and bytes
+    digest = hashlib.sha256()
+    for seed in range(3):
+        out = tmp_path / str(seed)
+        assert cli.main(["simulate", f"preset={preset}", "nx=33", "ny=33",
+                         f"seed={seed}", "snapshots=1", f"outdir={out}"]) == 0
+        for path in sorted(out.glob("u*_*.txt")):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest()[:16] == SNAPSHOT_DIGESTS[preset]

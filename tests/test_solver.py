@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -195,8 +196,8 @@ class TestStep:
             sol = lambda cx, cy: np.exp(-120 * ((X - cx) ** 2 + (Y - cy) ** 2))
             u0 = StateField(g, sol(0.35, 0.35)[None])
             cfg = IVPConfig(grid=g, u0=u0, t_end=0.15, pair=scalar_pair())
-            traj, _ = run(cfg)
-            tf, uf = traj[-1]
+            uf, report = run(cfg)
+            tf = report.times[-1]
             err = StateField(g, uf.values - sol(0.35 + tf, 0.35 + tf)[None]).norm()
             errs.append(err)
             assert err <= 5.0 * g.h
@@ -403,9 +404,8 @@ class TestSpatialOrder:
 
         cfg = IVPConfig(grid=g, u0=StateField(g, sol(0.0)), t_end=t_end,
                         pair=pair, decomp=decomp, bcs=bcs, forcing=forcing)
-        traj, _ = run(cfg)
-        t, u = traj[-1]
-        e = u.values - sol(t)
+        u, report = run(cfg)
+        e = u.values - sol(report.times[-1])
         return np.sqrt(g.hx * g.hy * np.sum(e * e))
 
     @pytest.mark.parametrize("preset", ["swe", "swmhd", "euler", "wave"])
@@ -436,8 +436,8 @@ class TestRun:
         def final(vals):
             cfg = IVPConfig(grid=g, u0=StateField(g, vals), t_end=0.2,
                             pair=pair)
-            traj, _ = run(cfg)
-            return traj[-1][1].values
+            state, _ = run(cfg)
+            return state.values
 
         combo = final(2.0 * a + 3.0 * b)
         parts = 2.0 * final(a) + 3.0 * final(b)
@@ -448,9 +448,9 @@ class TestRun:
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, np.zeros((1, 17, 17)))
         cfg = IVPConfig(grid=g, u0=u0, t_end=0.3, pair=scalar_pair())
-        traj, report = run(cfg)
+        final, report = run(cfg)
         assert np.all(report.norms == 0.0)
-        assert np.all(traj[-1][1].values == 0.0)
+        assert np.all(final.values == 0.0)
 
     def test_forcing_enters(self):
         g = RectGrid(1.0, 1.0, 17, 17)
@@ -463,6 +463,51 @@ class TestRun:
         # the homogeneous bound cannot hold from zero data: informational
         assert report.max_step_increase > 0.0
         assert not report.verdict
+
+    def test_non_finite_state_raises(self):
+        # a NaN norm would leave max_step_increase, and the verdict, as is;
+        # 4 steps of 0.05, and step 3 is the first to read f(t > 0.12)
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u0 = StateField(g, bump_field(g)[None])
+        nan, zero = np.full((1, 17, 17), np.nan), np.zeros((1, 17, 17))
+        cfg = IVPConfig(grid=g, u0=u0, t_end=0.2, pair=scalar_pair(),
+                        forcing=lambda t: nan if t > 0.12 else zero)
+        with pytest.raises(ValueError, match=r"step 3, t = 0\.15"):
+            run(cfg)
+
+    def test_snapshot_steps(self):
+        # step 0, every nsteps // 10 steps and the last, in step order
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u0 = StateField(g, bump_field(g)[None])
+        cfg = IVPConfig(grid=g, u0=u0, t_end=23 * 0.05, pair=scalar_pair())
+        seen = []
+        final, report = run(cfg, snapshot=lambda t, u: seen.append(
+            (t, u.copy())))
+        steps = [*range(0, 23, 2), 23]
+        assert [t for t, _ in seen] == list(report.times[steps])
+        assert np.array_equal(seen[0][1], u0.values)
+        assert np.array_equal(seen[-1][1], final.values)
+        norms = [np.sqrt(g.hx * g.hy * np.sum(u * u)) for _, u in seen]
+        assert norms == list(report.norms[steps])
+
+    def test_run_holds_a_few_states(self):
+        # the state, the step's result, its two stage buffers, a tile
+        # product and the norm's square: no copy per snapshot (32 steps,
+        # 11 snapshot steps)
+        pair = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0,
+                                    f_cor=0.5))
+        g = RectGrid(1.0, 1.0, 129, 129)
+        u0 = StateField(g, np.stack([bump_field(g), 0.3 * bump_field(g),
+                                     -0.2 * bump_field(g)]))
+        cfg = IVPConfig(grid=g, u0=u0, t_end=0.05, pair=pair)
+        tracemalloc.start()
+        try:
+            _, report = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.times) == 33
+        assert peak < 8 * u0.values.nbytes
 
 
 class TestVariableCoefficients:
