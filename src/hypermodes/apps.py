@@ -32,13 +32,16 @@ def symmetrize(e1, e2, b=None, s0=None) -> SymmetricPair:
     """Change variables by the square root of the symmetrizer:
     returns (S0^1/2 E_i S0^-1/2, S0^1/2 B S0^-1/2) as a SymmetricPair.
 
-    Requires s0 symmetric positive-definite with S0 E1 and S0 E2 symmetric.
+    Requires finite entries, s0 symmetric positive-definite, S0 Ei symmetric.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     if s0 is None:
         s0 = np.eye(e1.shape[0])
     s0 = np.asarray(s0, dtype=float)
+    for name, M in (("e1", e1), ("e2", e2), ("b", b), ("s0", s0)):
+        if M is not None and not np.isfinite(M).all():
+            raise ValueError(f"{name} has a non-finite entry")
     if np.linalg.norm(s0 - s0.T) > 1e-12 * max(np.linalg.norm(s0), 1e-300):
         raise NonPositiveSymmetrizer("s0 must be symmetric")
     w, V = np.linalg.eigh(s0)
@@ -58,7 +61,7 @@ def symmetrize(e1, e2, b=None, s0=None) -> SymmetricPair:
     a1 = 0.5 * (a1 + a1.T)
     a2 = 0.5 * (a2 + a2.T)
     bt = root @ np.asarray(b, dtype=float) @ root_inv if b is not None else None
-    return SymmetricPair(a1=a1, a2=a2, b=bt, s0=s0)
+    return SymmetricPair(a1=a1, a2=a2, b=bt)
 
 
 # --- shallow water ------------------------------------------------------------

@@ -9,6 +9,7 @@ that alpha2*beta1 - alpha1*beta2 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,9 @@ import numpy as np
 from . import linalg
 from .errors import (HypermodesError, NotTypeII, OffDiagonalResidual,
                      SingularInput)
-from .linalg import SYMMETRY_RTOL, check_symmetric, rotation_block
+from .linalg import rotation_block
 
+SYMMETRY_RTOL = 1e-12
 SINGULARITY_RTOL = 1e-10
 # relative tolerance of the block residuals and the TypeII normal form
 DECOMPOSITION_RTOL = 1e-9
@@ -25,14 +27,12 @@ DECOMPOSITION_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SymmetricPair:
-    """System matrices (a1, a2), optional lower-order term b and the
-    symmetrizer s0 that produced them (metadata; a1, a2 are already
-    symmetric). A NaN or infinite entry in any of them is a ValueError."""
+    """System matrices (a1, a2), which must pass `pair_errors`, and an
+    optional lower-order term b, finite and of the pair's order."""
 
     a1: np.ndarray
     a2: np.ndarray
     b: np.ndarray | None = None
-    s0: np.ndarray | None = None
 
     def __post_init__(self):
         a1 = np.asarray(self.a1, dtype=float)
@@ -42,15 +42,9 @@ class SymmetricPair:
         if a1.shape != a2.shape or a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
             raise ValueError(f"a1, a2 must be square of equal order, "
                              f"got {a1.shape} and {a2.shape}")
-        pair = np.array([a1, a2])
-        check_symmetric(pair, "a1", "a2")
-        # the singular values of a symmetric matrix are its |eigenvalues|
-        s = np.sort(np.abs(np.linalg.eigvalsh(pair)))
-        for name, smin, smax in zip(("a1", "a2"), s[:, 0], s[:, -1]):
-            if smin <= SINGULARITY_RTOL * smax:
-                raise SingularInput(
-                    f"{name} is numerically singular "
-                    f"(smin/smax = {smin / smax:.3e})")
+        error = pair_errors(np.array([[a1, a2]]))[0]
+        if error is not None:
+            raise error
         if self.b is not None:
             b = np.asarray(self.b, dtype=float)
             object.__setattr__(self, "b", b)
@@ -58,33 +52,55 @@ class SymmetricPair:
                 raise ValueError("b must match the system order")
             if not np.isfinite(b).all():
                 raise ValueError("b has a non-finite entry")
-        if self.s0 is not None:
-            s0 = np.asarray(self.s0, dtype=float)
-            object.__setattr__(self, "s0", s0)
-            check_symmetric(s0, "s0")
-            if np.linalg.eigvalsh(s0).min() <= 0:
-                raise ValueError("s0 must be positive-definite")
 
     @property
     def order(self) -> int:
         return self.a1.shape[0]
 
 
-def _suspect_pairs(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Indices of the pairs of the stacks a1, a2 (k, n, n) that
-    SymmetricPair may reject: those with a non-finite entry, or within a
-    factor 2 of its asymmetry or singularity tolerance. SymmetricPair
-    itself decides each of them, on the pair-by-pair path."""
-    pairs = np.stack([a1, a2], axis=1)
-    finite = np.isfinite(pairs).all(axis=(1, 2, 3))
-    flat = np.where(finite[:, None, None, None], pairs, 0.0).reshape(
-        (-1,) + a1.shape[1:])
-    size = linalg.frobenius(flat)
-    asym = (linalg.frobenius(flat - np.swapaxes(flat, -1, -2))
-            > 0.5 * SYMMETRY_RTOL * size)
-    s = np.abs(np.linalg.eigvalsh(flat))
-    singular = s.min(axis=-1) <= 2.0 * SINGULARITY_RTOL * s.max(axis=-1)
-    return np.flatnonzero(~finite | (asym | singular).reshape(-1, 2).any(axis=1))
+def pair_errors(pairs: np.ndarray) -> list[Exception | None]:
+    """The pair rule on a stack of pairs (k, 2, n, n), each (a1, a2): per
+    pair, the error of its first failing check, or None. The checks, each
+    on a1 and then on a2: a NaN or infinite entry; a relative Frobenius
+    asymmetry above SYMMETRY_RTOL; smin <= SINGULARITY_RTOL smax, with the
+    |eigenvalues| as singular values. Each matrix is rounded as it is
+    alone, so a pair's verdict does not depend on its stack."""
+    n = pairs.shape[-1]
+    mats = pairs.reshape(-1, n, n)
+    flat = mats.reshape(len(mats), n * n)
+    # a non-finite entry spoils only its own matrix's sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        size2 = np.vecdot(flat, flat).tolist()
+        skew = (mats - mats.mT).reshape(len(mats), n * n)
+        skew2 = np.vecdot(skew, skew).tolist()
+    # a squared norm is finite unless an entry is, or passes ~1e154
+    finite = list(map(math.isfinite, size2))
+    if not all(finite):
+        finite = np.isfinite(flat).all(axis=1).tolist()
+        # eigvalsh may not converge on a NaN or infinite entry
+        mats = np.nan_to_num(mats, posinf=0.0, neginf=0.0)
+    s = np.abs(np.linalg.eigvalsh(mats))
+    s.sort(axis=-1)
+    smin, smax = s[:, 0].tolist(), s[:, -1].tolist()
+    # each matrix's first failing check: 0 a non-finite entry, 1 the
+    # asymmetry, 2 the singularity; 3 if it passes all three
+    first = [0 if not ok else 1 if d2 > SYMMETRY_RTOL ** 2 * m2 else
+             2 if lo <= SINGULARITY_RTOL * hi else 3
+             for ok, d2, m2, lo, hi in zip(finite, skew2, size2, smin, smax)]
+    if min(first, default=3) == 3:
+        return [None] * len(pairs)
+    errors: list[Exception | None] = []
+    for g in range(0, len(first), 2):
+        m = g + (first[g + 1] < first[g])  # a1 names a tie
+        name = ("a1", "a2")[m - g]
+        errors.append((
+            ValueError(f"{name} has a non-finite entry"),
+            ValueError(f"{name} is not symmetric (relative asymmetry "
+                       f"{math.sqrt(skew2[m] / max(size2[m], 1e-300)):.3e})"),
+            SingularInput(f"{name} is numerically singular (smin/smax = "
+                          f"{smin[m] / max(smax[m], 1e-300):.3e})"),
+            None)[first[m]])
+    return errors
 
 
 @dataclass(frozen=True)
@@ -184,8 +200,6 @@ class ModeDecomposition:
 def _tracefree_parts(M, name):
     """Read (alpha, beta) off a stack (g, 2, 2) expected to hold
     [[a, b], [b, -a]]; the first matrix that is not raises ValueError."""
-    if M.shape[-2:] != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got {M.shape[-2:]}")
     tol = DECOMPOSITION_RTOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1e-300)
     bad = ((np.abs(M[:, 0, 1] - M[:, 1, 0]) > tol)
            | (np.abs(M[:, 0, 0] + M[:, 1, 1]) > tol))
@@ -355,13 +369,13 @@ def _decompose(a1: np.ndarray, a2: np.ndarray) -> list[ModeDecomposition]:
 def diagonalize_stack(a1, a2) -> list[ModeDecomposition]:
     """`simultaneous_diagonalize` of every pair of the stacks a1, a2
     (k, n, n), batched over the pairs. Failures are rare, so they are not
-    explained in the batch: a stack that holds a pair `_suspect_pairs`
-    flags, or whose batch raises, is decomposed again pair by pair. Each
-    pair is then checked by SymmetricPair, and the first pair, in stack
-    order, that fails raises its own error."""
+    explained in the batch: a stack that holds a pair failing
+    `pair_errors`, or whose batch raises, is decomposed again pair by
+    pair, and the first pair, in stack order, that fails raises what
+    SymmetricPair or `simultaneous_diagonalize` raises for it alone."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
-    if not len(_suspect_pairs(a1, a2)):
+    if not any(pair_errors(np.stack([a1, a2], axis=1))):
         try:
             return _decompose(a1, a2)
         except (HypermodesError, ValueError):

@@ -39,10 +39,6 @@ class ZeroCoefficient(HypermodesError):
     pass
 
 
-class RankDeficientOverride(HypermodesError):
-    """Override condition set loses the rank-2 uniqueness property."""
-
-
 class AssumptionViolated(HypermodesError):
     """A variable-coefficient standing assumption fails at a grid node."""
 

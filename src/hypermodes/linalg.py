@@ -8,7 +8,6 @@ format.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .errors import IllConditionedBasis, NotDiagonalizable
 
 DEFAULT_CONDITION_CAP = 1e8
 RECONSTRUCTION_RTOL = 1e-9
-SYMMETRY_RTOL = 1e-12
 # as a fraction of ||M||_2: an eigenvalue this close to the real axis is
 # real, and a cluster is defective when its shift keeps a singular value
 # above it among the trailing `multiplicity` ones
@@ -80,10 +78,10 @@ def _key_order(keys: np.ndarray, kind: np.ndarray) -> np.ndarray:
     return np.lexsort((keys.imag, keys.real, kind), axis=-1)
 
 
-def _cluster_eigenvalues(keys, cluster_tol: float):
+def _cluster_eigenvalues(keys, tol: float):
     """Greedily merge one node's sorted real and complex keys (the kind 0
     and 1 keys of `eigen_keys`, as Python complex) that lie within
-    cluster_tol of a cluster's mean and are of its kind.
+    tol of a cluster's mean and are of its kind.
 
     Returns the cluster means (complex, im >= 0) and their algebraic
     multiplicities, ordered as `eigen_keys` orders its keys: a complex
@@ -93,7 +91,7 @@ def _cluster_eigenvalues(keys, cluster_tol: float):
     for ev in keys:
         for c in clusters:
             mean = sum(c) / len(c)
-            if (ev.imag > 0) == (mean.imag > 0) and abs(ev - mean) <= cluster_tol:
+            if (ev.imag > 0) == (mean.imag > 0) and abs(ev - mean) <= tol:
                 c.append(ev)
                 break
         else:
@@ -131,42 +129,44 @@ def frobenius(X) -> np.ndarray:
     return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[:, 0, 0]
 
 
-def _eigenspaces(M: np.ndarray, cluster_tol, null_tol):
+def _eigenspaces(M: np.ndarray, tol):
     """The one eigen pass over a stack M (k, n, n): one eigvals of the
     stack, the clusters of each node, and then, for each group of nodes
     with one cluster pattern (the kind and multiplicity of each cluster in
-    sorted order), one batched SVD of M - lambda*I per cluster.
+    sorted order), one batched SVD of M - lambda*I per cluster. tol (k,)
+    clusters each node's eigenvalues and is its null tolerance.
 
     A cluster of algebraic multiplicity m is defective when the m-th
-    smallest singular value of its shift exceeds the node's null_tol; the
+    smallest singular value of its shift exceeds the node's tol; the
     first defective cluster found raises NotDiagonalizable naming it.
     Returns the groups, each (nodes, pattern, the nodes' cluster
     eigenvalues (g, clusters) complex, one eigenspace basis stack (g, n, m)
     per cluster).
     """
     n = M.shape[-1]
-    keys, kind = eigen_keys(np.linalg.eigvals(M), cluster_tol)
+    keys, kind = eigen_keys(np.linalg.eigvals(M), tol)
     live = kind < 2
     by_pattern: dict[tuple, list] = {}
-    for node, tol in enumerate(cluster_tol):
-        lam, mults = _cluster_eigenvalues(keys[node, live[node]].tolist(), tol)
+    for node, node_tol in enumerate(tol):
+        lam, mults = _cluster_eigenvalues(keys[node, live[node]].tolist(),
+                                          node_tol)
         pattern = tuple(zip((lam.imag > 0).tolist(), mults))
         by_pattern.setdefault(pattern, []).append((node, lam))
     groups = []
     for pattern, members in by_pattern.items():
         nodes = np.array([node for node, _ in members])
         lam = np.array([lams for _, lams in members])
-        Mg, tol = M[nodes], np.asarray(null_tol)[nodes]
+        Mg, null_tol = M[nodes], tol[nodes]
         spaces = []
         for j, (cplx, mult) in enumerate(pattern):
             shift = lam[:, j, None, None]
             shifted = (Mg.astype(complex) - shift * np.eye(n) if cplx
                        else Mg - shift.real * np.eye(n))
             _, s, Vh = np.linalg.svd(shifted)
-            defective = s[:, n - mult] > tol
+            defective = s[:, n - mult] > null_tol
             if defective.any():
                 g = defective.argmax()
-                geometric = int(np.sum(s[g] <= tol[g]))
+                geometric = int(np.sum(s[g] <= null_tol[g]))
                 z = lam[g, j]
                 which = (f"{z.real:.6g}" if not cplx
                          else f"{z.real:.6g}+{z.imag:.6g}i")
@@ -201,29 +201,23 @@ def _block_sizes(pattern) -> list[int]:
     return [m * (2 if cplx else 1) for cplx, m in pattern]
 
 
-def real_block_eigen_stack(M, cluster_tol: float | None = None,
-                           condition_cap: float = DEFAULT_CONDITION_CAP):
+def real_block_eigen_stack(M):
     """Real bases P and blocks J with P^-1 M P = blockdiag(J) for each
     matrix of a finite stack M (k, n, n), batched over the nodes that
     share a cluster pattern: one BlockFormStack per pattern.
 
     Real eigenvalue clusters give lambda*I_k blocks; complex pairs give
     stacked rotation-scaling blocks with im > 0. Eigenvalues within
-    cluster_tol (default `defect_tol`) of each other are merged into one
-    block. Blocks are sorted as `eigen_keys` sorts, so identical inputs
-    give identical orderings. The first failing check found raises.
+    `defect_tol` of each other are merged into one block. Blocks are
+    sorted as `eigen_keys` sorts, so identical inputs give identical
+    orderings. The first failing check found raises, a basis condition
+    number above DEFAULT_CONDITION_CAP among them.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
-    null_tol = defect_tol(M)
-    tol = null_tol if cluster_tol is None else np.full(len(M), cluster_tol)
     forms = []
-    for nodes, pattern, lam, spaces in _eigenspaces(M, tol, null_tol):
+    for nodes, pattern, lam, spaces in _eigenspaces(M, defect_tol(M)):
         sizes = _block_sizes(pattern)
-        if sum(sizes) != n:
-            raise NotDiagonalizable(
-                "eigenvalue clusters do not partition the dimension; "
-                "try a larger cluster tolerance")
         P = np.empty((len(nodes), n, n))
         J = np.zeros_like(P)
         for j, ((cplx, m), sl, basis) in enumerate(
@@ -239,11 +233,11 @@ def real_block_eigen_stack(M, cluster_tol: float | None = None,
                 P[:, :, sl] = w
                 J[:, sl, sl] = lam[:, j].real[:, None, None] * np.eye(m)
         cond = np.linalg.cond(P)
-        ill = ~(cond <= condition_cap)
+        ill = ~(cond <= DEFAULT_CONDITION_CAP)
         if ill.any():
             raise IllConditionedBasis(
                 f"eigenvector basis condition number {cond[ill.argmax()]:.3e} "
-                f"exceeds cap {condition_cap:.1e}")
+                f"exceeds cap {DEFAULT_CONDITION_CAP:.1e}")
         Mg = M[nodes]
         residual = frobenius(Mg @ P - P @ J) / np.maximum(frobenius(Mg), 1e-300)
         if (residual > RECONSTRUCTION_RTOL).any():
@@ -253,28 +247,6 @@ def real_block_eigen_stack(M, cluster_tol: float | None = None,
                 "clustered beyond tolerance")
         forms.append(BlockFormStack(nodes, pattern, lam.real, lam.imag, P))
     return forms
-
-
-def check_symmetric(M, *names: str):
-    """Raise ValueError naming the first matrix with a NaN or infinite
-    entry, or else the first whose relative Frobenius asymmetry exceeds
-    SYMMETRY_RTOL. M is one matrix and `names` its name, or a stack of
-    matrices checked in one pass, with one name each."""
-    M = np.asarray(M)
-    n2 = M.shape[-1] ** 2
-    flat = M.reshape(-1, n2)
-    size = np.einsum("ki,ki->k", flat, flat).tolist()
-    for name, row, size2 in zip(names, flat, size):
-        # a squared norm is finite unless an entry is, or passes ~1e154
-        if not math.isfinite(size2) and not np.isfinite(row).all():
-            raise ValueError(f"{name} has a non-finite entry")
-    d = (M - M.swapaxes(-1, -2)).reshape(-1, n2)
-    asym = np.einsum("ki,ki->k", d, d).tolist()
-    for name, asym2, size2 in zip(names, asym, size):
-        err = math.sqrt(asym2) / max(math.sqrt(size2), 1e-300)
-        if err > SYMMETRY_RTOL:
-            raise ValueError(
-                f"{name} is not symmetric (relative asymmetry {err:.3e})")
 
 
 # --- plain-text matrix format -------------------------------------------------

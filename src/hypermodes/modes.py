@@ -9,15 +9,15 @@ signs of (alpha1, alpha2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode, TypeIMode
 from .errors import (AssumptionViolated, BlockMatchingFailure,
-                     IllConditionedBasis, RankDeficientOverride,
-                     ZeroCoefficient)
+                     IllConditionedBasis, ZeroCoefficient)
 from .linalg import DEFAULT_CONDITION_CAP, defect_tol, eigen_keys
 
 if TYPE_CHECKING:  # operators imports this module
@@ -68,7 +68,9 @@ class ScalarModeBC:
 
 @dataclass(frozen=True)
 class EllipticModeBC:
-    """Per-side linear condition a*u1 + b*u2 = 0 for one elliptic mode."""
+    """Per-side linear condition a*u1 + b*u2 = 0 for one elliptic mode, on
+    all four sides, each passing `condition_rows`. `elliptic_steady_solve`
+    rejects a rank below 2, and `elliptic_uniqueness` measures it."""
 
     mode_index: int
     conditions: Mapping[Side, tuple[float, float]]
@@ -77,9 +79,7 @@ class EllipticModeBC:
         conds = dict(self.conditions)
         if set(conds) != set(Side):
             raise ValueError("conditions must cover all four sides")
-        for side, (a, b) in conds.items():
-            if a == 0 and b == 0:
-                raise ValueError(f"condition on {side} is identically zero")
+        condition_rows(conds)
         object.__setattr__(self, "conditions", conds)
 
     def lines(self) -> list[str]:
@@ -132,11 +132,10 @@ def condition_rows(conditions: Mapping[Side, tuple[float, float]],
     """The side conditions (a, b) as rows (4, 2) in SIDE_ORDER. A NaN or
     infinite entry, or a zero row, is a ValueError naming its side."""
     rows = np.array([conditions[s] for s in SIDE_ORDER], dtype=float)
-    for side, row in zip(SIDE_ORDER, rows):
-        if not np.isfinite(row).all():
-            raise ValueError(f"side {side} condition ({row[0]}, {row[1]}) "
-                             "is not finite")
-        if not row.any():
+    for side, (a, b) in zip(SIDE_ORDER, rows.tolist()):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"side {side} condition ({a}, {b}) is not finite")
+        if a == 0 and b == 0:
             raise ValueError(f"side {side} condition is zero")
     return rows
 
@@ -146,32 +145,14 @@ def check_rank2(conditions: Mapping[Side, tuple[float, float]]) -> bool:
     return np.linalg.matrix_rank(rows, tol=1e-10 * max(np.abs(rows).max(), 1e-300)) == 2
 
 
-def assemble_system_bcs(decomp: ModeDecomposition,
-                        overrides: Mapping[int, Mapping[Side, tuple[float, float]]]
-                        | None = None) -> list[BCAssignment]:
-    """One boundary assignment per mode: the sign-case defaults, with
-    optional per-mode override condition sets for elliptic modes."""
-    overrides = dict(overrides or {})
-    out: list[BCAssignment] = []
-    for k, mode in enumerate(decomp.modes):
-        if isinstance(mode, TypeIMode):
-            if k in overrides:
-                raise RankDeficientOverride(
-                    f"mode {k} is scalar; overrides apply to elliptic modes")
-            out.append(ScalarModeBC(mode_index=k,
-                                    sides=synthesize_bc_type1(mode.c, mode.d)))
-        else:
-            if k in overrides:
-                conds = dict(overrides[k])
-                if not check_rank2(conds):
-                    raise RankDeficientOverride(
-                        f"override for mode {k}: side-condition matrix has "
-                        "rank < 2, uniqueness is lost")
-                out.append(EllipticModeBC(mode_index=k, conditions=conds))
-            else:
-                bc = synthesize_bc_type2(mode)
-                out.append(EllipticModeBC(mode_index=k, conditions=bc.conditions))
-    return out
+def assemble_system_bcs(decomp: ModeDecomposition) -> list[BCAssignment]:
+    """One boundary assignment per mode, by its signs: the sign-case
+    defaults. Other elliptic conditions are an EllipticModeBC that the
+    caller builds and passes to a run as its `bcs`."""
+    return [ScalarModeBC(k, synthesize_bc_type1(mode.c, mode.d))
+            if isinstance(mode, TypeIMode)
+            else replace(synthesize_bc_type2(mode), mode_index=k)
+            for k, mode in enumerate(decomp.modes)]
 
 
 # --- variable-coefficient standing assumptions ------------------------------

@@ -218,9 +218,9 @@ class SpatialOperator:
     N products shifted inside it, the edge terms of the boundary nodes it
     holds, the forcing and, in `step`, the stage update, while it sits in
     cache. The products and additions at each node come in the same order
-    whatever the tiling, so the result does not depend on it. The
-    operator reuses private buffers: one caller at a time. A bare
-    `sampler` is sampled once, by
+    whatever the tiling, so the result does not depend on it. `apply`
+    returns a new array; `step` reuses private buffers: one caller at a
+    time. A bare `sampler` is sampled once, by
     `check_variable_coeff_assumptions`, and the operator steps the samples
     it admitted; a given `var_setup`, like a given `decomp`, is trusted.
     Only the boundary nodes, whose side maps need them, are decomposed,
@@ -297,16 +297,10 @@ class SpatialOperator:
             raise ValueError(
                 f"state must have shape {self.shape}, got {u.shape}")
 
-    def apply(self, t: float, u: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """du/dt at time t, written into `out` (C-contiguous, shaped like
-        `u`, not `u` itself) when given, else into a new array."""
+    def apply(self, t: float, u: np.ndarray) -> np.ndarray:
+        """du/dt at time t, in a new array."""
         self._check_state(u)
-        if out is None:
-            out = np.empty(u.shape)
-        elif (out.shape != u.shape or not out.flags.c_contiguous
-              or np.may_share_memory(out, u)):
-            raise ValueError("out must be C-contiguous, shaped like u, apart from u")
+        out = np.empty(u.shape)
         self._sweep(t, u, out)
         return out
 

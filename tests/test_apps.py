@@ -208,6 +208,16 @@ class TestSymmetrize:
         with pytest.raises(NotSymmetrizable):
             symmetrize(e1, e2, s0=np.eye(2))
 
+    @pytest.mark.parametrize("name", ["e1", "e2", "b", "s0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_named(self, name, value):
+        # checked before any arithmetic, which would warn on it first
+        inputs = {"e1": np.eye(2), "e2": np.diag([1.0, 2.0]),
+                  "b": np.zeros((2, 2)), "s0": np.eye(2)}
+        inputs[name][0, 0] = value
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            symmetrize(**inputs)
+
     def test_nonsymmetric_s0_rejected(self):
         s0 = np.array([[2.0, 0.1], [0.0, 1.0]])
         with pytest.raises(NonPositiveSymmetrizer,

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from lemmas import standardize_type2
 
 from hypermodes import congruence, linalg
-from hypermodes.congruence import (SymmetricPair, TypeIIMode, TypeIMode,
-                                   _split_elliptic_cluster, _suspect_pairs,
-                                   diagonalize_stack,
+from hypermodes.congruence import (SINGULARITY_RTOL, SYMMETRY_RTOL,
+                                   SymmetricPair, TypeIIMode, TypeIMode,
+                                   _split_elliptic_cluster,
+                                   diagonalize_stack, pair_errors,
                                    simultaneous_diagonalize)
 from hypermodes.errors import (NotDiagonalizable, NotTypeII,
                                OffDiagonalResidual, SingularInput)
@@ -258,11 +259,11 @@ class TestSimultaneousDiagonalize:
             SymmetricPair(a1=np.eye(4), a2=a2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["a1", "a2", "b", "s0"])
+    @pytest.mark.parametrize("field", ["a1", "a2", "b"])
     def test_non_finite_entry_named(self, field, value):
         # a symmetric entry pair, so no asymmetry check can catch it
         fields = {"a1": np.eye(2), "a2": np.diag([2.0, 3.0]),
-                  "b": np.zeros((2, 2)), "s0": np.eye(2)}
+                  "b": np.zeros((2, 2))}
         fields[field][0, 1] = fields[field][1, 0] = value
         with pytest.raises(ValueError, match=rf"^{field} has a non-finite entry$"):
             SymmetricPair(**fields)
@@ -442,9 +443,39 @@ class TestStackMatchesLoop:
                                         np.array([p.a2 for p in pairs]))
             assert len(decomps) == len(pairs)
 
-    def test_suspect_pair_goes_pair_by_pair(self, monkeypatch):
-        """A pair within the screen's margin that SymmetricPair admits
-        sends the stack down the per-pair path, with the same results."""
+    @staticmethod
+    def skewed_stack(rel):
+        """The largest planted stack, with the middle pair's a1 given a
+        relative asymmetry of about rel: (a1, a2, its index)."""
+        pairs = max(TestStackMatchesLoop.planted_stacks().values(), key=len)
+        a1 = np.array([p.a1 for p in pairs])
+        a2 = np.array([p.a2 for p in pairs])
+        k = len(pairs) // 2
+        a1[k, 0, 1] += rel * np.linalg.norm(a1[k]) / np.sqrt(2.0)
+        return a1, a2, k
+
+    def test_near_tolerance_pair_stays_batched(self, monkeypatch):
+        """A pair that the rule admits stays in the batch however close to
+        a tolerance it lies, and is decomposed bit for bit as alone."""
+        a1, a2, k = self.skewed_stack(0.7 * SYMMETRY_RTOL)
+        alone = simultaneous_diagonalize(SymmetricPair(a1=a1[k], a2=a2[k]))
+
+        def per_pair(pair):
+            raise AssertionError("an admitted stack was decomposed pair by pair")
+
+        monkeypatch.setattr(congruence, "simultaneous_diagonalize", per_pair)
+        d = diagonalize_stack(a1, a2)[k]
+        assert np.array_equal(d.p, alone.p)
+        assert d.modes == alone.modes
+        assert d.residuals == alone.residuals
+
+    def test_failing_pair_goes_pair_by_pair(self, monkeypatch):
+        """A pair just over SYMMETRY_RTOL sends the stack pair by pair, and
+        the stack raises what SymmetricPair raises for that pair."""
+        a1, a2, k = self.skewed_stack(1.01 * SYMMETRY_RTOL)
+        with pytest.raises(ValueError) as alone:
+            SymmetricPair(a1=a1[k], a2=a2[k])
+        assert str(alone.value).startswith("a1 is not symmetric")
         calls = []
 
         def counted(pair):
@@ -452,17 +483,100 @@ class TestStackMatchesLoop:
             return simultaneous_diagonalize(pair)
 
         monkeypatch.setattr(congruence, "simultaneous_diagonalize", counted)
-        pairs = max(self.planted_stacks().values(), key=len)
-        a1 = np.array([p.a1 for p in pairs])
-        a2 = np.array([p.a2 for p in pairs])
-        k = len(pairs) // 2
-        # relative asymmetry 0.7e-12, between 0.5 and 1 SYMMETRY_RTOL
-        a1[k, 0, 1] += 0.7e-12 * np.linalg.norm(a1[k]) / np.sqrt(2.0)
-        assert list(_suspect_pairs(a1, a2)) == [k]
-        decomps = diagonalize_stack(a1, a2)
-        assert len(calls) == len(pairs)
-        for x, y, d in zip(a1, a2, decomps):
-            ref = simultaneous_diagonalize(SymmetricPair(a1=x, a2=y))
-            assert np.array_equal(d.p, ref.p)
-            assert d.modes == ref.modes
-            assert d.residuals == ref.residuals
+        with pytest.raises(ValueError) as info:
+            diagonalize_stack(a1, a2)
+        assert str(info.value) == str(alone.value)
+        assert len(calls) == k
+
+
+class TestPairRule:
+    """`pair_errors`, the one rule SymmetricPair and `diagonalize_stack`
+    share."""
+
+    @staticmethod
+    def messages(errors):
+        return [None if e is None else (type(e), str(e)) for e in errors]
+
+    def test_stack_verdict_matches_alone(self):
+        """Planted pairs, and pairs placed either side of both tolerances
+        and with non-finite entries: each pair's verdict in the stack is
+        its verdict alone, and SymmetricPair raises it."""
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        base = q @ np.diag([3.0, -1.0, 2.0, -4.0]) @ q.T
+        base = 0.5 * (base + base.T)
+        stacks = {order: [[p.a1, p.a2] for p in pairs] for order, pairs
+                  in TestStackMatchesLoop.planted_stacks().items()}
+        pairs = stacks[4]
+        for factor in (0.9, 1.1):
+            for m in (0, 1):
+                skew = [base, 2.0 * base]
+                skew[m] = skew[m].copy()
+                skew[m][0, 1] += (factor * SYMMETRY_RTOL
+                                  * np.linalg.norm(skew[m]) / np.sqrt(2.0))
+                sing = [base, 2.0 * base]
+                sing[m] = q @ np.diag([4.0, factor * SINGULARITY_RTOL * 4.0,
+                                       -2.0, 1.0]) @ q.T
+                sing[m] = 0.5 * (sing[m] + sing[m].T)
+                pairs += [skew, sing]
+        for value in (np.nan, np.inf):
+            bad = [base.copy(), 2.0 * base]
+            bad[1][2, 0] = value
+            pairs.append(bad)
+        rng.shuffle(pairs)
+        verdicts = []
+        for pairs in map(np.array, stacks.values()):
+            stack = self.messages(pair_errors(pairs))
+            assert stack == [self.messages(pair_errors(p[None]))[0]
+                             for p in pairs]
+            for p, verdict in zip(pairs, stack):
+                if verdict is None:
+                    SymmetricPair(a1=p[0], a2=p[1])
+                else:
+                    with pytest.raises(verdict[0]) as info:
+                        SymmetricPair(a1=p[0], a2=p[1])
+                    assert str(info.value) == verdict[1]
+            verdicts += stack
+        kinds = {v[1].split(" ")[2] for v in verdicts if v is not None}
+        assert kinds == {"not", "numerically", "a"}  # all three checks fail
+        # the planted pairs and the four on the passing side pass
+        assert verdicts.count(None) == len(verdicts) - 6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_matches_per_matrix_norms(self, seed):
+        # the batched asymmetry against one np.linalg.norm pair per matrix:
+        # the same verdict and message, with each matrix's asymmetry drawn
+        # on both sides of SYMMETRY_RTOL
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            k, n = rng.integers(1, 4), rng.integers(1, 6)
+            S = rng.standard_normal((k, 2, n, n))
+            S = S + S.swapaxes(-1, -2) + 10.0 ** rng.uniform(
+                -14.0, -10.0, (k, 2, 1, 1)) * rng.standard_normal((k, 2, n, n))
+            expected = []
+            for pair in S:
+                expected.append(None)
+                for name, M in zip(("a1", "a2"), pair):
+                    err = np.linalg.norm(M - M.T) / np.linalg.norm(M)
+                    if err > SYMMETRY_RTOL:
+                        expected[-1] = (ValueError, f"{name} is not symmetric "
+                                        f"(relative asymmetry {err:.3e})")
+                        break
+            assert self.messages(pair_errors(S)) == expected
+
+    def test_zero_matrix_is_singular_not_asymmetric(self):
+        pairs = np.array([[np.zeros((3, 3)), np.eye(3)]])
+        assert self.messages(pair_errors(pairs)) == [
+            (congruence.SingularInput,
+             "a1 is numerically singular (smin/smax = 0.000e+00)")]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_named(self, value):
+        # the upper triangle, which eigvalsh does not read, and the diagonal
+        upper, diagonal = np.eye(2), np.eye(2)
+        upper[0, 1], diagonal[1, 1] = value, value
+        pairs = np.array([[np.eye(2), np.eye(2)], [np.eye(2), upper],
+                          [diagonal, upper]])
+        assert self.messages(pair_errors(pairs)) == [
+            None, (ValueError, "a2 has a non-finite entry"),
+            (ValueError, "a1 has a non-finite entry")]

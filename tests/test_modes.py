@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from lemmas import ZeroKappa, rotate_type2, rotation_matrix
 
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
-from hypermodes.errors import (AssumptionViolated, RankDeficientOverride,
+from hypermodes.errors import (AssumptionViolated, RankDeficientBC,
                                ZeroCoefficient)
 from hypermodes.modes import (SIDE_ORDER, EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs, check_rank2,
@@ -169,32 +169,35 @@ class TestAssemble:
         elif mode.alpha1 < 0 <= mode.alpha2:
             assert u1_sides == {Side.E, Side.S}
 
+    # conditions a caller builds in place of the defaults (an override)
+    # are an EllipticModeBC, passed to a run as its `bcs`
     def test_rank_deficient_override(self):
+        # every side is a valid row, so the conditions build; the solve
+        # rejects their rank
         from hypermodes.apps import WaveParams, preset_wave
+        from hypermodes.operators import StateField, elliptic_steady_solve
 
         decomp = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8)))
-        same = {s: (1.0, 1.0) for s in Side}
-        with pytest.raises(RankDeficientOverride):
-            assemble_system_bcs(decomp, overrides={0: same})
+        bc = EllipticModeBC(0, {s: (1.0, 1.0) for s in Side})
+        assert not check_rank2(bc.conditions)
+        grid = RectGrid(1.0, 1.0, 9, 9)
+        zero = StateField(grid, np.zeros((2, grid.nx, grid.ny)))
+        with pytest.raises(RankDeficientBC):
+            elliptic_steady_solve(decomp.modes[0], zero, grid, bc.conditions)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_override_named(self, value):
-        from hypermodes.apps import WaveParams, preset_wave
-
-        decomp = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8)))
         conds = {Side.W: (1.0, 0.0), Side.E: (value, 1.0),
                  Side.S: (1.0, 0.0), Side.N: (0.0, 1.0)}
         with pytest.raises(ValueError, match="side E condition"):
-            assemble_system_bcs(decomp, overrides={0: conds})
+            EllipticModeBC(0, conds)
 
     def test_valid_override_accepted(self):
-        from hypermodes.apps import WaveParams, preset_wave
-
-        decomp = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8)))
         mixed = {Side.W: (1.0, 0.0), Side.E: (1.0, -1.0),
                  Side.S: (1.0, 1.0), Side.N: (0.0, 1.0)}
-        bcs = assemble_system_bcs(decomp, overrides={0: mixed})
-        assert bcs[0].conditions[Side.E] == (1.0, -1.0)
+        bc = EllipticModeBC(0, mixed)
+        assert bc.conditions == mixed
+        assert check_rank2(bc.conditions)
 
     def test_serialization_format(self):
         decomp = self._swe_decomp()

@@ -1,5 +1,6 @@
 """Every name the package defines is used by the package, the benchmark or
-the scripts: code that only the tests call belongs in `tests/`."""
+the scripts, and so is every option it defines: code that only the tests
+call belongs in `tests/`."""
 
 import ast
 
@@ -14,6 +15,14 @@ ALLOWED = {
     # from a decomposition's block diagonals
     "ModeDecomposition.block_diagonals",
 }
+# defaulted options that no call outside the tests sets, each with the
+# reason it stays
+ALLOWED_OPTIONS = {
+    "IVPConfig.forcing": "the paper's source term f; the spatial-order "
+                         "tests (TestSpatialOrder) integrate a forced problem",
+}
+# dataclasses filled by setattr from the CLI keys, not by a call
+SET_BY_ATTRIBUTE = {"RunConfig"}
 
 
 def _defined(tree: ast.Module) -> list[tuple[str, str]]:
@@ -87,3 +96,126 @@ def references() -> set[str]:
                          ids=lambda p: p.name)
 def test_package_names_used_outside_tests(path, references):
     assert _unreferenced(path.read_text(), references) == []
+
+
+# --- options ---------------------------------------------------------------
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    names = [d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in names)
+
+
+def _has_default(field: ast.AnnAssign) -> bool:
+    """Whether a dataclass field has a default: a value that is not a
+    `field(...)` call, or one that passes default or default_factory."""
+    value = field.value
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+            and value.func.id.endswith("field"):
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return True
+
+
+def _parameters(func: ast.FunctionDef, skip: int):
+    """(option, position or None) of each defaulted parameter; `skip`
+    leading parameters (self) are not passed by a call."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _options(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(qualified option, the name a call uses, option, position or None
+    if keyword-only) of each defaulted parameter of a top-level function
+    or method, and each defaulted field of a dataclass, of a module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found += [(f"{node.name}.{arg}", node.name, arg, pos)
+                      for arg, pos in _parameters(node, 0)]
+        elif isinstance(node, ast.ClassDef) \
+                and node.name not in SET_BY_ATTRIBUTE:
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign)]
+            if _is_dataclass(node):
+                found += [(f"{node.name}.{f.target.id}", node.name,
+                           f.target.id, i) for i, f in enumerate(fields)
+                          if _has_default(f)]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = (node.name if item.name == "__init__"
+                              else item.name)
+                    found += [(f"{node.name}.{item.name}.{arg}", called, arg,
+                               pos) for arg, pos
+                              in _parameters(item, 0 if static else 1)]
+    return found
+
+
+def _calls(tree: ast.AST) -> dict[str, list[tuple[float, set]]]:
+    """Per callee name (a bare name or an attribute), the calls a module
+    makes: (positional arguments passed, keywords passed). A starred
+    argument passes every position, a ** argument every keyword ("**")."""
+    calls: dict[str, list] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        positions = (float("inf") if any(isinstance(a, ast.Starred)
+                                         for a in node.args)
+                     else len(node.args))
+        keywords = {"**" if k.arg is None else k.arg for k in node.keywords}
+        calls.setdefault(name, []).append((positions, keywords))
+    return calls
+
+
+def _unset(source: str, calls) -> list[str]:
+    return [qual for qual, called, arg, pos in _options(ast.parse(source))
+            if qual not in ALLOWED_OPTIONS
+            and not any(arg in kw or "**" in kw
+                        or (pos is not None and pos < npos)
+                        for npos, kw in calls.get(called, []))]
+
+
+def test_guard_flags_unset_options():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c=2):\n    pass\n"
+              "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+              "    z: list = field(default_factory=list)\n"
+              "    w: int = field(repr=False)\n"
+              "class C:\n    def __init__(self, p=0):\n        pass\n"
+              "    def m(self, q=0):\n        pass\n")
+    calls = _calls(ast.parse("f(0, 1)\nD(x=1, z=[])\nC()\nobj.m(q=1)\n"))
+    assert _unset(source, calls) == ["f.c", "D.y", "C.__init__.p"]
+    calls = _calls(ast.parse("f(0, c=3)\nD(1, 2, **k)\nC(*a)\n"))
+    assert _unset(source, calls) == ["f.b", "C.m.q"]
+
+
+@pytest.fixture(scope="module")
+def calls() -> dict:
+    merged: dict[str, list] = {}
+    for path in _using_files():
+        for name, found in _calls(ast.parse(path.read_text())).items():
+            merged.setdefault(name, []).extend(found)
+    return merged
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_options_set_outside_tests(path, calls):
+    assert _unset(path.read_text(), calls) == []
