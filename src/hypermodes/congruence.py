@@ -77,6 +77,13 @@ def pair_errors(pairs: np.ndarray) -> list[Exception | None]:
     finite = list(map(math.isfinite, size2))
     if not all(finite):
         finite = np.isfinite(flat).all(axis=1).tolist()
+        # a finite matrix whose squares overflow is measured again scaled
+        # by its largest |entry|, which leaves the asymmetry's ratio as is
+        for m, ok in enumerate(finite):
+            if ok and not math.isfinite(size2[m]):
+                unit = mats[m] / np.abs(mats[m]).max()
+                size2[m] = float(np.sum(unit * unit))
+                skew2[m] = float(np.sum((unit - unit.T) ** 2))
         # eigvalsh may not converge on a NaN or infinite entry
         mats = np.nan_to_num(mats, posinf=0.0, neginf=0.0)
     s = np.abs(np.linalg.eigvalsh(mats))

@@ -16,7 +16,7 @@ the bound |u+| <= e^(omega dt) |u| at every step, with omega from the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,12 +37,14 @@ STEP_INCREASE_RTOL = 1e-10
 SPEED_RTOL = 1e-8
 # Bytes of state in one row tile, (n, rows, ny). A sweep does all of a tile's
 # passes while the tile sits in a core's L2, not in L3. On a 2-core machine
-# with 2 MB of L2 per core, the swe step at 257^2 (three 0.5 MB components)
-# took 6.4-6.9 ms with 65-row tiles (4 tiles of 400 KB) against 8.5-8.8 ms
-# untiled (medians of 60 steps, 3 runs each), 5.8-7.3 with 43-row, 6.6-7.3
-# with 86-row, 7.1-8.0 with 129-row, 6.4-8.1 with 32-row and 8.3-11.3 ms
-# with 16-row tiles, where the per-tile Python calls dominate. This size
-# keeps 129^2 and below in one tile, and the variable 33^2 operator too.
+# with 2 MB of L2 per core, the swe step at 257^2 (three 0.5 MB components,
+# three products a tile) took 2.43-2.48 ms with 4 tiles of 400 KB, against
+# 2.64-2.79 with 200 KB, 2.96-3.00 with 800 KB, 3.19-3.33 with 100 KB and
+# 3.61-3.87 ms untiled; the wave step (two components, five products) 2.38
+# ms with 400 KB against 2.47 with 800 KB, 2.51 with 200 KB and 3.41 ms
+# untiled (best of 5 rounds of min-of-3 x 20 steps; two runs for swe). With
+# more tiles the per-tile Python calls dominate. This size keeps 129^2 and
+# below in one tile, and the variable 33^2 operator too.
 TILE_BYTES = 400 * 1024
 
 
@@ -165,22 +167,39 @@ def _component_major(mats: np.ndarray) -> np.ndarray:
 
 
 def _mul(mats: np.ndarray, v: np.ndarray, out: np.ndarray):
-    """out = M v at every node of v (n, ...) for a component-major stack
-    (n, n, ...); a stack of one node stands for all nodes. `out` and `v`
-    keep each component's nodes evenly spaced, as a row range or a flat
-    range of a state does."""
-    n = mats.shape[0]
-    if mats.size == n * n:
-        np.matmul(mats.reshape(n, n), v.reshape(n, -1), out=out.reshape(n, -1))
+    """out = M v at every node of v (n, nodes), with `mats` one (n, n)
+    matrix that stands for all nodes or a component-major stack
+    (n, n, nodes). `out` and `v` keep each component's nodes evenly spaced,
+    as a flat range or a side of a state does."""
+    if mats.ndim == 2:
+        np.matmul(mats, v, out=out)
     else:
-        np.einsum("ab...,b...->a...", mats, v, out=out)
+        np.einsum("abk,bk->ak", mats, v, out=out)
 
 
 def _nodes(mats: np.ndarray, index: slice) -> np.ndarray:
-    """The nodes at `index` (of the first node axis) of a component-major
-    stack; a stack of one node stands for all and is returned whole."""
+    """The nodes at `index` of a component-major stack flattened over its
+    nodes, (n, n, nodes); a stack of one node stands for all and is
+    returned as its (n, n) matrix."""
     n = mats.shape[0]
-    return mats if mats.size == n * n else mats[:, :, index]
+    flat = mats.reshape(n, n, -1)
+    return flat.reshape(n, n) if mats.size == n * n else flat[:, :, index]
+
+
+class _Tile(NamedTuple):
+    """One row tile's part of a sweep: its `nodes`, a flat range of each
+    component of the state, the `centre` stack there, `tmp`, its part of
+    the product buffer, and the terms it adds after the centre product, in
+    order. Each neighbour term is (stack at its source nodes, their flat
+    range, its part of `tmp`, the side's nodes in `tmp`, which it zeroes,
+    or None), and each edge term (stack, index of the side's nodes in the
+    tile, their part of `tmp`)."""
+
+    nodes: slice
+    centre: np.ndarray
+    tmp: np.ndarray
+    terms: list[tuple]
+    edges: list[tuple]
 
 
 def _tiles(nx: int, row_bytes: int) -> list[tuple[int, int]]:
@@ -217,8 +236,17 @@ class SpatialOperator:
     product, the W and E products of the source rows beside it, the S and
     N products shifted inside it, the edge terms of the boundary nodes it
     holds, the forcing and, in `step`, the stage update, while it sits in
-    cache. The products and additions at each node come in the same order
-    whatever the tiling, so the result does not depend on it. `apply`
+    cache. Each tile's plan (`_Tile`) is built once, here: its node range,
+    its centre stack, and each term's stack, source range and destination.
+    A neighbour or edge stack that is identically zero is left out of
+    every plan. Where a1 is positive at every face, no x-characteristic
+    enters across E, so there is no E neighbour term (no W term where a1
+    is negative), and likewise for a2 and N (S): swe, swmhd and euler keep
+    W and S, and wave, whose a1 and a2 are indefinite, all four. The
+    products and additions at each node come in the same order whatever
+    the tiling, so the result does not depend on it, and a term left out
+    adds an exact zero on a finite state, so it changes at most the sign
+    of a zero. `apply`
     returns a new array; `step` reuses private buffers: one caller at a
     time. A bare `sampler` is sampled once, by
     `check_variable_coeff_assumptions`, and the operator steps the samples
@@ -285,12 +313,55 @@ class SpatialOperator:
             raise ValueError("initial data component count does not match system")
         self.dt_max = 2 * config.cfl * min(hx, hy) / self.max_speed
         self.shape = (self.n, grid.nx, grid.ny)
-        self._tiles = _tiles(grid.nx, 8 * self.n * grid.ny)
-        rows = max(r1 - r0 for r0, r1 in self._tiles)
-        # one tile's neighbour or edge product, reused by every tile
-        self._tmp = np.empty(self.n * rows * grid.ny)
+        self._tiles = self._plan()
         # the two SSP-RK(4,3) stage states that `step` alternates between
         self._stages = (np.empty(self.shape), np.empty(self.shape))
+
+    def _plan(self) -> list[_Tile]:
+        """Each row tile's part of a sweep, fixed once. A neighbour or edge
+        stack that is identically zero, such as the E and N stacks of a1
+        and a2 positive at every face, is left out: its product is an
+        exact zero."""
+        n, nx, ny = self.shape
+        size = nx * ny
+        neighbour = [(s, m) for s, m in self.neighbour.items() if m.any()]
+        edge = [(s, m) for s, m in self.edge.items() if m.any()]
+        bounds = _tiles(nx, 8 * n * ny)
+        # one tile's neighbour or edge product, shared by every tile
+        buffer = np.empty(n * max(r1 - r0 for r0, r1 in bounds) * ny)
+        plan = []
+        for r0, r1 in bounds:
+            start, count = r0 * ny, (r1 - r0) * ny
+            nodes = slice(start, start + count)
+            tmp = buffer[:n * count].reshape(n, count)
+            # the flat index of each side's nodes in the tile, for the
+            # sides whose nodes it holds
+            on = {Side.S: slice(0, count, ny),
+                  Side.N: slice(ny - 1, count, ny)}
+            if r0 == 0:
+                on[Side.W] = slice(0, ny)
+            if r1 == nx:
+                on[Side.E] = slice(count - ny, count)
+            terms = []
+            for side, mats in neighbour:
+                # in each component's flat order the neighbour across `side`
+                # is k places on: the tile's nodes lo..hi take its product,
+                # read from the source in or beside the tile; those on
+                # `side` have no neighbour there, or took one wrapped round
+                # a row, and take 0
+                k = side.sign * (ny, 1)[side.axis]
+                lo = max(0, -k - start)
+                hi = min(count, size - k - start)
+                near = slice(start + lo + k, start + hi + k)
+                terms.append((_nodes(mats, near), near, tmp[:, lo:hi],
+                              tmp[:, on[side]] if side in on else None))
+            # a W or E edge stack runs along y, an S or N one along x
+            edges = [(_nodes(mats, slice(r0, r1) if side.axis else
+                             slice(None)), on[side], tmp[:, on[side]])
+                     for side, mats in edge if side in on]
+            plan.append(_Tile(nodes, _nodes(self.centre, nodes), tmp, terms,
+                              edges))
+        return plan
 
     def _check_state(self, u: np.ndarray):
         if u.shape != self.shape:
@@ -306,53 +377,38 @@ class SpatialOperator:
 
     def _sweep(self, t: float, src: np.ndarray, dst: np.ndarray,
                half: float | None = None, base: np.ndarray | None = None):
-        """dst = L(t) src, one row tile at a time. With `half`, each tile then
-        becomes the forward-Euler stage src + half L(t) src, and with `base`
-        as well, 2/3 base + 1/3 of that stage. A tile reads the rows of src
-        on either side of it, so dst must not overlap src."""
-        n, nx, ny = self.shape
-        size = nx * ny
-        force = None if self.forcing is None else self.forcing(t)
-        flat_src = src.reshape(n, size)
-        for r0, r1 in self._tiles:
-            rows, start = slice(r0, r1), r0 * ny
-            o = dst[:, rows]
-            tmp = self._tmp[:o.size].reshape(o.shape)
-            flat_tmp = tmp.reshape(n, -1)
-            # whether the tile holds the grid's nodes on each side
-            holds = {Side.W: r0 == 0, Side.E: r1 == nx, Side.S: True,
-                     Side.N: True}
-            _mul(_nodes(self.centre, rows), src[:, rows], o)
-            for side in Side:
-                # in each component's flat order the neighbour across `side`
-                # is k places on: the tile's nodes lo..hi take its product,
-                # read from src in or beside the tile; those on `side` have
-                # no neighbour there, or took one wrapped round a row, and
-                # take 0
-                k = side.sign * (ny, 1)[side.axis]
-                lo = max(0, -k - start)
-                hi = min(flat_tmp.shape[1], size - k - start)
-                near = slice(start + lo + k, start + hi + k)
-                _mul(_nodes(self.neighbour[side], near), flat_src[:, near],
-                     flat_tmp[:, lo:hi])
-                if holds[side]:
-                    tmp[side.edge] = 0.0
+        """dst = L(t) src, one planned row tile at a time (`_plan`): the
+        centre product, then the kept neighbour terms and edge terms in W,
+        E, S, N order, each added as soon as it is made. With `half`, each
+        tile then becomes the forward-Euler stage src + half L(t) src, and
+        with `base` as well, 2/3 base + 1/3 of that stage. A tile reads the
+        rows of src on either side of it, so dst must not overlap src."""
+        n = self.n
+        flat_src, flat_dst = src.reshape(n, -1), dst.reshape(n, -1)
+        force = None if self.forcing is None else np.broadcast_to(
+            self.forcing(t), self.shape).reshape(n, -1)
+        if base is not None:
+            base = base.reshape(n, -1)
+        for nodes, centre, tmp, terms, edges in self._tiles:
+            o, part = flat_dst[:, nodes], flat_src[:, nodes]
+            _mul(centre, part, o)
+            for mats, near, prod, edge_row in terms:
+                _mul(mats, flat_src[:, near], prod)
+                if edge_row is not None:
+                    edge_row[...] = 0.0
                 o += tmp
-            for side in Side:
-                if not holds[side]:
-                    continue
-                edge, trace = o[side.edge], tmp[side.edge]
-                _mul(_nodes(self.edge[side], rows) if side.axis == 1
-                     else self.edge[side], src[:, rows][side.edge], trace)
+            for mats, at, trace in edges:
+                _mul(mats, part[:, at], trace)
+                edge = o[:, at]
                 edge += trace
             if force is not None:
-                o += force[:, rows]
+                o += force[:, nodes]
             if half is not None:
                 o *= half
-                o += src[:, rows]
+                o += part
                 if base is not None:
                     o *= 1 / 3
-                    o += np.multiply(base[:, rows], 2 / 3, out=tmp)
+                    o += np.multiply(base[:, nodes], 2 / 3, out=tmp)
 
 
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:

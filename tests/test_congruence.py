@@ -273,6 +273,15 @@ class TestSimultaneousDiagonalize:
         SymmetricPair(a1=1e200 * np.eye(2), a2=1e200 * np.diag([2.0, 3.0]),
                       b=1e200 * np.ones((2, 2)))
 
+    def test_huge_asymmetric_entries_rejected(self):
+        # both squared norms overflow; scaled, the asymmetry reads 0.471
+        with pytest.raises(ValueError, match=r"^a1 is not symmetric "
+                                             r"\(relative asymmetry 4\.714e-01\)$"):
+            SymmetricPair(a1=np.array([[1e200, 5e199], [0.0, 1e200]]),
+                          a2=1e200 * np.diag([1.0, 2.0]))
+        SymmetricPair(a1=np.array([[1e200, 5e199], [5e199, 1e200]]),
+                      a2=1e200 * np.diag([1.0, 2.0]))
+
     def test_report_contains_modes_and_residuals(self):
         rng = np.random.default_rng(1)
         pair, _ = plant_pair([("I", 1.0, 2.0), ("II", 0.5, 0.5, 0.0, 1.0)], rng)

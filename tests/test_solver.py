@@ -813,8 +813,13 @@ class TestTiles:
     def config(kind, nx, ny):
         rng = np.random.default_rng(5)
         g = RectGrid(1.0, 1.0, nx, ny)
-        if kind == "variable":
-            sampler = varying_sampler(planted_system(rng), rng)
+        if kind in ("variable", "definite"):
+            # "definite": a1 and a2 positive definite at every node, so the
+            # per-node E and N neighbour stacks are zero and left out
+            pair = (preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0,
+                                         f_cor=0.5)) if kind == "definite"
+                    else planted_system(rng))
+            sampler = varying_sampler(pair, rng)
             setup = variable_coeff_setup(sampler, g)
             n, coeffs = setup.order, dict(sampler=sampler, var_setup=setup)
         else:
@@ -831,7 +836,8 @@ class TestTiles:
     # first and last tile without a W or E neighbour row
     @pytest.mark.parametrize("kind, nx, ny", [
         ("swe", 17, 17), ("variable", 17, 17), ("forced", 17, 17),
-        ("swe", 23, 11), ("variable", 23, 11)])
+        ("definite", 17, 17), ("swe", 23, 11), ("variable", 23, 11),
+        ("definite", 23, 11)])
     def test_tilings_bit_identical(self, monkeypatch, kind, nx, ny):
         cfg = self.config(kind, nx, ny)
         u = cfg.u0.values
@@ -840,6 +846,9 @@ class TestTiles:
             monkeypatch.setattr(solver, "TILE_BYTES", rows * u[:, 0].nbytes)
             op = SpatialOperator(cfg)
             assert len(op._tiles) == tiles
+            if kind == "definite":
+                assert op.centre.shape[2:] == (nx, ny)  # per-node stacks
+                assert all(len(tile.terms) == 2 for tile in op._tiles)
             outs, v = [op.apply(0.3, u)], u
             for k in range(3):
                 v = step(op, v, 0.3 + k * op.dt_max, op.dt_max)
@@ -847,3 +856,66 @@ class TestTiles:
             results.append(np.stack(outs).view(np.uint64))
         for other in results[1:]:
             assert np.array_equal(results[0], other)
+
+
+def plan_sides(op, kind):
+    """The sides of the neighbour (kind "terms") or edge ("edges") terms in
+    each tile's plan, in order."""
+    stacks = op.neighbour if kind == "terms" else op.edge
+    return [[side for mats, *_ in getattr(tile, kind) for side in Side
+             if np.shares_memory(mats, stacks[side])] for tile in op._tiles]
+
+
+class TestPlan:
+    """Each tile's plan holds the neighbour and edge terms whose stacks are
+    not identically zero, in W, E, S, N order: an a1 (a2) of one sign at
+    every face has no downwind x (y) neighbour."""
+
+    W, E, S, N = Side.W, Side.E, Side.S, Side.N
+
+    @pytest.mark.parametrize("preset, sides", [
+        ("swe", (W, S)), ("swmhd", (W, S)), ("euler", (W, S)),
+        ("wave", (W, E, S, N))])
+    def test_presets(self, preset, sides):
+        op, _ = preset_operator(preset, 17)
+        assert plan_sides(op, "terms") == [list(sides)]
+        assert plan_sides(op, "edges") == [list(Side)]
+
+    @pytest.mark.parametrize("sign, sides", [(1.0, (W, S, N)),
+                                             (-1.0, (E, S, N))])
+    def test_definite_a1_indefinite_a2(self, sign, sides):
+        # every x-mode enters across the same side, so the W and E edge
+        # stacks are zero too
+        pair = SymmetricPair(a1=sign * np.diag([1.0, 2.0]),
+                             a2=np.diag([1.0, -1.0]), b=0.3 * np.eye(2))
+        g = RectGrid(1.0, 1.0, 17, 13)
+        u = np.random.default_rng(2).standard_normal((2, 17, 13))
+        op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u),
+                                       t_end=1.0, pair=pair))
+        assert plan_sides(op, "terms") == [list(sides)]
+        assert plan_sides(op, "edges") == [[Side.S, Side.N]]
+        stack = lambda m: np.broadcast_to(m, (17, 13, 2, 2))
+        ref = reference_apply(g, stack(pair.a1), stack(pair.a2),
+                              stack(pair.b), op.side_map, u)
+        assert TestStencilForm.rel_err(op, ref, u) <= 1e-12
+
+    @pytest.mark.parametrize("preset, order, products", [("swe", 3, 3),
+                                                         ("wave", 2, 5)])
+    @pytest.mark.parametrize("rows", [17, 3])
+    def test_products_per_apply(self, monkeypatch, preset, order, products,
+                                rows):
+        # a guard against the zero downwind products coming back: per tile
+        # the centre and the kept neighbour terms, then the edge terms of
+        # the sides it holds, S and N in every tile, W and E in one each
+        monkeypatch.setattr(solver, "TILE_BYTES", rows * 17 * 8 * order)
+        op, cfg = preset_operator(preset, 17)
+        assert all(m.any() for m in op.edge.values())
+        calls = []
+        real = solver._mul
+        monkeypatch.setattr(solver, "_mul", lambda *a: calls.append(1)
+                            or real(*a))
+        op.apply(0.0, cfg.u0.values)
+        tiles = len(op._tiles)
+        assert tiles == -(-17 // rows)
+        assert len(calls) == products * tiles + 2 * tiles + 2
+
