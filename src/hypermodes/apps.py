@@ -184,7 +184,6 @@ class EulerParams:
     u0: float
     v0: float
     rho0: float
-    e0: float
     p0: float
     dp_drho: float
     dp_de: float

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .congruence import ModeDecomposition, SymmetricPair, TypeIIMode
+from .congruence import (DECOMPOSITION_RTOL, ModeDecomposition,
+                         SymmetricPair, TypeIIMode)
 from .modes import ScalarModeBC, Side
 from .operators import (CertReport, RectGrid, StateField,
                         elliptic_uniqueness, random_elliptic_bc_field,
                         random_scalar_bc_field)
-from .solver import IVPConfig, _max_speed, _side_maps, run
+from .solver import (STEP_INCREASE_RTOL, IVPConfig, SpatialOperator,
+                     max_speed, run)
 
 EXACT_RTOL = 1e-12  # tolerance of the boundary-form rows
 
@@ -35,7 +37,7 @@ def admissible_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
 
 def default_t_end(pair: SymmetricPair, L1: float) -> float:
     """Time for the fastest wave to cross the domain twice in x."""
-    return 2.0 * L1 / _max_speed(pair.a1, pair.a2)
+    return 2.0 * L1 / max_speed(pair.a1, pair.a2)
 
 
 def simulation_config(pair: SymmetricPair, grid: RectGrid,
@@ -63,11 +65,13 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
     # error before any certificate runs
     ivp = simulation_config(pair, grid, decomp, bcs, seed=seed, t_end=t_end,
                             cfl=cfl)
+    op = SpatialOperator(ivp)
     rows: list[CertReport] = []
     label = grid.label()
 
     rows.append(CertReport("decomposition_reconstruction", label,
-                           decomp.residuals.reconstruction, 1e-9))
+                           decomp.residuals.reconstruction,
+                           DECOMPOSITION_RTOL))
 
     elliptic = [(k, m) for k, m in enumerate(decomp.modes)
                 if isinstance(m, TypeIIMode)]
@@ -75,18 +79,16 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
         worst = max(abs(m.determinant_condition - 1.0) for _, m in elliptic)
         rows.append(CertReport("determinant_condition", label, worst, 1e-10))
 
-    # -lambda_min(sym(S^T (nu.A) S)) over the side maps S the stepper
-    # imposes, built as SpatialOperator builds them: 0 iff dissipative.
-    # With the SAT weight alpha >= lambda_max(nu.A) / 2 this row is exactly
-    # the stepper's boundary stability condition
-    side_map = _side_maps(dict.fromkeys(Side, [decomp]), bcs)
-    speed = _max_speed(pair.a1, pair.a2)
+    # -lambda_min(sym(S^T (nu.A) S)), S = I - Q, with Q the projector onto
+    # the constrained traces of the operator that the run steps: 0 iff
+    # dissipative. With the SAT weight alpha >= lambda_max(nu.A) / 2 this
+    # row is exactly the stepper's boundary stability condition
     for side in Side:
-        S = side_map[side][0]
+        S = np.eye(op.n) - op.constrained[side][0]
         form = side.sign * S.T @ (pair.a1, pair.a2)[side.axis] @ S
         least = np.linalg.eigvalsh(0.5 * (form + form.T))[0]
         rows.append(CertReport(f"boundary_form_{side}", label,
-                               max(0.0, -least) / speed, EXACT_RTOL))
+                               max(0.0, -least) / op.max_speed, EXACT_RTOL))
 
     for k, mode in elliptic:
         _, rep = elliptic_uniqueness(mode, grid, bcs[k].conditions)
@@ -94,7 +96,7 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
                                rep.residual, rep.tolerance))
 
     _, report = run(ivp)
-    rows.append(CertReport("energy_monotonic", label,
-                           report.max_step_increase
-                           / max(report.norms[0], 1e-300), 1e-10))
+    increase = report.max_step_increase / max(report.norms[0], 1e-300)
+    rows.append(CertReport("energy_monotonic", label, increase,
+                           STEP_INCREASE_RTOL))
     return rows

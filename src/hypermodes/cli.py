@@ -31,14 +31,13 @@ COMMANDS = ("diagonalize", "classify", "bc", "simulate", "verify", "preset-list"
 PRESET_DEFAULTS = {
     "swe": {"u0": 2.0, "v0": 3.0, "phi0": 1.0, "g": 1.0, "fcor": 0.5},
     "swmhd": {"u0": 2.0, "v0": 2.0, "b10": 0.5, "b20": 0.3, "phi0": 1.0, "g": 1.0},
-    "euler": {"u0": 2.0, "v0": 3.0, "rho0": 1.0, "e0": 1.0, "p0": 0.4,
-              "dp_drho": 0.4, "dp_de": 0.4},
+    "euler": {"u0": 2.0, "v0": 3.0, "rho0": 1.0, "p0": 0.4, "dp_drho": 0.4,
+              "dp_de": 0.4},
     "wave": {"alpha": 0.6, "beta": 0.8},
 }
 
-_FLOAT_KEYS = {"u0", "v0", "phi0", "g", "fcor", "b10", "b20", "rho0", "e0",
-               "p0", "dp_drho", "dp_de", "alpha", "beta", "L1", "L2", "t_end",
-               "cfl"}
+_FLOAT_KEYS = {"u0", "v0", "phi0", "g", "fcor", "b10", "b20", "rho0", "p0",
+               "dp_drho", "dp_de", "alpha", "beta", "L1", "L2", "t_end", "cfl"}
 _INT_KEYS = {"nx", "ny", "seed", "snapshots"}
 _STR_KEYS = {"preset", "a1_file", "a2_file", "b_file", "s0_file", "outdir",
              "config"}

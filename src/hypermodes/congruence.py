@@ -20,6 +20,8 @@ from .errors import (HypermodesError, NotTypeII, OffDiagonalResidual,
 from .linalg import rotation_block
 
 SYMMETRY_RTOL = 1e-12
+# the least squared norm whose SYMMETRY_RTOL^2 share is a normal float
+_SAFE_SIZE2 = np.finfo(float).tiny / SYMMETRY_RTOL ** 2
 SINGULARITY_RTOL = 1e-10
 # relative tolerance of the block residuals and the TypeII normal form
 DECOMPOSITION_RTOL = 1e-9
@@ -73,15 +75,18 @@ def pair_errors(pairs: np.ndarray) -> list[Exception | None]:
         size2 = np.vecdot(flat, flat).tolist()
         skew = (mats - mats.mT).reshape(len(mats), n * n)
         skew2 = np.vecdot(skew, skew).tolist()
-    # a squared norm is finite unless an entry is, or passes ~1e154
-    finite = list(map(math.isfinite, size2))
+    # a squared norm is finite unless an entry is, or passes ~1e154, and
+    # at least _SAFE_SIZE2 unless the entries are below ~1e-142
+    finite = [_SAFE_SIZE2 <= x < math.inf for x in size2]
     if not all(finite):
         finite = np.isfinite(flat).all(axis=1).tolist()
-        # a finite matrix whose squares overflow is measured again scaled
-        # by its largest |entry|, which leaves the asymmetry's ratio as is
+        # a finite, nonzero matrix whose squares overflow or underflow is
+        # measured again scaled by its largest |entry|, which leaves the
+        # asymmetry's ratio as is
         for m, ok in enumerate(finite):
-            if ok and not math.isfinite(size2[m]):
-                unit = mats[m] / np.abs(mats[m]).max()
+            top = np.abs(mats[m]).max() if ok else 0.0
+            if top > 0.0 and not _SAFE_SIZE2 <= size2[m] < math.inf:
+                unit = mats[m] / top
                 size2[m] = float(np.sum(unit * unit))
                 skew2[m] = float(np.sum((unit - unit.T) ** 2))
         # eigvalsh may not converge on a NaN or infinite entry

@@ -20,6 +20,8 @@ RECONSTRUCTION_RTOL = 1e-9
 # real, and a cluster is defective when its shift keeps a singular value
 # above it among the trailing `multiplicity` ones
 DEFECT_RTOL = 1e-8
+# the least norm whose square is a normal float
+_NORMAL_NORM = np.sqrt(np.finfo(float).tiny)
 
 
 def rotation_block(mu1: float, mu2: float) -> np.ndarray:
@@ -123,10 +125,20 @@ def _fix_column_phase(cols: np.ndarray) -> np.ndarray:
 
 def frobenius(X) -> np.ndarray:
     """Frobenius norm of each matrix of a real stack (k, ...), rounded as
-    np.linalg.norm rounds it for one matrix."""
+    np.linalg.norm rounds it for one matrix. A finite, nonzero matrix
+    whose squares overflow, or sum below the normal floats, is measured
+    again scaled by its largest |entry|."""
     flat = np.reshape(X, (len(X), 1, -1))
     # a 1 x N by N x 1 matmul is the BLAS dot that np.linalg.norm takes
-    return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[:, 0, 0]
+    with np.errstate(over="ignore"):
+        out = np.sqrt(flat @ np.swapaxes(flat, -1, -2))[:, 0, 0]
+    redo = ~((_NORMAL_NORM <= out) & (out < np.inf))
+    if redo.any():
+        top = np.where(redo, np.abs(flat).max(axis=(1, 2)), np.nan)
+        redo = (0.0 < top) & (top < np.inf)
+        out[redo] = top[redo] * np.sqrt(np.sum(
+            (flat[redo] / top[redo, None, None]) ** 2, axis=(1, 2)))
+    return out
 
 
 def _eigenspaces(M: np.ndarray, tol):

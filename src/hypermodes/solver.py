@@ -3,13 +3,9 @@
 First-order characteristic upwinding per coordinate direction, a
 simultaneous-approximation-term (SAT) penalty at each boundary node that
 imposes the synthesized conditions weakly (Carpenter, Gottlieb & Abarbanel,
-JCP 111, 1994), and the four-stage third-order strong-stability-preserving
-Runge-Kutta scheme SSP-RK(4,3), with SSP coefficient 2 (Kraaijevanger, BIT
-31, 1991). Each of its steps of size dt is a convex combination of
-forward-Euler steps of size dt/2, so wherever forward Euler contracts at
-dt/2, so does the step. Each stage is one sweep over cache-sized row tiles
-of the state that applies the operator and makes the stage's update tile
-by tile (cache blocking; Datta et al., SC 2008). The energy report checks
+JCP 111, 1994), and the strong-stability-preserving Runge-Kutta scheme
+SSP-RK(4,3) (`step`), each stage one sweep over cache-sized row tiles of
+the state (cache blocking; Datta et al., SC 2008). The energy report checks
 the bound |u+| <= e^(omega dt) |u| at every step, with omega from the data.
 """
 
@@ -20,8 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .congruence import (ModeDecomposition, SymmetricPair,
-                         diagonalize_stack, simultaneous_diagonalize)
+from .congruence import ModeDecomposition, SymmetricPair, diagonalize_stack
 from .errors import CFLViolation, UnstableCoefficients
 # variable_coeff_setup is re-exported for callers that reach it here
 from .modes import (BCAssignment, ScalarModeBC, Side,
@@ -114,8 +109,9 @@ class IVPConfig:
                 raise ValueError(f"{name} was built on another grid")
 
 
-def _max_speed(a1, a2) -> float:
-    """Largest |eigenvalue| of the a1, a2 stacks; none may (nearly) vanish."""
+def max_speed(a1, a2) -> float:
+    """Largest |eigenvalue| of the a1, a2 stacks; none may (nearly) vanish.
+    The one speed rule, of `dt_max`, `default_t_end` and `certify`'s rows."""
     top = 0.0
     for name, mats in (("x", a1), ("y", a2)):
         w = np.abs(np.linalg.eigvalsh(mats))
@@ -146,17 +142,17 @@ def _faces(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _mode_projector(decomp: ModeDecomposition, bcs, side: Side) -> np.ndarray:
-    """Projector in mode variables keeping only traces admissible on `side`."""
-    n = decomp.order
-    Pi = np.eye(n)
+    """Projector in mode variables onto the traces that the conditions on
+    `side` fix: 1 for a scalar mode on its inflow side, q q^T / |q|^2 for
+    an elliptic mode's condition q, 0 for a mode that leaves freely."""
+    Pi = np.zeros((decomp.order, decomp.order))
     for bc, sl in zip(bcs, decomp.mode_slices()):
         if isinstance(bc, ScalarModeBC):
             if side in bc.sides:
-                Pi[sl, sl] = 0.0
+                Pi[sl, sl] = 1.0
         else:
-            a, b = bc.conditions[side]
-            q = np.array([a, b])
-            Pi[sl, sl] = np.eye(2) - np.outer(q, q) / (q @ q)
+            q = np.array(bc.conditions[side])
+            Pi[sl, sl] = np.outer(q, q) / (q @ q)
     return Pi
 
 
@@ -187,13 +183,11 @@ def _nodes(mats: np.ndarray, index: slice) -> np.ndarray:
 
 
 class _Tile(NamedTuple):
-    """One row tile's part of a sweep: its `nodes`, a flat range of each
-    component of the state, the `centre` stack there, `tmp`, its part of
-    the product buffer, and the terms it adds after the centre product, in
-    order. Each neighbour term is (stack at its source nodes, their flat
-    range, its part of `tmp`, the side's nodes in `tmp`, which it zeroes,
-    or None), and each edge term (stack, index of the side's nodes in the
-    tile, their part of `tmp`)."""
+    """One row tile's part of a sweep: its `nodes` (a flat range of each
+    component), its `centre` stack, `tmp`, its part of the product buffer,
+    and its neighbour terms (stack at the source nodes, their flat range,
+    the part of `tmp` they fill, the side's nodes in `tmp` to zero or None)
+    and edge terms (stack, the side's nodes in the tile, their `tmp`)."""
 
     nodes: slice
     centre: np.ndarray
@@ -214,53 +208,43 @@ class SpatialOperator:
     """Semidiscrete upwind operator with a SAT boundary closure.
 
     Stencil form: du/dt at a node is a centre matrix (upwind diagonal and
-    -B) times u there plus a neighbour matrix times u at each of its W, E, S
-    and N neighbours. A boundary face carries no flux; each boundary node
-    adds the edge term -(1/h)(-nu.A + alpha (I - S)^T)(I - S) of its own
-    side map S and outward normal nu, alpha = max(0, lambda_max(nu.A)) / 2.
-    In the cell norm hx hy sum |u|^2, with w = (I - S) u, that node's share
-    of d/dt |u|^2 is -(Su)^T (nu.A) Su + w^T (nu.A) w - 2 alpha |w|^2 <= 0
-    wherever the conditions are dissipative (`certify`'s boundary forms).
-    Each term is a per-node stack (neighbour terms aligned to the source
-    node) stored component-major, like the state (n, nx, ny): `centre` is
-    (n, n, nx, ny), `neighbour[side]` the same flattened over the nodes,
-    (n, n, nx ny), and `edge[side]` (n, n, nodes of the side), each
-    multiplied by one einsum over evenly spaced nodes; `side_map[side]`
-    stays node-major, (nodes, n, n). Constant coefficients build the same
-    stacks from one node that stands for all, (n, n, 1, 1), (n, n, 1) and
-    (n, n, 1), multiplied by one matmul. `omega` is the growth rate of
-    the energy identity on those stacks (`modes.growth_rate`).
+    -B) times u there plus a neighbour matrix times u at each of its W, E,
+    S and N neighbours. A boundary face carries no flux: the edge term
+    -(1/h)((nu.A)^- + (alpha Q^T - nu.A) Q) of each boundary node cancels
+    the centre's upwind part there and adds the penalty, with nu the
+    outward normal, alpha = max(0, lambda_max(nu.A)) / 2 and Q =
+    `constrained[side]`, the node's projector P Pi_c P^-1 onto the traces
+    that its conditions fix (`_mode_projector`). In the cell norm, with
+    w = Q u and S = I - Q, the node's share of d/dt |u|^2 is
+    -(Su)^T (nu.A) Su + w^T (nu.A) w - 2 alpha |w|^2 <= 0 wherever the
+    conditions are dissipative (`certify`'s boundary forms read this Q).
+    Where every mode leaves across a side, Q and (nu.A)^- are exactly 0,
+    and so is the edge term. The stacks are per node (a neighbour term's
+    at its source node) and component-major, like the state (n, nx, ny):
+    `centre` (n, n, nx, ny), `neighbour[side]` (n, n, nx ny) and
+    `edge[side]` (n, n, nodes of the side); `constrained[side]` is
+    node-major, (nodes, n, n). Constant coefficients build the same stacks
+    from one node that stands for all. `omega` is the growth rate of the
+    energy identity on these stacks (`modes.growth_rate`).
 
-    `apply`, and each stage of `step`, is one sweep over row tiles of the
-    state (x rows, all of y) of about TILE_BYTES: a tile takes its centre
-    product, the W and E products of the source rows beside it, the S and
-    N products shifted inside it, the edge terms of the boundary nodes it
-    holds, the forcing and, in `step`, the stage update, while it sits in
-    cache. Each tile's plan (`_Tile`) is built once, here: its node range,
-    its centre stack, and each term's stack, source range and destination.
-    A neighbour or edge stack that is identically zero is left out of
-    every plan. Where a1 is positive at every face, no x-characteristic
-    enters across E, so there is no E neighbour term (no W term where a1
-    is negative), and likewise for a2 and N (S): swe, swmhd and euler keep
-    W and S, and wave, whose a1 and a2 are indefinite, all four. The
-    products and additions at each node come in the same order whatever
-    the tiling, so the result does not depend on it, and a term left out
-    adds an exact zero on a finite state, so it changes at most the sign
-    of a zero. `apply`
-    returns a new array; `step` reuses private buffers: one caller at a
-    time. A bare `sampler` is sampled once, by
-    `check_variable_coeff_assumptions`, and the operator steps the samples
-    it admitted; a given `var_setup`, like a given `decomp`, is trusted.
-    Only the boundary nodes, whose side maps need them, are decomposed,
-    all in one `diagonalize_stack` call: one solve and one eigen pass for
-    the stack, then each step batched over the nodes of one cluster
-    pattern. The first failing node, in W, E, S, N order, raises what
-    SymmetricPair or `simultaneous_diagonalize` raises for it alone.
+    `apply`, and each stage of `step`, is one sweep over row tiles of
+    about TILE_BYTES (x rows, all of y), each making its centre, neighbour
+    and edge products, the forcing and, in `step`, the stage update while
+    it sits in cache. Each tile's plan is built once, here (`_plan`), and
+    leaves out every neighbour or edge stack that is identically zero:
+    with a1 positive at every face there is no E neighbour or edge term
+    (no W terms where a1 is negative), and likewise for a2 and N (S). The
+    result does not depend on the tiling. `apply` returns a new array;
+    `step` reuses private buffers: one caller at a time. A bare `sampler`
+    is sampled once, by `check_variable_coeff_assumptions`; a given
+    `var_setup`, like a given `decomp`, is trusted. Only the boundary nodes
+    are decomposed, all in one `diagonalize_stack` call, and the first
+    failing node, in W, E, S, N order, raises what SymmetricPair or
+    `simultaneous_diagonalize` raises for it alone.
     """
 
     def __init__(self, config: IVPConfig):
         grid = config.grid
-        self.grid = grid
         self.forcing = config.forcing
         hx, hy = grid.hx, grid.hy
 
@@ -268,24 +252,23 @@ class SpatialOperator:
             setup = (config.var_setup or check_variable_coeff_assumptions(
                 config.sampler, grid).setup)
             a1, a2, b = setup.a1, setup.a2, setup.b
-            # each side's boundary nodes in trace order; a corner ends two
-            # sides and is decomposed once, all of them in one batch
-            ij = np.indices(a1.shape[:2])
-            nodes = {side: list(map(tuple, ij[side.edge].T)) for side in Side}
-            unique = list(dict.fromkeys(sum(nodes.values(), [])))
-            i, j = np.array(unique).T
-            decomp = dict(zip(unique, diagonalize_stack(a1[i, j], a2[i, j])))
-            decomps = {side: [decomp[node] for node in nodes[side]]
-                       for side in Side}
         else:
             pair = config.pair
             a1, a2 = pair.a1[None, None], pair.a2[None, None]
             b = np.zeros_like(a1) if pair.b is None else pair.b[None, None]
-            decomps = dict.fromkeys(Side, [config.decomp
-                                           or simultaneous_diagonalize(pair)])
-        self.side_map = _side_maps(decomps, config.bcs)
+        # each side's boundary nodes in trace order (a one-node stack's is
+        # its one node); a corner ends two sides and is decomposed once,
+        # all of them in one batch, unless a decomp is given
+        ij = np.indices(a1.shape[:2])
+        nodes = {side: list(map(tuple, ij[side.edge].T)) for side in Side}
+        unique = list(dict.fromkeys(sum(nodes.values(), [])))
+        i, j = np.array(unique).T
+        found = ([config.decomp] if config.decomp is not None
+                 else diagonalize_stack(a1[i, j], a2[i, j]))
+        self.constrained = _side_maps(dict(zip(unique, found)), nodes,
+                                      config.bcs)
         self.n = a1.shape[-1]
-        self.max_speed = _max_speed(a1, a2)
+        self.max_speed = max_speed(a1, a2)
         self.omega = growth_rate(a1, a2, b, hx, hy)
 
         xp, xn = _split_signed(_faces(a1, 0))
@@ -300,14 +283,13 @@ class SpatialOperator:
                   Side.S: a2[:, 0], Side.N: a2[:, -1]}
         self.edge = {}
         for side in Side:
-            # -(nu.A)^- cancels the centre's upwind term at the boundary
-            # face, so that face carries no flux; the rest is the penalty
+            # the edge term of the class docstring
             nu_a = side.sign * normal[side]
             alpha = 0.5 * np.maximum(np.linalg.eigvalsh(nu_a)[..., -1], 0.0)
-            miss = np.eye(self.n) - self.side_map[side]
-            sigma = alpha[..., None, None] * np.swapaxes(miss, -1, -2) - nu_a
+            q = self.constrained[side]
+            sigma = alpha[..., None, None] * np.swapaxes(q, -1, -2) - nu_a
             self.edge[side] = _component_major(
-                -(_split_signed(nu_a)[1] + sigma @ miss) / (hx, hy)[side.axis])
+                -(_split_signed(nu_a)[1] + sigma @ q) / (hx, hy)[side.axis])
 
         if config.u0.components != self.n:
             raise ValueError("initial data component count does not match system")
@@ -319,9 +301,8 @@ class SpatialOperator:
 
     def _plan(self) -> list[_Tile]:
         """Each row tile's part of a sweep, fixed once. A neighbour or edge
-        stack that is identically zero, such as the E and N stacks of a1
-        and a2 positive at every face, is left out: its product is an
-        exact zero."""
+        stack that is identically zero is left out: its product is an exact
+        zero (the class docstring says where)."""
         n, nx, ny = self.shape
         size = nx * ny
         neighbour = [(s, m) for s, m in self.neighbour.items() if m.any()]
@@ -488,18 +469,19 @@ def run(config: IVPConfig, *,
     return StateField(grid, u), report
 
 
-def _side_maps(decomps: dict, bcs) -> dict:
-    """Trace maps P Pi P^-1 of each side, stacked over the decompositions
-    `decomps[side]` of its nodes (one node when it stands for all). Each
-    node's P is its own congruence and its Pi keeps the traces its own
-    synthesized conditions admit (`bcs`, when given, for a single node),
-    so where a mode's sign changes along a side its condition switches at
-    that node."""
+def _side_maps(decomps: dict, nodes: dict, bcs) -> dict:
+    """Each side's projectors Q = P Pi_c P^-1 onto its constrained traces,
+    stacked over its `nodes[side]`, each decomposed as `decomps[node]`.
+    Each node's P is its own congruence and its Pi_c (`_mode_projector`)
+    is fixed by its own synthesized conditions (`bcs`, when given, for a
+    single node), so where a mode's sign changes along a side its
+    condition switches at that node."""
     maps = {}
     for side in Side:
-        p = np.array([d.p for d in decomps[side]])
+        found = [decomps[node] for node in nodes[side]]
+        p = np.array([d.p for d in found])
         pi = np.array([_mode_projector(d, bcs or assemble_system_bcs(d), side)
-                       for d in decomps[side]])
+                       for d in found])
         maps[side] = np.einsum("...ab,...bc,...cd->...ad", p, pi,
                                np.linalg.inv(p))
     return maps

@@ -121,7 +121,7 @@ class TestSWMHD:
 
 class TestEuler:
     def test_symmetrizer_makes_pair_symmetric(self):
-        p = EulerParams(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
+        p = EulerParams(u0=2.0, v0=3.0, rho0=1.0, p0=0.4,
                         dp_drho=0.4, dp_de=0.4)
         e1, e2, s0 = euler_raw_matrices(p)
         for M in (s0 @ e1, s0 @ e2):
@@ -129,21 +129,21 @@ class TestEuler:
 
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(NonPositiveSymmetrizer):
-            EulerParams(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
+            EulerParams(u0=2.0, v0=3.0, rho0=1.0, p0=0.4,
                         dp_drho=0.4, dp_de=0.0)
 
     @pytest.mark.parametrize("field, message", [
         ("rho0", "rho0 must be positive"), ("p0", "p0 must be positive")])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_nonpositive_reference_state_rejected(self, field, message, value):
-        params = dict(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
+        params = dict(u0=2.0, v0=3.0, rho0=1.0, p0=0.4,
                       dp_drho=0.4, dp_de=0.4)
         params[field] = value
         with pytest.raises(NonPositiveSymmetrizer, match=f"^{message}$"):
             EulerParams(**params)
 
     def test_end_to_end_decomposition(self):
-        p = EulerParams(u0=2.0, v0=3.0, rho0=1.0, e0=1.0, p0=0.4,
+        p = EulerParams(u0=2.0, v0=3.0, rho0=1.0, p0=0.4,
                         dp_drho=0.4, dp_de=0.4)
         pair = preset_euler(p)
         d = simultaneous_diagonalize(pair)

@@ -73,6 +73,14 @@ class TestParseConfig:
         assert "'trials'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_euler_e0_key_is_gone(self, tmp_path, capsys):
+        # the internal energy enters no matrix of the linearized system
+        rc = cli.main(["simulate", "preset=euler", "e0=1", "nx=9", "ny=9",
+                       f"outdir={tmp_path}"])
+        assert rc == 1
+        assert "'e0'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_flag_overrides_file(self, tmp_path):
         cf = tmp_path / "run.cfg"
         cf.write_text("# comment\nnx = 33\npreset = swe\n")
@@ -456,13 +464,13 @@ rc = 0 if report.verdict and u.norm() > 0 else 2
 # file's name followed by its bytes. A change that moves any of these bytes
 # must update the digest and say why in CHANGES.md.
 ARTIFACT_DIGESTS = {
-    ("simulate", "swe"): "f054c9d48ab9441b",
-    ("simulate", "swmhd"): "579a72b086182d9c",
-    ("simulate", "euler"): "dfe9b11da6e6414e",
+    ("simulate", "swe"): "c30ab135ec227263",
+    ("simulate", "swmhd"): "2c53767616b430a3",
+    ("simulate", "euler"): "7766c965f84e57cf",
     ("simulate", "wave"): "51dae4b24e198c1b",
-    ("verify", "swe"): "d97ffafe62ece0b8",
-    ("verify", "swmhd"): "b572debcb7a822ec",
-    ("verify", "euler"): "8e7e226b4d0b30c6",
+    ("verify", "swe"): "7a0b748806adf7a5",
+    ("verify", "swmhd"): "28419a03ddc26d20",
+    ("verify", "euler"): "5146616b0c9456f0",
     ("verify", "wave"): "23094b99415616d8",
 }
 
@@ -483,9 +491,9 @@ def test_artifacts_pinned(tmp_path, command, preset):
 
 
 SNAPSHOT_DIGESTS = {
-    "swe": "e9ff93ad4b7f2dc6",
-    "swmhd": "684a26c553b6d5b1",
-    "euler": "b00f7a534c847213",
+    "swe": "c05c9cb43b735797",
+    "swmhd": "67bc753381cb26db",
+    "euler": "d6b2892619807f79",
     "wave": "5b1cd75cad17c9c0",
 }
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (mode_signature, plant_pair, planted_signature,
@@ -281,6 +283,27 @@ class TestSimultaneousDiagonalize:
                           a2=1e200 * np.diag([1.0, 2.0]))
         SymmetricPair(a1=np.array([[1e200, 5e199], [5e199, 1e200]]),
                       a2=1e200 * np.diag([1.0, 2.0]))
+
+    def test_tiny_asymmetric_entries_rejected(self):
+        # both squared norms underflow to 0; scaled, the asymmetry reads
+        # 0.471, and the zero matrix is still symmetric and singular
+        with pytest.raises(ValueError, match=r"^a1 is not symmetric "
+                                             r"\(relative asymmetry 4\.714e-01\)$"):
+            SymmetricPair(a1=np.array([[1e-170, 5e-171], [0.0, 1e-170]]),
+                          a2=1e-170 * np.diag([1.0, 2.0]))
+        with pytest.raises(SingularInput, match=r"^a1 is numerically singular"):
+            SymmetricPair(a1=np.zeros((2, 2)), a2=np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_residuals_measured_at_any_scale(self, scale):
+        # the squares of the residuals' entries underflow (overflow): the
+        # residuals are measured scaled, not read as 0 (NaN) or compared
+        # with a tolerance of ~1e-309
+        d = simultaneous_diagonalize(SymmetricPair(
+            a1=scale * np.array([[1.0, 0.5], [0.5, 1.0]]),
+            a2=scale * np.diag([1.0, 2.0])))
+        residuals = dataclasses.astuple(d.residuals)
+        assert all(0.0 < r < 1e-14 for r in residuals), residuals
 
     def test_report_contains_modes_and_residuals(self):
         rng = np.random.default_rng(1)

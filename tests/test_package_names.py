@@ -219,3 +219,44 @@ def calls() -> dict:
                          ids=lambda p: p.name)
 def test_package_options_set_outside_tests(path, calls):
     assert _unset(path.read_text(), calls) == []
+
+
+# --- private names ---------------------------------------------------------
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(source: str) -> list[str]:
+    """Each `_`-prefixed name that a module imports from another module, or
+    reads as an attribute of a name it imported: a private name is its
+    module's own, so one that another module needs should be public."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.partition(".")[0])
+                if isinstance(node, ast.ImportFrom) and _is_private(alias.name):
+                    found.append(alias.name)
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in imported and _is_private(node.attr)]
+    return found
+
+
+def test_guard_flags_private_reads():
+    source = ("from __future__ import annotations\n"
+              "from . import linalg\nimport numpy as np\n"
+              "from .solver import _helper, run\n"
+              "x = linalg._kernel(np.pi, run.__name__)\n"
+              "y = self._own + obj._field\n")
+    assert _private_reads(source) == ["_helper", "linalg._kernel"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_reads_no_private_name_of_another_module(path):
+    assert _private_reads(path.read_text()) == []

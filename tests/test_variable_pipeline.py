@@ -2,15 +2,15 @@
 replaced.
 
 `reference_check` and `reference_setup` are node-by-node implementations
-of `check_variable_coeff_assumptions` and of the samples and side maps a
-`SpatialOperator` builds on `variable_coeff_setup`. The check runs every
+of `check_variable_coeff_assumptions` and of the samples and boundary
+projectors a `SpatialOperator` builds on `variable_coeff_setup`. The check runs every
 standing assumption at a node, with branch matching against the
 neighbour (i-1, j), or (0, j-1) on the first column, before the next
 node. `reference_setup` decomposes each boundary node, which takes its own
 synthesized conditions, so where a mode's sign changes along a side its
 condition switches at that node. The batched code must give the same
-report, the same side maps on all four sides, and the same error at the
-same node.
+report, the same projectors on all four sides, and the same error at
+the same node.
 """
 
 import re
@@ -152,8 +152,9 @@ def reference_check(sampler, grid):
 
 def reference_setup(sampler, grid):
     """Per-node sampling and boundary decomposition. Returns a1, a2, b and,
-    per side, the trace maps P Pi P^-1 at its nodes, each from that node's
-    own congruence and synthesized conditions."""
+    per side, the projectors P Pi_c P^-1 onto the constrained traces at
+    its nodes, each from that node's own congruence and synthesized
+    conditions."""
     nx, ny = grid.nx, grid.ny
     xs, ys = grid.x(), grid.y()
     a1 = None
@@ -317,7 +318,7 @@ class TestMatchesReference:
         op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u), t_end=1.0,
                                        sampler=sampler, var_setup=setup))
         for side in Side:
-            np.testing.assert_allclose(op.side_map[side], ref[side],
+            np.testing.assert_allclose(op.constrained[side], ref[side],
                                        rtol=0, atol=1e-14)
 
     # the one outcome of each failing sampler at 9x9, x = i / 8
@@ -494,7 +495,7 @@ class TestGauge:
         op = SpatialOperator(cfg)
         ref = reference_setup(sampler, g)[-1]
         for side in Side:
-            np.testing.assert_allclose(op.side_map[side], ref[side],
+            np.testing.assert_allclose(op.constrained[side], ref[side],
                                        rtol=0, atol=1e-14)
 
 
@@ -551,7 +552,7 @@ class TestBatchedBoundary:
         op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
                                        sampler=sampler, var_setup=setup))
         for side in Side:
-            np.testing.assert_allclose(op.side_map[side], ref[side],
+            np.testing.assert_allclose(op.constrained[side], ref[side],
                                        rtol=0, atol=1e-14)
 
     # (a1, a2) planted at boundary nodes of a setup of order 2; a1^-1 a2
@@ -593,8 +594,9 @@ class TestBatchedBoundary:
 
 
 class TestBoundaryForm:
-    """Dissipative conditions at every boundary node: with S the node's side
-    map, lambda_min(sym(S^T (nu.A) S)) >= 0 up to roundoff."""
+    """Dissipative conditions at every boundary node: with S = I - Q, Q the
+    node's projector onto its constrained traces,
+    lambda_min(sym(S^T (nu.A) S)) >= 0 up to roundoff."""
 
     @pytest.mark.parametrize("make, seed", [(nonflat_sampler, 3),
                                             (nonflat_sampler, 4),
@@ -611,7 +613,7 @@ class TestBoundaryForm:
                 Side.S: np.s_[:, 0], Side.N: np.s_[:, -1]}
         for side in Side:
             A = (setup.a1, setup.a2)[side.axis][edge[side]]
-            S = op.side_map[side]
+            S = np.eye(setup.order) - op.constrained[side]
             form = side.sign * np.swapaxes(S, -1, -2) @ A @ S
             sym = 0.5 * (form + np.swapaxes(form, -1, -2))
             assert np.linalg.eigvalsh(sym).min() >= -1e-12 * op.max_speed, side
