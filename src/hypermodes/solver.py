@@ -31,16 +31,18 @@ STEP_INCREASE_RTOL = 1e-10
 # the paper excludes that by requiring a1 and a2 non-singular
 SPEED_RTOL = 1e-8
 # Bytes of state in one row tile, (n, rows, ny). A sweep does all of a tile's
-# passes while the tile sits in a core's L2, not in L3. On a 2-core machine
-# with 2 MB of L2 per core, the swe step at 257^2 (three 0.5 MB components,
-# three products a tile) took 2.43-2.48 ms with 4 tiles of 400 KB, against
-# 2.64-2.79 with 200 KB, 2.96-3.00 with 800 KB, 3.19-3.33 with 100 KB and
-# 3.61-3.87 ms untiled; the wave step (two components, five products) 2.38
-# ms with 400 KB against 2.47 with 800 KB, 2.51 with 200 KB and 3.41 ms
-# untiled (best of 5 rounds of min-of-3 x 20 steps; two runs for swe). With
-# more tiles the per-tile Python calls dominate. This size keeps 129^2 and
-# below in one tile, and the variable 33^2 operator too.
-TILE_BYTES = 400 * 1024
+# passes while the tile and its gathered inputs (K times its size) sit in a
+# core's L2, not in L3. On a 2-core machine with 2 MB of L2 per core, the
+# swe step at 257^2 (three 0.5 MB components, three blocks a tile) took
+# 1.37-1.50 ms with 8 tiles of 200 KB, against 1.25-1.54 with 300 KB,
+# 1.43-1.60 with 400 KB, 1.45-1.67 with 100 KB, 1.98-2.16 with 800 KB and
+# 2.34-2.56 ms untiled; the wave step (two components, five blocks)
+# 1.25-1.50 ms with 200 KB against 1.25-1.60 with 300 KB, 1.39-1.80 with
+# 400 KB, 1.55-1.69 with 100 KB, 1.74-2.15 with 800 KB and 2.14-2.44 ms
+# untiled (best of 5 rounds of min-of-3 x 20 steps, four runs). With more
+# tiles the per-tile Python calls dominate. This size keeps 65^2 and the
+# variable 33^2 operator in one tile.
+TILE_BYTES = 200 * 1024
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,15 @@ def max_speed(a1, a2) -> float:
 
 
 def _split_signed(mats: np.ndarray):
-    """Positive/negative parts of symmetric matrices (batched over leading axes)."""
+    """Positive/negative parts of symmetric matrices (batched over leading
+    axes). A semidefinite matrix is exactly its own positive or negative
+    part, not V diag(w) V^T in roundoff, so that an edge term that cancels
+    in exact arithmetic is exactly 0."""
     w, V = np.linalg.eigh(mats)
     pos = np.einsum("...ab,...b,...cb->...ac", V, np.maximum(w, 0.0), V)
     neg = np.einsum("...ab,...b,...cb->...ac", V, np.minimum(w, 0.0), V)
-    return pos, neg
+    return (np.where(w[..., :1, None] >= 0.0, mats, pos),
+            np.where(w[..., -1:, None] <= 0.0, mats, neg))
 
 
 def _faces(a: np.ndarray, axis: int) -> np.ndarray:
@@ -163,9 +169,9 @@ def _component_major(mats: np.ndarray) -> np.ndarray:
 
 
 def _mul(mats: np.ndarray, v: np.ndarray, out: np.ndarray):
-    """out = M v at every node of v (n, nodes), with `mats` one (n, n)
-    matrix that stands for all nodes or a component-major stack
-    (n, n, nodes). `out` and `v` keep each component's nodes evenly spaced,
+    """out = M v at every node of v (m, nodes), with `mats` one (n, m)
+    matrix that stands for all nodes (a BLAS GEMM) or a component-major
+    stack (n, m, nodes). `out` and `v` keep each row's nodes evenly spaced,
     as a flat range or a side of a state does."""
     if mats.ndim == 2:
         np.matmul(mats, v, out=out)
@@ -184,14 +190,17 @@ def _nodes(mats: np.ndarray, index: slice) -> np.ndarray:
 
 class _Tile(NamedTuple):
     """One row tile's part of a sweep: its `nodes` (a flat range of each
-    component), its `centre` stack, `tmp`, its part of the product buffer,
-    and its neighbour terms (stack at the source nodes, their flat range,
-    the part of `tmp` they fill, the side's nodes in `tmp` to zero or None)
-    and edge terms (stack, the side's nodes in the tile, their `tmp`)."""
+    component) and `gather`, its (K n, nodes) part of the gather buffer:
+    the tile in rows 0..n-1, then each kept neighbour term's inputs in the
+    next n. `terms` holds, for each such term, its side, the flat range
+    `near` of its source nodes, the range `cols` of the tile's nodes that
+    read them, `fill`, the part of its block that takes them, and `zero`,
+    the side's nodes in its block to zero, or None; `edges` holds each
+    edge term's side, stack, the side's nodes in the tile and their part
+    of `gather`'s first block."""
 
     nodes: slice
-    centre: np.ndarray
-    tmp: np.ndarray
+    gather: np.ndarray
     terms: list[tuple]
     edges: list[tuple]
 
@@ -218,23 +227,30 @@ class SpatialOperator:
     w = Q u and S = I - Q, the node's share of d/dt |u|^2 is
     -(Su)^T (nu.A) Su + w^T (nu.A) w - 2 alpha |w|^2 <= 0 wherever the
     conditions are dissipative (`certify`'s boundary forms read this Q).
-    Where every mode leaves across a side, Q and (nu.A)^- are exactly 0,
-    and so is the edge term. The stacks are per node (a neighbour term's
-    at its source node) and component-major, like the state (n, nx, ny):
-    `centre` (n, n, nx, ny), `neighbour[side]` (n, n, nx ny) and
-    `edge[side]` (n, n, nodes of the side); `constrained[side]` is
-    node-major, (nodes, n, n). Constant coefficients build the same stacks
-    from one node that stands for all. `omega` is the growth rate of the
-    energy identity on these stacks (`modes.growth_rate`).
+    Where every mode leaves across a side, Q and (nu.A)^- are exactly 0;
+    where every mode enters, Q = I, (nu.A)^- = nu.A and alpha = 0 exactly;
+    either way the edge term is exactly 0. The stacks are per node (a
+    neighbour term's at its source node) and component-major, like the
+    state (n, nx, ny): `centre` (n, n, nx, ny), `neighbour[side]`
+    (n, n, nx ny) and `edge[side]` (n, n, nodes of the side);
+    `constrained[side]` is node-major, (nodes, n, n). Constant
+    coefficients build the same stacks from one node that stands for all.
+    `omega` is the growth rate of the energy identity on these stacks
+    (`modes.growth_rate`).
 
     `apply`, and each stage of `step`, is one sweep over row tiles of
-    about TILE_BYTES (x rows, all of y), each making its centre, neighbour
-    and edge products, the forcing and, in `step`, the stage update while
-    it sits in cache. Each tile's plan is built once, here (`_plan`), and
-    leaves out every neighbour or edge stack that is identically zero:
+    about TILE_BYTES (x rows, all of y), each a stage dst = w src +
+    s L src made while the tile sits in cache: one gathered contraction,
+    the tile and its kept neighbour terms' inputs times the stage matrix
+    [w I + s C | s N_side ...], then its edge products and the forcing,
+    times s. The stage matrices are built once per (w, s) (`_stage`): (0,
+    1) for `apply`, (1, dt/2) for `step`, so a run at one dt builds them
+    once. Each tile's plan is built once, here (`_plan`), and leaves out
+    every neighbour or edge stack that is identically zero:
     with a1 positive at every face there is no E neighbour or edge term
-    (no W terms where a1 is negative), and likewise for a2 and N (S). The
-    result does not depend on the tiling. `apply` returns a new array;
+    (no W terms where a1 is negative), and likewise for a2 and N (S), and
+    no edge term where every mode enters or every mode leaves. The result
+    does not depend on the tiling. `apply` returns a new array;
     `step` reuses private buffers: one caller at a time. A bare `sampler`
     is sampled once, by `check_variable_coeff_assumptions`; a given
     `var_setup`, like a given `decomp`, is trusted. Only the boundary nodes
@@ -296,25 +312,28 @@ class SpatialOperator:
         self.dt_max = 2 * config.cfl * min(hx, hy) / self.max_speed
         self.shape = (self.n, grid.nx, grid.ny)
         self._tiles = self._plan()
+        # the stage matrices of the last (w, s) a sweep used (`_stage`)
+        self._stage_for, self._stage_mats = None, None
         # the two SSP-RK(4,3) stage states that `step` alternates between
         self._stages = (np.empty(self.shape), np.empty(self.shape))
 
     def _plan(self) -> list[_Tile]:
         """Each row tile's part of a sweep, fixed once. A neighbour or edge
-        stack that is identically zero is left out: its product is an exact
-        zero (the class docstring says where)."""
+        stack that is identically zero is left out, neither gathered nor
+        multiplied: its product is an exact zero (the class docstring says
+        where)."""
         n, nx, ny = self.shape
         size = nx * ny
-        neighbour = [(s, m) for s, m in self.neighbour.items() if m.any()]
+        neighbour = [s for s, m in self.neighbour.items() if m.any()]
         edge = [(s, m) for s, m in self.edge.items() if m.any()]
         bounds = _tiles(nx, 8 * n * ny)
-        # one tile's neighbour or edge product, shared by every tile
-        buffer = np.empty(n * max(r1 - r0 for r0, r1 in bounds) * ny)
+        blocks = 1 + len(neighbour)
+        # one tile's gathered inputs, shared by every tile
+        buffer = np.empty(blocks * n * max(r1 - r0 for r0, r1 in bounds) * ny)
         plan = []
         for r0, r1 in bounds:
             start, count = r0 * ny, (r1 - r0) * ny
-            nodes = slice(start, start + count)
-            tmp = buffer[:n * count].reshape(n, count)
+            gather = buffer[:blocks * n * count].reshape(blocks * n, count)
             # the flat index of each side's nodes in the tile, for the
             # sides whose nodes it holds
             on = {Side.S: slice(0, count, ny),
@@ -324,25 +343,50 @@ class SpatialOperator:
             if r1 == nx:
                 on[Side.E] = slice(count - ny, count)
             terms = []
-            for side, mats in neighbour:
+            for j, side in enumerate(neighbour, 1):
                 # in each component's flat order the neighbour across `side`
-                # is k places on: the tile's nodes lo..hi take its product,
-                # read from the source in or beside the tile; those on
-                # `side` have no neighbour there, or took one wrapped round
-                # a row, and take 0
+                # is k places on: the tile's nodes lo..hi read it from the
+                # source in or beside the tile; those on `side` have no
+                # neighbour there, or would read one wrapped round a row,
+                # and read 0
                 k = side.sign * (ny, 1)[side.axis]
                 lo = max(0, -k - start)
                 hi = min(count, size - k - start)
-                near = slice(start + lo + k, start + hi + k)
-                terms.append((_nodes(mats, near), near, tmp[:, lo:hi],
-                              tmp[:, on[side]] if side in on else None))
+                block = gather[j * n:(j + 1) * n]
+                terms.append((side, slice(start + lo + k, start + hi + k),
+                              slice(lo, hi), block[:, lo:hi],
+                              block[:, on[side]] if side in on else None))
             # a W or E edge stack runs along y, an S or N one along x
-            edges = [(_nodes(mats, slice(r0, r1) if side.axis else
-                             slice(None)), on[side], tmp[:, on[side]])
+            edges = [(side, _nodes(mats, slice(r0, r1) if side.axis else
+                                   slice(None)), on[side],
+                      gather[:n, on[side]])
                      for side, mats in edge if side in on]
-            plan.append(_Tile(nodes, _nodes(self.centre, nodes), tmp, terms,
+            plan.append(_Tile(slice(start, start + count), gather, terms,
                               edges))
         return plan
+
+    def _stage(self, w: float, s: float) -> list[tuple]:
+        """Each tile's stage matrices for dst = w src + s L src: the
+        contraction [w I + s C | s N_side ...] over its gathered blocks
+        (`_Tile`), one (n, K n) matrix that stands for all nodes or a
+        component-major (n, K n, nodes) stack, zero where a block reads no
+        neighbour; and its edge terms, each stack times s."""
+        n = self.n
+        stage = []
+        for tile in self._tiles:
+            centre = _nodes(self.centre, tile.nodes)
+            per_node = centre.shape[2:]
+            mats = np.zeros((n, len(tile.gather)) + per_node)
+            mats[:, :n] = s * centre + w * np.eye(n).reshape(
+                (n, n) + (1,) * len(per_node))
+            for j, (side, near, cols, *_) in enumerate(tile.terms, 1):
+                block = mats[:, j * n:(j + 1) * n]
+                if per_node:
+                    block = block[..., cols]
+                block[...] = s * _nodes(self.neighbour[side], near)
+            stage.append((mats, [(s * m, at, trace)
+                                 for _, m, at, trace in tile.edges]))
+        return stage
 
     def _check_state(self, u: np.ndarray):
         if u.shape != self.shape:
@@ -353,43 +397,44 @@ class SpatialOperator:
         """du/dt at time t, in a new array."""
         self._check_state(u)
         out = np.empty(u.shape)
-        self._sweep(t, u, out)
+        self._sweep(t, u, out, 0.0, 1.0)
         return out
 
-    def _sweep(self, t: float, src: np.ndarray, dst: np.ndarray,
-               half: float | None = None, base: np.ndarray | None = None):
-        """dst = L(t) src, one planned row tile at a time (`_plan`): the
-        centre product, then the kept neighbour terms and edge terms in W,
-        E, S, N order, each added as soon as it is made. With `half`, each
-        tile then becomes the forward-Euler stage src + half L(t) src, and
-        with `base` as well, 2/3 base + 1/3 of that stage. A tile reads the
+    def _sweep(self, t: float, src: np.ndarray, dst: np.ndarray, w: float,
+               s: float, base: np.ndarray | None = None):
+        """dst = w src + s L(t) src, one planned row tile at a time
+        (`_plan`): the tile and its kept neighbour terms' inputs are
+        gathered into one buffer and multiplied once by the tile's stage
+        matrix (`_stage`, built once per (w, s)), then the edge products
+        on its side nodes and s times the forcing are added. With `base`,
+        each tile then becomes 2/3 base + 1/3 of that. A tile reads the
         rows of src on either side of it, so dst must not overlap src."""
         n = self.n
+        if self._stage_for != (w, s):
+            self._stage_mats, self._stage_for = self._stage(w, s), (w, s)
         flat_src, flat_dst = src.reshape(n, -1), dst.reshape(n, -1)
         force = None if self.forcing is None else np.broadcast_to(
             self.forcing(t), self.shape).reshape(n, -1)
         if base is not None:
             base = base.reshape(n, -1)
-        for nodes, centre, tmp, terms, edges in self._tiles:
-            o, part = flat_dst[:, nodes], flat_src[:, nodes]
-            _mul(centre, part, o)
-            for mats, near, prod, edge_row in terms:
-                _mul(mats, flat_src[:, near], prod)
-                if edge_row is not None:
-                    edge_row[...] = 0.0
-                o += tmp
-            for mats, at, trace in edges:
-                _mul(mats, part[:, at], trace)
+        for (nodes, gather, terms, _), (mats, edges) in zip(
+                self._tiles, self._stage_mats):
+            o, part, first = flat_dst[:, nodes], flat_src[:, nodes], gather[:n]
+            first[...] = part
+            for _, near, _, fill, zero in terms:
+                fill[...] = flat_src[:, near]
+                if zero is not None:
+                    zero[...] = 0.0
+            _mul(mats, gather, o)
+            for edge_mats, at, trace in edges:
+                _mul(edge_mats, part[:, at], trace)
                 edge = o[:, at]
                 edge += trace
             if force is not None:
-                o += force[:, nodes]
-            if half is not None:
-                o *= half
-                o += part
-                if base is not None:
-                    o *= 1 / 3
-                    o += np.multiply(base[:, nodes], 2 / 3, out=tmp)
+                o += np.multiply(force[:, nodes], s, out=first)
+            if base is not None:
+                o *= 1 / 3
+                o += np.multiply(base[:, nodes], 2 / 3, out=first)
 
 
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -403,10 +448,11 @@ def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
 
     Its SSP coefficient is 2 (Kraaijevanger, BIT 31, 1991; Spiteri & Ruuth,
     SIAM J. Numer. Anal. 40, 2002): it contracts wherever forward Euler
-    contracts at dt/2. Each stage is one sweep of the operator's row tiles
-    that applies L and makes the stage's update in the same tile, from one
-    stage buffer into the other. Leaves `u` untouched and returns a new
-    array."""
+    contracts at dt/2. Each stage is one sweep of the operator's row tiles,
+    from one stage buffer into the other: per tile one gathered contraction
+    with the stage matrix [I + dt/2 C | dt/2 N_side ...], built once per
+    step size, then the edge and forcing terms. Leaves `u` untouched and
+    returns a new array."""
     if not dt > 0:  # also NaN
         raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > op.dt_max * (1.0 + 1e-12):
@@ -416,10 +462,10 @@ def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     a, b = op._stages
     half = dt / 2
     result = np.empty(u.shape)
-    op._sweep(t, u, a, half)
-    op._sweep(t + half, a, b, half)
-    op._sweep(t + dt, b, a, half, base=u)
-    op._sweep(t + half, a, result, half)
+    op._sweep(t, u, a, 1.0, half)
+    op._sweep(t + half, a, b, 1.0, half)
+    op._sweep(t + dt, b, a, 1.0, half, base=u)
+    op._sweep(t + half, a, result, 1.0, half)
     return result
 
 
@@ -448,7 +494,8 @@ def run(config: IVPConfig, *,
     growth = np.exp(op.omega * dt)
 
     def norm_of(v):
-        return float(np.sqrt(grid.hx * grid.hy * np.sum(v * v)))
+        # one dot product over the flat state, with no squared copy of it
+        return float(np.sqrt(grid.hx * grid.hy * np.vdot(v, v)))
 
     norms = []
     for k in range(nsteps + 1):
@@ -482,6 +529,9 @@ def _side_maps(decomps: dict, nodes: dict, bcs) -> dict:
         p = np.array([d.p for d in found])
         pi = np.array([_mode_projector(d, bcs or assemble_system_bcs(d), side)
                        for d in found])
-        maps[side] = np.einsum("...ab,...bc,...cd->...ad", p, pi,
-                               np.linalg.inv(p))
+        q = np.einsum("...ab,...bc,...cd->...ad", p, pi, np.linalg.inv(p))
+        # where every trace is fixed, Q is exactly I, not P P^-1 in roundoff
+        eye = np.eye(p.shape[-1])
+        q[(pi == eye).all(axis=(-2, -1))] = eye
+        maps[side] = q
     return maps

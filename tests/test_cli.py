@@ -464,13 +464,13 @@ rc = 0 if report.verdict and u.norm() > 0 else 2
 # file's name followed by its bytes. A change that moves any of these bytes
 # must update the digest and say why in CHANGES.md.
 ARTIFACT_DIGESTS = {
-    ("simulate", "swe"): "c30ab135ec227263",
-    ("simulate", "swmhd"): "2c53767616b430a3",
-    ("simulate", "euler"): "7766c965f84e57cf",
-    ("simulate", "wave"): "51dae4b24e198c1b",
-    ("verify", "swe"): "7a0b748806adf7a5",
-    ("verify", "swmhd"): "28419a03ddc26d20",
-    ("verify", "euler"): "5146616b0c9456f0",
+    ("simulate", "swe"): "fff7a68660268086",
+    ("simulate", "swmhd"): "cc9acd65135475e5",
+    ("simulate", "euler"): "a4df92f9e7c7ee61",
+    ("simulate", "wave"): "2b52eb126eddf9df",
+    ("verify", "swe"): "d97ffafe62ece0b8",
+    ("verify", "swmhd"): "b572debcb7a822ec",
+    ("verify", "euler"): "8e7e226b4d0b30c6",
     ("verify", "wave"): "23094b99415616d8",
 }
 
@@ -491,10 +491,10 @@ def test_artifacts_pinned(tmp_path, command, preset):
 
 
 SNAPSHOT_DIGESTS = {
-    "swe": "c05c9cb43b735797",
-    "swmhd": "67bc753381cb26db",
-    "euler": "d6b2892619807f79",
-    "wave": "5b1cd75cad17c9c0",
+    "swe": "2595a7cf3a10cdbc",
+    "swmhd": "605ae3891a976d31",
+    "euler": "afc8a4ee66d1f91b",
+    "wave": "da1c48759228155e",
 }
 
 

@@ -284,29 +284,45 @@ class TestScheme:
     stages of dt/2 at t, t + dt/2, t + dt, t + dt/2."""
 
     def test_matches_stage_composition(self):
+        # swe: constant stacks, three blocks a tile, no edge term; wave:
+        # five blocks and four edge terms; a planted per-node sampler
+        for kind in ("swe", "wave", "variable"):
+            cfg = (TestTiles.config(kind, 17, 17) if kind == "variable"
+                   else preset_operator(kind, 17)[1])
+            rng = np.random.default_rng(3)
+            f = np.stack([smooth_random_field(cfg.grid, rng)
+                          for _ in range(cfg.u0.components)])
+            calls = []
+
+            def forcing(t):
+                calls.append(t)
+                return np.sin(5.0 * t) * f
+
+            op = SpatialOperator(replace(cfg, forcing=forcing))
+            u, t, dt = cfg.u0.values, 0.3, op.dt_max
+
+            def fe(v, s):
+                return v + dt / 2 * op.apply(s, v)
+
+            u1 = fe(u, t)
+            u2 = fe(u1, t + dt / 2)
+            u3 = 2 / 3 * u + 1 / 3 * fe(u2, t + dt)
+            expect = fe(u3, t + dt / 2)
+            calls.clear()
+            got = step(op, u, t, dt)
+            assert calls == [t, t + dt / 2, t + dt, t + dt / 2]
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_run_builds_stage_matrices_once(self, monkeypatch):
+        # every sweep of a run at one dt is dst = src + dt/2 L src
+        built = []
+        real = SpatialOperator._stage
+        monkeypatch.setattr(SpatialOperator, "_stage", lambda op, w, s: (
+            built.append((w, s)) or real(op, w, s)))
         op, cfg = preset_operator("swe", 17)
-        rng = np.random.default_rng(3)
-        f = np.stack([smooth_random_field(cfg.grid, rng) for _ in range(3)])
-        calls = []
-
-        def forcing(t):
-            calls.append(t)
-            return np.sin(5.0 * t) * f
-
-        op = SpatialOperator(replace(cfg, forcing=forcing))
-        u, t, dt = cfg.u0.values, 0.3, op.dt_max
-
-        def fe(v, s):
-            return v + dt / 2 * op.apply(s, v)
-
-        u1 = fe(u, t)
-        u2 = fe(u1, t + dt / 2)
-        u3 = 2 / 3 * u + 1 / 3 * fe(u2, t + dt)
-        expect = fe(u3, t + dt / 2)
-        calls.clear()
-        got = step(op, u, t, dt)
-        assert calls == [t, t + dt / 2, t + dt, t + dt / 2]
-        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+        _, report = run(replace(cfg, t_end=3.5 * op.dt_max))
+        assert len(report.times) - 1 == 4
+        assert built == [(1.0, report.times[1] / 2)]
 
     def test_run_step_count(self):
         g = RectGrid(1.0, 1.0, 33, 33)
@@ -488,13 +504,13 @@ class TestRun:
         assert [t for t, _ in seen] == list(report.times[steps])
         assert np.array_equal(seen[0][1], u0.values)
         assert np.array_equal(seen[-1][1], final.values)
-        norms = [np.sqrt(g.hx * g.hy * np.sum(u * u)) for _, u in seen]
+        norms = [np.sqrt(g.hx * g.hy * np.vdot(u, u)) for _, u in seen]
         assert norms == list(report.norms[steps])
 
     def test_run_holds_a_few_states(self):
-        # the state, the step's result, its two stage buffers, a tile
-        # product and the norm's square: no copy per snapshot (32 steps,
-        # 11 snapshot steps)
+        # the state, the step's result, its two stage buffers and a tile's
+        # gathered inputs: no copy per snapshot (32 steps, 11 snapshot
+        # steps)
         pair = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0,
                                     f_cor=0.5))
         g = RectGrid(1.0, 1.0, 129, 129)
@@ -862,16 +878,14 @@ class TestTiles:
 def plan_sides(op, kind):
     """The sides of the neighbour (kind "terms") or edge ("edges") terms in
     each tile's plan, in order."""
-    stacks = op.neighbour if kind == "terms" else op.edge
-    return [[side for mats, *_ in getattr(tile, kind) for side in Side
-             if np.shares_memory(mats, stacks[side])] for tile in op._tiles]
+    return [[side for side, *_ in getattr(tile, kind)] for tile in op._tiles]
 
 
 class TestPlan:
     """Each tile's plan holds the neighbour and edge terms whose stacks are
     not identically zero, in W, E, S, N order: an a1 (a2) of one sign at
     every face has no downwind x (y) neighbour, and no edge term on the
-    side where every mode leaves."""
+    sides where every mode leaves or every mode enters."""
 
     W, E, S, N = Side.W, Side.E, Side.S, Side.N
 
@@ -881,7 +895,10 @@ class TestPlan:
     def test_presets(self, preset, sides):
         op, _ = preset_operator(preset, 17)
         assert plan_sides(op, "terms") == [list(sides)]
-        assert plan_sides(op, "edges") == [list(sides)]
+        # only wave's elliptic mode has a condition on every side; every
+        # other mode enters or leaves, whole, across each side
+        edges = list(sides) if preset == "wave" else []
+        assert plan_sides(op, "edges") == [edges]
 
     @pytest.mark.parametrize("sign, sides", [(1.0, (W, S, N)),
                                              (-1.0, (E, S, N))])
@@ -901,25 +918,27 @@ class TestPlan:
                               stack(pair.b), op.constrained, u)
         assert TestStencilForm.rel_err(op, ref, u) <= 1e-12
 
-    @pytest.mark.parametrize("preset, order, products", [("swe", 3, 3),
-                                                         ("wave", 2, 5)])
+    @pytest.mark.parametrize("preset, order, blocks", [("swe", 3, 3),
+                                                       ("wave", 2, 5)])
     @pytest.mark.parametrize("rows", [17, 3])
-    def test_products_per_apply(self, monkeypatch, preset, order, products,
+    def test_products_per_apply(self, monkeypatch, preset, order, blocks,
                                 rows):
-        # a guard against the zero downwind and outflow products coming
-        # back: per tile the centre and the kept neighbour terms, then the
-        # edge terms of the sides it holds, which are the neighbour terms'
-        # sides (test_presets): S (and N) in every tile, W (and E) in one
-        edges = (products - 1) // 2
+        # a guard against the zero downwind, outflow and inflow products
+        # coming back: per tile one contraction over the tile and its kept
+        # neighbour terms' inputs, then the edge products of the sides it
+        # holds (test_presets): none for swe; for wave S and N in every
+        # tile, W and E in one
+        edges = 2 if preset == "wave" else 0
         monkeypatch.setattr(solver, "TILE_BYTES", rows * 17 * 8 * order)
         op, cfg = preset_operator(preset, 17)
         assert sum(m.any() for m in op.edge.values()) == 2 * edges
         calls = []
         real = solver._mul
-        monkeypatch.setattr(solver, "_mul", lambda *a: calls.append(1)
-                            or real(*a))
+        monkeypatch.setattr(solver, "_mul", lambda mats, v, out: calls.append(
+            len(v) // order) or real(mats, v, out))
         op.apply(0.0, cfg.u0.values)
         tiles = len(op._tiles)
         assert tiles == -(-17 // rows)
-        assert len(calls) == products * tiles + edges * (tiles + 1)
-
+        assert calls.count(blocks) == tiles
+        assert calls.count(1) == edges * (tiles + 1)
+        assert len(calls) == tiles + edges * (tiles + 1)
