@@ -55,10 +55,6 @@ class RectGrid:
     def hy(self) -> float:
         return self.L2 / (self.ny - 1)
 
-    @property
-    def h(self) -> float:
-        return max(self.hx, self.hy)
-
     def x(self) -> np.ndarray:
         return np.linspace(0.0, self.L1, self.nx)
 

@@ -4,8 +4,9 @@ First-order characteristic upwinding per coordinate direction, a
 simultaneous-approximation-term (SAT) penalty at each boundary node that
 imposes the synthesized conditions weakly (Carpenter, Gottlieb & Abarbanel,
 JCP 111, 1994), and the strong-stability-preserving Runge-Kutta scheme
-SSP-RK(4,3) (`step`), each stage one sweep over cache-sized row tiles of
-the state (cache blocking; Datta et al., SC 2008). The energy report checks
+SSP(9,3) (`step`): nine forward-Euler stages of tau = dt/6, with dt =
+6 cfl h / speed, each one sweep over cache-sized row tiles of the state
+(cache blocking; Datta et al., SC 2008). The energy report checks
 the bound |u+| <= e^(omega dt) |u| at every step, with omega from the data.
 """
 
@@ -30,10 +31,16 @@ STEP_INCREASE_RTOL = 1e-10
 # of a1 (a2) over the stack, makes the x (y) sides nearly characteristic;
 # the paper excludes that by requiring a1 and a2 non-singular
 SPEED_RTOL = 1e-8
+# `step` is SSP(9,3), the n = 3 member of Ketcheson's low-storage SSP(n^2, 3)
+# family (SIAM J. Sci. Comput. 30, 2008): n^2 forward-Euler stages of
+# tau = dt / (n^2 - n), so a step spans n^2 - n = 6 stage steps
+_SSP_N = 3
+_STEP_TAUS = _SSP_N * (_SSP_N - 1)
 # Bytes of state in one row tile, (n, rows, ny). A sweep does all of a tile's
 # passes while the tile and its gathered inputs (K times its size) sit in a
-# core's L2, not in L3. On a 2-core machine with 2 MB of L2 per core, the
-# swe step at 257^2 (three 0.5 MB components, three blocks a tile) took
+# core's L2, not in L3. On a 2-core machine with 2 MB of L2 per core, timed
+# per step of four sweeps (SSP-RK(4,3), the step before SSP(9,3)), the swe
+# step at 257^2 (three 0.5 MB components, three blocks a tile) took
 # 1.37-1.50 ms with 8 tiles of 200 KB, against 1.25-1.54 with 300 KB,
 # 1.43-1.60 with 400 KB, 1.45-1.67 with 100 KB, 1.98-2.16 with 800 KB and
 # 2.34-2.56 ms untiled; the wave step (two components, five blocks)
@@ -82,11 +89,16 @@ class IVPConfig:
     var_setup: VariableCoefficientSetup | None = None
     bcs: list[BCAssignment] | None = None
     forcing: Callable[[float], np.ndarray] | None = None
-    # dt_max = 2 cfl h / max speed, with cfl in (0, 0.5]: each of a step's
-    # four stages is a forward-Euler step of dt/2 <= cfl h / max speed, inside
-    # the 2-D upwind bound dt/2 (speed_x / hx + speed_y / hy) <= 1 under which
-    # forward Euler, and with it SSP-RK(4,3), contracts on the four presets
-    # in the cell norm (up to cfl 0.50 on wave, 0.62 on swe)
+    # dt_max = 6 cfl h / max speed, with cfl in (0, 0.5]: each of the nine
+    # stages of an SSP(9,3) step is a forward-Euler step of tau = dt/6 <=
+    # cfl h / max speed, inside the 2-D upwind bound tau (speed_x / hx +
+    # speed_y / hy) <= 1 under which forward Euler, and with it the step,
+    # contracts on the four presets in the cell norm (up to cfl 0.50 on
+    # wave, 0.62 on swe). Dense at 9^2, cfl 0.4 and 0.5: forward Euler at
+    # tau reads 0.975-0.987 and one step 0.70-0.91. On the 100 planted
+    # pairs at 11^2 one step reads <= 0.9954 at cfl 0.4 and <= 0.9943 at
+    # 0.5, though on planted case 54 forward Euler at tau grows from cfl
+    # 0.4795 on (1.064 at 0.5, where the step reads 0.979)
     cfl: float = 0.4
     # unread: `run` takes omega from the data; kept only because
     # bench/workloads.py still passes it
@@ -244,12 +256,13 @@ class SpatialOperator:
     the tile and its kept neighbour terms' inputs times the stage matrix
     [w I + s C | s N_side ...], then its edge products and the forcing,
     times s. The stage matrices are built once per (w, s) (`_stage`): (0,
-    1) for `apply`, (1, dt/2) for `step`, so a run at one dt builds them
-    once. Each tile's plan is built once, here (`_plan`), and leaves out
-    every neighbour or edge stack that is identically zero:
-    with a1 positive at every face there is no E neighbour or edge term
-    (no W terms where a1 is negative), and likewise for a2 and N (S), and
-    no edge term where every mode enters or every mode leaves. The result
+    1) for `apply`, (1, dt/6) for all nine stages of `step`, so a run at
+    one dt builds them once. Each tile's plan is built once, here
+    (`_plan`), and leaves out every neighbour or edge stack that is
+    identically zero: with a1 positive at every face there is no E
+    neighbour or edge term (no W terms where a1 is negative), and likewise
+    for a2 and N (S), and no edge term where every mode enters or every
+    mode leaves. The result
     does not depend on the tiling. `apply` returns a new array;
     `step` reuses private buffers: one caller at a time. A bare `sampler`
     is sampled once, by `check_variable_coeff_assumptions`; a given
@@ -309,12 +322,13 @@ class SpatialOperator:
 
         if config.u0.components != self.n:
             raise ValueError("initial data component count does not match system")
-        self.dt_max = 2 * config.cfl * min(hx, hy) / self.max_speed
+        # `step`'s stage step tau = dt / 6 is then cfl h / max speed
+        self.dt_max = _STEP_TAUS * config.cfl * min(hx, hy) / self.max_speed
         self.shape = (self.n, grid.nx, grid.ny)
         self._tiles = self._plan()
         # the stage matrices of the last (w, s) a sweep used (`_stage`)
         self._stage_for, self._stage_mats = None, None
-        # the two SSP-RK(4,3) stage states that `step` alternates between
+        # two of the three stage states of `step`; the third is its result
         self._stages = (np.empty(self.shape), np.empty(self.shape))
 
     def _plan(self) -> list[_Tile]:
@@ -407,8 +421,9 @@ class SpatialOperator:
         gathered into one buffer and multiplied once by the tile's stage
         matrix (`_stage`, built once per (w, s)), then the edge products
         on its side nodes and s times the forcing are added. With `base`,
-        each tile then becomes 2/3 base + 1/3 of that. A tile reads the
-        rows of src on either side of it, so dst must not overlap src."""
+        each tile then becomes 3/5 base + 2/5 of that, the averaging stage
+        of `step`. A tile reads the rows of src on either side of it, so
+        dst must not overlap src."""
         n = self.n
         if self._stage_for != (w, s):
             self._stage_mats, self._stage_for = self._stage(w, s), (w, s)
@@ -433,39 +448,54 @@ class SpatialOperator:
             if force is not None:
                 o += np.multiply(force[:, nodes], s, out=first)
             if base is not None:
-                o *= 1 / 3
-                o += np.multiply(base[:, nodes], 2 / 3, out=first)
+                o *= (_SSP_N - 1) / (2 * _SSP_N - 1)
+                o += np.multiply(base[:, nodes], _SSP_N / (2 * _SSP_N - 1),
+                                 out=first)
 
 
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One SSP-RK(4,3) step in Shu-Osher form, each stage a forward-Euler
-    step of dt/2:
+    """One SSP(9,3) step, the n = 3 member of Ketcheson's low-storage
+    SSP(n^2, 3) family (SIAM J. Sci. Comput. 30, 2008): nine forward-Euler
+    stages of tau = dt/6,
 
-        u1 = u  + dt/2 L(t) u
-        u2 = u1 + dt/2 L(t + dt/2) u1
-        u3 = 2/3 u + 1/3 (u2 + dt/2 L(t + dt) u2)
-        u+ = u3 + dt/2 L(t + dt/2) u3
+        q1 = q2 = u + tau L(t) u
+        q1 = q1 + tau L(t + k tau) q1                  k = 1, 2, 3, 4
+        q1 = 3/5 q2 + 2/5 (q1 + tau L(t + 5 tau) q1)
+        q1 = q1 + tau L(t + k tau) q1                  k = 3, 4, 5
+        u+ = q1
 
-    Its SSP coefficient is 2 (Kraaijevanger, BIT 31, 1991; Spiteri & Ruuth,
-    SIAM J. Numer. Anal. 40, 2002): it contracts wherever forward Euler
-    contracts at dt/2. Each stage is one sweep of the operator's row tiles,
-    from one stage buffer into the other: per tile one gathered contraction
-    with the stage matrix [I + dt/2 C | dt/2 N_side ...], built once per
-    step size, then the edge and forcing terms. Leaves `u` untouched and
-    returns a new array."""
+    Its SSP coefficient is 6: it is a convex combination of such stages
+    (Gottlieb, Shu & Tadmor, SIAM Rev. 43, 2001), so it contracts wherever
+    forward Euler contracts at tau = dt/6; `dt_max` = 6 cfl h / speed makes
+    tau = cfl h / speed. Each stage is one sweep of the operator's row
+    tiles: per tile one gathered contraction with the stage matrix
+    [I + tau C | tau N_side ...], built once per step size, then the edge
+    and forcing terms. q1 and q2 live in the operator's two stage buffers
+    and the returned array, each stage writing into one that holds neither
+    its source nor q2. Leaves `u` untouched and returns a new array."""
     if not dt > 0:  # also NaN
         raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > op.dt_max * (1.0 + 1e-12):
         raise CFLViolation(
             f"dt = {dt:.6g} exceeds the stability bound {op.dt_max:.6g}")
     op._check_state(u)
-    a, b = op._stages
-    half = dt / 2
+    n, tau = _SSP_N, dt / _STEP_TAUS
+    # the stage after which q1 is kept as q2, and the one that averages q2
+    # back in; q1's time in stage steps then falls to (n^2 - n) / 2
+    keep, average = (n - 1) * (n - 2) // 2, n * (n + 1) // 2
     result = np.empty(u.shape)
-    op._sweep(t, u, a, 1.0, half)
-    op._sweep(t + half, a, b, 1.0, half)
-    op._sweep(t + dt, b, a, 1.0, half, base=u)
-    op._sweep(t + half, a, result, 1.0, half)
+    buffers = (*op._stages, result)
+    q1, q2, clock = u, None, 0
+    for k in range(1, n * n + 1):
+        dst = result if k == n * n else next(
+            v for v in buffers if v is not q1 and v is not q2)
+        op._sweep(t + clock * tau, q1, dst, 1.0, tau,
+                  base=q2 if k == average else None)
+        q1, clock = dst, clock + 1
+        if k == keep:
+            q2 = q1
+        elif k == average:
+            q2, clock = None, _STEP_TAUS // 2
     return result
 
 

@@ -186,7 +186,7 @@ def test_05_bc_sign_tables():
 
 def test_06_positivity_certificates():
     grid = RectGrid(np.pi, 1.0, 65, 65)
-    h = grid.h
+    h = max(grid.hx, grid.hy)
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     ws = frozenset({Side.W, Side.S})

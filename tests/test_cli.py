@@ -464,10 +464,10 @@ rc = 0 if report.verdict and u.norm() > 0 else 2
 # file's name followed by its bytes. A change that moves any of these bytes
 # must update the digest and say why in CHANGES.md.
 ARTIFACT_DIGESTS = {
-    ("simulate", "swe"): "fff7a68660268086",
-    ("simulate", "swmhd"): "cc9acd65135475e5",
-    ("simulate", "euler"): "a4df92f9e7c7ee61",
-    ("simulate", "wave"): "2b52eb126eddf9df",
+    ("simulate", "swe"): "9f38fc6b1561f587",
+    ("simulate", "swmhd"): "0cfb5c357139f527",
+    ("simulate", "euler"): "fd49c086ec0520f8",
+    ("simulate", "wave"): "2264a0d749a3c6f1",
     ("verify", "swe"): "d97ffafe62ece0b8",
     ("verify", "swmhd"): "b572debcb7a822ec",
     ("verify", "euler"): "8e7e226b4d0b30c6",
@@ -491,10 +491,10 @@ def test_artifacts_pinned(tmp_path, command, preset):
 
 
 SNAPSHOT_DIGESTS = {
-    "swe": "2595a7cf3a10cdbc",
-    "swmhd": "605ae3891a976d31",
-    "euler": "afc8a4ee66d1f91b",
-    "wave": "da1c48759228155e",
+    "swe": "2a9e17b7db073184",
+    "swmhd": "62a3102ef76d3754",
+    "euler": "a907f185d6bb245e",
+    "wave": "d7c994c132c54d75",
 }
 
 

@@ -91,7 +91,7 @@ class TestPositivityScalar:
         for _ in range(20):
             u = random_scalar_bc_field(g, WS, rng)
             res = positivity_residual_type1(2.0, 0.7, u, sides=WS)
-            assert res >= -5.0 * g.h * u.norm() ** 2
+            assert res >= -5.0 * max(g.hx, g.hy) * u.norm() ** 2
 
     def test_sign_flip_invariance(self):
         g = grid65()
@@ -111,7 +111,7 @@ class TestPositivityScalar:
         for _ in range(20):
             u = random_scalar_bc_field(g, WS, rng)
             res = positivity_residual_type1(a1, 3.0, u, sides=WS)
-            assert res >= -(omega0 + 5.0 * g.h) * u.norm() ** 2
+            assert res >= -(omega0 + 5.0 * max(g.hx, g.hy)) * u.norm() ** 2
 
 
 class TestPositivityElliptic:
@@ -128,7 +128,7 @@ class TestPositivityElliptic:
         for _ in range(20):
             u = random_elliptic_bc_field(g, DEFAULT_CONDS, rng)
             res = positivity_residual_type2(mode, u, DEFAULT_CONDS)
-            assert res >= -5.0 * g.h * u.norm() ** 2
+            assert res >= -5.0 * max(g.hx, g.hy) * u.norm() ** 2
 
     def test_variable_mode_budget(self):
         # alpha1 = 1 + x/2 varies; the quasi-positivity budget gains
@@ -141,7 +141,7 @@ class TestPositivityElliptic:
         for _ in range(20):
             u = random_elliptic_bc_field(g, DEFAULT_CONDS, rng)
             res = positivity_residual_type2(coeffs, u, DEFAULT_CONDS)
-            assert res >= -(0.25 + 5.0 * g.h) * u.norm() ** 2
+            assert res >= -(0.25 + 5.0 * max(g.hx, g.hy)) * u.norm() ** 2
 
 
 class TestCrossTerm:
@@ -201,7 +201,7 @@ class TestIntegrationByParts:
             X, Y = g.meshgrid()
             th = StateField(g, np.stack([X, Y]))
             res = integration_by_parts_residual(th, th, np.eye(2), np.eye(2))
-            assert res < 10 * g.h ** 2
+            assert res < 10 * max(g.hx, g.hy) ** 2
 
     def test_variable_coefficient_rate(self):
         res = []

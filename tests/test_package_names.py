@@ -50,32 +50,39 @@ def _defined(tree: ast.Module) -> list[tuple[str, str]]:
 
 def _referenced(tree: ast.AST) -> set[str]:
     """Every name a module reads as code: a `Name` it loads, an `Attribute`
-    or an import alias. An assignment to a name is no use of it, nor is a
-    string constant: a name in `__all__`, or one the benchmark's tracer
-    would wrap, runs only if code calls it."""
+    (kept as ".name") or an import alias. An assignment to a name is no use
+    of it, nor is a string constant: a name in `__all__`, or one the
+    benchmark's tracer would wrap, runs only if code calls it."""
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            refs.add("." + node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name.rpartition(".")[2])
     return refs
 
 
 def _unreferenced(source: str, refs: set[str]) -> list[str]:
+    """The names of `source` that `refs` never reads: a method only counts
+    as read as an attribute (`x.h`), not where a bare name of the same
+    spelling (a local `h`) is loaded."""
     return [qual for qual, name in _defined(ast.parse(source))
-            if name not in refs and qual not in ALLOWED]
+            if qual not in ALLOWED and "." + name not in refs
+            and ("." in qual or name not in refs)]
 
 
 def test_guard_flags_unreferenced_names():
     source = ("X = 1\n__all__ = []\ndef f():\n    return g()\n"
               "def g():\n    pass\nclass C:\n    def __init__(self):\n"
-              "        pass\n    def m(self):\n        pass\n")
-    refs = _referenced(ast.parse("import mod.C\nprint('X', 'g')\n"))
+              "        pass\n    def m(self):\n        pass\n"
+              "    def h(self):\n        pass\n"
+              "    def w(self):\n        pass\n")
+    refs = _referenced(ast.parse("import mod.C\nprint('X', 'g')\n"
+                                 "h = 1\nprint(h, c.w)\n"))
     assert _unreferenced(source, refs | _referenced(ast.parse(source))) \
-        == ["X", "f", "C.m"]
+        == ["X", "f", "C.m", "C.h"]
 
 
 def _using_files():
