@@ -15,7 +15,7 @@ from .operators import (CertReport, RectGrid, StateField,
                         elliptic_uniqueness, random_elliptic_bc_field,
                         random_scalar_bc_field)
 from .solver import (STEP_INCREASE_RTOL, IVPConfig, SpatialOperator,
-                     max_speed, run)
+                     max_speed)
 
 EXACT_RTOL = 1e-12  # tolerance of the boundary-form rows
 
@@ -51,21 +51,19 @@ def simulation_config(pair: SymmetricPair, grid: RectGrid,
                      t_end=t_end, pair=pair, decomp=decomp, bcs=bcs, cfl=cfl)
 
 
-def certification_suite(pair: SymmetricPair, grid: RectGrid,
-                        decomp: ModeDecomposition, bcs, *, seed: int,
-                        t_end: float | None, cfl: float) -> list[CertReport]:
-    """The full battery of discrete certificates for one system, every
-    row closed-form on `grid`: the decomposition, one boundary form per
-    side, elliptic uniqueness and the energy verdict.
-
-    `seed` fixes every field; `t_end` (None: `default_t_end`) and `cfl`
-    set the simulated run.
+def certification_suite(config: IVPConfig) -> list[CertReport]:
+    """The full battery of discrete certificates for the constant pair of
+    `config` (`simulation_config`) and its decomposition and conditions,
+    every row closed-form on its grid: the decomposition, one boundary form
+    per side, elliptic uniqueness and the energy verdict of one run of the
+    operator that the boundary rows read.
     """
-    # built first, so that a bad run setting (cfl, t_end) is an input
-    # error before any certificate runs
-    ivp = simulation_config(pair, grid, decomp, bcs, seed=seed, t_end=t_end,
-                            cfl=cfl)
-    op = SpatialOperator(ivp)
+    pair, decomp, bcs, grid = (config.pair, config.decomp, config.bcs,
+                               config.grid)
+    if pair is None or decomp is None or bcs is None:
+        raise ValueError("certification_suite certifies constant pairs: "
+                         "give pair, decomp and bcs")
+    op = SpatialOperator(config)
     rows: list[CertReport] = []
     label = grid.label()
 
@@ -95,7 +93,7 @@ def certification_suite(pair: SymmetricPair, grid: RectGrid,
         rows.append(CertReport(f"elliptic_uniqueness_mode{k}", label,
                                rep.residual, rep.tolerance))
 
-    _, report = run(ivp)
+    _, report = op.run()
     increase = report.max_step_increase / max(report.norms[0], 1e-300)
     rows.append(CertReport("energy_monotonic", label, increase,
                            STEP_INCREASE_RTOL))

@@ -36,8 +36,8 @@ PRESET_DEFAULTS = {
     "wave": {"alpha": 0.6, "beta": 0.8},
 }
 
-_FLOAT_KEYS = {"u0", "v0", "phi0", "g", "fcor", "b10", "b20", "rho0", "p0",
-               "dp_drho", "dp_de", "alpha", "beta", "L1", "L2", "t_end", "cfl"}
+PRESET_KEYS = set().union(*PRESET_DEFAULTS.values())
+_FLOAT_KEYS = PRESET_KEYS | {"L1", "L2", "t_end", "cfl"}
 _INT_KEYS = {"nx", "ny", "seed", "snapshots"}
 _STR_KEYS = {"preset", "a1_file", "a2_file", "b_file", "s0_file", "outdir",
              "config"}
@@ -134,9 +134,8 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError("verify takes no snapshots: it writes cert.csv only")
 
     cfg = RunConfig(command=command)
-    preset_param_keys = set().union(*(set(d) for d in PRESET_DEFAULTS.values()))
     for key, value in merged.items():
-        if key in preset_param_keys:
+        if key in PRESET_KEYS:
             cfg.preset_params[key] = value
         else:
             setattr(cfg, key, value)
@@ -250,6 +249,9 @@ def execute(cfg: RunConfig) -> int:
         return 0
 
     grid = RectGrid(L1=cfg.L1, L2=cfg.L2, nx=cfg.nx, ny=cfg.ny)
+    # a bad cfl or t_end is an input error here, before any step or row
+    config = simulation_config(pair, grid, decomp, bcs, seed=cfg.seed,
+                               t_end=cfg.t_end, cfl=cfg.cfl)
 
     if cfg.command == "simulate":
         index = itertools.count()
@@ -260,17 +262,15 @@ def execute(cfg: RunConfig) -> int:
                 _write(outdir / f"u{comp}_{idx:04d}.txt",
                        f"# t = {t:.17g}\n" + format_matrix(values))
 
-        _, report = run(simulation_config(
-            pair, grid, decomp, bcs, seed=cfg.seed, t_end=cfg.t_end,
-            cfl=cfg.cfl), snapshot=write_state if cfg.snapshots else None)
+        _, report = run(config,
+                        snapshot=write_state if cfg.snapshots else None)
         _write(outdir / "norms.csv", _norms_csv(report))
         _write(outdir / "energy.txt", report.summary() + "\n")
         print(report.summary())
         return 0 if report.verdict else 2
 
     if cfg.command == "verify":
-        rows = certification_suite(pair, grid, decomp, bcs, seed=cfg.seed,
-                                   t_end=cfg.t_end, cfl=cfg.cfl)
+        rows = certification_suite(config)
         body = "".join(r.csv_row() + "\n" for r in rows)
         _write(outdir / "cert.csv", "name,grid,residual,tol,verdict\n" + body)
         print(body, end="")

@@ -185,10 +185,6 @@ class VariableCoefficientSetup:
     a2: np.ndarray
     b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
 
-    @property
-    def order(self) -> int:
-        return self.a1.shape[-1]
-
 
 def variable_coeff_setup(sampler: Callable[[float, float], SymmetricPair],
                          grid: RectGrid) -> VariableCoefficientSetup:

@@ -4,8 +4,8 @@ First-order characteristic upwinding per coordinate direction, a
 simultaneous-approximation-term (SAT) penalty at each boundary node that
 imposes the synthesized conditions weakly (Carpenter, Gottlieb & Abarbanel,
 JCP 111, 1994), and the strong-stability-preserving Runge-Kutta scheme
-SSP(9,3) (`step`): nine forward-Euler stages of tau = dt/6, with dt =
-6 cfl h / speed, each one sweep over cache-sized row tiles of the state
+SSP(9,3) (`step`): nine forward-Euler stages of tau = dt/6 <= cfl h /
+speed, each one sweep over cache-sized row tiles of the state
 (cache blocking; Datta et al., SC 2008). The energy report checks
 the bound |u+| <= e^(omega dt) |u| at every step, with omega from the data.
 """
@@ -89,7 +89,7 @@ class IVPConfig:
     var_setup: VariableCoefficientSetup | None = None
     bcs: list[BCAssignment] | None = None
     forcing: Callable[[float], np.ndarray] | None = None
-    # dt_max = 6 cfl h / max speed, with cfl in (0, 0.5]: each of the nine
+    # dt_max <= 6 cfl h / max speed, with cfl in (0, 0.5]: each of the nine
     # stages of an SSP(9,3) step is a forward-Euler step of tau = dt/6 <=
     # cfl h / max speed, inside the 2-D upwind bound tau (speed_x / hx +
     # speed_y / hy) <= 1 under which forward Euler, and with it the step,
@@ -98,7 +98,9 @@ class IVPConfig:
     # tau reads 0.975-0.987 and one step 0.70-0.91. On the 100 planted
     # pairs at 11^2 one step reads <= 0.9954 at cfl 0.4 and <= 0.9943 at
     # 0.5, though on planted case 54 forward Euler at tau grows from cfl
-    # 0.4795 on (1.064 at 0.5, where the step reads 0.979)
+    # 0.4795 on (1.064 at 0.5, where the step reads 0.979). `dt_max` takes
+    # sym(B) in; a skew B (swe's Coriolis term) grows forward Euler at every
+    # tau, and is left to a certificate of the whole step
     cfl: float = 0.4
     # unread: `run` takes omega from the data; kept only because
     # bench/workloads.py still passes it
@@ -274,7 +276,6 @@ class SpatialOperator:
 
     def __init__(self, config: IVPConfig):
         grid = config.grid
-        self.forcing = config.forcing
         hx, hy = grid.hx, grid.hy
 
         if config.sampler is not None:
@@ -322,8 +323,15 @@ class SpatialOperator:
 
         if config.u0.components != self.n:
             raise ValueError("initial data component count does not match system")
-        # `step`'s stage step tau = dt / 6 is then cfl h / max speed
-        self.dt_max = _STEP_TAUS * config.cfl * min(hx, hy) / self.max_speed
+        # tau = dt / 6 = 1 / (1 / tau_a + lam / 2) splits convexly into an
+        # upwind stage of tau_a = cfl h / max speed and u - s B u, which
+        # contracts for s <= 2 / lam if B is symmetric, eigenvalues in [0, lam]
+        # (this form keeps dt_max bit for bit where lam = 0)
+        dt_a = _STEP_TAUS * config.cfl * min(hx, hy) / self.max_speed
+        lam = max(0.0, float(np.linalg.eigvalsh(
+            0.5 * (b + np.swapaxes(b, -1, -2)))[..., -1].max()))
+        self.dt_max = dt_a / (1.0 + dt_a * lam / (2 * _STEP_TAUS))
+        self.config = config
         self.shape = (self.n, grid.nx, grid.ny)
         self._tiles = self._plan()
         # the stage matrices of the last (w, s) a sweep used (`_stage`)
@@ -428,8 +436,9 @@ class SpatialOperator:
         if self._stage_for != (w, s):
             self._stage_mats, self._stage_for = self._stage(w, s), (w, s)
         flat_src, flat_dst = src.reshape(n, -1), dst.reshape(n, -1)
-        force = None if self.forcing is None else np.broadcast_to(
-            self.forcing(t), self.shape).reshape(n, -1)
+        forcing = self.config.forcing
+        force = None if forcing is None else np.broadcast_to(
+            forcing(t), self.shape).reshape(n, -1)
         if base is not None:
             base = base.reshape(n, -1)
         for (nodes, gather, terms, _), (mats, edges) in zip(
@@ -452,6 +461,51 @@ class SpatialOperator:
                 o += np.multiply(base[:, nodes], _SSP_N / (2 * _SSP_N - 1),
                                  out=first)
 
+    def run(self, *,
+            snapshot: Callable[[float, np.ndarray], None] | None = None):
+        """Integrate the config this operator was built from to its t_end.
+        Returns the final StateField and the EnergyReport, whose last time
+        is the final state's.
+
+        The verdict checks the homogeneous growth bound at every step,
+        |u^(k+1)| <= e^(omega dt) |u^k| + STEP_INCREASE_RTOL |u^0| in the
+        cell norm |u|^2 = hx hy sum |u_ij|^2, the norm in which the upwind
+        rows are summation-by-parts and the SAT closure is dissipative, with
+        omega = `omega` from the data. A forcing term is outside that bound,
+        so for a forced run the verdict is informational. The initial data
+        is stepped as given: the SAT closure imposes the conditions weakly.
+        A step whose norm is not finite raises ValueError. `snapshot(t, u)`,
+        when given, gets the state at step 0, every max(1, nsteps // 10)
+        steps and the last step, when the run reaches it, and must not
+        modify it.
+        """
+        config = self.config
+        grid = config.grid
+        u = config.u0.values
+        nsteps = max(1, int(np.ceil(config.t_end / self.dt_max)))
+        dt = config.t_end / nsteps
+        snap_every = max(1, nsteps // 10)
+        growth = np.exp(self.omega * dt)
+        norms = []
+        for k in range(nsteps + 1):
+            if k:
+                u = step(self, u, (k - 1) * dt, dt)
+            # one dot product over the flat state, with no squared copy of it
+            norms.append(float(np.sqrt(grid.hx * grid.hy * np.vdot(u, u))))
+            if not np.isfinite(norms[-1]):
+                raise ValueError(
+                    f"state not finite at step {k}, t = {k * dt:.17g}")
+            if snapshot is not None and (k % snap_every == 0 or k == nsteps):
+                snapshot(k * dt, u)
+
+        norms = np.array(norms)
+        max_inc = max(0.0, float(np.max(norms[1:] - growth * norms[:-1])))
+        ok = max_inc <= STEP_INCREASE_RTOL * max(norms[0], 1e-300)
+        report = EnergyReport(times=np.arange(nsteps + 1) * dt, norms=norms,
+                              omega=self.omega, max_step_increase=max_inc,
+                              verdict=bool(ok))
+        return StateField(grid, u), report
+
 
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One SSP(9,3) step, the n = 3 member of Ketcheson's low-storage
@@ -466,13 +520,13 @@ def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
 
     Its SSP coefficient is 6: it is a convex combination of such stages
     (Gottlieb, Shu & Tadmor, SIAM Rev. 43, 2001), so it contracts wherever
-    forward Euler contracts at tau = dt/6; `dt_max` = 6 cfl h / speed makes
-    tau = cfl h / speed. Each stage is one sweep of the operator's row
-    tiles: per tile one gathered contraction with the stage matrix
-    [I + tau C | tau N_side ...], built once per step size, then the edge
-    and forcing terms. q1 and q2 live in the operator's two stage buffers
-    and the returned array, each stage writing into one that holds neither
-    its source nor q2. Leaves `u` untouched and returns a new array."""
+    forward Euler contracts at tau = dt/6 <= cfl h / speed (`dt_max`). Each
+    stage is one sweep of the operator's row tiles: per tile one gathered
+    contraction with the stage matrix [I + tau C | tau N_side ...], built
+    once per step size, then the edge and forcing terms. q1 and q2 live in
+    the operator's two stage buffers and the returned array, each stage
+    writing into one that holds neither its source nor q2. Leaves `u`
+    untouched and returns a new array."""
     if not dt > 0:  # also NaN
         raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > op.dt_max * (1.0 + 1e-12):
@@ -501,49 +555,8 @@ def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
 
 def run(config: IVPConfig, *,
         snapshot: Callable[[float, np.ndarray], None] | None = None):
-    """Integrate to t_end. Returns the final StateField and the
-    EnergyReport, whose last time is the final state's.
-
-    The verdict checks the homogeneous growth bound at every step,
-    |u^(k+1)| <= e^(omega dt) |u^k| + STEP_INCREASE_RTOL |u^0| in the cell
-    norm |u|^2 = hx hy sum |u_ij|^2, the norm in which the upwind rows are
-    summation-by-parts and the SAT closure is dissipative, with omega =
-    `SpatialOperator.omega` from the data. A forcing term is outside that
-    bound, so for a forced run the verdict is informational. The initial
-    data is stepped as given: the SAT closure imposes the conditions weakly.
-    A step whose norm is not finite raises ValueError. `snapshot(t, u)`,
-    when given, gets the state at step 0, every max(1, nsteps // 10) steps
-    and the last step, when the run reaches it, and must not modify it.
-    """
-    op = SpatialOperator(config)
-    grid = config.grid
-    u = config.u0.values
-    nsteps = max(1, int(np.ceil(config.t_end / op.dt_max)))
-    dt = config.t_end / nsteps
-    snap_every = max(1, nsteps // 10)
-    growth = np.exp(op.omega * dt)
-
-    def norm_of(v):
-        # one dot product over the flat state, with no squared copy of it
-        return float(np.sqrt(grid.hx * grid.hy * np.vdot(v, v)))
-
-    norms = []
-    for k in range(nsteps + 1):
-        if k:
-            u = step(op, u, (k - 1) * dt, dt)
-        norms.append(norm_of(u))
-        if not np.isfinite(norms[-1]):
-            raise ValueError(f"state not finite at step {k}, t = {k * dt:.17g}")
-        if snapshot is not None and (k % snap_every == 0 or k == nsteps):
-            snapshot(k * dt, u)
-
-    norms = np.array(norms)
-    max_inc = max(0.0, float(np.max(norms[1:] - growth * norms[:-1])))
-    ok = max_inc <= STEP_INCREASE_RTOL * max(norms[0], 1e-300)
-    report = EnergyReport(times=np.arange(nsteps + 1) * dt, norms=norms,
-                          omega=op.omega, max_step_increase=max_inc,
-                          verdict=bool(ok))
-    return StateField(grid, u), report
+    """`SpatialOperator.run` of a new operator built from `config`."""
+    return SpatialOperator(config).run(snapshot=snapshot)
 
 
 def _side_maps(decomps: dict, nodes: dict, bcs) -> dict:

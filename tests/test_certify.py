@@ -19,8 +19,9 @@ from hypermodes import certify, cli
 from hypermodes.congruence import simultaneous_diagonalize
 from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs)
-from hypermodes.operators import (RectGrid, side_vanishing_factor,
-                                  smooth_random_field)
+from hypermodes.operators import (RectGrid, StateField,
+                                  side_vanishing_factor, smooth_random_field)
+from hypermodes.solver import IVPConfig, SpatialOperator
 
 PRESETS = ("swe", "swmhd", "euler", "wave")
 
@@ -36,10 +37,31 @@ def rows(preset, mutate_bcs=None, n=17, seed=42):
     bcs = assemble_system_bcs(decomp)
     if mutate_bcs is not None:
         bcs = mutate_bcs(bcs)
-    suite = certify.certification_suite(pair, RectGrid(1.0, 1.0, n, n),
-                                        decomp, bcs, seed=seed, t_end=None,
-                                        cfl=0.4)
+    suite = certify.certification_suite(certify.simulation_config(
+        pair, RectGrid(1.0, 1.0, n, n), decomp, bcs, seed=seed, t_end=None,
+        cfl=0.4))
     return {r.name: r.residual for r in suite}
+
+
+def test_suite_steps_the_operator_it_certifies(monkeypatch):
+    # the boundary rows and the energy row read one operator
+    builds = []
+    real = SpatialOperator.__init__
+    monkeypatch.setattr(SpatialOperator, "__init__", lambda op, config: (
+        builds.append(config) or real(op, config)))
+    rows("wave")
+    assert len(builds) == 1
+
+
+def test_suite_certifies_constant_pairs():
+    pair = preset_pair("swe")
+    g = RectGrid(1.0, 1.0, 9, 9)
+    u0 = StateField(g, np.zeros((3, 9, 9)))
+    for config in (IVPConfig(grid=g, u0=u0, t_end=0.1,
+                             sampler=lambda x, y: pair),
+                   IVPConfig(grid=g, u0=u0, t_end=0.1, pair=pair)):
+        with pytest.raises(ValueError, match="certifies constant pairs"):
+            certify.certification_suite(config)
 
 
 def sbp_dx(values, grid):

@@ -199,6 +199,19 @@ class TestExecute:
         assert (tmp_path / "out" / "energy.txt").read_text().startswith(
             "quasi-contraction: omega=5 ")
 
+    def test_simulate_stiff_dissipative_b_passes(self, tmp_path):
+        # B = 1000 I: each stage's B part contracts only because sym(B)
+        # shortens dt_max; at the wave speeds' step alone it multiplies the
+        # B part by about -7.3 a stage
+        for name, m in (("a1", np.eye(2)), ("a2", np.diag([2.0, 3.0])),
+                        ("b", 1000.0 * np.eye(2))):
+            save_matrix(tmp_path / f"{name}.txt", m)
+        rc = cli.main(["simulate", f"a1_file={tmp_path / 'a1.txt'}",
+                       f"a2_file={tmp_path / 'a2.txt'}",
+                       f"b_file={tmp_path / 'b.txt'}", "nx=17", "ny=17",
+                       "t_end=0.5", f"outdir={tmp_path / 'out'}"])
+        assert rc == 0
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_cfl_out_of_range_is_input_error(self, command, tmp_path, capsys):
         for setting, named in (("cfl=0.7", "(0, 0.5]"),

@@ -253,6 +253,22 @@ class TestContractionCertificate:
         # the certificate can fail: forward Euler at twice the stage step grows
         assert np.linalg.norm(eye + 2.0 * dt * L, 2) > 1.0
 
+    @pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
+    def test_forward_euler_contracts_with_stiff_b(self, lam):
+        # B = lam I takes its share of the stage step: tau = tau_a / (1 +
+        # tau_a lam / 2); at tau_a alone forward Euler grows from lam = 100
+        pair = SymmetricPair(a1=np.eye(2), a2=np.diag([2.0, 3.0]),
+                             b=lam * np.eye(2))
+        g = RectGrid(1.0, 1.0, 13, 13)
+        shape = (2, 13, 13)
+        op = SpatialOperator(IVPConfig(grid=g, u0=StateField(
+            g, np.zeros(shape)), t_end=1.0, pair=pair))
+        L = matrix_of(lambda e: op.apply(0.0, e), shape)
+        eye = np.eye(len(L))
+        tau = op.dt_max / 6
+        assert np.linalg.norm(eye + tau * L, 2) <= 1.0
+        assert np.linalg.norm(eye + 2.0 * tau * L, 2) > 1.0
+
     @pytest.mark.parametrize("cfl", [0.4, 0.5])
     def test_step_contracts_on_planted_pairs(self, cfl):
         # planted cases 0-3, 51 and 54 (the ROADMAP probes' draws) at 11^2:
@@ -737,7 +753,7 @@ class TestStencilForm:
         g = RectGrid(1.0, 1.0, 17, 17)
         setup = variable_coeff_setup(sampler, g)
         assert np.abs(setup.a1 - setup.a1[0, 0]).max() > 1e-3  # varies
-        u = rng.standard_normal((setup.order, 17, 17))
+        u = rng.standard_normal((setup.a1.shape[-1], 17, 17))
         op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u),
                                        t_end=1.0, sampler=sampler,
                                        var_setup=setup))
@@ -779,7 +795,7 @@ class TestStencilForm:
         for n in (17, 33):
             g = RectGrid(1.0, 1.0, n, n)
             setup = variable_coeff_setup(sampler, g)
-            u0 = StateField(g, np.zeros((setup.order, n, n)))
+            u0 = StateField(g, np.zeros((setup.a1.shape[-1], n, n)))
             calls.clear()
             SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
                                       sampler=sampler, var_setup=setup))
@@ -883,7 +899,8 @@ class TestTiles:
                     else planted_system(rng))
             sampler = varying_sampler(pair, rng)
             setup = variable_coeff_setup(sampler, g)
-            n, coeffs = setup.order, dict(sampler=sampler, var_setup=setup)
+            n = setup.a1.shape[-1]
+            coeffs = dict(sampler=sampler, var_setup=setup)
         else:
             n, coeffs = 3, dict(pair=preset_swe(SWEParams(
                 u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.5)))

@@ -314,7 +314,7 @@ class TestMatchesReference:
         np.testing.assert_array_equal(setup.a1, a1)
         np.testing.assert_array_equal(setup.a2, a2)
         np.testing.assert_array_equal(setup.b, b)
-        u = np.zeros((setup.order, g.nx, g.ny))
+        u = np.zeros((setup.a1.shape[-1], g.nx, g.ny))
         op = SpatialOperator(IVPConfig(grid=g, u0=StateField(g, u), t_end=1.0,
                                        sampler=sampler, var_setup=setup))
         for side in Side:
@@ -359,7 +359,7 @@ class TestMatchesReference:
         g, sampler = self.GRID, planted_varying_sampler(0)
         setup = variable_coeff_setup(sampler, g)
         assert calls == []
-        u0 = StateField(g, np.zeros((setup.order, g.nx, g.ny)))
+        u0 = StateField(g, np.zeros((setup.a1.shape[-1], g.nx, g.ny)))
         SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0, sampler=sampler,
                                   var_setup=setup))
         (stack,) = calls
@@ -486,7 +486,7 @@ class TestGauge:
         rng = np.random.default_rng([seed, 23])
         bump = side_vanishing_factor(g, list(Side))
         u0 = StateField(g, np.stack([bump * smooth_random_field(g, rng)
-                                     for _ in range(setup.order)]))
+                                     for _ in range(setup.a1.shape[-1])]))
         cfg = IVPConfig(grid=g, u0=u0, t_end=0.25, sampler=sampler,
                         var_setup=setup)
         _, energy = run(cfg)
@@ -606,14 +606,14 @@ class TestBoundaryForm:
         g = RectGrid(1.0, 1.0, 17, 17)
         sampler = make(seed)
         setup = variable_coeff_setup(sampler, g)
-        u0 = StateField(g, np.zeros((setup.order, g.nx, g.ny)))
+        u0 = StateField(g, np.zeros((setup.a1.shape[-1], g.nx, g.ny)))
         op = SpatialOperator(IVPConfig(grid=g, u0=u0, t_end=1.0,
                                        sampler=sampler, var_setup=setup))
         edge = {Side.W: np.s_[0], Side.E: np.s_[-1],
                 Side.S: np.s_[:, 0], Side.N: np.s_[:, -1]}
         for side in Side:
             A = (setup.a1, setup.a2)[side.axis][edge[side]]
-            S = np.eye(setup.order) - op.constrained[side]
+            S = np.eye(setup.a1.shape[-1]) - op.constrained[side]
             form = side.sign * np.swapaxes(S, -1, -2) @ A @ S
             sym = 0.5 * (form + np.swapaxes(form, -1, -2))
             assert np.linalg.eigvalsh(sym).min() >= -1e-12 * op.max_speed, side
