@@ -77,8 +77,9 @@ def certification_suite(config: IVPConfig) -> list[CertReport]:
         worst = max(abs(m.determinant_condition - 1.0) for _, m in elliptic)
         rows.append(CertReport("determinant_condition", label, worst, 1e-10))
 
-    # -lambda_min(sym(S^T (nu.A) S)), S = I - Q, with Q the projector onto
-    # the constrained traces of the operator that the run steps: 0 iff
+    # -lambda_min(sym(S^T (nu.A) S)), S = I - Q, with Q the orthogonal
+    # projector of the operator that the run steps, so that S maps onto the
+    # traces that the conditions admit: 0 iff the conditions are
     # dissipative. With the SAT weight alpha >= lambda_max(nu.A) / 2 this
     # row is exactly the stepper's boundary stability condition
     for side in Side:

@@ -166,6 +166,12 @@ class TypeIIMode:
 ModePair = TypeIMode | TypeIIMode
 
 
+def _block_diagonals(modes) -> tuple[np.ndarray, np.ndarray]:
+    """The mode blocks of each matrix of a pair, down the diagonals."""
+    return (linalg.block_diag([m.first() for m in modes]),
+            linalg.block_diag([m.second() for m in modes]))
+
+
 @dataclass(frozen=True)
 class DecompositionResiduals:
     offdiag_1: float
@@ -187,8 +193,7 @@ class ModeDecomposition:
         return linalg.block_slices([len(m.first()) for m in self.modes])
 
     def block_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        return (linalg.block_diag([m.first() for m in self.modes]),
-                linalg.block_diag([m.second() for m in self.modes]))
+        return _block_diagonals(self.modes)
 
     def report(self) -> str:
         lines = ["congruence matrix P:",
@@ -311,18 +316,8 @@ def _decompose_group(A1, A2, form: linalg.BlockFormStack):
                 Vs = kappa0[:, None, None] * np.eye(2)
                 parts.append((params, cols[:, :, two] @ Vs))
 
-    # block diagonals and columns in block order; each pair's sort below
-    # permutes whole mode blocks of them
-    Bd = np.zeros((2, count, n, n))
-    start = 0
-    for params, cols in parts:
-        if len(params) == 2:
-            Bd[:, :, start, start] = params
-        else:
-            a, b = np.array(params[0::2]), np.array(params[1::2])
-            Bd[:, :, start, start], Bd[:, :, start, start + 1] = a, b
-            Bd[:, :, start + 1, start], Bd[:, :, start + 1, start + 1] = b, -a
-        start += cols.shape[-1]
+    # columns in block order; each pair's sort below permutes whole mode
+    # blocks of them
     columns = np.concatenate([cols for _, cols in parts], axis=-1)
 
     perms, mode_lists = [], []
@@ -342,18 +337,16 @@ def _decompose_group(A1, A2, form: linalg.BlockFormStack):
         modes.sort(key=lambda t: t[0])
         perms.append([c for t in modes for c in t[2]])
         mode_lists.append(tuple(t[1] for t in modes))
-    perm = np.array(perms)
-    P_final = np.take_along_axis(columns, perm[:, None, :], -1)
-    Bd = np.take_along_axis(np.take_along_axis(
-        Bd, perm[None, :, :, None], -2), perm[None, :, None, :], -1)
+    P_final = np.take_along_axis(columns, np.array(perms)[:, None, :], -1)
+    Bd = np.array([_block_diagonals(modes) for modes in mode_lists])
     scale2 = np.maximum(linalg.frobenius(A2), 1e-300)
     PT = np.swapaxes(P_final, -1, -2)
-    off1 = linalg.frobenius(PT @ A1 @ P_final - Bd[0]) / scale1
-    off2 = linalg.frobenius(PT @ A2 @ P_final - Bd[1]) / scale2
+    off1 = linalg.frobenius(PT @ A1 @ P_final - Bd[:, 0]) / scale1
+    off2 = linalg.frobenius(PT @ A2 @ P_final - Bd[:, 1]) / scale2
     P_inv = np.linalg.inv(P_final)
     P_invT = np.swapaxes(P_inv, -1, -2)
-    rec1 = linalg.frobenius(A1 - P_invT @ Bd[0] @ P_inv) / scale1
-    rec2 = linalg.frobenius(A2 - P_invT @ Bd[1] @ P_inv) / scale2
+    rec1 = linalg.frobenius(A1 - P_invT @ Bd[:, 0] @ P_inv) / scale1
+    rec2 = linalg.frobenius(A2 - P_invT @ Bd[:, 1] @ P_inv) / scale2
 
     worst = np.maximum(off1, off2)
     bad = worst > DECOMPOSITION_RTOL

@@ -14,6 +14,7 @@ fields that `verify` and `simulate` start from are built here too.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -24,7 +25,8 @@ from .errors import EllipticityLost, RankDeficientBC
 from .modes import SIDE_ORDER, Side, check_rank2, condition_rows
 
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
-# LOBPCG stopping rule of the sigma_min estimate
+# LOBPCG stopping rule of the sigma_min estimate; an estimate whose residual
+# is above UNIQUENESS_TOL ||F^t F||_1 has not converged (`elliptic_uniqueness`)
 UNIQUENESS_TOL, UNIQUENESS_MAXITER = 1e-10, 60
 # CG stopping rule of the solve: relative residual of the normal equations,
 # and the iteration count after which the solve factors F^t F instead; from
@@ -471,7 +473,15 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     Returns (sigma, report). The report's residual 1/sigma is the discrete
     stability constant C in ||u|| <= C ||F u||; it fails above 1e6, as when
     rank-deficient side conditions leave a discrete kernel. The conditions
-    are not pre-checked: the estimate measures their rank.
+    are not pre-checked: the estimate measures their rank. An estimate
+    whose LOBPCG residual ||F^t F x - lambda x|| (|x| = 1) is above
+    UNIQUENESS_TOL ||F^t F||_1 has not converged: a Rayleigh quotient short
+    of the minimum gives sigma >= sigma_min, so 1/sigma can understate C,
+    and the residual is inf. The test is relative to F^t F because the
+    residual's roundoff floor, eps ||F^t F||, lies above UNIQUENESS_TOL
+    itself where the mode's coefficients are large: converged estimates
+    read 0.07-1.4 eps ||F^t F||_1, on wave at 17^2-129^2 as on a mode with
+    alpha = 1000 at 33^2, where ||F^t F|| = 1.9e10.
     """
     import scipy.sparse.linalg as spla
 
@@ -480,11 +490,18 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     x = np.random.default_rng(0).standard_normal((F.shape[1], 1))
     inverse = spla.LinearOperator(normal.shape, matvec=lu.solve,
                                   matmat=lu.solve, dtype=float)
-    _, x = spla.lobpcg(normal, x, M=inverse, largest=False,
-                       tol=UNIQUENESS_TOL, maxiter=UNIQUENESS_MAXITER)
+    with warnings.catch_warnings():
+        # LOBPCG warns where its residual misses the tolerance; the report
+        # checks that residual instead
+        warnings.filterwarnings("ignore", "Exited", UserWarning)
+        _, x, history = spla.lobpcg(
+            normal, x, M=inverse, largest=False, tol=UNIQUENESS_TOL,
+            maxiter=UNIQUENESS_MAXITER, retResidualNormsHistory=True)
     sigma = float(np.linalg.norm(F @ x) / np.linalg.norm(x))
+    converged = history[-1] <= UNIQUENESS_TOL * abs(normal).sum(axis=0).max()
     return sigma, CertReport("elliptic_uniqueness", grid.label(),
-                             1.0 / max(sigma, 1e-300), 1e6)
+                             1.0 / max(sigma, 1e-300) if converged else np.inf,
+                             1e6)
 
 
 # --- reproducible test fields ---------------------------------------------------

@@ -31,11 +31,10 @@ STEP_INCREASE_RTOL = 1e-10
 # of a1 (a2) over the stack, makes the x (y) sides nearly characteristic;
 # the paper excludes that by requiring a1 and a2 non-singular
 SPEED_RTOL = 1e-8
-# `step` is SSP(9,3), the n = 3 member of Ketcheson's low-storage SSP(n^2, 3)
-# family (SIAM J. Sci. Comput. 30, 2008): n^2 forward-Euler stages of
-# tau = dt / (n^2 - n), so a step spans n^2 - n = 6 stage steps
-_SSP_N = 3
-_STEP_TAUS = _SSP_N * (_SSP_N - 1)
+# `step` is SSP(9,3), Ketcheson's low-storage SSP(n^2, 3) at n = 3 (SIAM J.
+# Sci. Comput. 30, 2008), written out as its table of nine forward-Euler
+# sweeps of tau = dt / 6: a step spans 6 stage steps
+_STEP_TAUS = 6
 # Bytes of state in one row tile, (n, rows, ny). A sweep does all of a tile's
 # passes while the tile and its gathered inputs (K times its size) sit in a
 # core's L2, not in L3. On a 2-core machine with 2 MB of L2 per core, timed
@@ -96,9 +95,9 @@ class IVPConfig:
     # contracts on the four presets in the cell norm (up to cfl 0.50 on
     # wave, 0.62 on swe). Dense at 9^2, cfl 0.4 and 0.5: forward Euler at
     # tau reads 0.975-0.987 and one step 0.70-0.91. On the 100 planted
-    # pairs at 11^2 one step reads <= 0.9954 at cfl 0.4 and <= 0.9943 at
-    # 0.5, though on planted case 54 forward Euler at tau grows from cfl
-    # 0.4795 on (1.064 at 0.5, where the step reads 0.979). `dt_max` takes
+    # pairs at 11^2 forward Euler at tau reads <= 0.9992 at cfl 0.4 and
+    # <= 0.9991 at 0.5 (case 51), and one step <= 0.9954 and <= 0.9943; on
+    # planted case 54 at 0.5 they read 0.9967 and 0.979. `dt_max` takes
     # sym(B) in; a skew B (swe's Coriolis term) grows forward Euler at every
     # tau, and is left to a certificate of the whole step
     cfl: float = 0.4
@@ -162,9 +161,10 @@ def _faces(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _mode_projector(decomp: ModeDecomposition, bcs, side: Side) -> np.ndarray:
-    """Projector in mode variables onto the traces that the conditions on
-    `side` fix: 1 for a scalar mode on its inflow side, q q^T / |q|^2 for
-    an elliptic mode's condition q, 0 for a mode that leaves freely."""
+    """Projector Pi_c in mode variables onto the mode traces that the
+    conditions on `side` fix: 1 for a scalar mode on its inflow side,
+    q q^T / |q|^2 for an elliptic mode's condition q, 0 for a mode that
+    leaves freely. A state trace u is admitted iff Pi_c P^-1 u = 0."""
     Pi = np.zeros((decomp.order, decomp.order))
     for bc, sl in zip(bcs, decomp.mode_slices()):
         if isinstance(bc, ScalarModeBC):
@@ -236,11 +236,12 @@ class SpatialOperator:
     -(1/h)((nu.A)^- + (alpha Q^T - nu.A) Q) of each boundary node cancels
     the centre's upwind part there and adds the penalty, with nu the
     outward normal, alpha = max(0, lambda_max(nu.A)) / 2 and Q =
-    `constrained[side]`, the node's projector P Pi_c P^-1 onto the traces
-    that its conditions fix (`_mode_projector`). In the cell norm, with
-    w = Q u and S = I - Q, the node's share of d/dt |u|^2 is
-    -(Su)^T (nu.A) Su + w^T (nu.A) w - 2 alpha |w|^2 <= 0 wherever the
-    conditions are dissipative (`certify`'s boundary forms read this Q).
+    `constrained[side]`, the node's orthogonal projector whose kernel is
+    the traces that its conditions admit (`_side_maps`). In the cell
+    norm, with w = Q u and S = I - Q, the node's share of d/dt |u|^2 is
+    -(Su)^T (nu.A) Su + w^T (nu.A) w - 2 alpha |w|^2 for any projector Q
+    with that kernel, and it is <= 0 wherever the conditions are
+    dissipative (`certify`'s boundary forms read this Q).
     Where every mode leaves across a side, Q and (nu.A)^- are exactly 0;
     where every mode enters, Q = I, (nu.A)^- = nu.A and alpha = 0 exactly;
     either way the edge term is exactly 0. The stacks are per node (a
@@ -457,9 +458,8 @@ class SpatialOperator:
             if force is not None:
                 o += np.multiply(force[:, nodes], s, out=first)
             if base is not None:
-                o *= (_SSP_N - 1) / (2 * _SSP_N - 1)
-                o += np.multiply(base[:, nodes], _SSP_N / (2 * _SSP_N - 1),
-                                 out=first)
+                o *= 2 / 5
+                o += np.multiply(base[:, nodes], 3 / 5, out=first)
 
     def run(self, *,
             snapshot: Callable[[float, np.ndarray], None] | None = None):
@@ -510,22 +510,17 @@ class SpatialOperator:
 def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One SSP(9,3) step, the n = 3 member of Ketcheson's low-storage
     SSP(n^2, 3) family (SIAM J. Sci. Comput. 30, 2008): nine forward-Euler
-    stages of tau = dt/6,
-
-        q1 = q2 = u + tau L(t) u
-        q1 = q1 + tau L(t + k tau) q1                  k = 1, 2, 3, 4
-        q1 = 3/5 q2 + 2/5 (q1 + tau L(t + 5 tau) q1)
-        q1 = q1 + tau L(t + k tau) q1                  k = 3, 4, 5
-        u+ = q1
+    stages of tau = dt/6, each dst = src + tau L(t + k tau) src, in turn
+    (src -> dst, k): u -> a 0, a -> b 1, b -> r 2, r -> b 3, b -> r 4,
+    r -> b 5 then b = 3/5 a + 2/5 b, b -> a 3, a -> b 4, b -> r 5, with a,
+    b the operator's two stage buffers and r the returned array.
 
     Its SSP coefficient is 6: it is a convex combination of such stages
     (Gottlieb, Shu & Tadmor, SIAM Rev. 43, 2001), so it contracts wherever
     forward Euler contracts at tau = dt/6 <= cfl h / speed (`dt_max`). Each
     stage is one sweep of the operator's row tiles: per tile one gathered
     contraction with the stage matrix [I + tau C | tau N_side ...], built
-    once per step size, then the edge and forcing terms. q1 and q2 live in
-    the operator's two stage buffers and the returned array, each stage
-    writing into one that holds neither its source nor q2. Leaves `u`
+    once per step size, then the edge and forcing terms. Leaves `u`
     untouched and returns a new array."""
     if not dt > 0:  # also NaN
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -533,24 +528,16 @@ def step(op: SpatialOperator, u: np.ndarray, t: float, dt: float) -> np.ndarray:
         raise CFLViolation(
             f"dt = {dt:.6g} exceeds the stability bound {op.dt_max:.6g}")
     op._check_state(u)
-    n, tau = _SSP_N, dt / _STEP_TAUS
-    # the stage after which q1 is kept as q2, and the one that averages q2
-    # back in; q1's time in stage steps then falls to (n^2 - n) / 2
-    keep, average = (n - 1) * (n - 2) // 2, n * (n + 1) // 2
-    result = np.empty(u.shape)
-    buffers = (*op._stages, result)
-    q1, q2, clock = u, None, 0
-    for k in range(1, n * n + 1):
-        dst = result if k == n * n else next(
-            v for v in buffers if v is not q1 and v is not q2)
-        op._sweep(t + clock * tau, q1, dst, 1.0, tau,
-                  base=q2 if k == average else None)
-        q1, clock = dst, clock + 1
-        if k == keep:
-            q2 = q1
-        elif k == average:
-            q2, clock = None, _STEP_TAUS // 2
-    return result
+    tau = dt / _STEP_TAUS
+    a, b = op._stages
+    r = np.empty(u.shape)
+    for src, dst, k, base in ((u, a, 0, None), (a, b, 1, None),
+                              (b, r, 2, None), (r, b, 3, None),
+                              (b, r, 4, None), (r, b, 5, a),
+                              (b, a, 3, None), (a, b, 4, None),
+                              (b, r, 5, None)):
+        op._sweep(t + k * tau, src, dst, 1.0, tau, base=base)
+    return r
 
 
 def run(config: IVPConfig, *,
@@ -560,20 +547,24 @@ def run(config: IVPConfig, *,
 
 
 def _side_maps(decomps: dict, nodes: dict, bcs) -> dict:
-    """Each side's projectors Q = P Pi_c P^-1 onto its constrained traces,
-    stacked over its `nodes[side]`, each decomposed as `decomps[node]`.
-    Each node's P is its own congruence and its Pi_c (`_mode_projector`)
-    is fixed by its own synthesized conditions (`bcs`, when given, for a
-    single node), so where a mode's sign changes along a side its
-    condition switches at that node."""
+    """Each side's projectors Q, stacked over its `nodes[side]`, each
+    decomposed as `decomps[node]`: the orthogonal projector R^+ R, R =
+    Pi_c P^-1, whose kernel is the traces that the node's conditions
+    admit. Its norm is 1; the oblique P Pi_c P^-1 with the same kernel
+    grows with cond(P), and so does the SAT term, which `dt_max` does not
+    see. Each node's P is its own congruence and its Pi_c
+    (`_mode_projector`) is fixed by its own synthesized conditions (`bcs`,
+    when given, for a single node), so where a mode's sign changes along a
+    side its condition switches at that node."""
     maps = {}
     for side in Side:
         found = [decomps[node] for node in nodes[side]]
         p = np.array([d.p for d in found])
         pi = np.array([_mode_projector(d, bcs or assemble_system_bcs(d), side)
                        for d in found])
-        q = np.einsum("...ab,...bc,...cd->...ad", p, pi, np.linalg.inv(p))
-        # where every trace is fixed, Q is exactly I, not P P^-1 in roundoff
+        rows = pi @ np.linalg.inv(p)
+        q = np.linalg.pinv(rows) @ rows  # exactly 0 where Pi_c is
+        # where every trace is fixed, Q is exactly I, not R^+ R in roundoff
         eye = np.eye(p.shape[-1])
         q[(pi == eye).all(axis=(-2, -1))] = eye
         maps[side] = q

@@ -11,12 +11,17 @@ or a corner weight of the duality identity, and the dissipativity of one
 side's conditions.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from conftest import src_env
 from lemmas import _coeff_field_apply, _line_integral, ddx, ddy, inner
 
 from hypermodes import certify, cli
 from hypermodes.congruence import simultaneous_diagonalize
+from hypermodes.linalg import save_matrix
 from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs)
 from hypermodes.operators import (RectGrid, StateField,
@@ -187,3 +192,60 @@ def test_swapped_elliptic_conditions_fail_both_sides():
     assert got["boundary_form_W"] == pytest.approx(0.8)
     assert got["boundary_form_E"] == pytest.approx(0.8)
     assert max(got["boundary_form_S"], got["boundary_form_N"]) <= 1e-15
+
+
+def verify_cli(tmp_path, *args, a1=None, a2=None):
+    """`python -m hypermodes verify` on `args`, or on the pair (a1, a2)
+    written to files, in a fresh interpreter: its exit code, its stderr and
+    the verdict of each cert.csv row by name (none if it wrote no
+    cert.csv)."""
+    if a1 is not None:
+        save_matrix(tmp_path / "a1.txt", a1)
+        save_matrix(tmp_path / "a2.txt", a2)
+        args += (f"a1_file={tmp_path / 'a1.txt'}",
+                 f"a2_file={tmp_path / 'a2.txt'}")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermodes", "verify", *args,
+         f"outdir={out}"], env=src_env(), capture_output=True, text=True,
+        timeout=300)
+    cert = out / "cert.csv"
+    rows = ([line.split(",") for line in cert.read_text().splitlines()[1:]]
+            if cert.exists() else [])
+    return proc.returncode, proc.stderr, {r[0]: r[-1] for r in rows}
+
+
+def test_ill_conditioned_congruence_fails_reconstruction(tmp_path):
+    # two scalar modes whose congruence P grows ill-conditioned as eps -> 0:
+    # at eps = 1e-7, A - P^-T B_d P^-1 is 2.5e-9 relative, over
+    # DECOMPOSITION_RTOL, while every other row passes (an oblique SAT
+    # projector P Pi_c P^-1, whose norm grows with cond P, makes this run
+    # diverge before any row is written)
+    eps = 1e-7
+    rc, err, verdicts = verify_cli(
+        tmp_path, "nx=17", "ny=17", a1=np.diag([1.0, -1.0]),
+        a2=np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]))
+    assert rc == 2, err
+    assert [name for name, v in verdicts.items() if v == "fail"] == [
+        "decomposition_reconstruction"]
+
+
+def test_large_elliptic_mode_certifies_quietly(tmp_path):
+    # one elliptic mode with a small mixed term, scaled to alpha = 1000:
+    # ||F^t F|| is 1.9e10, so LOBPCG's residual cannot reach the absolute
+    # UNIQUENESS_TOL and it warns, though sigma matches the dense
+    # sigma_min to 1e-15; relative to ||F^t F|| the estimate has converged
+    delta = 1e-6
+    rc, err, verdicts = verify_cli(
+        tmp_path, "nx=33", "ny=33", a1=np.diag([1.0, -1.0]),
+        a2=np.array([[1.0, -delta], [-delta, -1.0]]))
+    assert (rc, err) == (0, "")
+    assert set(verdicts.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_verify_presets_write_nothing_to_stderr(preset, tmp_path):
+    rc, err, verdicts = verify_cli(tmp_path, f"preset={preset}", "nx=17",
+                                   "ny=17")
+    assert (rc, err) == (0, "")
+    assert set(verdicts.values()) == {"pass"}

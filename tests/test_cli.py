@@ -212,6 +212,20 @@ class TestExecute:
                        "t_end=0.5", f"outdir={tmp_path / 'out'}"])
         assert rc == 0
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_simulate_ill_conditioned_congruence_passes(self, eps, tmp_path):
+        # two scalar modes whose congruence P grows ill-conditioned as eps
+        # -> 0 (cond P = 14 at 1e-2): an oblique SAT projector P Pi_c P^-1
+        # grows with cond P and blows the explicit step up (exit 2 at 1e-2,
+        # a non-finite state at 1e-4); the orthogonal one has norm 1
+        save_matrix(tmp_path / "a1.txt", np.diag([1.0, -1.0]))
+        save_matrix(tmp_path / "a2.txt",
+                    np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]))
+        rc = cli.main(["simulate", f"a1_file={tmp_path / 'a1.txt'}",
+                       f"a2_file={tmp_path / 'a2.txt'}", "nx=17", "ny=17",
+                       f"outdir={tmp_path / 'out'}"])
+        assert rc == 0
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_cfl_out_of_range_is_input_error(self, command, tmp_path, capsys):
         for setting, named in (("cfl=0.7", "(0, 0.5]"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from lemmas import (BCViolated, cross_term_residual, ddx, ddy,
@@ -322,6 +324,24 @@ class TestEllipticSolve:
         rank1 = {s: (1.0, 0.0) for s in Side}
         sigma, report = elliptic_uniqueness(self.CR_MODE, g, rank1)
         assert sigma < 1e-10
+        assert not report.verdict
+
+    def test_unconverged_estimate_fails(self, monkeypatch):
+        # an elliptic mode with alpha = 1000 and a small mixed term: five
+        # LOBPCG iterations leave sigma 8e-4 high (residual 1.3e-9 relative
+        # to ||F^t F||), so 1/sigma would understate C; the row fails, the
+        # estimate is still returned, and LOBPCG's warning is not shown
+        mode = TypeIIMode(1e3, 0.0, 1e3, -1e-3)
+        g = RectGrid(1.0, 1.0, 33, 33)
+        conds = synthesize_bc_type2(mode).conditions
+        converged, report = elliptic_uniqueness(mode, g, conds)
+        assert report.verdict
+        monkeypatch.setattr(operators, "UNIQUENESS_MAXITER", 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma, report = elliptic_uniqueness(mode, g, conds)
+        assert sigma > converged * (1.0 + 1e-4)
+        assert report.residual == np.inf
         assert not report.verdict
 
     @pytest.mark.parametrize("n", [17, 65])

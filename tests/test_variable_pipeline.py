@@ -152,9 +152,9 @@ def reference_check(sampler, grid):
 
 def reference_setup(sampler, grid):
     """Per-node sampling and boundary decomposition. Returns a1, a2, b and,
-    per side, the projectors P Pi_c P^-1 onto the constrained traces at
-    its nodes, each from that node's own congruence and synthesized
-    conditions."""
+    per side, the orthogonal projectors at its nodes whose kernel is the
+    traces that the node's conditions admit (the kernel of Pi_c P^-1),
+    each from that node's own congruence and synthesized conditions."""
     nx, ny = grid.nx, grid.ny
     xs, ys = grid.x(), grid.y()
     a1 = None
@@ -175,8 +175,11 @@ def reference_setup(sampler, grid):
             bcs = assemble_system_bcs(d)
             for side in Side:
                 if on[side]:
-                    Pi = solver._mode_projector(d, bcs, side)
-                    maps[side].append(d.p @ Pi @ np.linalg.inv(d.p))
+                    rows = (solver._mode_projector(d, bcs, side)
+                            @ np.linalg.inv(d.p))
+                    _, s, vt = np.linalg.svd(rows)
+                    basis = vt[s > 1e-12 * max(s[0], 1e-300)]
+                    maps[side].append(basis.T @ basis)
     return a1, a2, b, {side: np.array(m) for side, m in maps.items()}
 
 
