@@ -488,14 +488,12 @@ def elliptic_uniqueness(mode, grid: RectGrid,
     F = _LeastSquares(mode, grid, conditions).matrix()
     normal, lu = _normal_factor(F)
     x = np.random.default_rng(0).standard_normal((F.shape[1], 1))
-    inverse = spla.LinearOperator(normal.shape, matvec=lu.solve,
-                                  matmat=lu.solve, dtype=float)
     with warnings.catch_warnings():
         # LOBPCG warns where its residual misses the tolerance; the report
         # checks that residual instead
         warnings.filterwarnings("ignore", "Exited", UserWarning)
         _, x, history = spla.lobpcg(
-            normal, x, M=inverse, largest=False, tol=UNIQUENESS_TOL,
+            normal, x, M=lu.solve, largest=False, tol=UNIQUENESS_TOL,
             maxiter=UNIQUENESS_MAXITER, retResidualNormsHistory=True)
     sigma = float(np.linalg.norm(F @ x) / np.linalg.norm(x))
     converged = history[-1] <= UNIQUENESS_TOL * abs(normal).sum(axis=0).max()

@@ -58,7 +58,8 @@ class EnergyReport:
     `omega` is the growth rate from the data (`modes.growth_rate`), and
     `max_step_increase` is the largest |u^(k+1)| - e^(omega dt) |u^k| over
     the steps, floored at 0. The verdict passes iff that is at most
-    STEP_INCREASE_RTOL |u^0|.
+    STEP_INCREASE_RTOL |u^0|. A run that blew up ends at its last finite
+    state, with max_step_increase inf.
     """
 
     times: np.ndarray
@@ -474,7 +475,9 @@ class SpatialOperator:
         omega = `omega` from the data. A forcing term is outside that bound,
         so for a forced run the verdict is informational. The initial data
         is stepped as given: the SAT closure imposes the conditions weakly.
-        A step whose norm is not finite raises ValueError. `snapshot(t, u)`,
+        The first step whose norm is not finite ends the run: the report
+        stops at the last finite state, which is returned, and its
+        max_step_increase is inf, so the verdict fails. `snapshot(t, u)`,
         when given, gets the state at step 0, every max(1, nsteps // 10)
         steps and the last step, when the run reaches it, and must not
         modify it.
@@ -488,20 +491,23 @@ class SpatialOperator:
         growth = np.exp(self.omega * dt)
         norms = []
         for k in range(nsteps + 1):
-            if k:
-                u = step(self, u, (k - 1) * dt, dt)
+            new = step(self, u, (k - 1) * dt, dt) if k else u
             # one dot product over the flat state, with no squared copy of it
-            norms.append(float(np.sqrt(grid.hx * grid.hy * np.vdot(u, u))))
-            if not np.isfinite(norms[-1]):
-                raise ValueError(
-                    f"state not finite at step {k}, t = {k * dt:.17g}")
+            norm = float(np.sqrt(grid.hx * grid.hy * np.vdot(new, new)))
+            if not np.isfinite(norm):
+                break
+            u = new
+            norms.append(norm)
             if snapshot is not None and (k % snap_every == 0 or k == nsteps):
                 snapshot(k * dt, u)
 
         norms = np.array(norms)
-        max_inc = max(0.0, float(np.max(norms[1:] - growth * norms[:-1])))
+        if len(norms) > nsteps:
+            max_inc = max(0.0, float(np.max(norms[1:] - growth * norms[:-1])))
+        else:  # blown up: the step after the last norm is not finite
+            max_inc = np.inf
         ok = max_inc <= STEP_INCREASE_RTOL * max(norms[0], 1e-300)
-        report = EnergyReport(times=np.arange(nsteps + 1) * dt, norms=norms,
+        report = EnergyReport(times=np.arange(len(norms)) * dt, norms=norms,
                               omega=self.omega, max_step_increase=max_inc,
                               verdict=bool(ok))
         return StateField(grid, u), report

@@ -2,8 +2,8 @@
 oracles, and the mode rotation, the one-pair mode scaling and the
 congruence transform that only the tests use. Second-order centered differences (`np.gradient(edge_order=2)`)
 and trapezoid quadrature back every residual, so smooth-field residuals
-shrink at first or second order under refinement, as the acceptance suite,
-`test_operators.py` and `scripts/convergence_study.py` measure.
+shrink at first or second order under refinement, as the acceptance suite
+and `test_operators.py` measure.
 `hypermodes` runs none of this code."""
 
 import numpy as np

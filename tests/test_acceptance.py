@@ -238,6 +238,9 @@ def test_07_duality_residual_rates():
         theta = StateField(g, np.stack([np.sin(2 * X + Y), np.cos(X - Y)]))
         gf = StateField(g, np.stack([np.cos(3 * X), np.sin(X + 2 * Y)]))
         ibp.append(integration_by_parts_residual(theta, gf, T1, T2))
+    # the residuals at 17^2 and 33^2, pinned at their printed precision
+    assert [f"{r:.3e}" for r in cross[:2]] == ["2.618e-03", "7.363e-04"]
+    assert [f"{r:.3e}" for r in ibp[:2]] == ["1.661e-02", "4.219e-03"]
     cross_rates = np.diff(np.log(cross)) / np.log(0.5)
     ibp_rates = np.diff(np.log(ibp)) / np.log(0.5)
     ok = min(cross_rates) >= 1.0 and min(ibp_rates) >= 1.0
@@ -260,6 +263,10 @@ def test_08_elliptic_manufactured_solutions():
     zero = StateField(g, np.zeros((2, g.nx, g.ny)))
     u0, _ = elliptic_steady_solve(mode, zero, g, DEFAULT_CONDS)
     _, unique = elliptic_uniqueness(mode, g, DEFAULT_CONDS)
+    # the errors at 17^2 and 33^2 and sigma-min at 33^2, pinned at their
+    # printed precision
+    assert [f"{e:.3e}" for e in errs[:2]] == ["1.591e-02", "3.637e-03"]
+    assert f"{1.0 / unique.residual:.4f}" == "2.1349"
     ok = min(rates) >= 1.5 and u0.norm() < 1e-8 and unique.verdict
     verdict(8, "elliptic-manufactured-recovery", ok,
             f"orders {rates.round(2)} >= 1.5, zero-data norm "

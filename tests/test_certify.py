@@ -194,6 +194,14 @@ def test_swapped_elliptic_conditions_fail_both_sides():
     assert max(got["boundary_form_S"], got["boundary_form_N"]) <= 1e-15
 
 
+def test_rank_one_elliptic_conditions_fail_uniqueness():
+    # (1, 0) on every side leaves the discrete problem a kernel: 1/sigma
+    # reads 4.9e12
+    def rank_one(bcs):
+        return [EllipticModeBC(0, {s: (1.0, 0.0) for s in Side})]
+    assert rows("wave", rank_one)["elliptic_uniqueness_mode0"] > 1e6
+
+
 def verify_cli(tmp_path, *args, a1=None, a2=None):
     """`python -m hypermodes verify` on `args`, or on the pair (a1, a2)
     written to files, in a fresh interpreter: its exit code, its stderr and
@@ -220,7 +228,7 @@ def test_ill_conditioned_congruence_fails_reconstruction(tmp_path):
     # at eps = 1e-7, A - P^-T B_d P^-1 is 2.5e-9 relative, over
     # DECOMPOSITION_RTOL, while every other row passes (an oblique SAT
     # projector P Pi_c P^-1, whose norm grows with cond P, makes this run
-    # diverge before any row is written)
+    # blow up and fail energy_monotonic too)
     eps = 1e-7
     rc, err, verdicts = verify_cli(
         tmp_path, "nx=17", "ny=17", a1=np.diag([1.0, -1.0]),
@@ -241,6 +249,18 @@ def test_large_elliptic_mode_certifies_quietly(tmp_path):
         a2=np.array([[1.0, -delta], [-delta, -1.0]]))
     assert (rc, err) == (0, "")
     assert set(verdicts.values()) == {"pass"}
+
+
+def test_blown_up_run_fails_energy_monotonic(tmp_path):
+    # swe's skew Coriolis B at fcor = 1e5: the run blows up at step 7, and
+    # its energy row, alone, fails with residual inf
+    rc, err, verdicts = verify_cli(tmp_path, "preset=swe", "fcor=100000",
+                                   "nx=17", "ny=17")
+    assert (rc, err) == (2, "")
+    assert [name for name, v in verdicts.items() if v == "fail"] == [
+        "energy_monotonic"]
+    row = (tmp_path / "out" / "cert.csv").read_text().splitlines()[-1]
+    assert row.startswith("energy_monotonic,17x17,inf,")
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -226,6 +226,19 @@ class TestExecute:
                        f"outdir={tmp_path / 'out'}"])
         assert rc == 0
 
+    def test_simulate_blow_up_fails_its_verdict(self, tmp_path, capsys):
+        # swe's skew Coriolis B at fcor = 1e5 grows every step: step 7 of
+        # dt = 1/28 is not finite, so the run ends at step 6, a failed
+        # verdict and not an input error
+        rc = cli.main(["simulate", "preset=swe", "fcor=100000", "nx=17",
+                       "ny=17", f"outdir={tmp_path}"])
+        assert rc == 2
+        assert capsys.readouterr().out == (
+            "contraction: omega=0 max_step_increase=inf verdict=fail\n")
+        lines = (tmp_path / "norms.csv").read_text().splitlines()
+        assert len(lines) == 1 + 7
+        assert lines[-1].startswith("0.21428571428571427,")
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_cfl_out_of_range_is_input_error(self, command, tmp_path, capsys):
         for setting, named in (("cfl=0.7", "(0, 0.5]"),

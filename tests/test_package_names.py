@@ -1,6 +1,7 @@
-"""Every name the package defines is used by the package, the benchmark or
-the scripts, and so is every option it defines: code that only the tests
-call belongs in `tests/`."""
+"""Every name the package defines is used by the package or the benchmark,
+and so is every option it defines: code that only the tests call belongs
+in `tests/`. Neither the package nor the benchmark takes anything from
+`tests/`."""
 
 import ast
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import ROOT
 
 PACKAGE = ROOT / "src" / "hypermodes"
-TREES = (PACKAGE, ROOT / "bench", ROOT / "scripts")
+TREES = (PACKAGE, ROOT / "bench")
 # defined in the package, referenced only from tests, and kept there
 ALLOWED = {
     # the acceptance suite (acceptance 01) reconstructs the input pair
@@ -267,3 +268,50 @@ def test_guard_flags_private_reads():
                          ids=lambda p: p.name)
 def test_package_reads_no_private_name_of_another_module(path):
     assert _private_reads(path.read_text()) == []
+
+
+# --- no dependence on the tests ---------------------------------------------
+
+TEST_MODULES = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+
+
+def _test_dependencies(source: str) -> list[str]:
+    """Each module of `tests/` that a module imports, and each string of it
+    (docstrings and other bare strings aside) with a path part that names
+    `tests` or one of its modules, as a load by file path would spell it."""
+    tree = ast.parse(source)
+    bare = {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in bare:
+            names = node.value.split("/")
+        else:
+            continue
+        found += [name for name in names
+                  if name.partition(".")[0] in TEST_MODULES]
+    return found
+
+
+def test_guard_flags_test_dependencies():
+    source = ('"""Reads tests/lemmas.py."""\n'
+              "import numpy, lemmas\nfrom tests.conftest import ROOT\n"
+              "from . import solver\nfrom test_cli import run\n"
+              "path = ROOT / 'tests' / 'lemmas.py'\n"
+              "spec = load('conftest', 'bench/test_bench.py')\n"
+              "'tests/test_cli.py'\n")
+    assert sorted(_test_dependencies(source)) == [
+        "conftest", "lemmas", "lemmas.py", "test_cli", "tests",
+        "tests.conftest"]
+
+
+@pytest.mark.parametrize("path", sorted(path for tree in TREES
+                                        for path in tree.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_file_depends_on_the_tests(path):
+    assert _test_dependencies(path.read_text()) == []

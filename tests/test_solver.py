@@ -543,17 +543,31 @@ class TestRun:
         assert report.max_step_increase > 0.0
         assert not report.verdict
 
-    def test_non_finite_state_raises(self):
-        # a NaN norm would leave max_step_increase, and the verdict, as is;
-        # 4 steps of 0.125 (dt_max 0.15), and step 3, whose stages read f at
-        # 0.25 + k 0.125/6, is the first to read f(t > 0.3)
+    @pytest.mark.parametrize("after, last", [(0.3, 2), (-1.0, 0)],
+                             ids=["step_3", "step_1"])
+    def test_non_finite_state_ends_the_run_failed(self, after, last):
+        # 4 steps of 0.125 (dt_max 0.15): step k's stages read f from
+        # (k - 1) 0.125, so NaN forcing past t = 0.3 first reaches step 3,
+        # and NaN forcing everywhere step 1, leaving one norm
         g = RectGrid(1.0, 1.0, 17, 17)
         u0 = StateField(g, bump_field(g)[None])
         nan, zero = np.full((1, 17, 17), np.nan), np.zeros((1, 17, 17))
         cfg = IVPConfig(grid=g, u0=u0, t_end=0.5, pair=scalar_pair(),
-                        forcing=lambda t: nan if t > 0.3 else zero)
-        with pytest.raises(ValueError, match=r"step 3, t = 0\.375"):
-            run(cfg)
+                        forcing=lambda t: nan if t > after else zero)
+        seen = []
+        final, report = run(cfg, snapshot=lambda t, u: seen.append(
+            (t, u.copy())))
+        assert list(report.times) == [0.125 * k for k in range(last + 1)]
+        assert np.isfinite(report.norms).all()
+        assert report.max_step_increase == np.inf
+        assert not report.verdict
+        assert "max_step_increase=inf verdict=fail" in report.summary()
+        # the run returns its last finite state, the last one snapshotted
+        # (every step is, at 4 steps)
+        assert [t for t, _ in seen] == list(report.times)
+        assert np.array_equal(seen[-1][1], final.values)
+        assert np.sqrt(g.hx * g.hy * np.vdot(final.values, final.values)) \
+            == report.norms[-1]
 
     def test_snapshot_steps(self):
         # step 0, every nsteps // 10 steps and the last, in step order
