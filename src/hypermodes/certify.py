@@ -37,7 +37,7 @@ def admissible_field(grid: RectGrid, decomp: ModeDecomposition, bcs,
 
 def default_t_end(pair: SymmetricPair, L1: float) -> float:
     """Time for the fastest wave to cross the domain twice in x."""
-    return 2.0 * L1 / max_speed(pair.a1, pair.a2)
+    return 2.0 * L1 / max_speed(np.linalg.eigvalsh([pair.a1, pair.a2]))
 
 
 def simulation_config(pair: SymmetricPair, grid: RectGrid,

@@ -97,6 +97,9 @@ def _read_config_file(path: str) -> dict:
         key, raw = (t.strip() for t in line.split("=", 1))
         if key not in KNOWN_KEYS:
             raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "config":
+            raise ConfigError(f"{path}:{lineno}: a config file cannot "
+                              "load another")
         out[key] = _parse_value(key, raw)
     return out
 

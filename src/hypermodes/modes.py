@@ -158,39 +158,31 @@ def assemble_system_bcs(decomp: ModeDecomposition) -> list[BCAssignment]:
 # --- variable-coefficient standing assumptions ------------------------------
 
 
-@dataclass(frozen=True)
-class VariableCoeffReport:
-    """Grid-sampled verdicts for the variable-coefficient assumptions.
-
-    Margins are minima over the sample nodes. The C1 norm is a
-    finite-difference proxy; Holder regularity itself is taken on trust.
-    omega0 is the pointwise growth rate of the energy identity, and
-    `setup` holds the samples these verdicts were taken on.
-    """
-
-    c1_norm_estimate: float
-    coeff_eig_margin: float
-    real_eig_margin: float
-    imag_eig_margin: float
-    omega0: float
-    setup: VariableCoefficientSetup = field(repr=False, compare=False)
-
-
 @dataclass
 class VariableCoefficientSetup:
-    """The coefficient samples of a sampler on `grid`, one node each."""
+    """The coefficient samples on `grid`, one node each (or one that stands
+    for all: a constant pair), with their eigenvalues and growth rate
+    omega0 (`growth_rate`), each taken once, here."""
 
     grid: RectGrid
     a1: np.ndarray            # (nx, ny, n, n)
     a2: np.ndarray
     b: np.ndarray             # (nx, ny, n, n), zero where the sampler has none
+    eigenvalues: tuple = field(init=False)   # eigvalsh of a1, of a2
+    omega0: float = field(init=False)
+
+    def __post_init__(self):
+        self.eigenvalues = (np.linalg.eigvalsh(self.a1),
+                            np.linalg.eigvalsh(self.a2))
+        self.omega0 = growth_rate(self.a1, self.a2, self.b, self.grid.hx,
+                                  self.grid.hy)
 
 
 def variable_coeff_setup(sampler: Callable[[float, float], SymmetricPair],
                          grid: RectGrid) -> VariableCoefficientSetup:
     """The one sampling loop: call `sampler` once per node, x outer, and
     stack the pairs. It checks nothing; `check_variable_coeff_assumptions`
-    samples through it and returns the samples it admitted."""
+    samples through it and returns the setup it admitted."""
     pairs = [sampler(float(x), float(y)) for x in grid.x() for y in grid.y()]
     shape = (grid.nx, grid.ny) + pairs[0].a1.shape
     a1 = np.array([p.a1 for p in pairs]).reshape(shape)
@@ -214,7 +206,7 @@ def _raise_first(checks):
 
 
 def check_variable_coeff_assumptions(sampler: Callable[[float, float], SymmetricPair],
-                                     grid) -> VariableCoeffReport:
+                                     grid) -> VariableCoefficientSetup:
     """The one admission check of a sampler on the grid, from one batched
     eig of a1^-1 a2: (b) the eigenvalues of a1 and a2, and (c) the real ones
     of a1^-1 a2, keep their signs; (d) its multiplicity pattern is
@@ -222,29 +214,23 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
     DEFAULT_CONDITION_CAP, and its branches continue those of the
     neighbour (i-1, j), or (0, j-1) on the first column, with no swap and
     no merge of branches apart at (0, 0). Each sample is a SymmetricPair,
-    whose `pair_errors` keeps a1 and a2, and so a1^-1 a2, non-singular;
-    the report's `coeff_eig_margin` and `real_eig_margin` give the
-    distances to zero.
+    whose `pair_errors` keeps a1 and a2, and so a1^-1 a2, non-singular.
 
     Samples each node once, through `variable_coeff_setup`. Raises
     AssumptionViolated, IllConditionedBasis or BlockMatchingFailure at the
-    first failing node in raster order; returns the margin report
-    otherwise, with omega0 from `growth_rate` and the admitted samples as
-    its `setup`, which a run can step without sampling again.
+    first failing node in raster order; returns the admitted setup
+    otherwise, with its eigenvalues and omega0, which a run can step
+    without sampling again.
     """
     setup = variable_coeff_setup(sampler, grid)
-    a1, a2, b = setup.a1, setup.a2, setup.b
     checks = []
-    coeff_margin = np.inf
-    for name, A in (("a1", a1), ("a2", a2)):
-        ev = np.linalg.eigvalsh(A)
+    for name, ev in zip(("a1", "a2"), setup.eigenvalues):
         signs = np.sign(ev)
         checks.append((np.any(signs != signs[0, 0], axis=-1),
                        lambda node, name=name: AssumptionViolated(
                            "b", node, f"{name} eigenvalue changed sign")))
-        coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
 
-    M = np.linalg.solve(a1, a2)
+    M = np.linalg.solve(setup.a1, setup.a2)
     ev, vecs = np.linalg.eig(M)
     cond = np.linalg.cond(vecs)
     # kind 0 keys are TypeI ratios d/c, kind 1 TypeII keys mu1 + i mu2
@@ -299,20 +285,7 @@ def check_variable_coeff_assumptions(sampler: Callable[[float, float], Symmetric
             "eigenvalue branches {} and {} merge at node {}".format(
                 *next(ij for ij, m in merged.items() if m[node]), node)))]
     _raise_first(checks)
-
-    # C1 proxy
-    grads = [np.gradient(a, h, axis=axis, edge_order=2)
-             for a in (a1, a2) for axis, h in ((0, grid.hx), (1, grid.hy))]
-    c1_norm = float(max(np.abs(m).max() for m in (*grads, a1, a2)))
-
-    return VariableCoeffReport(
-        c1_norm_estimate=c1_norm,
-        coeff_eig_margin=coeff_margin,
-        real_eig_margin=float(np.abs(keys.real[real]).min(initial=np.inf)),
-        imag_eig_margin=float(keys.imag[cplx].min(initial=np.inf)),
-        omega0=growth_rate(a1, a2, b, grid.hx, grid.hy),
-        setup=setup,
-    )
+    return setup
 
 
 def growth_rate(a1, a2, b, hx: float, hy: float) -> float:

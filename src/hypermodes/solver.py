@@ -22,8 +22,7 @@ from .errors import CFLViolation, UnstableCoefficients
 # variable_coeff_setup is re-exported for callers that reach it here
 from .modes import (BCAssignment, ScalarModeBC, Side,
                     VariableCoefficientSetup, assemble_system_bcs,
-                    check_variable_coeff_assumptions, growth_rate,
-                    variable_coeff_setup)
+                    check_variable_coeff_assumptions, variable_coeff_setup)
 from .operators import RectGrid, StateField
 
 STEP_INCREASE_RTOL = 1e-10
@@ -125,12 +124,13 @@ class IVPConfig:
                 raise ValueError(f"{name} was built on another grid")
 
 
-def max_speed(a1, a2) -> float:
-    """Largest |eigenvalue| of the a1, a2 stacks; none may (nearly) vanish.
-    The one speed rule, of `dt_max`, `default_t_end` and `certify`'s rows."""
+def max_speed(eigenvalues) -> float:
+    """Largest |eigenvalue| of the a1, a2 stacks, from their `eigenvalues`
+    (a1's, then a2's); none may (nearly) vanish. The one speed rule, of
+    `dt_max`, `default_t_end` and `certify`'s rows."""
     top = 0.0
-    for name, mats in (("x", a1), ("y", a2)):
-        w = np.abs(np.linalg.eigvalsh(mats))
+    for name, ev in zip("xy", eigenvalues):
+        w = np.abs(ev)
         scale = max(w.max(), 1e-300)
         if w.min() <= SPEED_RTOL * scale:
             raise UnstableCoefficients(
@@ -249,10 +249,10 @@ class SpatialOperator:
     neighbour term's at its source node) and component-major, like the
     state (n, nx, ny): `centre` (n, n, nx, ny), `neighbour[side]`
     (n, n, nx ny) and `edge[side]` (n, n, nodes of the side);
-    `constrained[side]` is node-major, (nodes, n, n). Constant
-    coefficients build the same stacks from one node that stands for all.
-    `omega` is the growth rate of the energy identity on these stacks
-    (`modes.growth_rate`).
+    `constrained[side]` is node-major, (nodes, n, n). They are built from
+    `setup`: the one the check admits of a bare `sampler` (sampled once), a
+    given `var_setup`, or a constant pair as one node that stands for all.
+    `max_speed` reads its eigenvalues, and `omega` is its omega0.
 
     `apply`, and each stage of `step`, is one sweep over row tiles of
     about TILE_BYTES (x rows, all of y), each a stage dst = w src +
@@ -268,8 +268,7 @@ class SpatialOperator:
     for a2 and N (S), and no edge term where every mode enters or every
     mode leaves. The result
     does not depend on the tiling. `apply` returns a new array;
-    `step` reuses private buffers: one caller at a time. A bare `sampler`
-    is sampled once, by `check_variable_coeff_assumptions`; a given
+    `step` reuses private buffers: one caller at a time. A given
     `var_setup`, like a given `decomp`, is trusted. Only the boundary nodes
     are decomposed, all in one `diagonalize_stack` call, and the first
     failing node, in W, E, S, N order, raises what SymmetricPair or
@@ -281,13 +280,15 @@ class SpatialOperator:
         hx, hy = grid.hx, grid.hy
 
         if config.sampler is not None:
-            setup = (config.var_setup or check_variable_coeff_assumptions(
-                config.sampler, grid).setup)
-            a1, a2, b = setup.a1, setup.a2, setup.b
+            setup = config.var_setup or check_variable_coeff_assumptions(
+                config.sampler, grid)
         else:
             pair = config.pair
-            a1, a2 = pair.a1[None, None], pair.a2[None, None]
-            b = np.zeros_like(a1) if pair.b is None else pair.b[None, None]
+            b = np.zeros_like(pair.a1) if pair.b is None else pair.b
+            setup = VariableCoefficientSetup(grid, pair.a1[None, None],
+                                             pair.a2[None, None], b[None, None])
+        self.setup = setup
+        a1, a2, b = setup.a1, setup.a2, setup.b
         # each side's boundary nodes in trace order (a one-node stack's is
         # its one node); a corner ends two sides and is decomposed once,
         # all of them in one batch, unless a decomp is given
@@ -300,8 +301,8 @@ class SpatialOperator:
         self.constrained = _side_maps(dict(zip(unique, found)), nodes,
                                       config.bcs)
         self.n = a1.shape[-1]
-        self.max_speed = max_speed(a1, a2)
-        self.omega = growth_rate(a1, a2, b, hx, hy)
+        self.max_speed = max_speed(setup.eigenvalues)
+        self.omega = setup.omega0
 
         xp, xn = _split_signed(_faces(a1, 0))
         yp, yn = _split_signed(_faces(a2, 1))

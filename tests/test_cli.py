@@ -93,6 +93,17 @@ class TestParseConfig:
         cf.write_text("nx = 33\npreset = swe\n")
         assert cli.parse_config(["verify", f"config={cf}"]).nx == 33
 
+    def test_config_key_in_file_rejected(self, tmp_path, capsys):
+        # a nested config line would otherwise be dropped without a word
+        cf = tmp_path / "run.cfg"
+        cf.write_text("preset = swe\nconfig = /nonexistent.cfg\n")
+        with pytest.raises(ConfigError, match=f"{cf}:2"):
+            cli.parse_config(["classify", f"config={cf}"])
+        assert cli.main(["classify", f"config={cf}",
+                         f"outdir={tmp_path / 'out'}"]) == 1
+        assert f"{cf}:2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_preset_list_needs_no_input(self):
         assert cli.parse_config(["preset-list"]).command == "preset-list"
 

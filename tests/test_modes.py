@@ -218,8 +218,9 @@ class TestVariableCoeffAssumptions:
         rep = check_variable_coeff_assumptions(
             scalar_sampler(lambda x, y: 2.0, lambda x, y: 3.0), grid)
         assert rep.omega0 == 0.0
-        assert rep.coeff_eig_margin == pytest.approx(2.0)
-        assert rep.real_eig_margin == pytest.approx(1.5)
+        assert np.all(rep.a1 == 2.0) and np.all(rep.a2 == 3.0)
+        assert np.all(rep.eigenvalues[0] == 2.0)
+        assert np.all(rep.eigenvalues[1] == 3.0)
 
     def test_sine_coefficient_budget(self):
         # d/dx (2 + sin x) peaks at 1, so the budget is 1/2, found at x = 0

@@ -26,10 +26,17 @@ ALLOWED_OPTIONS = {
 SET_BY_ATTRIBUTE = {"RunConfig"}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    names = [d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in names)
+
+
 def _defined(tree: ast.Module) -> list[tuple[str, str]]:
-    """(qualified name, name) of each top-level function, class, method
-    and module constant of a module; dunder names are called implicitly
-    and left out."""
+    """(qualified name, name) of each top-level function, class, method,
+    dataclass field and module constant of a module; dunder names are
+    called implicitly and left out. A field, like a method, is read as an
+    attribute: one that nothing reads holds a value nothing uses."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -40,6 +47,10 @@ def _defined(tree: ast.Module) -> list[tuple[str, str]]:
                       for item in node.body
                       if isinstance(item, (ast.FunctionDef,
                                            ast.AsyncFunctionDef))]
+            if _is_dataclass(node):
+                found += [(f"{node.name}.{item.target.id}", item.target.id)
+                          for item in node.body
+                          if isinstance(item, ast.AnnAssign)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
@@ -86,6 +97,15 @@ def test_guard_flags_unreferenced_names():
         == ["X", "f", "C.m", "C.h"]
 
 
+def test_guard_flags_unread_dataclass_fields():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass D:\n    x: int\n"
+              "    y: float = 0.0\n    z: int = 1\n"
+              "class P:\n    w: int\n")
+    refs = _referenced(ast.parse("d = D(1, y=2.0)\nprint(d.x, z, P)\n"))
+    assert _unreferenced(source, refs) == ["D.y", "D.z"]
+
+
 def _using_files():
     """The files whose references count as uses: every module of TREES but
     the package's `__init__.py`, whose re-exports and `__all__` call
@@ -107,12 +127,6 @@ def test_package_names_used_outside_tests(path, references):
 
 
 # --- options ---------------------------------------------------------------
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    names = [d.func if isinstance(d, ast.Call) else d
-             for d in node.decorator_list]
-    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in names)
 
 
 def _has_default(field: ast.AnnAssign) -> bool:

@@ -391,7 +391,8 @@ class TestScheme:
         assert cli.main(["simulate", "preset=swe", "nx=257", "ny=257",
                          "seed=0", "t_end=0.016", f"outdir={tmp_path}"]) == 0
         pair = build_pair(RunConfig(command="simulate", preset="swe"))
-        dt_max = 6 * 0.4 / 256 / solver.max_speed(pair.a1, pair.a2)
+        dt_max = 6 * 0.4 / 256 / solver.max_speed(
+            np.linalg.eigvalsh([pair.a1, pair.a2]))
         assert np.ceil(0.016 / dt_max) == 7
         assert steps == list(range(0, 63, 9))
         assert len(sweeps) == 63

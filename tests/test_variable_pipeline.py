@@ -9,7 +9,7 @@ neighbour (i-1, j), or (0, j-1) on the first column, before the next
 node. `reference_setup` decomposes each boundary node, which takes its own
 synthesized conditions, so where a mode's sign changes along a side its
 condition switches at that node. The batched code must give the same
-report, the same projectors on all four sides, and the same error at
+setup, the same projectors on all four sides, and the same error at
 the same node.
 """
 
@@ -18,7 +18,7 @@ import re
 import numpy as np
 import pytest
 from conftest import random_congruence, random_mixed_spec, tracefree
-from hypermodes import solver
+from hypermodes import modes, solver
 from hypermodes.congruence import (SymmetricPair, TypeIMode,
                                    diagonalize_stack, simultaneous_diagonalize)
 from hypermodes.errors import (AssumptionViolated, BlockMatchingFailure,
@@ -69,12 +69,13 @@ def _match_against(prev_keys, cur_keys, ref_separation, node):
 
 def reference_check(sampler, grid):
     """Per-node admission check, every check at a node before the next
-    node; returns the report fields as a dict. Branches are matched by the
-    mode keys of each node's own decomposition. Its omega0 leaves the
-    lower-order term out, so compare on samplers without one."""
+    node; returns the admitted setup's fields as a dict: the samples, their
+    eigenvalues and omega0. Branches are matched by the mode keys of each
+    node's own decomposition. Its omega0 leaves the lower-order term out,
+    so compare on samplers without one."""
     xs, ys = grid.x(), grid.y()
     a1_samples = a2_samples = None
-    coeff_margin = real_margin = imag_margin = np.inf
+    eigenvalues = {}
     coeff_signs = {"a1": None, "a2": None}
     real_signs = multiplicity_pattern = None
     ref_separation = {}
@@ -86,10 +87,13 @@ def reference_check(sampler, grid):
             if a1_samples is None:
                 a1_samples = np.zeros((grid.nx, grid.ny, n, n))
                 a2_samples = np.zeros((grid.nx, grid.ny, n, n))
+                eigenvalues = {name: np.zeros((grid.nx, grid.ny, n))
+                               for name in ("a1", "a2")}
             a1_samples[i, j] = pair.a1
             a2_samples[i, j] = pair.a2
             for name, M in (("a1", pair.a1), ("a2", pair.a2)):
                 ev = np.sort(np.linalg.eigvalsh(M))
+                eigenvalues[name][i, j] = ev
                 if np.any(ev == 0):
                     raise AssumptionViolated("b", (i, j),
                                              f"{name} eigenvalue hits zero")
@@ -99,7 +103,6 @@ def reference_check(sampler, grid):
                 elif signs != coeff_signs[name]:
                     raise AssumptionViolated("b", (i, j),
                                              f"{name} eigenvalue changed sign")
-                coeff_margin = min(coeff_margin, float(np.abs(ev).min()))
             M = np.linalg.solve(pair.a1, pair.a2)
             scale = max(np.linalg.norm(M, 2), 1e-300)
             real, cplx = _eig_signature(M, 1e-8 * scale)
@@ -113,9 +116,6 @@ def reference_check(sampler, grid):
                 elif signs != real_signs:
                     raise AssumptionViolated("c", (i, j),
                                              "real eigenvalue changed sign")
-                real_margin = min(real_margin, float(np.abs(r).min()))
-            if cplx:
-                imag_margin = min(imag_margin, min(p[1] for p in cplx))
             pattern = (len(real), len(cplx))
             if multiplicity_pattern is None:
                 multiplicity_pattern = pattern
@@ -138,15 +138,10 @@ def reference_check(sampler, grid):
 
     d_a1_dx = np.gradient(a1_samples, grid.hx, axis=0, edge_order=2)
     d_a2_dy = np.gradient(a2_samples, grid.hy, axis=1, edge_order=2)
-    d_a1_dy = np.gradient(a1_samples, grid.hy, axis=1, edge_order=2)
-    d_a2_dx = np.gradient(a2_samples, grid.hx, axis=0, edge_order=2)
-    c1_norm = float(max(np.abs(d_a1_dx).max(), np.abs(d_a1_dy).max(),
-                        np.abs(d_a2_dx).max(), np.abs(d_a2_dy).max(),
-                        np.abs(a1_samples).max(), np.abs(a2_samples).max()))
     div = d_a1_dx + d_a2_dy
     lam_max = np.linalg.eigvalsh(0.5 * (div + np.swapaxes(div, -1, -2))).max()
-    return dict(c1_norm_estimate=c1_norm, coeff_eig_margin=coeff_margin,
-                real_eig_margin=real_margin, imag_eig_margin=imag_margin,
+    return dict(a1=a1_samples, a2=a2_samples,
+                eigenvalues=(eigenvalues["a1"], eigenvalues["a2"]),
                 omega0=0.5 * max(0.0, float(lam_max)))
 
 
@@ -303,9 +298,9 @@ class TestMatchesReference:
         sampler = planted_varying_sampler(seed)
         rep = check_variable_coeff_assumptions(sampler, self.GRID)
         ref = reference_check(sampler, self.GRID)
-        assert np.isfinite(rep.real_eig_margin)
         for name, value in ref.items():
-            assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(getattr(rep, name), value,
+                                       rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_side_maps(self, seed):
@@ -409,6 +404,39 @@ class TestSampledOnce:
         assert op.omega == 0.0
         with pytest.raises(AssumptionViolated, match=r"node \(4, 4\)"):
             check_variable_coeff_assumptions(two_pass, g)
+
+    def test_steps_the_setup_the_check_returned(self, monkeypatch):
+        # the admitted setup is the operator's one coefficient source: omega
+        # and the eigenvalues of each of a1 and a2 are taken once, there
+        g, sampler = self.GRID, planted_varying_sampler(0)
+        check, rate = check_variable_coeff_assumptions, modes.growth_rate
+        eigvalsh = np.linalg.eigvalsh
+        returned, rates, eig_args = [], [], []
+
+        def counting_check(*args):
+            returned.append(check(*args))
+            return returned[-1]
+
+        def counting_rate(*args):
+            rates.append(args)
+            return rate(*args)
+
+        def counting_eigvalsh(a, *args):
+            eig_args.append(a)
+            return eigvalsh(a, *args)
+
+        monkeypatch.setattr(solver, "check_variable_coeff_assumptions",
+                            counting_check)
+        for module in (modes, solver):
+            monkeypatch.setattr(module, "growth_rate", counting_rate,
+                                raising=False)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        op = SpatialOperator(bare_config(sampler, g))
+        setup, = returned
+        assert len(rates) == 1
+        for stack in (setup.a1, setup.a2):
+            assert sum(arg is stack for arg in eig_args) == 1
+        assert op.setup is setup
 
 
 class TestInteriorGuard:
