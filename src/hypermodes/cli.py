@@ -3,9 +3,10 @@
 Grammar: ``hypermodes <command> key=value ...`` with commands
 diagonalize | classify | bc | simulate | verify | preset-list. A
 ``config=FILE`` key loads flat "key = value" lines ('#' comments) first;
-explicit flags override file values. All floating-point output is printed
-with 17 significant digits so identical configurations reproduce
-byte-identical artifacts.
+explicit flags override file values. A key given twice in one source, or
+one its command does not read (`COMMAND_KEYS`), is an input error. All
+floating-point output is printed with 17 significant digits so identical
+configurations reproduce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .modes import assemble_system_bcs, format_assignments
 from .operators import RectGrid
 from .solver import run
 
-COMMANDS = ("diagonalize", "classify", "bc", "simulate", "verify", "preset-list")
-
 PRESET_DEFAULTS = {
     "swe": {"u0": 2.0, "v0": 3.0, "phi0": 1.0, "g": 1.0, "fcor": 0.5},
     "swmhd": {"u0": 2.0, "v0": 2.0, "b10": 0.5, "b20": 0.3, "phi0": 1.0, "g": 1.0},
@@ -37,15 +36,26 @@ PRESET_DEFAULTS = {
 }
 
 PRESET_KEYS = set().union(*PRESET_DEFAULTS.values())
+# keys of the grid and the run, in the order a rejection names them
+RUN_KEYS = ("nx", "ny", "L1", "L2", "t_end", "cfl", "seed", "snapshots")
+# keys of the config file, the input pair and the output directory
+INPUT_KEYS = ("config", "preset", *sorted(PRESET_KEYS), "a1_file",
+              "a2_file", "b_file", "s0_file", "outdir")
+KNOWN_KEYS = RUN_KEYS + INPUT_KEYS
+# the keys each command reads; a known key it does not read is an input
+# error. Only simulate and verify build a grid and run, verify writes no
+# states, and preset-list reads nothing.
+COMMAND_KEYS = {
+    "diagonalize": INPUT_KEYS,
+    "classify": INPUT_KEYS,
+    "bc": INPUT_KEYS,
+    "simulate": RUN_KEYS + INPUT_KEYS,
+    "verify": RUN_KEYS[:-1] + INPUT_KEYS,
+    "preset-list": (),
+}
+COMMANDS = tuple(COMMAND_KEYS)
 _FLOAT_KEYS = PRESET_KEYS | {"L1", "L2", "t_end", "cfl"}
 _INT_KEYS = {"nx", "ny", "seed", "snapshots"}
-_STR_KEYS = {"preset", "a1_file", "a2_file", "b_file", "s0_file", "outdir",
-             "config"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-# keys of the grid and the run, which only these commands use; the others
-# reject them, and verify, which writes no states, rejects snapshots
-RUN_KEYS = ("nx", "ny", "L1", "L2", "t_end", "cfl", "seed", "snapshots")
-RUN_COMMANDS = ("simulate", "verify")
 
 
 @dataclass
@@ -69,17 +79,35 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} expects an integer, got {raw!r}") from exc
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} expects a number, got {raw!r}") from exc
-    return raw
+    if key not in _INT_KEYS | _FLOAT_KEYS:
+        return raw
+    kind, what = ((int, "an integer") if key in _INT_KEYS
+                  else (float, "a number"))
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r} expects {what}, got {raw!r}") from exc
+
+
+def _read_keys(entries) -> dict:
+    """The values of one source's "key=value" entries, each a pair (where,
+    text), `where` the prefix of its errors: empty for a flag, "path:line: "
+    for a config-file line. Key and value are stripped. An entry without
+    '=', an unknown key, a key given twice and a config key in a file are
+    input errors."""
+    values = {}
+    for where, text in entries:
+        if "=" not in text:
+            raise ConfigError(f"{where}expected key=value, got {text!r}")
+        key, raw = (t.strip() for t in text.split("=", 1))
+        if key not in KNOWN_KEYS:
+            raise UnknownKey(f"{where}unknown key {key!r}")
+        if key == "config" and where:
+            raise ConfigError(f"{where}a config file cannot load another")
+        if key in values:
+            raise ConfigError(f"{where}key {key!r} is given twice")
+        values[key] = _parse_value(key, raw)
+    return values
 
 
 def _read_config_file(path: str) -> dict:
@@ -87,21 +115,9 @@ def _read_config_file(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = (t.strip() for t in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "config":
-            raise ConfigError(f"{path}:{lineno}: a config file cannot "
-                              "load another")
-        out[key] = _parse_value(key, raw)
-    return out
+    lines = ((f"{path}:{lineno}: ", line.split("#", 1)[0].strip())
+             for lineno, line in enumerate(text.splitlines(), 1))
+    return _read_keys((where, line) for where, line in lines if line)
 
 
 def parse_config(argv) -> RunConfig:
@@ -113,28 +129,14 @@ def parse_config(argv) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; "
                           f"commands: {', '.join(COMMANDS)}")
-    flags = {}
-    for token in argv[1:]:
-        if "=" not in token:
-            raise ConfigError(f"expected key=value, got {token!r}")
-        key, raw = token.split("=", 1)
-        if key not in KNOWN_KEYS:
-            raise UnknownKey(f"unknown key {key!r}")
-        flags[key] = _parse_value(key, raw)
-
-    merged = {}
-    if "config" in flags:
-        merged.update(_read_config_file(flags["config"]))
+    flags = _read_keys(("", token) for token in argv[1:])
+    merged = _read_config_file(flags["config"]) if "config" in flags else {}
     merged.update(flags)
+    rejected = [key for key in KNOWN_KEYS
+                if key in merged and key not in COMMAND_KEYS[command]]
+    if rejected:
+        raise ConfigError(f"{command} takes no {', '.join(rejected)}")
     merged.pop("config", None)
-    if command not in RUN_COMMANDS:
-        unused = [key for key in RUN_KEYS if key in merged]
-        if unused:
-            raise ConfigError(f"{command} takes no {', '.join(unused)}: "
-                              f"these keys apply to "
-                              f"{' and '.join(RUN_COMMANDS)} only")
-    if command == "verify" and "snapshots" in merged:
-        raise ConfigError("verify takes no snapshots: it writes cert.csv only")
 
     cfg = RunConfig(command=command)
     for key, value in merged.items():

@@ -29,8 +29,8 @@ DECOMPOSITION_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SymmetricPair:
-    """System matrices (a1, a2), which must pass `pair_errors`, and an
-    optional lower-order term b, finite and of the pair's order."""
+    """System matrices (a1, a2), which must pass `pair_errors`, and a
+    lower-order term b, finite and of the pair's order: zero if omitted."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -47,13 +47,13 @@ class SymmetricPair:
         error = pair_errors(np.array([[a1, a2]]))[0]
         if error is not None:
             raise error
-        if self.b is not None:
-            b = np.asarray(self.b, dtype=float)
-            object.__setattr__(self, "b", b)
-            if b.shape != a1.shape:
-                raise ValueError("b must match the system order")
-            if not np.isfinite(b).all():
-                raise ValueError("b has a non-finite entry")
+        b = np.asarray(np.zeros_like(a1) if self.b is None else self.b,
+                       dtype=float)
+        object.__setattr__(self, "b", b)
+        if b.shape != a1.shape:
+            raise ValueError("b must match the system order")
+        if not np.isfinite(b).all():
+            raise ValueError("b has a non-finite entry")
 
     @property
     def order(self) -> int:

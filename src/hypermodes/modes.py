@@ -30,8 +30,9 @@ class Side(enum.Enum):
     """The four sides of the rectangle (0, L1) x (0, L2).
 
     Each side carries its layout, set once below: `axis` (0 for x, 1 for
-    y), `sign` of the outward normal along it, `edge`, the index of the
-    side's nodes in any (..., nx, ny) array, and the `opposite` side.
+    y), `sign` of the outward normal along it, and `edge`, the index of
+    the side's nodes in any (..., nx, ny) array. The definition order W,
+    E, S, N is the one side order: iterating `Side` gives it.
     """
 
     W = "W"  # x = 0
@@ -43,15 +44,13 @@ class Side(enum.Enum):
         return self.value
 
 
-for _side, _axis, _sign, _opposite in ((Side.W, 0, -1, Side.E),
-                                       (Side.E, 0, 1, Side.W),
-                                       (Side.S, 1, -1, Side.N),
-                                       (Side.N, 1, 1, Side.S)):
+for _side, _axis, _sign in ((Side.W, 0, -1),
+                            (Side.E, 0, 1),
+                            (Side.S, 1, -1),
+                            (Side.N, 1, 1)):
     _row = 0 if _sign < 0 else -1
-    _side.axis, _side.sign, _side.opposite = _axis, _sign, _opposite
+    _side.axis, _side.sign = _axis, _sign
     _side.edge = (..., _row, slice(None)) if _axis == 0 else (..., _row)
-
-SIDE_ORDER = (Side.W, Side.E, Side.S, Side.N)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class ScalarModeBC:
     sides: frozenset[Side]
 
     def lines(self) -> list[str]:
-        names = ",".join(s.value for s in SIDE_ORDER if s in self.sides)
+        names = ",".join(s.value for s in Side if s in self.sides)
         return [f"mode {self.mode_index}: TypeI inflow={names}"]
 
 
@@ -86,7 +85,7 @@ class EllipticModeBC:
         return [
             f"mode {self.mode_index}: TypeII side={s.value} "
             f"cond=({self.conditions[s][0]:.17g},{self.conditions[s][1]:.17g})"
-            for s in SIDE_ORDER
+            for s in Side
         ]
 
 
@@ -129,10 +128,10 @@ def synthesize_bc_type2(mode: TypeIIMode) -> EllipticModeBC:
 
 def condition_rows(conditions: Mapping[Side, tuple[float, float]],
                    ) -> np.ndarray:
-    """The side conditions (a, b) as rows (4, 2) in SIDE_ORDER. A NaN or
+    """The side conditions (a, b) as rows (4, 2) in `Side`'s order. A NaN or
     infinite entry, or a zero row, is a ValueError naming its side."""
-    rows = np.array([conditions[s] for s in SIDE_ORDER], dtype=float)
-    for side, (a, b) in zip(SIDE_ORDER, rows.tolist()):
+    rows = np.array([conditions[s] for s in Side], dtype=float)
+    for side, (a, b) in zip(Side, rows.tolist()):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"side {side} condition ({a}, {b}) is not finite")
         if a == 0 and b == 0:
@@ -187,8 +186,7 @@ def variable_coeff_setup(sampler: Callable[[float, float], SymmetricPair],
     shape = (grid.nx, grid.ny) + pairs[0].a1.shape
     a1 = np.array([p.a1 for p in pairs]).reshape(shape)
     a2 = np.array([p.a2 for p in pairs]).reshape(shape)
-    b = np.array([np.zeros_like(p.a1) if p.b is None else p.b
-                  for p in pairs]).reshape(shape)
+    b = np.array([p.b for p in pairs]).reshape(shape)
     return VariableCoefficientSetup(grid=grid, a1=a1, a2=a2, b=b)
 
 

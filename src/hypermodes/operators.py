@@ -22,7 +22,7 @@ import numpy as np
 
 from .congruence import TypeIIMode
 from .errors import EllipticityLost, RankDeficientBC
-from .modes import SIDE_ORDER, Side, check_rank2, condition_rows
+from .modes import Side, check_rank2, condition_rows
 
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
 # LOBPCG stopping rule of the sigma_min estimate; an estimate whose residual
@@ -216,7 +216,7 @@ class _LeastSquares:
     w = 10 / min(hx, hy). Its unknowns are (u1, u2), each flattened
     node-major. F's data is `t`, the coefficients as one (2, 4) product of
     each node's stacked (u_x, u_y), and `side_rows`, each side's row
-    coefficients (w a / |c|, w b / |c|) in SIDE_ORDER. The CG stencils
+    coefficients (w a / |c|, w b / |c|) in `Side`'s order. The CG stencils
     `forward` and `adjoint`, the sparse assembly `matrix` and the
     `preconditioner` all read them from here.
     """
@@ -232,7 +232,7 @@ class _LeastSquares:
         self.side_rows = ((10.0 / min(grid.hx, grid.hy)) * rows
                           / np.hypot(rows[:, :1], rows[:, 1:]))
         self.side_slices, self.nrows = [], 2 * self.N  # F's rows per side
-        for side in SIDE_ORDER:
+        for side in Side:
             start = self.nrows
             self.nrows += ny if side.axis == 0 else nx
             self.side_slices.append(slice(start, self.nrows))
@@ -259,7 +259,7 @@ class _LeastSquares:
         _gradient(u, grid.hy, 2, self._grads[2:])
         out = np.empty(self.nrows)
         self._times_t(self._grads.reshape(4, N), out[:2 * N].reshape(2, N))
-        for side, (ca, cb), rows in zip(SIDE_ORDER, self.side_rows,
+        for side, (ca, cb), rows in zip(Side, self.side_rows,
                                         self.side_slices):
             np.add(ca * u[0][side.edge], cb * u[1][side.edge], out=out[rows])
         return out
@@ -275,7 +275,7 @@ class _LeastSquares:
         _gradient_adjoint(self._grads[:2], grid.hx, 1, out)
         _gradient_adjoint(self._grads[2:], grid.hy, 2, self._part)
         out += self._part
-        for side, (ca, cb), rows in zip(SIDE_ORDER, self.side_rows,
+        for side, (ca, cb), rows in zip(Side, self.side_rows,
                                         self.side_slices):
             out[0][side.edge] += ca * y[rows]
             out[1][side.edge] += cb * y[rows]
@@ -291,7 +291,7 @@ class _LeastSquares:
         A = sp.bmat([[sp.diags(t[k, c]) @ Dx + sp.diags(t[k, 2 + c]) @ Dy
                       for c in (0, 1)] for k in (0, 1)], format="csr")
         node = np.arange(N).reshape(self.grid.nx, self.grid.ny)
-        nodes = [node[side.edge] for side in SIDE_ORDER]
+        nodes = [node[side.edge] for side in Side]
         data = np.repeat(self.side_rows, [len(n) for n in nodes], axis=0)
         nodes = np.concatenate(nodes)
         r = len(nodes)
@@ -325,7 +325,7 @@ class _LeastSquares:
             spectra = []
             for axis, (gram, c) in enumerate(zip(grams, scales)):
                 m = c * gram
-                for side, row in zip(SIDE_ORDER, self.side_rows):
+                for side, row in zip(Side, self.side_rows):
                     if side.axis == axis:
                         end = 0 if side.sign < 0 else -1
                         m[end, end] += row[k] ** 2
@@ -447,10 +447,8 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
 
     u = np.stack([sol[:N].reshape(nx, ny), sol[N:].reshape(nx, ny)])
     eq_residual = ls.forward(sol)[:2 * N] - b
-    w = grid.quad_weights().ravel()
-    res_norm = float(np.sqrt(np.sum(w * eq_residual[:N] ** 2)
-                             + np.sum(w * eq_residual[N:] ** 2)))
-    psi_norm = float(np.sqrt(np.sum(w * b[:N] ** 2) + np.sum(w * b[N:] ** 2)))
+    res_norm = StateField(grid, eq_residual.reshape(u.shape)).norm()
+    psi_norm = StateField(grid, b.reshape(u.shape)).norm()
     # a healthy least-squares solve leaves only truncation residue, far
     # below this coarse degeneracy guard
     report = CertReport(name="elliptic_residual", grid_label=grid.label(),
@@ -543,7 +541,7 @@ def random_elliptic_bc_field(grid: RectGrid,
     conditions ((a, b) proportional to (1, 0) or (0, 1)) exactly."""
     u1_sides = []
     u2_sides = []
-    for side in SIDE_ORDER:
+    for side in Side:
         a, b = conditions[side]
         if b == 0:
             u1_sides.append(side)

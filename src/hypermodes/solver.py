@@ -284,9 +284,8 @@ class SpatialOperator:
                 config.sampler, grid)
         else:
             pair = config.pair
-            b = np.zeros_like(pair.a1) if pair.b is None else pair.b
-            setup = VariableCoefficientSetup(grid, pair.a1[None, None],
-                                             pair.a2[None, None], b[None, None])
+            setup = VariableCoefficientSetup(
+                grid, *(m[None, None] for m in (pair.a1, pair.a2, pair.b)))
         self.setup = setup
         a1, a2, b = setup.a1, setup.a2, setup.b
         # each side's boundary nodes in trace order (a one-node stack's is

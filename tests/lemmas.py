@@ -11,11 +11,13 @@ import numpy as np
 from hypermodes.apps import SWEParams, SWMHDParams
 from hypermodes.congruence import SYMMETRY_RTOL, TypeIIMode, _standardize
 from hypermodes.errors import HypermodesError
-from hypermodes.modes import SIDE_ORDER, Side
+from hypermodes.modes import Side
 from hypermodes.operators import (RectGrid, StateField, _coeff_grid,
                                   _type2_coeff_grids)
 
 BC_TRACE_RTOL = 1e-10
+# each side's opposite across the rectangle
+OPPOSITE = {Side.W: Side.E, Side.E: Side.W, Side.S: Side.N, Side.N: Side.S}
 
 
 class BCViolated(HypermodesError):
@@ -85,7 +87,7 @@ def apply_type2(mode, u: StateField) -> np.ndarray:
 
 
 def check_conditions(u: StateField, conditions, what="elliptic mode trace"):
-    for side in SIDE_ORDER:
+    for side in Side:
         a, b = conditions[side]
         tr = u.values[side.edge]
         _check_trace_zero(u, side, a * tr[0] + b * tr[1], what)

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,37 @@ from hypermodes.errors import (ConfigError, ConflictingSources, MissingInput,
                                UnknownKey)
 from hypermodes.linalg import save_matrix
 from hypermodes.operators import CertReport
+
+
+# each key the CLI knows, with a value it parses to (config names a file)
+KEY_VALUES = {"nx": 9, "ny": 9, "L1": 2.0, "L2": 2.0, "t_end": 0.1, "cfl": 0.3,
+              "seed": 1, "snapshots": 1, "config": None, "preset": "wave",
+              "a1_file": "a1.txt", "a2_file": "a2.txt", "b_file": "b.txt",
+              "s0_file": "s0.txt", "outdir": "out",
+              **dict.fromkeys(["u0", "v0", "phi0", "g", "fcor", "b10", "b20",
+                               "rho0", "p0", "dp_drho", "dp_de", "alpha",
+                               "beta"], 1.5)}
+_RUN = ("nx", "ny", "L1", "L2", "t_end", "cfl", "seed", "snapshots")
+_NOT_RUN = [key for key in KEY_VALUES if key not in _RUN]
+# the keys each command parsed before the per-command key table
+KEYS_READ_BEFORE = {"diagonalize": _NOT_RUN, "classify": _NOT_RUN,
+                    "bc": _NOT_RUN, "preset-list": _NOT_RUN,
+                    "simulate": list(KEY_VALUES),
+                    "verify": [k for k in KEY_VALUES if k != "snapshots"]}
+
+
+def _key_flags(key, tmp_path):
+    """Flags that give `key` its KEY_VALUES value, with an input source."""
+    if key == "config":
+        cf = tmp_path / "run.cfg"
+        cf.write_text("preset = swe\n")
+        return [f"config={cf}"]
+    if key.endswith("_file"):
+        flags = {"a1_file": "a1.txt", "a2_file": "a2.txt"}
+    else:
+        flags = {} if key == "preset" else {"preset": "swe"}
+    flags[key] = KEY_VALUES[key]
+    return [f"{k}={v}" for k, v in flags.items()]
 
 
 class TestParseConfig:
@@ -107,6 +139,52 @@ class TestParseConfig:
     def test_preset_list_needs_no_input(self):
         assert cli.parse_config(["preset-list"]).command == "preset-list"
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_repeated_key_rejected(self, tmp_path, capsys, from_file):
+        # the later value would otherwise win without a word
+        keys, where = ["preset=swe", "preset=wave"], ""
+        if from_file:
+            cf = tmp_path / "run.cfg"
+            cf.write_text("preset = swe\n# the same key again\npreset = wave\n")
+            keys, where = [f"config={cf}"], f"{cf}:3: "
+        argv = ["classify", *keys, f"outdir={tmp_path / 'out'}"]
+        message = f"{where}key 'preset' is given twice"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cli.parse_config(argv)
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("token",
+                             ["preset=swe", "u0=3", "a1_file=x", "outdir=x"])
+    def test_preset_list_reads_no_key(self, capsys, token):
+        key = token.split("=")[0]
+        with pytest.raises(ConfigError, match=f"takes no {key}$"):
+            cli.parse_config(["preset-list", token])
+        assert cli.main(["preset-list", token]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"preset-list takes no {key}" in err
+
+    @pytest.mark.parametrize("command", ["diagonalize", "classify", "bc",
+                                         "simulate", "verify", "preset-list"])
+    def test_keys_read_before_the_key_table_still_parse(self, tmp_path,
+                                                        command):
+        # every (command, key) that parsed before the per-command key table
+        # parses to the same value, except on preset-list, which reads none
+        for key in KEYS_READ_BEFORE[command]:
+            argv = [command, *_key_flags(key, tmp_path)]
+            if command == "preset-list":
+                with pytest.raises(ConfigError,
+                                   match=f"takes no (.*, )?{key}(,|$)"):
+                    cli.parse_config(argv)
+                continue
+            cfg = cli.parse_config(argv)
+            if key == "config":
+                assert cfg.preset == "swe"
+            else:
+                parsed = {**vars(cfg), **cfg.preset_params}
+                assert parsed[key] == KEY_VALUES[key]
+
     @pytest.mark.parametrize("command",
                              ["diagonalize", "classify", "bc", "preset-list"])
     @pytest.mark.parametrize("from_file", [False, True])
@@ -147,6 +225,27 @@ class TestParseConfig:
         for command in ("diagonalize", "classify", "bc"):
             assert cli.main([command, "preset=swe",
                              f"outdir={tmp_path / command}"]) == 0
+
+
+def test_readme_names_every_command_and_key():
+    # the command-line docs drift silently otherwise: each command and each
+    # key but the preset parameters is named in an inline code span there
+    text = (ROOT / "README.md").read_text()
+    body = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", body,
+                                             flags=re.S))
+    words = set(re.split(r"[\s=,]+", " ".join(spans)))
+    names = [*cli.COMMAND_KEYS, *(key for key in cli.KNOWN_KEYS
+                                  if key not in cli.PRESET_KEYS)]
+    missing = [name for name in names if name not in words]
+    assert not missing, f"README's command-line section lacks {missing}"
+
+
+def test_readme_check_flags_a_missing_key(monkeypatch):
+    monkeypatch.setattr(cli, "KNOWN_KEYS", (*cli.KNOWN_KEYS, "mesh_file"))
+    monkeypatch.setitem(cli.COMMAND_KEYS, "refine", ())
+    with pytest.raises(AssertionError, match="refine.*mesh_file"):
+        test_readme_names_every_command_and_key()
 
 
 class TestExecute:
@@ -473,7 +572,7 @@ class TestScipyOnlyForEllipticSolve:
 sys.path.insert(0, {str(ROOT / "tests")!r})
 import numpy as np
 from test_variable_pipeline import planted_varying_sampler
-from hypermodes.modes import SIDE_ORDER
+from hypermodes.modes import Side
 from hypermodes.operators import (RectGrid, StateField,
                                   side_vanishing_factor, smooth_random_field)
 from hypermodes.solver import IVPConfig, run
@@ -482,7 +581,7 @@ sampler = planted_varying_sampler(0)
 rng = np.random.default_rng(0)
 u = np.stack([smooth_random_field(g, rng)
               for _ in range(sampler(0.0, 0.0).order)])
-u0 = StateField(g, u * side_vanishing_factor(g, SIDE_ORDER))
+u0 = StateField(g, u * side_vanishing_factor(g, list(Side)))
 _, energy = run(IVPConfig(grid=g, u0=u0, t_end=0.05, sampler=sampler))
 rc = 0 if energy.verdict else 2
 """

@@ -226,6 +226,11 @@ class TestSimultaneousDiagonalize:
         assert str(info.value) == ("transformed pair deviates from mode "
                                    "blocks by 5.000e-01 (tolerance 1.0e-09)")
 
+    def test_omitted_b_is_the_zero_matrix(self):
+        b = SymmetricPair(a1=np.eye(3), a2=np.diag([1.0, -2.0, 3.0])).b
+        assert isinstance(b, np.ndarray) and b.dtype == float
+        assert b.shape == (3, 3) and np.all(b == 0.0)
+
     def test_singular_input_rejected(self):
         with pytest.raises(SingularInput):
             SymmetricPair(a1=np.diag([1.0, 0.0]), a2=np.eye(2))

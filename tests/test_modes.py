@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lemmas import ZeroKappa, rotate_type2, rotation_matrix
+from lemmas import OPPOSITE, ZeroKappa, rotate_type2, rotation_matrix
 
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import (AssumptionViolated, RankDeficientBC,
                                ZeroCoefficient)
-from hypermodes.modes import (SIDE_ORDER, EllipticModeBC, ScalarModeBC, Side,
+from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
                               assemble_system_bcs, check_rank2,
                               check_variable_coeff_assumptions,
                               format_assignments, synthesize_bc_type1,
@@ -34,9 +34,9 @@ class TestSideLayout:
 
     def test_opposite_axis_sign(self):
         for side in Side:
-            assert side.opposite.opposite is side
-            assert side.opposite is not side
-            assert side.opposite.axis == side.axis
+            assert OPPOSITE[OPPOSITE[side]] is side
+            assert OPPOSITE[side] is not side
+            assert OPPOSITE[side].axis == side.axis
             assert side.sign == (-1 if side in (Side.W, Side.S) else 1)
         assert [s.axis for s in Side] == [0, 0, 1, 1]
 
@@ -133,7 +133,7 @@ class TestRotation:
         for kappa in (0.5, 1.0, -2.0, 7.0):
             rotated = rotate_type2(mode, kappa)
             bc = synthesize_bc_type2(rotated)
-            conditions = np.array([bc.conditions[s] for s in SIDE_ORDER])
+            conditions = np.array([bc.conditions[s] for s in Side])
             induced = conditions @ rotation_matrix(kappa)
             rank = np.linalg.matrix_rank(induced, tol=1e-10)
             assert rank == 2

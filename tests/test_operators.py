@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from lemmas import (BCViolated, cross_term_residual, ddx, ddy,
+from lemmas import (OPPOSITE, BCViolated, cross_term_residual, ddx, ddy,
                     integration_by_parts_residual, manufactured_elliptic,
                     positivity_residual_type1, positivity_residual_type2)
 
@@ -10,7 +10,7 @@ from hypermodes import operators
 from hypermodes.apps import WaveParams, preset_wave
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import EllipticityLost, RankDeficientBC
-from hypermodes.modes import SIDE_ORDER, Side, synthesize_bc_type2
+from hypermodes.modes import Side, synthesize_bc_type2
 from hypermodes.operators import (RectGrid, StateField, _difference_matrices,
                                   _gradient_matrix, _LeastSquares,
                                   _normal_factor,
@@ -273,7 +273,7 @@ def test_side_rows_match_loop_assembly():
              Side.N: [i * g.ny + g.ny - 1 for i in range(g.nx)]}
     weight = 10.0 / min(g.hx, g.hy)
     want = []
-    for side in SIDE_ORDER:
+    for side in Side:
         a, b = conds[side]
         for nd in nodes[side]:
             row = np.zeros(2 * N)
@@ -441,7 +441,7 @@ class TestEllipticSolve:
             else:
                 elliptic_uniqueness(self.CR_MODE, g, conds)
 
-    @pytest.mark.parametrize("side", SIDE_ORDER, ids=str)
+    @pytest.mark.parametrize("side", list(Side), ids=str)
     @pytest.mark.parametrize("entry", ["solve", "uniqueness"])
     def test_zero_condition_named(self, entry, side):
         # the other three default conditions still have rank 2, so the
@@ -607,7 +607,7 @@ class TestGenerators:
         g = RectGrid(0.7, 1.3, 9, 23)
         factor = side_vanishing_factor(g, [side])
         assert np.all(factor[side.edge] == 0.0)
-        assert np.all(factor[side.opposite.edge][1:-1] > 0.0)
+        assert np.all(factor[OPPOSITE[side].edge][1:-1] > 0.0)
 
     def test_exact_zero_traces(self):
         g = RectGrid(1.0, 1.0, 17, 17)

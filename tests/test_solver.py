@@ -6,6 +6,7 @@ import pytest
 from conftest import plant_pair, random_mixed_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lemmas import OPPOSITE
 from hypermodes.apps import SWEParams, preset_swe
 from hypermodes.certify import admissible_field
 from hypermodes.cli import RunConfig, build_pair
@@ -463,7 +464,6 @@ class TestSpatialOrder:
         bcs = assemble_system_bcs(decomp)
         g = RectGrid(1.0, 1.0, n, n)
         X, Y = g.meshgrid()
-        b = np.zeros_like(pair.a1) if pair.b is None else pair.b
         h = 1e-30
         prof = self.profiles(bcs, X, Y)
         dx = self.profiles(bcs, X + 1j * h, Y).imag / h
@@ -472,7 +472,7 @@ class TestSpatialOrder:
         state = np.einsum("ak,kij->kaij", decomp.p, prof)
         flux = (np.einsum("ab,bk,kij->kaij", pair.a1, decomp.p, dx)
                 + np.einsum("ab,bk,kij->kaij", pair.a2, decomp.p, dy)
-                + np.einsum("ab,kbij->kaij", b, state))
+                + np.einsum("ab,kbij->kaij", pair.b, state))
         k = np.arange(len(prof))
 
         def sol(t):
@@ -523,6 +523,23 @@ class TestRun:
         parts = 2.0 * final(a) + 3.0 * final(b)
         scale = np.abs(combo).max()
         assert np.abs(combo - parts).max() <= 1e-12 * max(scale, 1.0)
+
+    def test_omitted_b_runs_as_zero_b(self):
+        # an omitted b is stored as the zero matrix, on both paths
+        base = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.0))
+        g = RectGrid(1.0, 1.0, 17, 17)
+        u0 = StateField(g, np.stack([bump_field(g), 0.3 * bump_field(g),
+                                     -0.2 * bump_field(g)]))
+        omitted = SymmetricPair(a1=base.a1, a2=base.a2)
+        zero = SymmetricPair(a1=base.a1, a2=base.a2, b=np.zeros((3, 3)))
+        for source in (lambda p: {"pair": p},
+                       lambda p: {"sampler": lambda x, y: p}):
+            (final, report), (final_zero, report_zero) = (
+                run(IVPConfig(grid=g, u0=u0, t_end=0.2, **source(p)))
+                for p in (omitted, zero))
+            assert np.array_equal(final.values, final_zero.values)
+            assert np.array_equal(report.norms, report_zero.norms)
+            assert report.omega == report_zero.omega == 0.0
 
     def test_zero_data_zero_forcing(self):
         g = RectGrid(1.0, 1.0, 17, 17)
@@ -728,7 +745,7 @@ class TestEnergyVerdict:
         g = RectGrid(1.0, 1.0, 17, 17)
         decomp = simultaneous_diagonalize(self.SWE)
         bcs = assemble_system_bcs(decomp)
-        flipped = frozenset(side.opposite for side in bcs[2].sides)
+        flipped = frozenset(OPPOSITE[side] for side in bcs[2].sides)
         u0 = StateField(g, decomp.p[:, 2, None, None]
                         * side_vanishing_factor(g, list(flipped)))
 

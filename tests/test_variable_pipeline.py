@@ -161,7 +161,7 @@ def reference_setup(sampler, grid):
                 n = pair.order
                 a1, a2, b = (np.zeros((nx, ny, n, n)) for _ in range(3))
             a1[i, j], a2[i, j] = pair.a1, pair.a2
-            b[i, j] = 0.0 if pair.b is None else pair.b
+            b[i, j] = pair.b
             on = {Side.W: i == 0, Side.E: i == nx - 1,
                   Side.S: j == 0, Side.N: j == ny - 1}
             if not any(on.values()):
