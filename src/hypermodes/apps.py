@@ -24,8 +24,10 @@ def _require_generic(value: float, scale: float, what: str):
     if margin <= GENERICITY_RTOL * scale:
         raise GenericityViolated(f"{what} (|margin| = {margin:.3e})")
     if margin <= GENERICITY_WARN_RTOL * scale:
+        # called from a parameter class's __post_init__, which its
+        # generated __init__ calls: level 4 is the line that built it
         warnings.warn(f"near-degenerate parameters: {what}, distance to "
-                      f"degeneracy {margin:.3e}", RuntimeWarning, stacklevel=3)
+                      f"degeneracy {margin:.3e}", RuntimeWarning, stacklevel=4)
 
 
 def symmetrize(e1, e2, b=None, s0=None) -> SymmetricPair:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
@@ -55,23 +55,24 @@ for _side, _axis, _sign in ((Side.W, 0, -1),
 
 @dataclass(frozen=True)
 class ScalarModeBC:
-    """Homogeneous condition for one scalar mode variable on two sides."""
+    """Homogeneous condition for one scalar mode variable on two sides.
+    A condition is the mode's at its position in the decomposition's list;
+    `lines(k)` writes it as mode k's."""
 
-    mode_index: int
     sides: frozenset[Side]
 
-    def lines(self) -> list[str]:
+    def lines(self, k: int) -> list[str]:
         names = ",".join(s.value for s in Side if s in self.sides)
-        return [f"mode {self.mode_index}: TypeI inflow={names}"]
+        return [f"mode {k}: TypeI inflow={names}"]
 
 
 @dataclass(frozen=True)
 class EllipticModeBC:
     """Per-side linear condition a*u1 + b*u2 = 0 for one elliptic mode, on
-    all four sides, each passing `condition_rows`. `elliptic_steady_solve`
-    rejects a rank below 2, and `elliptic_uniqueness` measures it."""
+    all four sides, each passing `condition_rows`. A row is a direction:
+    `elliptic_steady_solve` rejects a rank below 2 of the rows scaled to
+    unit length, and `elliptic_uniqueness` measures it."""
 
-    mode_index: int
     conditions: Mapping[Side, tuple[float, float]]
 
     def __post_init__(self):
@@ -81,9 +82,9 @@ class EllipticModeBC:
         condition_rows(conds)
         object.__setattr__(self, "conditions", conds)
 
-    def lines(self) -> list[str]:
+    def lines(self, k: int) -> list[str]:
         return [
-            f"mode {self.mode_index}: TypeII side={s.value} "
+            f"mode {k}: TypeII side={s.value} "
             f"cond=({self.conditions[s][0]:.17g},{self.conditions[s][1]:.17g})"
             for s in Side
         ]
@@ -94,8 +95,8 @@ BCAssignment = ScalarModeBC | EllipticModeBC
 
 def format_assignments(assignments) -> str:
     lines = []
-    for bc in assignments:
-        lines.extend(bc.lines())
+    for k, bc in enumerate(assignments):
+        lines.extend(bc.lines(k))
     return "\n".join(lines) + "\n"
 
 
@@ -123,7 +124,7 @@ def synthesize_bc_type2(mode: TypeIIMode) -> EllipticModeBC:
         Side.S: u1 if a2_nonneg else u2,
         Side.N: u2 if a2_nonneg else u1,
     }
-    return EllipticModeBC(mode_index=0, conditions=conditions)
+    return EllipticModeBC(conditions)
 
 
 def condition_rows(conditions: Mapping[Side, tuple[float, float]],
@@ -139,19 +140,13 @@ def condition_rows(conditions: Mapping[Side, tuple[float, float]],
     return rows
 
 
-def check_rank2(conditions: Mapping[Side, tuple[float, float]]) -> bool:
-    rows = condition_rows(conditions)
-    return np.linalg.matrix_rank(rows, tol=1e-10 * max(np.abs(rows).max(), 1e-300)) == 2
-
-
 def assemble_system_bcs(decomp: ModeDecomposition) -> list[BCAssignment]:
     """One boundary assignment per mode, by its signs: the sign-case
     defaults. Other elliptic conditions are an EllipticModeBC that the
     caller builds and passes to a run as its `bcs`."""
-    return [ScalarModeBC(k, synthesize_bc_type1(mode.c, mode.d))
-            if isinstance(mode, TypeIMode)
-            else replace(synthesize_bc_type2(mode), mode_index=k)
-            for k, mode in enumerate(decomp.modes)]
+    return [ScalarModeBC(synthesize_bc_type1(mode.c, mode.d))
+            if isinstance(mode, TypeIMode) else synthesize_bc_type2(mode)
+            for mode in decomp.modes]
 
 
 # --- variable-coefficient standing assumptions ------------------------------

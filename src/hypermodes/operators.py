@@ -22,7 +22,7 @@ import numpy as np
 
 from .congruence import TypeIIMode
 from .errors import EllipticityLost, RankDeficientBC
-from .modes import Side, check_rank2, condition_rows
+from .modes import Side, condition_rows
 
 ELLIPTICITY_MIN = 1e-10  # c0, the floor of alpha2*beta1 - alpha1*beta2
 # LOBPCG stopping rule of the sigma_min estimate; an estimate whose residual
@@ -310,7 +310,9 @@ class _LeastSquares:
         alpha1^2 + beta1^2 and alpha2^2 + beta2^2, and E_k the square of
         each side row's coefficient on component k, on that side's end
         node. One `eigh` per 1-D matrix inverts P exactly (fast
-        diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964). For a
+        diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964); the
+        two components' matrices are stacked, so each axis takes one
+        batched `eigh` and `solve` one batched product. For a
         constant mode with component conditions, P is F^t F without its
         mixed (alpha1 alpha2 + beta1 beta2) term and the boundary rows of
         its cross term, so the CG count does not grow with the mesh.
@@ -318,30 +320,24 @@ class _LeastSquares:
         t, grid = self.t, self.grid
         scales = (float(np.mean(t[0, 0] ** 2 + t[0, 1] ** 2)),
                   float(np.mean(t[0, 2] ** 2 + t[0, 3] ** 2)))
-        grams = [g.T @ g for g in (_gradient_matrix(grid.nx, grid.hx),
-                                   _gradient_matrix(grid.ny, grid.hy))]
-        blocks = []
-        for k in (0, 1):
-            spectra = []
-            for axis, (gram, c) in enumerate(zip(grams, scales)):
-                m = c * gram
-                for side, row in zip(Side, self.side_rows):
-                    if side.axis == axis:
-                        end = 0 if side.sign < 0 else -1
-                        m[end, end] += row[k] ** 2
-                spectra.append(np.linalg.eigh(m))
-            (lx, vx), (ly, vy) = spectra
-            den = lx[:, None] + ly[None, :]
-            # each component carries some side's penalty (rank 2), so den > 0
-            # but for roundoff; the floor keeps P positive definite regardless
-            den = np.maximum(den, np.finfo(float).eps * den.max())
-            blocks.append((vx, vy, den))
+        # both components at once: one (2, n, n) stack per axis
+        stacks = [np.stack(2 * [c * (g.T @ g)]) for c, g in zip(
+            scales, (_gradient_matrix(grid.nx, grid.hx),
+                     _gradient_matrix(grid.ny, grid.hy)))]
+        for side, row in zip(Side, self.side_rows):
+            end = 0 if side.sign < 0 else -1
+            stacks[side.axis][:, end, end] += row ** 2
+        (lx, vx), (ly, vy) = (np.linalg.eigh(m) for m in stacks)
+        den = lx[:, :, None] + ly[:, None, :]
+        # each component carries some side's penalty (rank 2), so den > 0
+        # but for roundoff; the floor keeps P positive definite regardless
+        den = np.maximum(den, np.finfo(float).eps
+                         * den.max(axis=(1, 2), keepdims=True))
         shape = (2, grid.nx, grid.ny)
 
         def solve(r):
-            return np.concatenate([
-                (vx @ ((vx.T @ rk @ vy) / den) @ vy.T).ravel()
-                for rk, (vx, vy, den) in zip(r.reshape(shape), blocks)])
+            return (vx @ ((vx.mT @ r.reshape(shape) @ vy) / den)
+                    @ vy.mT).ravel()
 
         return solve
 
@@ -430,7 +426,9 @@ def elliptic_steady_solve(mode, psi: StateField, grid: RectGrid,
             f"determinant condition {delta.min():.3e} below c0 = "
             f"{ELLIPTICITY_MIN:.1e} "
             f"at node {tuple(int(t) for t in ij)}")
-    if not check_rank2(conditions):
+    # a side row is a direction: side_rows holds each at the same length
+    unit_tol = 1e-10 * np.abs(ls.side_rows).max()
+    if np.linalg.matrix_rank(ls.side_rows, tol=unit_tol) < 2:
         raise RankDeficientBC("side-condition matrix has rank < 2")
 
     b = (psi.values * compact_support_mask(grid)[None]).ravel()

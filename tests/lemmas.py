@@ -11,7 +11,7 @@ import numpy as np
 from hypermodes.apps import SWEParams, SWMHDParams
 from hypermodes.congruence import SYMMETRY_RTOL, TypeIIMode, _standardize
 from hypermodes.errors import HypermodesError
-from hypermodes.modes import Side
+from hypermodes.modes import Side, condition_rows
 from hypermodes.operators import (RectGrid, StateField, _coeff_grid,
                                   _type2_coeff_grids)
 
@@ -84,6 +84,15 @@ def apply_type2(mode, u: StateField) -> np.ndarray:
         a1 * u1x + b1 * u2x + a2 * u1y + b2 * u2y,
         b1 * u1x - a1 * u2x + b2 * u1y - a2 * u2y,
     ])
+
+
+def condition_rank(conditions) -> int:
+    """Rank of an elliptic mode's side rows read as directions: each row
+    of `condition_rows` scaled to unit length, ranked at 1e-10 of the
+    largest entry."""
+    rows = condition_rows(conditions)
+    unit = rows / np.hypot(rows[:, :1], rows[:, 1:])
+    return int(np.linalg.matrix_rank(unit, tol=1e-10 * np.abs(unit).max()))
 
 
 def check_conditions(u: StateField, conditions, what="elliptic mode trace"):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from lemmas import swe_eigenvalues, swmhd_eigenvalues
@@ -232,3 +234,36 @@ class TestSymmetrize:
         with pytest.raises(NonPositiveSymmetrizer) as info:
             symmetrize(np.eye(2), np.diag([1.0, 2.0]), s0=s0)
         assert str(info.value) == message
+
+
+# reference states of the shallow water presets, near-degenerate in u0
+NEAR_DEGENERATE = {
+    SWEParams: ({"u0": 1.0000001, "v0": 3.0, "phi0": 1.0, "g": 1.0},
+                "u0^2 = g*phi0, distance to degeneracy 2.000e-07"),
+    SWMHDParams: ({"u0": 1.0, "v0": 2.0, "b10": 1.0000001, "b20": 0.5,
+                   "phi0": 1.0, "g": 1.0},
+                  "u0 = b10, distance to degeneracy 1.000e-07"),
+}
+
+
+@pytest.mark.parametrize("params", list(NEAR_DEGENERATE),
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("key", ["phi0", "g"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_nonpositive_layer_rejected(params, key, value):
+    kwargs = {**NEAR_DEGENERATE[params][0], key: value}
+    with pytest.raises(GenericityViolated,
+                       match="^phi0 and g must be positive$"):
+        params(**kwargs)
+
+
+@pytest.mark.parametrize("params", list(NEAR_DEGENERATE),
+                         ids=lambda cls: cls.__name__)
+def test_near_degenerate_warning_names_the_caller(params):
+    kwargs, what = NEAR_DEGENERATE[params]
+    with pytest.warns(RuntimeWarning) as record:
+        line = inspect.currentframe().f_lineno + 1
+        params(**kwargs)
+    assert [str(w.message) for w in record] == [
+        f"near-degenerate parameters: {what}"]
+    assert (record[0].filename, record[0].lineno) == (__file__, line)

@@ -172,7 +172,7 @@ def test_dropped_corner_weight_breaks_ibp():
 def test_scalar_inflow_on_the_outflow_side_fails_its_side():
     # swe's three scalar modes all enter through W; impose them on E instead
     def inflow_east(bcs):
-        return [ScalarModeBC(bc.mode_index, bc.sides - {Side.W} | {Side.E})
+        return [ScalarModeBC(bc.sides - {Side.W} | {Side.E})
                 for bc in bcs]
     got = rows("swe", inflow_east)
     assert got["boundary_form_W"] == pytest.approx(0.75)
@@ -186,7 +186,7 @@ def test_swapped_elliptic_conditions_fail_both_sides():
         for bc in bcs:
             conds = dict(bc.conditions)
             conds[Side.W], conds[Side.E] = conds[Side.E], conds[Side.W]
-            out.append(EllipticModeBC(bc.mode_index, conds))
+            out.append(EllipticModeBC(conds))
         return out
     got = rows("wave", swap_west_east)
     assert got["boundary_form_W"] == pytest.approx(0.8)
@@ -198,7 +198,7 @@ def test_rank_one_elliptic_conditions_fail_uniqueness():
     # (1, 0) on every side leaves the discrete problem a kernel: 1/sigma
     # reads 4.9e12
     def rank_one(bcs):
-        return [EllipticModeBC(0, {s: (1.0, 0.0) for s in Side})]
+        return [EllipticModeBC({s: (1.0, 0.0) for s in Side})]
     assert rows("wave", rank_one)["elliptic_uniqueness_mode0"] > 1e6
 
 

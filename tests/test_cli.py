@@ -9,7 +9,7 @@ import pytest
 from conftest import ROOT, random_congruence, src_env
 from scipy.linalg import block_diag
 
-from hypermodes import cli
+from hypermodes import apps, cli
 from hypermodes.errors import (ConfigError, ConflictingSources, MissingInput,
                                UnknownKey)
 from hypermodes.linalg import save_matrix
@@ -227,6 +227,63 @@ class TestParseConfig:
                              f"outdir={tmp_path / command}"]) == 0
 
 
+# inputs that reach each input error of the parser and of `build_pair`,
+# with the error's class and message; "{missing}" is a file that is absent
+INPUT_ERRORS = {
+    "no_command": ([], ConfigError,
+                   "usage: hypermodes <command> [key=value ...]; commands: "
+                   "diagonalize, classify, bc, simulate, verify, preset-list"),
+    "unknown_preset": (["classify", "preset=foo"], ConfigError,
+                       "unknown preset 'foo'; presets: euler, swe, swmhd, "
+                       "wave"),
+    "foreign_preset_key": (["classify", "preset=swe", "alpha=0.5"],
+                           ConfigError,
+                           "key 'alpha' does not apply to preset 'swe'"),
+    "no_equals": (["classify", "nx"], ConfigError,
+                  "expected key=value, got 'nx'"),
+    "not_an_integer": (["simulate", "preset=swe", "nx=abc"], ConfigError,
+                       "key 'nx' expects an integer, got 'abc'"),
+    "unreadable_config": (["classify", "config={missing}"], ConfigError,
+                          "cannot read config file '{missing}': "),
+    "a1_without_a2": (["classify", "a1_file={missing}"], MissingInput,
+                      "matrix input needs both a1_file and a2_file"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_input_error_named(case, tmp_path, capsys):
+    argv, error, message = INPUT_ERRORS[case]
+    missing = tmp_path / "missing.cfg"
+    argv = [token.format(missing=missing) for token in argv]
+    if argv:
+        argv.append(f"outdir={tmp_path / 'out'}")
+    message = message.format(missing=missing)
+    with pytest.raises(error) as info:
+        cli.execute(cli.parse_config(argv))
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_symmetrizer_file(tmp_path, capsys):
+    # raw swe matrices with their symmetrizer: the pair read from files is
+    # the one `symmetrize` builds
+    e1, e2, _, s0 = apps.swe_raw_matrices(apps.SWEParams(2.0, 3.0, 1.0, 1.0))
+    flags = []
+    for key, m in (("a1_file", e1), ("a2_file", e2), ("s0_file", s0)):
+        save_matrix(tmp_path / f"{key}.txt", m)
+        flags.append(f"{key}={tmp_path / key}.txt")
+    argv = ["classify", *flags, f"outdir={tmp_path / 'out'}"]
+    assert cli.main(argv) == 0
+    assert "hyperbolic modes: 3" in capsys.readouterr().out
+    got = cli.build_pair(cli.parse_config(argv))
+    want = apps.symmetrize(e1, e2, s0=s0)
+    for name in ("a1", "a2", "b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_readme_names_every_command_and_key():
     # the command-line docs drift silently otherwise: each command and each
     # key but the preset parameters is named in an inline code span there
@@ -263,6 +320,16 @@ class TestExecute:
         assert rc == 0
         text = (tmp_path / "bc.txt").read_text()
         assert "TypeI inflow=W,S" in text
+
+    def test_bc_artifact_elliptic(self, tmp_path, capsys):
+        # an elliptic mode's condition, one line per side in W, E, S, N order
+        want = ["mode 0: TypeII side=W cond=(0,1)",
+                "mode 0: TypeII side=E cond=(1,0)",
+                "mode 0: TypeII side=S cond=(1,0)",
+                "mode 0: TypeII side=N cond=(0,1)"]
+        assert cli.main(["bc", "preset=wave", f"outdir={tmp_path}"]) == 0
+        assert (tmp_path / "bc.txt").read_text().splitlines() == want
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_classify_census(self, tmp_path, capsys):
         rc = cli.main(["classify", "preset=swe", "u0=1", "v0=1", "g=10",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -617,3 +618,12 @@ class TestPairRule:
         assert self.messages(pair_errors(pairs)) == [
             None, (ValueError, "a2 has a non-finite entry"),
             (ValueError, "a1 has a non-finite entry")]
+
+    @pytest.mark.parametrize("a1, b, message", [
+        (np.ones((1, 2)), None,
+         "a1, a2 must be square of equal order, got (1, 2) and (3, 3)"),
+        (np.eye(3), np.eye(2), "b must match the system order"),
+    ], ids=["a1", "b"])
+    def test_shape_mismatch_named(self, a1, b, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SymmetricPair(a1=a1, a2=np.diag([1.0, 2.0, 3.0]), b=b)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import plant_pair, random_congruence, random_mixed_spec
@@ -306,3 +308,12 @@ class TestMatrixText:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             parse_matrix("2 2\n1 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix text"),
+        ("x y\n1 2\n", "bad matrix header 'x y'"),
+        ("1 2\n1 2 3\n", "expected shape (1, 2), got (1, 3)"),
+    ], ids=["empty", "header", "row_length"])
+    def test_rejection_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_matrix(text)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lemmas import OPPOSITE, ZeroKappa, rotate_type2, rotation_matrix
+from lemmas import (OPPOSITE, ZeroKappa, condition_rank, rotate_type2,
+                    rotation_matrix)
 
 from hypermodes.congruence import TypeIIMode, simultaneous_diagonalize
 from hypermodes.errors import (AssumptionViolated, RankDeficientBC,
                                ZeroCoefficient)
 from hypermodes.modes import (EllipticModeBC, ScalarModeBC, Side,
-                              assemble_system_bcs, check_rank2,
+                              assemble_system_bcs,
                               check_variable_coeff_assumptions,
                               format_assignments, synthesize_bc_type1,
                               synthesize_bc_type2)
@@ -88,7 +89,7 @@ class TestEllipticSignTable:
         for a1 in (1.0, -1.0):
             for a2 in (1.0, -1.0):
                 bc = synthesize_bc_type2(TypeIIMode(a1, 1.0, a2, -1.0))
-                assert check_rank2(bc.conditions)
+                assert condition_rank(bc.conditions) == 2
 
 
 class TestRotation:
@@ -178,8 +179,8 @@ class TestAssemble:
         from hypermodes.operators import StateField, elliptic_steady_solve
 
         decomp = simultaneous_diagonalize(preset_wave(WaveParams(0.6, 0.8)))
-        bc = EllipticModeBC(0, {s: (1.0, 1.0) for s in Side})
-        assert not check_rank2(bc.conditions)
+        bc = EllipticModeBC({s: (1.0, 1.0) for s in Side})
+        assert condition_rank(bc.conditions) == 1
         grid = RectGrid(1.0, 1.0, 9, 9)
         zero = StateField(grid, np.zeros((2, grid.nx, grid.ny)))
         with pytest.raises(RankDeficientBC):
@@ -190,14 +191,20 @@ class TestAssemble:
         conds = {Side.W: (1.0, 0.0), Side.E: (value, 1.0),
                  Side.S: (1.0, 0.0), Side.N: (0.0, 1.0)}
         with pytest.raises(ValueError, match="side E condition"):
-            EllipticModeBC(0, conds)
+            EllipticModeBC(conds)
+
+    def test_missing_side_named(self):
+        conds = {Side.W: (1.0, 0.0), Side.E: (0.0, 1.0), Side.S: (1.0, 0.0)}
+        with pytest.raises(ValueError,
+                           match="^conditions must cover all four sides$"):
+            EllipticModeBC(conds)
 
     def test_valid_override_accepted(self):
         mixed = {Side.W: (1.0, 0.0), Side.E: (1.0, -1.0),
                  Side.S: (1.0, 1.0), Side.N: (0.0, 1.0)}
-        bc = EllipticModeBC(0, mixed)
+        bc = EllipticModeBC(mixed)
         assert bc.conditions == mixed
-        assert check_rank2(bc.conditions)
+        assert condition_rank(bc.conditions) == 2
 
     def test_serialization_format(self):
         decomp = self._swe_decomp()

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -429,6 +430,25 @@ class TestEllipticSolve:
         with pytest.raises(RankDeficientBC):
             elliptic_steady_solve(self.CR_MODE, zero, g, same)
 
+    def test_scaled_conditions_are_the_same_directions(self):
+        # a side row is a direction: the default conditions with W and S
+        # scaled by 1e-11 solve, to the default solution bit for bit
+        g = RectGrid(1.0, 1.0, 17, 17)
+        scaled = {**DEFAULT_CONDS, Side.W: (1e-11, 0.0), Side.S: (1e-11, 0.0)}
+        psi = _smooth_psi(g)
+        u, report = elliptic_steady_solve(self.CR_MODE, psi, g, scaled)
+        want, _ = elliptic_steady_solve(self.CR_MODE, psi, g, DEFAULT_CONDS)
+        assert report.verdict
+        assert np.array_equal(u.values, want.values)
+
+    def test_coefficient_grid_shape_named(self):
+        g = RectGrid(1.0, 1.0, 9, 9)
+        zero = StateField(g, np.zeros((2, 9, 9)))
+        coeffs = (0.0, 1.0, np.ones((9, 8)), 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficient shape (9, 8) does not match grid")):
+            elliptic_steady_solve(coeffs, zero, g, DEFAULT_CONDS)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", ["solve", "uniqueness"])
     def test_non_finite_condition_named(self, entry, value):
@@ -617,3 +637,9 @@ class TestGenerators:
         assert np.all(u.values[0, :, 0] == 0)    # u1 on S
         assert np.all(u.values[1, -1, :] == 0)   # u2 on E
         assert np.all(u.values[1, :, -1] == 0)   # u2 on N
+
+    def test_mixed_condition_field_rejected(self):
+        g = RectGrid(1.0, 1.0, 9, 9)
+        with pytest.raises(ValueError, match="^random field generation "
+                           "handles component conditions only; rotate"):
+            random_elliptic_bc_field(g, MIXED_CONDS, np.random.default_rng(0))

@@ -495,6 +495,17 @@ class TestSpatialOrder:
 
 
 class TestRun:
+    @pytest.mark.parametrize("sources", ["neither", "both"])
+    def test_exactly_one_coefficient_source(self, sources):
+        g = RectGrid(1.0, 1.0, 9, 9)
+        pair = scalar_pair()
+        kwargs = {} if sources == "neither" else {
+            "pair": pair, "sampler": lambda x, y: pair}
+        with pytest.raises(ValueError,
+                           match="^provide exactly one of pair or sampler$"):
+            IVPConfig(grid=g, u0=StateField(g, np.zeros((1, 9, 9))),
+                      t_end=0.1, **kwargs)
+
     def test_energy_nonincreasing_every_step_swe(self):
         pair = preset_swe(SWEParams(u0=2.0, v0=3.0, phi0=1.0, g=1.0, f_cor=0.5))
         g = RectGrid(1.0, 1.0, 33, 33)
@@ -753,7 +764,7 @@ class TestEnergyVerdict:
             return run(IVPConfig(grid=g, u0=u0, t_end=0.1, pair=self.SWE,
                                  decomp=decomp, bcs=bcs))[1]
 
-        bad = energy(bcs[:2] + [ScalarModeBC(mode_index=2, sides=flipped)])
+        bad = energy(bcs[:2] + [ScalarModeBC(flipped)])
         assert bad.omega == 0.0
         assert bad.max_step_increase > 1e-3 * bad.norms[0]
         assert not bad.verdict
